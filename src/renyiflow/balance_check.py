@@ -17,6 +17,7 @@ import numpy as np
 
 from . import matcore as mc
 from . import noncomm_ops as nco
+from .errors import DomainError, StructuralError
 from .generator import Generator, from_schrodinger_map, gns_selfadjoint_residual
 
 VERDICT_THRESHOLD = 1e-8
@@ -141,13 +142,19 @@ def carlen_maas_counterexample() -> Generator:
     # cross-check the observable side against the direct composition
     n = 2
     direct = mc.superoperator_of_map(lambda A: Kt_map(K_map(A)) - A, n)
-    assert np.linalg.norm(direct - G.L_super) <= 1e-12 * np.linalg.norm(direct)
+    defect = np.linalg.norm(direct - G.L_super)
+    if defect > 1e-12 * np.linalg.norm(direct):
+        raise StructuralError(f"carlen-maas: observable side off by {defect:.3e} from its direct form")
     return G
 
 
 def _map_ordered(fn, items):
     """Apply fn over items, optionally threaded, preserving input order."""
-    workers = max(1, int(os.environ.get("LEL_THREADS", "1")))
+    raw = os.environ.get("LEL_THREADS", "1")
+    try:
+        workers = max(1, int(raw))
+    except ValueError:
+        raise DomainError(f"LEL_THREADS={raw!r} is not an integer") from None
     if workers == 1 or len(items) < 2:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -66,6 +66,13 @@ def emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _number(text, what: str, cast=float):
+    try:
+        return cast(text)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what}: {text!r} is not a number") from None
+
+
 def parse_alphas(spec: str) -> list[float]:
     """Comma list `1,2,4` or inclusive range `start:stop:step`."""
     spec = spec.strip()
@@ -73,13 +80,13 @@ def parse_alphas(spec: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise DomainError(f"range syntax is start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_number(p, "alpha range") for p in parts)
         if step <= 0:
             raise DomainError(f"range step must be positive in {spec!r}")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         vals = [start + k * step for k in range(count)]
     else:
-        vals = [float(p) for p in spec.split(",") if p.strip()]
+        vals = [_number(p, "alpha") for p in spec.split(",") if p.strip()]
     if not vals:
         raise DomainError(f"empty alpha list {spec!r}")
     if any(a <= 0.0 for a in vals):
@@ -88,7 +95,7 @@ def parse_alphas(spec: str) -> list[float]:
 
 
 def _parse_diag(entries: str) -> np.ndarray:
-    lam = np.array([float(x) for x in entries.split(",")], dtype=float)
+    lam = np.array([_number(x, "sigma entry") for x in entries.split(",")], dtype=float)
     return np.diag(lam).astype(complex)
 
 
@@ -102,32 +109,48 @@ def load_generator(spec: str) -> Generator:
         if name == "qubit-xz":
             return qubit_xz_generator()
         if name == "depolarizing":
-            gamma = float(params.get("gamma", "1.0"))
+            gamma = _number(params.get("gamma", "1.0"), "gamma")
             if "sigma" in params:
                 sigma = _parse_diag(params["sigma"])
             else:
-                n = int(params.get("n", "2"))
+                n = _number(params.get("n", "2"), "n", int)
                 sigma = np.eye(n, dtype=complex) / n
             return depolarizing_generator(gamma, sigma)
         raise ValidationError(f"unknown builtin generator {name!r}")
     if not os.path.exists(spec):
         raise ValidationError(f"generator file not found: {spec}")
-    with open(spec) as fh:
-        doc = json.load(fh)
+    doc = _load_json(spec)
+    if not isinstance(doc, dict) or "sigma" not in doc:
+        raise ValidationError(f"{spec}: a generator file needs a 'sigma' entry")
     base = os.path.dirname(os.path.abspath(spec))
     sigma = _load_matrix_field(doc["sigma"], base)
     terms = []
-    for entry in doc.get("terms", []):
+    for j, entry in enumerate(doc.get("terms", [])):
+        if not isinstance(entry, dict) or "V" not in entry:
+            raise ValidationError(f"{spec}: term {j} needs a 'V' entry")
         V = _load_matrix_field(entry["V"], base)
-        terms.append(JumpTerm.of(V, float(entry.get("omega", 0.0)), entry.get("weight")))
+        omega = _number(entry.get("omega", 0.0), f"{spec}: term {j} omega")
+        terms.append(JumpTerm.of(V, omega, entry.get("weight")))
     if not terms:
         raise ValidationError(f"{spec}: no jump terms given")
     return build_gns(sigma, terms, label=doc.get("label", os.path.basename(spec)))
 
 
+def _load_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def _load_matrix_field(value, base: str) -> np.ndarray:
     if isinstance(value, str):
         path = value if os.path.isabs(value) else os.path.join(base, value)
+        if not os.path.exists(path):
+            raise ValidationError(f"matrix file not found: {path}")
         with open(path) as fh:
             return mc.matrix_from_csv_block(fh.read())[1]
     return mc.rows_to_matrix(value)
@@ -140,7 +163,7 @@ def load_rho0(spec: str, G: Generator, seed: int) -> np.ndarray:
         return mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
     if spec.startswith("near-sigma"):
         _, _, d = spec.partition(":")
-        delta = float(d) if d else 0.05
+        delta = _number(d, "near-sigma mixing weight") if d else 0.05
         w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
         return mc.hermitize((1.0 - delta) * G.sigma + delta * w)
     if os.path.exists(spec):
@@ -254,14 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file of defaults for the chosen command")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def config(sp):
+        # SUPPRESS: an absent subcommand --config must not overwrite one
+        # given before the subcommand
+        sp.add_argument("--config", default=argparse.SUPPRESS,
+                        help="JSON file of defaults for this command")
+
     def common(sp):
         sp.add_argument("--generator", required=True, help="builtin:<name> or JSON file")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--config", help="JSON file of defaults for this command")
+        config(sp)
 
     sp = sub.add_parser("validate", help="validate a generator and report balance verdicts")
     sp.add_argument("--generator", required=True)
-    sp.add_argument("--config", help="JSON file of defaults for this command")
+    config(sp)
     sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("dbcheck", help="detailed-balance residual report")
@@ -311,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     if not args.config:
         return args
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = _load_json(args.config)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{args.config}: config must be a JSON object")
     for key, val in doc.items():
         attr = key.replace("-", "_")
         if hasattr(args, attr):

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from . import divergence as dv
 from . import matcore as mc
 from . import noncomm_ops as nco
-from .errors import DomainError, IntegrationError, ValidationError
+from .errors import DomainError, IntegrationError, RenyiflowError, ValidationError
 from .generator import Generator
 
 POSITIVITY_TOL = 1e-8
@@ -403,6 +403,9 @@ class ConstantsReport:
     kappa2_est: float
     t2_bound: T2Bound
     n_evaluations: int = field(default=0, repr=False)
+    # objective evaluations that raised a package or LAPACK error and were
+    # scored as +inf; kept out of as_dict so reports stay byte-identical
+    n_failed_evaluations: int = field(default=0, repr=False)
 
     def violations(self, tol: float = 1e-6) -> list[str]:
         out = []
@@ -496,13 +499,15 @@ def lsi_constants(
 
     objectives = _lsi_objectives(G)
     evals = 0
+    failed = 0
 
     def safe(fn, rho):
-        nonlocal evals
+        nonlocal evals, failed
         evals += 1
         try:
             v = fn(rho)
-        except Exception:
+        except (RenyiflowError, np.linalg.LinAlgError):
+            failed += 1
             return np.inf
         return v if np.isfinite(v) else np.inf
 
@@ -553,15 +558,15 @@ def lsi_constants(
         kappa2_est=float(best["kappa2"]),
         t2_bound=T2Bound(lambda_L=lam, sigma_min=smin),
         n_evaluations=evals,
+        n_failed_evaluations=failed,
     )
 
 
 # --- comparison theorem -----------------------------------------------------------
 
 
-def _lambda_eta(alpha0: float, eps: float, sigma, omegas) -> tuple[float, float]:
-    w = mc.eig_hermitian(mc.require_density(sigma, strict=True)).values
-    smin, smax = float(w[0]), float(w[-1])
+def _lambda_eta(alpha0: float, eps: float, sigma_values: np.ndarray, omegas) -> tuple[float, float]:
+    smin, smax = float(sigma_values[0]), float(sigma_values[-1])
     if not 0.0 < eps < smin**2 / 2.0:
         raise DomainError(f"eps={eps} outside (0, {smin**2 / 2.0})")
     s2e = np.sqrt(2.0 * eps)
@@ -571,17 +576,27 @@ def _lambda_eta(alpha0: float, eps: float, sigma, omegas) -> tuple[float, float]
     return float(Lam), float(eta)
 
 
-def comparison_constants(
-    alpha0: float, alpha1: float, eps: float, sigma, omegas, K: float
+def _delay_time(alpha0: float, alpha1: float, K: float, eta: float) -> float:
+    return float(np.log((alpha1 - 1.0) / (alpha0 - 1.0)) / (2.0 * K * eta))
+
+
+def _constants(
+    alpha0: float, alpha1: float, eps: float, sigma_values: np.ndarray, omegas, K: float
 ) -> tuple[float, float, float]:
-    """Closed-form (Lambda, eta, T) of the order-comparison construction."""
     if not 1.0 < alpha0 <= alpha1:
         raise DomainError(f"need 1 < alpha0 <= alpha1, got ({alpha0}, {alpha1})")
     if K <= 0.0:
         raise DomainError(f"K={K} must be positive")
-    Lam, eta = _lambda_eta(alpha0, eps, sigma, omegas)
-    T = np.log((alpha1 - 1.0) / (alpha0 - 1.0)) / (2.0 * K * eta)
-    return Lam, eta, float(T)
+    Lam, eta = _lambda_eta(alpha0, eps, sigma_values, omegas)
+    return Lam, eta, _delay_time(alpha0, alpha1, K, eta)
+
+
+def comparison_constants(
+    alpha0: float, alpha1: float, eps: float, sigma, omegas, K: float
+) -> tuple[float, float, float]:
+    """Closed-form (Lambda, eta, T) of the order-comparison construction."""
+    w = mc.eig_hermitian(mc.require_density(sigma, strict=True)).values
+    return _constants(alpha0, alpha1, eps, w, omegas, K)
 
 
 @dataclass(frozen=True)
@@ -609,7 +624,7 @@ def decay_envelope_constants(G: Generator, alpha: float, eps: float, rho0, K: fl
     smin = float(w[0])
     if K is None:
         K = lam / (1.0 - np.log(np.sqrt(smin)))
-    Lam, eta = _lambda_eta(2.0, eps, G.sigma, G.omegas)
+    Lam, eta = _lambda_eta(2.0, eps, w, G.omegas)
     T = max(0.0, np.log(alpha - 1.0) / (2.0 * K * eta)) if alpha > 1.0 else 0.0
     D2_0 = dv.sandwiched_renyi(rho0, G.sigma, 2.0).value
     Da_0 = dv.sandwiched_renyi(rho0, G.sigma, alpha).value
@@ -652,16 +667,25 @@ class HyperTrace:
     beta: np.ndarray
     F: np.ndarray
     max_forward_increase: float
+    final: np.ndarray  # the flowed state at the end of the delay window
 
 
-def _norm_functional(rho, sigma, beta: float) -> float:
-    rs = mc.hermitize(nco.sandwich_pow(sigma, (1.0 - beta) / beta, rho))
-    w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
-    return float(np.log(np.sum(w**beta)) / beta)
+def _norm_functionals(sigma_dec: mc.SpectralDecomposition, states: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Interpolating norm functional log tr[(s rho s)^b] / b, with
+    s = sigma^((1-b)/2b), for each stacked state rho at its own order b.
+
+    One decomposition of sigma supplies every power, and one batched
+    Hermitian eigensolve covers all sandwiched states.
+    """
+    V = sigma_dec.vectors
+    p = (1.0 - beta) / beta / 2.0
+    fw = np.power(sigma_dec.values[None, :], p[:, None]).astype(complex)
+    P = mc.hermitize((V * fw[:, None, :]) @ V.conj().T)
+    w = np.maximum(np.linalg.eigh(mc.hermitize(P @ states @ P))[0], 0.0)
+    return np.log(np.sum(w ** beta[:, None], axis=1)) / beta
 
 
-def _check_initial_entropy(G: Generator, rho0, eps: float) -> None:
-    smin = float(mc.eig_hermitian(G.sigma).values[0])
+def _check_initial_entropy(G: Generator, smin: float, rho0, eps: float) -> None:
     if not 0.0 < eps < smin**2 / 2.0:
         raise DomainError(f"eps={eps} outside (0, lambda_min^2/2 = {smin**2 / 2.0:.3e})")
     D0 = dv.relative_entropy(rho0, G.sigma)
@@ -687,26 +711,23 @@ def hypercontractivity_monitor(
     The effective order grows from alpha0 to alpha1 over the delay window;
     the functional is non-increasing when eta respects the comparison
     bound, and the reported maximum forward difference quantifies any
-    numerical violation.
+    numerical violation.  The flow is integrated once, over the whole
+    window; its final state is returned with the samples.
     """
     if not 1.0 < alpha0 <= alpha1:
         raise DomainError(f"need 1 < alpha0 <= alpha1, got ({alpha0}, {alpha1})")
-    smin = float(mc.eig_hermitian(G.sigma).values[0])
+    sigma_dec = mc.eig_hermitian(G.sigma)
+    smin = float(sigma_dec.values[0])
     eps = smin**2 / 8.0 if eps is None else eps
-    _check_initial_entropy(G, rho0, eps)
-    T = np.log((alpha1 - 1.0) / (alpha0 - 1.0)) / (2.0 * K * eta)
-    if T == 0.0:
-        F0 = _norm_functional(rho0, G.sigma, alpha0)
-        return HyperTrace(np.array([0.0]), np.array([alpha0]), np.array([F0]), 0.0)
+    _check_initial_entropy(G, smin, rho0, eps)
+    T = _delay_time(alpha0, alpha1, K, eta)
     dt = suggested_dt(G) if dt is None else dt
     store = max(1, int(np.ceil(T / dt / n_samples)))
     traj = integrate(G, rho0, T, dt, store_every=store)
     beta = 1.0 + (alpha0 - 1.0) * np.exp(2.0 * K * eta * traj.times)
-    F = np.array([
-        _norm_functional(s, G.sigma, float(b)) for s, b in zip(traj.states, beta)
-    ])
+    F = _norm_functionals(sigma_dec, np.asarray(traj.states), beta)
     fw = np.diff(F)
-    return HyperTrace(traj.times, beta, F, float(fw.max(initial=0.0)))
+    return HyperTrace(traj.times, beta, F, float(fw.max(initial=0.0)), traj.final())
 
 
 @dataclass(frozen=True)
@@ -745,21 +766,20 @@ def comparison_check(
 
     Integrates to the delay time and requires the final higher-order
     divergence to stay below the initial lower-order one, with the norm
-    functional non-increasing along the way.
+    functional non-increasing along the way.  The monitor's trajectory
+    is the only integration: its final state gives the end divergence.
     """
-    smin = float(mc.eig_hermitian(G.sigma).values[0])
+    w = mc.eig_hermitian(G.sigma).values
+    smin = float(w[0])
     eps = smin**2 / 8.0 if eps is None else eps
     if K is None:
         K = G.gap.value / (1.0 - np.log(np.sqrt(smin)))
-    _check_initial_entropy(G, rho0, eps)
-    Lam, eta, T = comparison_constants(alpha0, alpha1, eps, G.sigma, G.omegas, K)
+    Lam, eta, T = _constants(alpha0, alpha1, eps, w, G.omegas, K)
     trace = hypercontractivity_monitor(
         G, rho0, alpha0, alpha1, eta, K, eps=eps, n_samples=n_samples
     )
-    dt = suggested_dt(G)
-    traj = integrate(G, rho0, T, dt, store_every=10**9)
     D_start = dv.sandwiched_renyi(rho0, G.sigma, alpha0).value
-    D_end = dv.sandwiched_renyi(traj.final(), G.sigma, alpha1).value
+    D_end = dv.sandwiched_renyi(trace.final, G.sigma, alpha1).value
     passed = (D_end <= D_start + slack) and (trace.max_forward_increase <= monitor_slack)
     return ComparisonReport(
         alpha0=float(alpha0), alpha1=float(alpha1), eps=float(eps), K=float(K),

@@ -33,8 +33,8 @@ def dagger(A: np.ndarray) -> np.ndarray:
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A*)/2."""
-    return 0.5 * (A + A.conj().T)
+    """Hermitian part (A + A*)/2; of each matrix, for a stack (..., n, n)."""
+    return 0.5 * (A + A.conj().swapaxes(-1, -2))
 
 
 def vec(A: np.ndarray) -> np.ndarray:
@@ -309,12 +309,19 @@ def matrix_from_csv_block(text: str) -> tuple[str, np.ndarray]:
     head = lines[0].split(",")
     if len(head) != 3 or head[0] != "matrix":
         raise StructuralError(f"bad matrix block header: {lines[0]!r}")
-    name, n = head[1], int(head[2])
+    name = head[1]
+    try:
+        n = int(head[2])
+    except ValueError:
+        raise StructuralError(f"bad matrix block header: {lines[0]!r}") from None
     if len(lines) != n + 1:
         raise StructuralError(f"matrix block {name!r}: expected {n} rows, got {len(lines) - 1}")
     A = np.zeros((n, n), dtype=complex)
     for i, ln in enumerate(lines[1:]):
-        vals = [float(x) for x in ln.split(",")]
+        try:
+            vals = [float(x) for x in ln.split(",")]
+        except ValueError:
+            raise StructuralError(f"matrix block {name!r}: row {i} has a non-numeric cell") from None
         if len(vals) != 2 * n:
             raise StructuralError(f"matrix block {name!r}: row {i} has {len(vals)} cells, want {2 * n}")
         A[i] = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
@@ -323,7 +330,10 @@ def matrix_from_csv_block(text: str) -> tuple[str, np.ndarray]:
 
 def rows_to_matrix(rows) -> np.ndarray:
     """Inline JSON rows of 2n interleaved reals -> complex matrix."""
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise StructuralError("inline matrix rows must be equal-length lists of reals") from None
     if arr.ndim != 2 or arr.shape[1] != 2 * arr.shape[0]:
         raise StructuralError(f"inline matrix rows have shape {arr.shape}; want (n, 2n)")
     return arr[:, 0::2] + 1j * arr[:, 1::2]

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import renyiflow.balance_check as bc
 import renyiflow.matcore as mc
+from renyiflow.errors import StructuralError
 from renyiflow.generator import build_gns, eigen_jump_terms, random_gns_generator
 
 # first verified run of the order sweep on the stock counterexample,
@@ -37,6 +40,21 @@ class TestCounterexampleConstruction:
         assert counterexample.primitivity.primitive
         assert counterexample.primitivity.kernel_dim == 1
         assert np.linalg.norm(counterexample.apply_L(np.eye(2))) <= 1e-12
+
+    def test_self_check_raises_on_perturbed_direct_form(self, monkeypatch):
+        # the construction cross-checks its generator against the direct
+        # composition; the check must raise (not assert, which -O strips)
+        exact = mc.superoperator_of_map
+
+        def perturbed(phi, n):
+            S = exact(phi, n)
+            if sys._getframe(1).f_code.co_name == "carlen_maas_counterexample":
+                S = S + 1e-6 * np.eye(n * n)
+            return S
+
+        monkeypatch.setattr(mc, "superoperator_of_map", perturbed)
+        with pytest.raises(StructuralError, match="direct form"):
+            bc.carlen_maas_counterexample()
 
 
 class TestKmsCheck:

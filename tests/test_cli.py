@@ -177,6 +177,67 @@ class TestCommands:
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 4  # header + alpha in {1,2,3}
 
+    def test_config_before_or_after_command(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": "1:3:1"}))
+        command = ["fig1", "--generator", "builtin:carlen-maas"]
+        for argv in (["--config", str(cfg)] + command, command + ["--config", str(cfg)]):
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            assert len(out.strip().splitlines()) == 4, argv
+
+
+class TestMalformedInputs:
+    """Each malformed input exits 1 with JSON detail, never a traceback."""
+
+    def assert_validation_exit(self, argv, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "validation"
+
+    def test_generator_without_sigma(self, generator_file, tmp_path, capsys):
+        doc = json.loads(open(generator_file).read())
+        del doc["sigma"]
+        path = tmp_path / "nosigma.json"
+        path.write_text(json.dumps(doc))
+        self.assert_validation_exit(["dbcheck", "--generator", str(path)], capsys)
+
+    def test_generator_matrix_file_missing(self, generator_file, tmp_path, capsys):
+        doc = json.loads(open(generator_file).read())
+        doc["sigma"] = "absent.csv"
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(doc))
+        self.assert_validation_exit(["dbcheck", "--generator", str(path)], capsys)
+
+    def test_generator_not_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"label": "x", "sigma": [[0.5, 0.0')
+        self.assert_validation_exit(["dbcheck", "--generator", str(path)], capsys)
+
+    def test_rho0_non_numeric_cell(self, tmp_path, capsys):
+        path = tmp_path / "rho0.csv"
+        path.write_text("matrix,rho0,2\n0.5,0,x,0\n0,0,0.5,0\n")
+        self.assert_validation_exit(
+            ["simulate", "--generator", "builtin:qubit-xz", "--rho0", str(path),
+             "--t-end", "0.1", "--dt", "0.01"],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--generator", "builtin:carlen-maas", "--alphas", "1,x"],
+        ["dbcheck", "--generator", "builtin:depolarizing?gamma=x"],
+        ["simulate", "--generator", "builtin:qubit-xz", "--rho0", "near-sigma:x",
+         "--t-end", "0.1", "--dt", "0.01"],
+    ])
+    def test_non_numeric_parameter(self, argv, capsys):
+        self.assert_validation_exit(argv, capsys)
+
+    def test_thread_count_not_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("LEL_THREADS", "x")
+        self.assert_validation_exit(
+            ["fig1", "--generator", "builtin:carlen-maas", "--alphas", "1,2"], capsys
+        )
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, capsys):

@@ -4,7 +4,8 @@ import pytest
 import renyiflow.divergence as dv
 import renyiflow.flow as flow
 import renyiflow.matcore as mc
-from renyiflow.errors import DomainError, ValidationError
+import renyiflow.noncomm_ops as nco
+from renyiflow.errors import DomainError, SingularityError, ValidationError
 from renyiflow.generator import random_gns_generator
 
 from .oracles import trapezoid_integral
@@ -257,6 +258,34 @@ class TestLsiConstants:
         with pytest.raises(ValidationError):
             flow.lsi_constants(G)
 
+    def test_programming_error_propagates(self, qubit_xz, monkeypatch):
+        # only package and LAPACK errors are scored as +inf; anything else
+        # is a bug and must surface
+        def objectives(G, denom_floor=1e-8):
+            def broken(rho):
+                raise TypeError("bug in an objective")
+            return {"K": broken, "K2": broken, "kappa1": broken, "kappa2": broken}
+
+        monkeypatch.setattr(flow, "_lsi_objectives", objectives)
+        with pytest.raises(TypeError, match="bug in an objective"):
+            flow.lsi_constants(qubit_xz, n_starts=1, maxiter=5)
+
+    def test_caught_failures_are_counted(self, qubit_xz, monkeypatch):
+        real = flow._lsi_objectives
+
+        def objectives(G, denom_floor=1e-8):
+            fns = real(G, denom_floor)
+
+            def singular(rho):
+                raise SingularityError("objective hit a singular state")
+            return {**fns, "kappa2": singular}
+
+        monkeypatch.setattr(flow, "_lsi_objectives", objectives)
+        rep = flow.lsi_constants(qubit_xz, n_starts=1, maxiter=5)
+        assert 0 < rep.n_failed_evaluations < rep.n_evaluations
+        assert rep.kappa2_est == np.inf
+        assert "n_failed_evaluations" not in rep.as_dict()
+
     def test_thermal_generator_with_nonzero_frequencies(self):
         # the estimators must stay bracketed when the modular structure is
         # nontrivial (raising/lowering terms at +-log 3)
@@ -349,6 +378,61 @@ class TestComparisonFlow:
         if dv.relative_entropy(far, qubit_xz.sigma) > 0.5**2 / 8.0:
             with pytest.raises(ValidationError, match="relative entropy"):
                 flow.comparison_check(qubit_xz, far, 2.0, 4.0)
+
+
+def per_state_norm_functional(rho, sigma, beta):
+    # the monitor's functional one state at a time: the reference for the
+    # batched kernel
+    rs = mc.hermitize(nco.sandwich_pow(sigma, (1.0 - beta) / beta, rho))
+    w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
+    return float(np.log(np.sum(w**beta)) / beta)
+
+
+class TestComparisonSingleIntegration:
+    @pytest.fixture()
+    def case(self, rng):
+        G = random_gns_generator(rng, 3, min_sigma_eig=0.5)
+        w = mc.random_density(rng, 3, floor=0.05)
+        return G, mc.hermitize(0.9 * G.sigma + 0.1 * w)
+
+    def test_end_divergence_is_that_of_the_integrated_flow(self, case):
+        G, rho0 = case
+        rep = flow.comparison_check(G, rho0, 2.0, 4.0)
+        final = flow.integrate(G, rho0, rep.T, flow.suggested_dt(G)).final()
+        assert rep.D_end == dv.sandwiched_renyi(final, G.sigma, 4.0).value
+
+    def test_integrates_once(self, case, monkeypatch):
+        G, rho0 = case
+        calls = []
+        real = flow.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "integrate", counting)
+        rep = flow.comparison_check(G, rho0, 2.0, 3.0)
+        assert calls == [rep.T]
+
+    def test_batched_functional_matches_per_state(self, rng):
+        G = random_gns_generator(rng, 4, min_sigma_eig=0.3)
+        rho0 = mc.random_density(rng, 4, floor=0.05)
+        traj = flow.integrate(G, rho0, 0.5, flow.suggested_dt(G), store_every=10)
+        beta = 1.5 + 2.5 * traj.times / traj.times[-1]
+        F = flow._norm_functionals(mc.eig_hermitian(G.sigma), np.asarray(traj.states), beta)
+        ref = np.array([per_state_norm_functional(s, G.sigma, b) for s, b in zip(traj.states, beta)])
+        assert len(F) == len(traj.states) > 5
+        np.testing.assert_allclose(F, ref, rtol=1e-13, atol=0.0)
+
+    def test_equal_orders_give_one_sample(self, case):
+        G, rho0 = case
+        rep = flow.comparison_check(G, rho0, 2.5, 2.5)
+        assert rep.T == 0.0 and rep.max_forward_increase == 0.0
+        trace = flow.hypercontractivity_monitor(G, rho0, 2.5, 2.5, eta=rep.eta, K=rep.K)
+        assert trace.times.tolist() == [0.0] and trace.beta.tolist() == [2.5]
+        assert trace.F[0] == pytest.approx(per_state_norm_functional(rho0, G.sigma, 2.5), rel=1e-13)
+        assert trace.max_forward_increase == 0.0
+        assert np.array_equal(trace.final, mc.hermitize(rho0))
 
 
 class TestEnvelopeConstants:
