@@ -8,16 +8,14 @@ but not order-alpha balanced for any alpha other than 2.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matcore as mc
 from . import noncomm_ops as nco
-from .errors import DomainError, StructuralError
+from .errors import StructuralError
 from .generator import Generator, from_schrodinger_map, gns_selfadjoint_residual
 
 VERDICT_THRESHOLD = 1e-8
@@ -51,14 +49,11 @@ def srd_residual(G: Generator, alpha: float) -> float:
 def check_srd(G: Generator, alphas) -> dict[float, float]:
     """Order-alpha residuals over a grid; non-positive orders are skipped."""
     out: dict[float, float] = {}
-    todo = []
     for a in alphas:
         if a <= 0.0:
             warnings.warn(f"skipping non-positive order alpha={a}")
             continue
-        todo.append(float(a))
-    for a, r in zip(todo, _map_ordered(lambda a: srd_residual(G, a), todo)):
-        out[a] = r
+        out[float(a)] = srd_residual(G, float(a))
     return out
 
 
@@ -148,21 +143,7 @@ def carlen_maas_counterexample() -> Generator:
     return G
 
 
-def _map_ordered(fn, items):
-    """Apply fn over items, optionally threaded, preserving input order."""
-    raw = os.environ.get("LEL_THREADS", "1")
-    try:
-        workers = max(1, int(raw))
-    except ValueError:
-        raise DomainError(f"LEL_THREADS={raw!r} is not an integer") from None
-    if workers == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def fig1_sweep(G: Generator, alphas) -> list[tuple[float, float]]:
     """Order-versus-residual table for the weighted self-adjointness check."""
     grid = [float(a) for a in alphas if a > 0.0]
-    residuals = _map_ordered(lambda a: srd_residual(G, a), grid)
-    return list(zip(grid, residuals))
+    return [(a, srd_residual(G, a)) for a in grid]

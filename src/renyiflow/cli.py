@@ -250,7 +250,7 @@ def cmd_constants(args) -> int:
 def cmd_compare(args) -> int:
     G = load_generator(args.generator)
     smin = float(np.linalg.eigvalsh(G.sigma)[0])
-    eps = args.eps if args.eps is not None else smin**2 / 8.0
+    eps = args.eps if args.eps is not None else flow.default_comparison_eps(smin)
     if args.rho0 == "auto":
         rho0 = _shrink_to_entropy(G, eps, args.seed)
     else:

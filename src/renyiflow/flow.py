@@ -19,7 +19,7 @@ from . import divergence as dv
 from . import matcore as mc
 from . import noncomm_ops as nco
 from .errors import DomainError, IntegrationError, RenyiflowError, ValidationError
-from .generator import Generator
+from .generator import Generator, _symmetrized_generator
 
 POSITIVITY_TOL = 1e-8
 ERR_PER_TIME = 1e-8
@@ -328,10 +328,7 @@ def poincare_check(G: Generator, A, slack: float = 1e-10) -> InequalityCheck:
 def gap_eigen_direction(G: Generator) -> np.ndarray:
     """Hermitian, sigma-mean-zero eigenvector of the symmetrized generator
     at the spectral gap, normalized in Frobenius norm."""
-    q = mc.matrix_power(G.sigma, 0.25)
-    qi = mc.matrix_power(G.sigma, -0.25)
-    S = mc.sandwich_superop(q) @ (-G.L_super) @ mc.sandwich_superop(qi)
-    H = 0.5 * (S + S.conj().T)
+    H, qi = _symmetrized_generator(G)
     w, V = np.linalg.eigh(H)
     scale = max(w[-1], 1e-300)
     idx = int(np.argmax(w > 1e-9 * scale))
@@ -462,6 +459,12 @@ def _lsi_objectives(G: Generator, denom_floor: float = 1e-8):
     }
 
 
+def _guaranteed_lsi(lam: float, smin: float) -> float:
+    """Lower bracket of the log-Sobolev constant from the spectral gap and
+    the smallest eigenvalue of sigma."""
+    return lam / (1.0 - np.log(np.sqrt(smin)))
+
+
 def lsi_constants(
     G: Generator,
     n_starts: int = 10,
@@ -483,7 +486,7 @@ def lsi_constants(
     lam = G.gap.value
     sig_dec = mc.eig_hermitian(G.sigma)
     smin = float(sig_dec.values[0])
-    K_lower = lam / (1.0 - np.log(np.sqrt(smin)))
+    K_lower = _guaranteed_lsi(lam, smin)
     K_upper = lam
     K2_lower = lam * (1.0 - smin) / np.log(1.0 / smin)
 
@@ -565,6 +568,12 @@ def lsi_constants(
 # --- comparison theorem -----------------------------------------------------------
 
 
+def default_comparison_eps(smin: float) -> float:
+    """Default initial relative-entropy bound of the order comparison,
+    a quarter of its upper limit smin^2/2."""
+    return smin**2 / 8.0
+
+
 def _lambda_eta(alpha0: float, eps: float, sigma_values: np.ndarray, omegas) -> tuple[float, float]:
     smin, smax = float(sigma_values[0]), float(sigma_values[-1])
     if not 0.0 < eps < smin**2 / 2.0:
@@ -623,7 +632,7 @@ def decay_envelope_constants(G: Generator, alpha: float, eps: float, rho0, K: fl
     w = mc.eig_hermitian(G.sigma).values
     smin = float(w[0])
     if K is None:
-        K = lam / (1.0 - np.log(np.sqrt(smin)))
+        K = _guaranteed_lsi(lam, smin)
     Lam, eta = _lambda_eta(2.0, eps, w, G.omegas)
     T = max(0.0, np.log(alpha - 1.0) / (2.0 * K * eta)) if alpha > 1.0 else 0.0
     D2_0 = dv.sandwiched_renyi(rho0, G.sigma, 2.0).value
@@ -716,9 +725,11 @@ def hypercontractivity_monitor(
     """
     if not 1.0 < alpha0 <= alpha1:
         raise DomainError(f"need 1 < alpha0 <= alpha1, got ({alpha0}, {alpha1})")
+    if K <= 0.0 or eta <= 0.0:
+        raise DomainError(f"K={K} and eta={eta} must be positive")
     sigma_dec = mc.eig_hermitian(G.sigma)
     smin = float(sigma_dec.values[0])
-    eps = smin**2 / 8.0 if eps is None else eps
+    eps = default_comparison_eps(smin) if eps is None else eps
     _check_initial_entropy(G, smin, rho0, eps)
     T = _delay_time(alpha0, alpha1, K, eta)
     dt = suggested_dt(G) if dt is None else dt
@@ -771,9 +782,9 @@ def comparison_check(
     """
     w = mc.eig_hermitian(G.sigma).values
     smin = float(w[0])
-    eps = smin**2 / 8.0 if eps is None else eps
+    eps = default_comparison_eps(smin) if eps is None else eps
     if K is None:
-        K = G.gap.value / (1.0 - np.log(np.sqrt(smin)))
+        K = _guaranteed_lsi(G.gap.value, smin)
     Lam, eta, T = _constants(alpha0, alpha1, eps, w, G.omegas, K)
     trace = hypercontractivity_monitor(
         G, rho0, alpha0, alpha1, eta, K, eps=eps, n_samples=n_samples

@@ -13,7 +13,6 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore as mc
-from . import noncomm_ops as nco
 from .errors import ValidationError
 
 TOL_TRACELESS = 1e-10
@@ -51,7 +50,8 @@ class JumpTerm:
         return JumpTerm(V=V, omega=float(omega), weight=float(weight))
 
 
-def _validate_terms(sigma: np.ndarray, terms: list[JumpTerm]) -> None:
+def _validate_terms(S: np.ndarray, Sinv: np.ndarray, terms: list[JumpTerm]) -> None:
+    """Structure conditions (i)-(iv); S and Sinv are sigma and its inverse."""
     if not terms:
         raise ValidationError("generator needs at least one jump term")
     norms = [np.linalg.norm(t.V) for t in terms]
@@ -59,32 +59,33 @@ def _validate_terms(sigma: np.ndarray, terms: list[JumpTerm]) -> None:
         tr = abs(np.trace(t.V))
         if tr > TOL_TRACELESS * max(1.0, norms[j]):
             raise ValidationError(f"condition (i) violated at term {j}: |tr V| = {tr:.3e}")
-        res = np.linalg.norm(nco.modular_apply(sigma, t.V) - np.exp(-t.omega) * t.V)
+        res = np.linalg.norm(S @ t.V @ Sinv - np.exp(-t.omega) * t.V)
         if res > TOL_MODULAR * norms[j]:
             raise ValidationError(
                 f"condition (iii) violated at term {j}: modular eigenvector residual "
                 f"{res / norms[j]:.3e} for omega={t.omega}"
             )
+    # Gram matrix <V_j, V_k> of the stacked vec(V_j); first violation in (j, k) order
+    X = np.array([t.V.ravel() for t in terms])
+    gram = X.conj() @ X.T
+    weights = np.array([t.weight for t in terms])
+    nrm = np.array(norms)
+    bad = np.abs(gram) > TOL_GRAM * np.outer(nrm, nrm)
+    np.fill_diagonal(bad, np.abs(np.diag(gram) - weights) > TOL_GRAM * np.maximum(1.0, weights))
+    if bad.any():
+        j, k = np.unravel_index(np.argmax(bad), bad.shape)
+        g = complex(gram[j, k])
+        if j == k:
+            raise ValidationError(
+                f"condition (i) violated at term {j}: <V,V>={g!r} != weight {terms[j].weight}"
+            )
+        raise ValidationError(f"condition (i) violated at pair ({j},{k}): overlap {abs(g):.3e}")
     for j, tj in enumerate(terms):
-        for k, tk in enumerate(terms):
-            g = mc.hs_inner(tj.V, tk.V)
-            if j == k:
-                if abs(g - tj.weight) > TOL_GRAM * max(1.0, tj.weight):
-                    raise ValidationError(
-                        f"condition (i) violated at term {j}: <V,V>={g!r} != weight {tj.weight}"
-                    )
-            elif abs(g) > TOL_GRAM * norms[j] * norms[k]:
-                raise ValidationError(
-                    f"condition (i) violated at pair ({j},{k}): overlap {abs(g):.3e}"
-                )
-    for j, tj in enumerate(terms):
-        partner = None
-        for k, tk in enumerate(terms):
-            if np.linalg.norm(tj.V.conj().T - tk.V) <= 1e-8 * norms[j]:
-                partner = k
-                break
-        if partner is None:
+        dist = np.linalg.norm(X - tj.V.conj().T.ravel(), axis=1)
+        hits = np.flatnonzero(dist <= 1e-8 * norms[j])
+        if hits.size == 0:
             raise ValidationError(f"condition (ii) violated: no adjoint partner for term {j}")
+        partner = int(hits[0])
         tk = terms[partner]
         if abs(tj.weight - tk.weight) > 1e-8 * max(1.0, tj.weight):
             raise ValidationError(
@@ -112,26 +113,26 @@ def gns_selfadjoint_residual(L_super: np.ndarray, sigma: np.ndarray) -> float:
 
 
 class Generator:
-    """A Lindblad generator pair (Heisenberg and Schrodinger pictures).
+    """A Lindblad generator in both pictures.
 
-    Immutable after construction; superoperator matrices use the package's
-    column-stacking convention.  `terms` is present only for generators
-    built from validated jump operators.
+    Built from the observable-side superoperator `L_super`; the state-space
+    `Ldag_super` is its conjugate transpose, so the two are Hilbert-Schmidt
+    adjoints by construction.  Immutable after construction; superoperator
+    matrices use the package's column-stacking convention.  `terms` is
+    present only for generators built from validated jump operators.
     """
 
     def __init__(
         self,
-        n: int,
         sigma: np.ndarray | None,
         L_super: np.ndarray,
-        Ldag_super: np.ndarray,
         terms: list[JumpTerm] | None = None,
         label: str = "",
     ):
-        self.n = n
+        self.n = round(np.sqrt(np.shape(L_super)[0]))
         self.sigma = None if sigma is None else mc.require_density(sigma, strict=True, name="sigma")
         self.L_super = np.asarray(L_super, dtype=complex)
-        self.Ldag_super = np.asarray(Ldag_super, dtype=complex)
+        self.Ldag_super = np.ascontiguousarray(self.L_super.conj().T)
         self.terms = list(terms) if terms else None
         self.label = label
         for arr in (self.L_super, self.Ldag_super):
@@ -162,23 +163,21 @@ class Generator:
         return f"Generator(n={self.n}, kind={kind}, label={self.label!r})"
 
 
-def _superops_from_terms(n: int, terms: list[JumpTerm]) -> tuple[np.ndarray, np.ndarray]:
-    def L_map(A):
-        out = np.zeros_like(A)
-        for t in terms:
-            V, Vd, w = t.V, t.V.conj().T, np.exp(-t.omega / 2.0)
-            out += w * (Vd @ (A @ V - V @ A) + (Vd @ A - A @ Vd) @ V)
-        return out
+def _lindblad_superop(terms: list[JumpTerm]) -> np.ndarray:
+    """Observable-side superoperator of the jump-term generator.
 
-    def Ldag_map(A):
-        out = np.zeros_like(A)
-        for t in terms:
-            V, Vd, w = t.V, t.V.conj().T, np.exp(-t.omega / 2.0)
-            VA = V @ A
-            out += w * ((VA @ Vd - Vd @ VA) + (V @ (A @ Vd) - (A @ Vd) @ V))
-        return out
-
-    return mc.superoperator_of_map(L_map, n), mc.superoperator_of_map(Ldag_map, n)
+    L(A) = sum_j e^(-omega_j/2) (V_j*[A, V_j] + [V_j*, A] V_j)
+         = sum_j e^(-omega_j/2) (2 V_j* A V_j - V_j*V_j A - A V_j*V_j),
+    assembled from the column-stacking identity A -> X A Y = kron(Y.T, X).
+    """
+    n = terms[0].V.shape[0]
+    eye = np.eye(n)
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for t in terms:
+        V, Vd, w = t.V, t.V.conj().T, np.exp(-t.omega / 2.0)
+        VdV = Vd @ V
+        out += w * (2.0 * np.kron(V.T, Vd) - np.kron(eye, VdV) - np.kron(VdV.T, eye))
+    return out
 
 
 def build_gns(sigma, terms: list[JumpTerm], label: str = "gns") -> Generator:
@@ -186,34 +185,34 @@ def build_gns(sigma, terms: list[JumpTerm], label: str = "gns") -> Generator:
 
     Checks the structure conditions (traceless orthogonal jumps, adjoint
     pairing, modular eigenvectors, paired weights/frequencies), then the
-    derived identities: unitality, trace preservation, stationarity of
-    sigma, self-adjointness in the fully weighted inner product, and
-    commutation with the modular conjugation.
+    derived identities: unitality (equivalently, trace preservation of the
+    adjoint), stationarity of sigma, self-adjointness in the fully weighted
+    inner product, and commutation with the modular conjugation.
     """
     sigma = mc.require_density(sigma, strict=True, name="sigma")
     n = sigma.shape[0]
-    _validate_terms(sigma, terms)
-    L_super, Ldag_super = _superops_from_terms(n, terms)
+    dec = mc.eig_hermitian(sigma)
+    S = dec.reconstruct()
+    Sinv = dec.reconstruct(1.0 / dec.values)
+    _validate_terms(S, Sinv, terms)
+    G = Generator(sigma, _lindblad_superop(terms), terms=terms, label=label)
+    L_super = G.L_super
     scale = max(np.linalg.norm(L_super), 1e-30)
 
     unital = np.linalg.norm(L_super @ mc.vec(np.eye(n)))
     if unital > TOL_STATIONARY * scale * n:
         raise ValidationError(f"generator not unital: ||L(I)|| = {unital:.3e}")
-    tracepres = np.linalg.norm(Ldag_super.conj().T @ mc.vec(np.eye(n)))
-    if tracepres > TOL_STATIONARY * scale * n:
-        raise ValidationError(f"generator not trace-preserving: residual {tracepres:.3e}")
-    stat = np.linalg.norm(Ldag_super @ mc.vec(sigma))
+    stat = np.linalg.norm(G.Ldag_super @ mc.vec(sigma))
     if stat > TOL_STATIONARY * scale:
         raise ValidationError(f"sigma not stationary: ||Ldag(sigma)|| = {stat:.3e}")
     sa = gns_selfadjoint_residual(L_super, sigma)
     if sa > TOL_SELFADJOINT:
         raise ValidationError(f"not self-adjoint in the weighted inner product: {sa:.3e}")
-    mod = mc.superoperator_of_map(lambda A: nco.modular_apply(sigma, A), n)
+    mod = mc.sandwich_superop(S, Sinv)
     comm = np.linalg.norm(L_super @ mod - mod @ L_super) / scale
     if comm > TOL_COMMUTE:
         raise ValidationError(f"[L, modular] residual {comm:.3e} exceeds {TOL_COMMUTE:.1e}")
-
-    return Generator(n, sigma, L_super, Ldag_super, terms=terms, label=label)
+    return G
 
 
 def from_schrodinger_map(Ldag_map, n: int, sigma=None, label: str = "raw") -> Generator:
@@ -223,7 +222,6 @@ def from_schrodinger_map(Ldag_map, n: int, sigma=None, label: str = "raw") -> Ge
     candidate stationary state is supplied.
     """
     Ldag_super = mc.superoperator_of_map(Ldag_map, n)
-    L_super = Ldag_super.conj().T
     scale = max(np.linalg.norm(Ldag_super), 1e-30)
     tracepres = np.linalg.norm(Ldag_super.conj().T @ mc.vec(np.eye(n)))
     if tracepres > 1e-10 * scale * n:
@@ -232,7 +230,7 @@ def from_schrodinger_map(Ldag_map, n: int, sigma=None, label: str = "raw") -> Ge
         stat = np.linalg.norm(Ldag_super @ mc.vec(np.asarray(sigma, dtype=complex)))
         if stat > 1e-10 * scale:
             raise ValidationError(f"candidate stationary state fails: residual {stat:.3e}")
-    return Generator(n, sigma, L_super, Ldag_super, terms=None, label=label)
+    return Generator(sigma, Ldag_super.conj().T, label=label)
 
 
 def eigen_jump_terms(sigma, weights=None) -> list[JumpTerm]:
@@ -306,6 +304,15 @@ class SpectralGap:
     spectrum: np.ndarray
 
 
+def _symmetrized_generator(G: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian part of -L conjugated by the two-sided quarter-power
+    weighting, together with sigma^(-1/4) for pulling eigenvectors back."""
+    q = mc.matrix_power(G.sigma, 0.25)
+    qi = mc.matrix_power(G.sigma, -0.25)
+    S = mc.sandwich_superop(q) @ (-G.L_super) @ mc.sandwich_superop(qi)
+    return 0.5 * (S + S.conj().T), qi
+
+
 def spectral_gap(G: Generator) -> SpectralGap:
     """Spectrum of -L as a self-adjoint operator in the half-weighted inner
     product, and its smallest nonzero eigenvalue.
@@ -319,11 +326,7 @@ def spectral_gap(G: Generator) -> SpectralGap:
         raise ValidationError("spectral gap needs a stationary state")
     if not G.primitivity.primitive:
         raise ValidationError(f"generator {G.label!r} is not primitive")
-    q = mc.matrix_power(G.sigma, 0.25)
-    qi = mc.matrix_power(G.sigma, -0.25)
-    S = mc.sandwich_superop(q) @ (-G.L_super) @ mc.sandwich_superop(qi)
-    H = 0.5 * (S + S.conj().T)
-    w = np.linalg.eigvalsh(H)
+    w = np.linalg.eigvalsh(_symmetrized_generator(G)[0])
     scale = max(w[-1], 1e-300)
     if w[0] < -1e-6 * scale:
         raise ValidationError(
@@ -346,23 +349,9 @@ def depolarizing_generator(gamma: float, sigma, label: str = "depolarizing") -> 
         raise ValidationError(f"depolarizing rate must be positive, got {gamma}")
     sigma = mc.require_density(sigma, strict=True, name="sigma")
     n = sigma.shape[0]
-    eye = np.eye(n)
-
-    def L_map(A):
-        return gamma * (np.trace(sigma @ A) * eye - A)
-
-    def Ldag_map(A):
-        return gamma * (np.trace(A) * sigma - A)
-
-    G = Generator(
-        n,
-        sigma,
-        mc.superoperator_of_map(L_map, n),
-        mc.superoperator_of_map(Ldag_map, n),
-        terms=None,
-        label=label,
-    )
-    return G
+    # L(A) = gamma (tr(sigma A) I - A), with tr(sigma A) = <vec sigma, vec A>
+    L_super = gamma * (np.outer(mc.vec(np.eye(n)), mc.vec(sigma).conj()) - np.eye(n * n))
+    return Generator(sigma, L_super, label=label)
 
 
 def qubit_xz_generator(label: str = "qubit-xz") -> Generator:

@@ -28,10 +28,6 @@ TOL_PSD = 1e-10
 POS_FLOOR = 1e-12
 
 
-def dagger(A: np.ndarray) -> np.ndarray:
-    return A.conj().T
-
-
 def hermitize(A: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A*)/2; of each matrix, for a stack (..., n, n)."""
     return 0.5 * (A + A.conj().swapaxes(-1, -2))
@@ -186,10 +182,6 @@ def matrix_log(A, lenient: bool = False) -> np.ndarray:
     return matrix_function(A, np.log, min_eigenvalue=POS_FLOOR, lenient=lenient)
 
 
-def matrix_sqrt(A) -> np.ndarray:
-    return matrix_function(A, np.sqrt, min_eigenvalue=0.0, lenient=True)
-
-
 def weighted_inner(A, B, sigma, s: float) -> complex:
     """sigma-weighted inner product tr(sigma^s A* sigma^(1-s) B), s in [0, 1]."""
     if not 0.0 <= s <= 1.0:
@@ -248,10 +240,6 @@ def right_mult_superop(X: np.ndarray) -> np.ndarray:
 
 def superop_trace_norm(S: np.ndarray) -> float:
     return trace_norm(S)
-
-
-def superop_frobenius(S: np.ndarray) -> float:
-    return float(np.linalg.norm(S))
 
 
 # --- random samplers (test and CLI plumbing) --------------------------------

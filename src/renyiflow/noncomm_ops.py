@@ -55,10 +55,6 @@ class KernelOperator:
             raise SingularityError("kernel operator has a zero entry; not invertible")
         return KernelOperator(self.eigenvalues, self.basis, 1.0 / self.kernel)
 
-    def compose_kernel(self, other: "KernelOperator") -> "KernelOperator":
-        """Entrywise product composition; valid only for a shared eigenbasis."""
-        return KernelOperator(self.eigenvalues, self.basis, self.kernel * other.kernel)
-
     def superop(self) -> np.ndarray:
         U = self.basis
         W = np.kron(U.conj(), U)

@@ -88,3 +88,39 @@ def trapezoid_integral(fn, a, b, npts):
     xs = np.linspace(a, b, npts)
     ys = np.array([fn(x) for x in xs])
     return float(np.trapezoid(ys, xs))
+
+
+def lindblad_superops_by_probing(terms, n):
+    """Both pictures of a jump-term generator, each written out as its own
+    map and probed on the n^2 matrix units."""
+
+    def L_map(A):
+        out = np.zeros_like(A)
+        for t in terms:
+            V, Vd, w = t.V, t.V.conj().T, np.exp(-t.omega / 2.0)
+            out += w * (Vd @ (A @ V - V @ A) + (Vd @ A - A @ Vd) @ V)
+        return out
+
+    def Ldag_map(A):
+        out = np.zeros_like(A)
+        for t in terms:
+            V, Vd, w = t.V, t.V.conj().T, np.exp(-t.omega / 2.0)
+            VA = V @ A
+            out += w * ((VA @ Vd - Vd @ VA) + (V @ (A @ Vd) - (A @ Vd) @ V))
+        return out
+
+    return mc.superoperator_of_map(L_map, n), mc.superoperator_of_map(Ldag_map, n)
+
+
+def depolarizing_superops_by_probing(gamma, sigma):
+    """Both pictures of uniform relaxation toward sigma, probed on matrix units."""
+    n = sigma.shape[0]
+    eye = np.eye(n)
+
+    def L_map(A):
+        return gamma * (np.trace(sigma @ A) * eye - A)
+
+    def Ldag_map(A):
+        return gamma * (np.trace(A) * sigma - A)
+
+    return mc.superoperator_of_map(L_map, n), mc.superoperator_of_map(Ldag_map, n)

@@ -232,12 +232,6 @@ class TestMalformedInputs:
     def test_non_numeric_parameter(self, argv, capsys):
         self.assert_validation_exit(argv, capsys)
 
-    def test_thread_count_not_integer(self, monkeypatch, capsys):
-        monkeypatch.setenv("LEL_THREADS", "x")
-        self.assert_validation_exit(
-            ["fig1", "--generator", "builtin:carlen-maas", "--alphas", "1,2"], capsys
-        )
-
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, capsys):

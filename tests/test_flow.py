@@ -365,6 +365,12 @@ class TestComparisonFlow:
         )
         assert np.max(np.abs(trace.F)) <= 1e-12
 
+    @pytest.mark.parametrize("K, eta", [(-1.0, 0.02), (1.0, -0.02), (0.0, 0.02), (1.0, 0.0)])
+    def test_monitor_rejects_nonpositive_rates(self, qubit_xz, K, eta):
+        # a non-positive K * eta makes the delay time negative or infinite
+        with pytest.raises(DomainError, match="must be positive"):
+            flow.hypercontractivity_monitor(qubit_xz, qubit_xz.sigma, 2.0, 4.0, eta=eta, K=K)
+
     def test_monitor_monotone_and_comparison_holds(self, qubit_xz, rng):
         w = mc.random_density(rng, 2, floor=0.05)
         rho0 = mc.hermitize(0.8 * qubit_xz.sigma + 0.2 * w)

@@ -15,10 +15,36 @@ from renyiflow.generator import (
     spectral_gap,
 )
 
-from .oracles import brute_force_commutant_dim
+from .oracles import (
+    brute_force_commutant_dim,
+    depolarizing_superops_by_probing,
+    lindblad_superops_by_probing,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _gram_violation_cases():
+    def sym(k, l):
+        E = np.zeros((3, 3), dtype=complex)
+        E[k, l] = E[l, k] = 1.0
+        return E
+
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[1, 2], skew[2, 1] = 1j, -1j
+    d = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    # violations at pairs (0,3) and (2,4); the first in (j, k) order is reported
+    overlaps = [sym(0, 1), d, sym(1, 2), sym(0, 1) + sym(0, 2), sym(1, 2) + skew]
+    # violations at term 1 (weight) and pair (2,3)
+    off_weight = [JumpTerm.of(sym(0, 1), 0.0), JumpTerm(V=d, omega=0.0, weight=3.0),
+                  JumpTerm.of(sym(1, 2), 0.0), JumpTerm.of(sym(1, 2) + skew, 0.0)]
+    return {
+        "two-overlaps": ([JumpTerm.of(V, 0.0) for V in overlaps],
+                         "condition (i) violated at pair (0,3): overlap 2.000e+00"),
+        "weight-then-overlap": (off_weight,
+                                "condition (i) violated at term 1: <V,V>=(2+0j) != weight 3.0"),
+    }
 
 
 class TestBuildGns:
@@ -53,6 +79,38 @@ class TestBuildGns:
         dn = JumpTerm.of(np.array([[0, 0], [2, 0]]), -np.log(3.0))
         with pytest.raises(ValidationError, match=r"condition \((ii|iv)\)"):
             build_gns(sigma, [up, dn])
+
+    @pytest.mark.parametrize("terms, message", [
+        pytest.param(*case, id=name) for name, case in _gram_violation_cases().items()
+    ])
+    def test_first_gram_violation_reported(self, terms, message):
+        with pytest.raises(ValidationError) as err:
+            build_gns(np.eye(3) / 3.0, terms)
+        assert str(err.value) == message
+
+
+def _closed_form_cases():
+    rng = np.random.default_rng(5)
+    cases = [pytest.param(qubit_xz_generator(), None, id="qubit-xz")]
+    for n in (2, 3):
+        sigma = mc.random_density(rng, n, floor=0.1)
+        cases.append(pytest.param(depolarizing_generator(0.7, sigma), (0.7, sigma), id=f"depolarizing-{n}"))
+    for n in (2, 3, 4, 8):
+        cases.append(pytest.param(random_gns_generator(rng, n, min_sigma_eig=0.15), None, id=f"random-{n}"))
+    return cases
+
+
+class TestClosedFormSuperoperators:
+    @pytest.mark.parametrize("G, depol", _closed_form_cases())
+    def test_matches_probed_maps(self, G, depol):
+        if depol is None:
+            L_ref, Ldag_ref = lindblad_superops_by_probing(G.terms, G.n)
+        else:
+            L_ref, Ldag_ref = depolarizing_superops_by_probing(*depol)
+        tol = 1e-13 * np.linalg.norm(L_ref)
+        assert np.linalg.norm(G.L_super - L_ref) <= tol
+        assert np.linalg.norm(G.Ldag_super - Ldag_ref) <= tol
+        assert np.array_equal(G.Ldag_super, G.L_super.conj().T)
 
 
 @pytest.fixture(scope="module")

@@ -149,11 +149,3 @@ class TestCliFileInputs:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdicts"]["gns"] is True
-
-    def test_threaded_sweep_deterministic(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "1.csv", tmp_path / "2.csv"
-        argv = ["fig1", "--generator", "builtin:carlen-maas", "--alphas", "0.5:4:0.5"]
-        assert main(argv + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("LEL_THREADS", "3")
-        assert main(argv + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
