@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from . import divergence as dv
 from . import matcore as mc
 from . import noncomm_ops as nco
-from .errors import DomainError, IntegrationError, RenyiflowError, ValidationError
+from .errors import DomainError, IntegrationError, RenyiflowError, StructuralError, ValidationError
 from .generator import Generator, _symmetrized_generator
 
 POSITIVITY_TOL = 1e-8
@@ -228,8 +228,10 @@ def _snap_alpha(alpha: float) -> float:
     return 1.0 if abs(alpha - 1.0) <= dv.ALPHA_ONE_WINDOW else float(alpha)
 
 
-def _multiplier_family(G: Generator, rho, alpha: float) -> list[nco.RenyiMultiplier]:
-    return [nco.renyi_multiplier(rho, G.sigma, om, alpha) for om in G.omegas]
+def _require_dim(A: np.ndarray, n: int, name: str) -> np.ndarray:
+    if A.shape != (n, n):
+        raise StructuralError(f"{name}: shape {A.shape} does not match the generator's ({n}, {n})")
+    return A
 
 
 def gradient_flow_residual(G: Generator, rho, alpha: float) -> float:
@@ -237,11 +239,10 @@ def gradient_flow_residual(G: Generator, rho, alpha: float) -> float:
     generator's drift; zero in exact arithmetic for detailed-balance
     generators, contracted to stay below 1e-8."""
     alpha = _snap_alpha(alpha)
-    rho = mc.require_density(rho, strict=True, name="rho")
+    rho = _require_dim(mc.require_density(rho, strict=True, name="rho"), G.n, "rho")
     fd = dv.functional_derivative(rho, G.sigma, alpha)
-    mults = _multiplier_family(G, rho, alpha)
-    grads = nco.nc_gradient(G, fd)
-    flux = nco.nc_divergence(G, [m.apply(g) for m, g in zip(mults, grads)])
+    M = nco.renyi_multiplier(rho, G.sigma, G.omegas, alpha)
+    flux = nco.nc_divergence(G, M.apply(nco.nc_gradient(G, fd)))
     target = G.apply_Ldag(rho)
     den = float(np.linalg.norm(target))
     num = float(np.linalg.norm(flux - target))
@@ -249,7 +250,7 @@ def gradient_flow_residual(G: Generator, rho, alpha: float) -> float:
 
 
 def _require_traceless_hermitian(nu, n: int, name: str) -> np.ndarray:
-    nu = mc.require_hermitian(nu, name=name)
+    nu = _require_dim(mc.require_hermitian(nu, name=name), n, name)
     if abs(np.trace(nu)) > 1e-10 * max(1.0, float(np.linalg.norm(nu))):
         raise ValidationError(f"{name}: not traceless (tr = {np.trace(nu)!r})")
     return nu
@@ -266,37 +267,27 @@ def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
     if not G.primitivity.primitive:
         raise ValidationError("metric tensor needs a primitive generator")
     alpha = _snap_alpha(alpha)
-    rho = mc.require_density(rho, strict=True, name="rho")
     n = G.n
+    rho = _require_dim(mc.require_density(rho, strict=True, name="rho"), n, "rho")
     nu1 = _require_traceless_hermitian(nu1, n, "nu1")
     nu2 = _require_traceless_hermitian(nu2, n, "nu2")
-    mults = _multiplier_family(G, rho, alpha)
-    basis = nco.traceless_hermitian_basis(n)
-    d = len(basis)
+    M = nco.renyi_multiplier(rho, G.sigma, G.omegas, alpha)
+    basis = np.array(nco.traceless_hermitian_basis(n))
+    flat = basis.reshape(len(basis), -1).conj()
 
-    def flux_op(A):
-        return -nco.nc_divergence(G, [m.apply(g) for m, g in zip(mults, nco.nc_gradient(G, A))])
-
-    T = np.zeros((d, d))
-    images = [flux_op(B) for B in basis]
-    for b, TB in enumerate(images):
-        for a in range(d):
-            T[a, b] = float(np.real(mc.hs_inner(basis[a], TB)))
+    images = np.array([-nco.nc_divergence(G, M.apply(nco.nc_gradient(G, B))) for B in basis])
+    T = np.real(flat @ images.reshape(len(basis), -1).T)
     T = 0.5 * (T + T.T)
     w, Q = np.linalg.eigh(T)
     cutoff = 1e-10 * max(abs(w[-1]), 1e-300)
     winv = np.where(np.abs(w) > cutoff, 1.0 / w, 0.0)
 
     def solve(nu):
-        coords = np.array([float(np.real(mc.hs_inner(B, nu))) for B in basis])
-        x = Q @ (winv * (Q.T @ coords))
-        return sum(c * B for c, B in zip(x, basis))
+        coords = np.real(flat @ nu.ravel())
+        return np.tensordot(Q @ (winv * (Q.T @ coords)), basis, axes=1)
 
-    U1, U2 = solve(nu1), solve(nu2)
-    g = 0.0
-    for m, g1, g2 in zip(mults, nco.nc_gradient(G, U1), nco.nc_gradient(G, U2)):
-        g += float(np.real(mc.hs_inner(g1, m.apply(g2))))
-    return g
+    g1, g2 = nco.nc_gradient(G, solve(nu1)), nco.nc_gradient(G, solve(nu2))
+    return float(np.real(np.vdot(g1, M.apply(g2))))
 
 
 # --- inequality checks ----------------------------------------------------------

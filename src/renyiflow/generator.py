@@ -144,11 +144,23 @@ class Generator:
     def apply_Ldag(self, A) -> np.ndarray:
         return mc.apply_superop(self.Ldag_super, A)
 
-    @property
-    def omegas(self) -> list[float]:
+    def _require_terms(self) -> list[JumpTerm]:
         if self.terms is None:
             raise ValidationError(f"generator {self.label!r} has no jump-term decomposition")
-        return [t.omega for t in self.terms]
+        return self.terms
+
+    @property
+    def omegas(self) -> list[float]:
+        return [t.omega for t in self._require_terms()]
+
+    @cached_property
+    def jump_stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (m, n, n) stacks of the V_j and of their adjoints V_j*, in term order."""
+        V = np.array([t.V for t in self._require_terms()])
+        Vd = np.ascontiguousarray(V.conj().swapaxes(-1, -2))
+        for arr in (V, Vd):
+            arr.setflags(write=False)
+        return V, Vd
 
     @cached_property
     def primitivity(self) -> "PrimitivityReport":

@@ -91,10 +91,6 @@ class SpectralDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
     def reconstruct(self, fvals: np.ndarray | None = None) -> np.ndarray:
         w = self.values if fvals is None else np.asarray(fvals)
         return (self.vectors * w) @ self.vectors.conj().T

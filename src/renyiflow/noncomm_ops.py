@@ -31,16 +31,14 @@ class KernelOperator:
 
     Represents A -> U (kernel . (U* A U)) U*.  Self-adjoint in the
     Hilbert-Schmidt inner product iff the kernel is Hermitian; strictly
-    positive iff all kernel entries are positive.
+    positive iff all kernel entries are positive.  An (m, n, n) kernel is
+    a family of m operators sharing one basis; apply() then maps an
+    (m, n, n) stack row by row.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
     kernel: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
 
     @property
     def is_positive(self) -> bool:
@@ -84,16 +82,17 @@ def modular_apply(sigma, A) -> np.ndarray:
     return S @ np.asarray(A, dtype=complex) @ Sinv
 
 
-def _log_mean_kernel(lam: np.ndarray, omega: float) -> np.ndarray:
+def _log_mean_kernel(lam: np.ndarray, omega) -> np.ndarray:
     """Kernel of the twisted logarithmic mean.
 
     Entry (k, l) is the logarithmic mean of a = e^(omega/2) lam_k and
     c = e^(-omega/2) lam_l, written as sqrt(a c) * sinh(u/2)/(u/2) with
     u = log(a/c); the geometric-mean form stays fully accurate through
-    the degenerate limit u -> 0.
+    the degenerate limit u -> 0.  An array of m frequencies gives the
+    (m, n, n) stack of kernels.
     """
     loglam = np.log(lam)
-    u = omega + loglam[:, None] - loglam[None, :]
+    u = np.asarray(omega)[..., None, None] + loglam[:, None] - loglam[None, :]
     geo = np.sqrt(lam[:, None] * lam[None, :])
     half = 0.5 * u
     ratio = np.ones_like(u)
@@ -138,21 +137,20 @@ def chain_rule_residual(V, X, omega: float) -> float:
 # --- gradient / divergence against a generator's jump operators -------------
 
 
-def nc_gradient(G, A) -> list[np.ndarray]:
-    """Noncommutative gradient: per-jump commutators [V_j, A]."""
+def nc_gradient(G, A) -> np.ndarray:
+    """Noncommutative gradient: the (m, n, n) stack of commutators [V_j, A]."""
     A = np.asarray(A, dtype=complex)
-    return [term.V @ A - A @ term.V for term in G.terms]
+    V = G.jump_stacks[0]
+    return V @ A - A @ V
 
 
 def nc_divergence(G, fields) -> np.ndarray:
     """Noncommutative divergence: sum of [A_j, V_j*]; adjoint of -gradient."""
-    if len(fields) != len(G.terms):
-        raise DomainError(f"vector field has {len(fields)} components, generator has {len(G.terms)}")
-    out = np.zeros((G.n, G.n), dtype=complex)
-    for A, term in zip(fields, G.terms):
-        Vd = term.V.conj().T
-        out += np.asarray(A) @ Vd - Vd @ np.asarray(A)
-    return out
+    fields = np.asarray(fields, dtype=complex)
+    Vd = G.jump_stacks[1]
+    if len(fields) != len(Vd):
+        raise DomainError(f"vector field has {len(fields)} components, generator has {len(Vd)}")
+    return np.sum(fields @ Vd - Vd @ fields, axis=0)
 
 
 # --- Renyi-order multiplication operator ------------------------------------
@@ -167,17 +165,17 @@ def rho_sigma(rho, sigma, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RenyiMultiplier:
-    """Order-alpha multiplication operator attached to a state rho.
+    """Order-alpha multiplication operators attached to a state rho.
 
     apply() realizes the strictly positive map whose inverse carries the
     gradient of the order-alpha divergence onto jump-operator commutators;
     inverse_apply() is the exact inverse.  Composition structure:
     a scalar Z/alpha, outer two-sided sigma powers, and a single entrywise
-    kernel in the eigenbasis of the sandwiched state.
+    kernel in the eigenbasis of the sandwiched state.  A family over m
+    frequencies has an (m, n, n) kernel and acts on (m, n, n) stacks.
     """
 
     alpha: float
-    omega: float
     Z: float
     outer: np.ndarray       # sigma^((alpha-1)/(2 alpha))
     outer_inv: np.ndarray
@@ -194,31 +192,34 @@ class RenyiMultiplier:
         return (self.alpha / self.Z) * (Q @ B @ Q)
 
 
-def renyi_multiplier(rho, sigma, omega: float, alpha: float) -> RenyiMultiplier:
+def renyi_multiplier(rho, sigma, omega, alpha: float) -> RenyiMultiplier:
     """Build the order-alpha multiplication operator for strictly positive rho.
 
-    At alpha = 1 it reduces to the twisted multiplier of rho itself; at
-    alpha = 2 it is (Z/2) times two-sided multiplication by sigma^(1/2).
+    `omega` is one Bohr frequency or an array of them; the family shares
+    one decomposition of sigma and one of the sandwiched state, and only
+    the entrywise kernel depends on the frequency.  At alpha = 1 it
+    reduces to the twisted multiplier of rho itself; at alpha = 2 it is
+    (Z/2) times two-sided multiplication by sigma^(1/2).
     """
     if alpha <= 0.0:
         raise DomainError(f"order alpha={alpha} must be positive")
-    rs = rho_sigma(rho, sigma, alpha)
+    omega = np.asarray(omega, dtype=float)
+    gamma = (alpha - 1.0) / alpha
+    sig = _positive_spectrum(sigma, "sigma")
+    outer = mc.hermitize(sig.reconstruct(sig.values ** (gamma / 2.0)))
+    outer_inv = mc.hermitize(sig.reconstruct(sig.values ** (-gamma / 2.0)))
+    rs = mc.hermitize(outer_inv @ np.asarray(rho, dtype=complex) @ outer_inv)
     dec = _positive_spectrum(rs, "sandwiched state")
     lam = dec.values
     Z = float(np.sum(lam**alpha))
     m_num = _log_mean_kernel(lam, omega / alpha)
     m_den = _log_mean_kernel(lam ** (alpha - 1.0), (alpha - 1.0) * omega / alpha)
-    kernel = m_num / m_den
-    gamma = (alpha - 1.0) / alpha
-    outer = mc.matrix_power(sigma, gamma / 2.0)
-    outer_inv = mc.matrix_power(sigma, -gamma / 2.0)
     return RenyiMultiplier(
         alpha=alpha,
-        omega=omega,
         Z=Z,
         outer=outer,
         outer_inv=outer_inv,
-        kernel_op=KernelOperator(lam, dec.vectors, kernel),
+        kernel_op=KernelOperator(lam, dec.vectors, m_num / m_den),
     )
 
 
@@ -382,7 +383,6 @@ def traceless_hermitian_basis(n: int) -> list[np.ndarray]:
             basis.append(A)
     for k in range(1, n):
         D = np.zeros((n, n), dtype=complex)
-        D[np.diag_indices(n)] = 0.0
         for j in range(k):
             D[j, j] = 1.0
         D[k, k] = -float(k)

@@ -3,12 +3,15 @@
 These deliberately avoid the spectral-kernel code paths of the package:
 integral operators are evaluated by composite Simpson quadrature on full
 matrices, classical formulas by direct summation, and kernel structure by
-brute force over basis elements.
+brute force over basis elements.  Constructions the package replaced by
+stacked or closed-form equivalents are kept here in their term-by-term
+form as references.
 """
 
 import numpy as np
 
 import renyiflow.matcore as mc
+import renyiflow.noncomm_ops as nco
 
 
 def simpson_weights(npts: int, length: float = 1.0) -> np.ndarray:
@@ -124,3 +127,42 @@ def depolarizing_superops_by_probing(gamma, sigma):
         return gamma * (np.trace(A) * sigma - A)
 
     return mc.superoperator_of_map(L_map, n), mc.superoperator_of_map(Ldag_map, n)
+
+
+def metric_tensor_by_term(G, rho, alpha, nu1, nu2):
+    """Transport metric pairing built term by term: one order-alpha
+    multiplier per Bohr frequency, list-based jump commutators, and the
+    flux operator's Gram matrix from d^2 Hilbert-Schmidt products."""
+    mults = [nco.renyi_multiplier(rho, G.sigma, t.omega, alpha) for t in G.terms]
+
+    def gradient(A):
+        return [t.V @ A - A @ t.V for t in G.terms]
+
+    def divergence(fields):
+        out = np.zeros((G.n, G.n), dtype=complex)
+        for A, t in zip(fields, G.terms):
+            Vd = t.V.conj().T
+            out += A @ Vd - Vd @ A
+        return out
+
+    basis = nco.traceless_hermitian_basis(G.n)
+    d = len(basis)
+    T = np.zeros((d, d))
+    for b, B in enumerate(basis):
+        TB = -divergence([m.apply(g) for m, g in zip(mults, gradient(B))])
+        for a in range(d):
+            T[a, b] = float(np.real(mc.hs_inner(basis[a], TB)))
+    T = 0.5 * (T + T.T)
+    w, Q = np.linalg.eigh(T)
+    cutoff = 1e-10 * max(abs(w[-1]), 1e-300)
+    winv = np.where(np.abs(w) > cutoff, 1.0 / w, 0.0)
+
+    def solve(nu):
+        coords = np.array([float(np.real(mc.hs_inner(B, nu))) for B in basis])
+        x = Q @ (winv * (Q.T @ coords))
+        return sum(c * B for c, B in zip(x, basis))
+
+    g = 0.0
+    for m, g1, g2 in zip(mults, gradient(solve(nu1)), gradient(solve(nu2))):
+        g += float(np.real(mc.hs_inner(g1, m.apply(g2))))
+    return g

@@ -232,6 +232,14 @@ class TestMalformedInputs:
     def test_non_numeric_parameter(self, argv, capsys):
         self.assert_validation_exit(argv, capsys)
 
+    @pytest.mark.parametrize("spec", ["builtin:depolarizing?n=3", "builtin:carlen-maas"])
+    def test_gradflow_without_jump_terms(self, spec, capsys):
+        code, _, err = run(["gradflow", "--generator", spec, "--samples", "1", "--alphas", "2"], capsys)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "validation"
+        assert "has no jump-term decomposition" in doc["detail"]
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, capsys):

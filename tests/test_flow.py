@@ -5,10 +5,10 @@ import renyiflow.divergence as dv
 import renyiflow.flow as flow
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
-from renyiflow.errors import DomainError, SingularityError, ValidationError
-from renyiflow.generator import random_gns_generator
+from renyiflow.errors import DomainError, SingularityError, StructuralError, ValidationError
+from renyiflow.generator import depolarizing_generator, qubit_xz_generator, random_gns_generator
 
-from .oracles import trapezoid_integral
+from .oracles import metric_tensor_by_term, trapezoid_integral
 
 
 class TestIntegrate:
@@ -183,6 +183,103 @@ class TestMetricTensor:
         rho = mc.random_density(rng, 2, floor=0.1)
         with pytest.raises(ValidationError):
             flow.metric_tensor(qubit_xz, rho, 2.0, np.eye(2), np.eye(2))
+
+
+class TestMultiplierFamily:
+    """The stacked family against the per-term construction it replaced."""
+
+    @staticmethod
+    def generator(name):
+        if name == "qubit-xz":
+            return qubit_xz_generator()
+        n = int(name.split("-")[1])
+        return random_gns_generator(np.random.default_rng(4000 + n), n, min_sigma_eig=0.15)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", ["qubit-xz", "gns-2", "gns-3", "gns-4", "gns-6", "gns-8"])
+    def test_matches_per_term_oracle(self, name, alpha):
+        G = self.generator(name)
+        rng = np.random.default_rng(17)
+        rho = mc.random_density(rng, G.n, floor=0.1)
+        nu1 = mc.random_traceless_hermitian(rng, G.n)
+        nu2 = mc.random_traceless_hermitian(rng, G.n)
+        assert flow.gradient_flow_residual(G, rho, alpha) <= 1e-8
+        ref = metric_tensor_by_term(G, rho, alpha, nu1, nu2)
+        assert flow.metric_tensor(G, rho, alpha, nu1, nu2) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    def test_decompositions_independent_of_term_count(self, monkeypatch, alpha):
+        # one decomposition of sigma and one of the sandwiched state per
+        # family, whatever the number of jump terms (15 at n=4, 63 at n=8)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        counts = []
+        for n in (4, 8):
+            G = self.generator(f"gns-{n}")
+            rng = np.random.default_rng(n)
+            rho = mc.random_density(rng, n, floor=0.1)
+            nu = mc.random_traceless_hermitian(rng, n)
+            per_call = []
+            for call in (lambda: flow.gradient_flow_residual(G, rho, alpha),
+                         lambda: flow.metric_tensor(G, rho, alpha, nu, nu)):
+                calls.clear()
+                call()
+                per_call.append(len(calls))
+            counts.append(per_call)
+        assert counts[0] == counts[1]
+        assert max(counts[0]) <= 6
+
+
+class TestPublicShapes:
+    def test_residual_rejects_wrong_state_dimension(self, qubit_xz, rng):
+        rho = mc.random_density(rng, 3, floor=0.1)
+        with pytest.raises(StructuralError, match="rho"):
+            flow.gradient_flow_residual(qubit_xz, rho, 1.5)
+
+    def test_metric_rejects_wrong_state_dimension(self, qubit_xz, rng):
+        rho = mc.random_density(rng, 3, floor=0.1)
+        nu = mc.random_traceless_hermitian(rng, 2)
+        with pytest.raises(StructuralError, match="rho"):
+            flow.metric_tensor(qubit_xz, rho, 1.5, nu, nu)
+
+    @pytest.mark.parametrize("which", ["nu1", "nu2"])
+    def test_metric_rejects_wrong_direction_dimension(self, qubit_xz, rng, which):
+        rho = mc.random_density(rng, 2, floor=0.1)
+        nus = {"nu1": mc.random_traceless_hermitian(rng, 2), "nu2": mc.random_traceless_hermitian(rng, 2)}
+        nus[which] = mc.random_traceless_hermitian(rng, 3)
+        with pytest.raises(StructuralError, match=which):
+            flow.metric_tensor(qubit_xz, rho, 1.5, nus["nu1"], nus["nu2"])
+
+
+class TestTermlessGenerators:
+    """Generators without a jump-term decomposition have no gradient."""
+
+    @pytest.fixture(params=["depolarizing", "carlen-maas"])
+    def termless(self, request, counterexample):
+        if request.param == "carlen-maas":
+            return counterexample
+        return depolarizing_generator(1.0, np.diag([0.2, 0.3, 0.5]).astype(complex))
+
+    def test_residual_raises_validation(self, termless, rng):
+        rho = mc.random_density(rng, termless.n, floor=0.1)
+        with pytest.raises(ValidationError, match="no jump-term decomposition"):
+            flow.gradient_flow_residual(termless, rho, 1.5)
+
+    def test_metric_raises_validation(self, termless, rng):
+        rho = mc.random_density(rng, termless.n, floor=0.1)
+        nu = mc.random_traceless_hermitian(rng, termless.n)
+        with pytest.raises(ValidationError):
+            flow.metric_tensor(termless, rho, 1.5, nu, nu)
+
+    def test_gradient_raises_validation(self, termless):
+        with pytest.raises(ValidationError, match="no jump-term decomposition"):
+            nco.nc_gradient(termless, np.eye(termless.n))
 
 
 class TestPoincare:

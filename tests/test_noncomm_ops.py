@@ -208,6 +208,58 @@ class TestRenyiMultiplier:
                 assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
 
 
+class TestMultiplierStack:
+    """One multiplier family over several frequencies acts row by row."""
+
+    @pytest.fixture(params=[3, 4])
+    def family_inputs(self, request, rng):
+        n = request.param
+        sigma = mc.random_density(rng, n, floor=0.1)
+        rho = mc.random_density(rng, n, floor=0.1)
+        omegas = rng.uniform(-2.0, 2.0, size=5)
+        stack = np.array([mc.random_complex(rng, n) for _ in omegas])
+        return rho, sigma, omegas, stack
+
+    def test_kernel_stack_is_per_frequency_kernel(self, family_inputs):
+        rho, _, omegas, _ = family_inputs
+        lam = np.linalg.eigvalsh(rho)
+        stacked = nco._log_mean_kernel(lam, omegas)
+        for om, K in zip(omegas, stacked):
+            assert np.array_equal(K, nco._log_mean_kernel(lam, om))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    def test_apply_matches_single_frequency(self, family_inputs, alpha):
+        rho, sigma, omegas, stack = family_inputs
+        out = nco.renyi_multiplier(rho, sigma, omegas, alpha).apply(stack)
+        assert out.shape == stack.shape
+        for om, A, row in zip(omegas, stack, out):
+            single = nco.renyi_multiplier(rho, sigma, om, alpha).apply(A)
+            assert np.linalg.norm(row - single) <= 1e-12 * max(1.0, np.linalg.norm(single))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.7])
+    def test_inverse_round_trip(self, family_inputs, alpha):
+        rho, sigma, omegas, stack = family_inputs
+        M = nco.renyi_multiplier(rho, sigma, omegas, alpha)
+        back = M.inverse_apply(M.apply(stack))
+        assert np.linalg.norm(back - stack) <= 1e-9 * np.linalg.norm(stack)
+
+    def test_scalar_frequency_keeps_matrix_shape(self, family_inputs):
+        rho, sigma, _, stack = family_inputs
+        n = rho.shape[0]
+        M = nco.renyi_multiplier(rho, sigma, 0.3, 1.5)
+        assert M.kernel_op.kernel.shape == (n, n)
+        assert M.apply(stack[0]).shape == (n, n)
+        assert M.inverse_apply(stack[0]).shape == (n, n)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
+    def test_adjoint_relation_row_by_row(self, family_inputs, alpha):
+        rho, sigma, omegas, stack = family_inputs
+        lhs = nco.renyi_multiplier(rho, sigma, omegas, alpha).apply(stack).conj().swapaxes(-1, -2)
+        rhs = nco.renyi_multiplier(rho, sigma, -omegas, alpha).apply(stack.conj().swapaxes(-1, -2))
+        for l_row, r_row in zip(lhs, rhs):
+            assert np.linalg.norm(l_row - r_row) <= 1e-10 * max(1.0, np.linalg.norm(r_row))
+
+
 class TestSimilarityPair:
     def test_identity_base(self, rng):
         op = nco.similarity_pair(np.eye(3), 0.0, 0.25)
