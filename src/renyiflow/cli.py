@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--alphas", default="1,2")
     sp.add_argument("--t-end", type=float, required=True, dest="t_end")
-    sp.add_argument("--dt", type=float, required=True)
+    sp.add_argument("--dt", type=float, required=True, help="sampling step")
     sp.add_argument("--store-every", type=int, default=1, dest="store_every")
     sp.set_defaults(fn=cmd_simulate)
 

@@ -22,4 +22,4 @@ class DomainError(RenyiflowError):
 
 
 class IntegrationError(RenyiflowError):
-    """Time integration could not continue (positivity or accuracy breach)."""
+    """The propagated flow left the state space (positivity breach)."""

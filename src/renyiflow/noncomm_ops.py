@@ -180,6 +180,7 @@ class RenyiMultiplier:
     outer: np.ndarray       # sigma^((alpha-1)/(2 alpha))
     outer_inv: np.ndarray
     kernel_op: KernelOperator
+    sigma_dec: mc.SpectralDecomposition
 
     def apply(self, A) -> np.ndarray:
         P = self.outer
@@ -190,6 +191,21 @@ class RenyiMultiplier:
         Q = self.outer_inv
         B = self.kernel_op.inverse().apply(Q @ np.asarray(A, dtype=complex) @ Q)
         return (self.alpha / self.Z) * (Q @ B @ Q)
+
+    def functional_derivative(self) -> np.ndarray:
+        """Functional derivative of the order-alpha divergence at rho, from
+        the family's own decompositions: alpha/(alpha-1) outer_inv
+        rs^(alpha-1) outer_inv / Z, and log rho - log sigma at alpha = 1."""
+        lam = self.kernel_op.eigenvalues
+        rs = mc.SpectralDecomposition(lam, self.kernel_op.basis)
+        if self.alpha == 1.0:
+            sig = self.sigma_dec
+            out = rs.reconstruct(np.log(lam)) - sig.reconstruct(np.log(sig.values))
+        else:
+            Q = self.outer_inv
+            out = Q @ rs.reconstruct(lam ** (self.alpha - 1.0)) @ Q
+            out *= self.alpha / (self.alpha - 1.0) / self.Z
+        return mc.hermitize(out)
 
 
 def renyi_multiplier(rho, sigma, omega, alpha: float) -> RenyiMultiplier:
@@ -220,6 +236,7 @@ def renyi_multiplier(rho, sigma, omega, alpha: float) -> RenyiMultiplier:
         outer=outer,
         outer_inv=outer_inv,
         kernel_op=KernelOperator(lam, dec.vectors, m_num / m_den),
+        sigma_dec=sig,
     )
 
 

@@ -9,6 +9,7 @@ form as references.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
@@ -91,6 +92,14 @@ def trapezoid_integral(fn, a, b, npts):
     xs = np.linspace(a, b, npts)
     ys = np.array([fn(x) for x in xs])
     return float(np.trapezoid(ys, xs))
+
+
+def propagate_by_expm(G, rho0, times):
+    """The flow at each time, each state reached from rho0 by its own matrix
+    exponential of the state-space superoperator: no stepping and no
+    projection between states."""
+    v0 = mc.vec(np.asarray(rho0, dtype=complex))
+    return [mc.unvec(expm(t * G.Ldag_super) @ v0, G.n) for t in times]
 
 
 def lindblad_superops_by_probing(terms, n):

@@ -156,9 +156,9 @@ class TestCommands:
         assert json.loads(err)["error"] == "validation"
 
     def test_numerical_failure_exit(self, tmp_path, capsys):
-        # a step far outside the stability region trips the accuracy monitor
+        # a stationary state with a zero eigenvalue is singular
         code, _, err = run(
-            ["simulate", "--generator", "builtin:qubit-xz", "--rho0", "random",
+            ["simulate", "--generator", "builtin:depolarizing?sigma=0,1", "--rho0", "random",
              "--seed", "1", "--alphas", "2", "--t-end", "40", "--dt", "2.0",
              "--out", str(tmp_path / "x.csv")],
             capsys,

@@ -8,7 +8,14 @@ import renyiflow.noncomm_ops as nco
 from renyiflow.errors import DomainError, SingularityError, StructuralError, ValidationError
 from renyiflow.generator import depolarizing_generator, qubit_xz_generator, random_gns_generator
 
-from .oracles import metric_tensor_by_term, trapezoid_integral
+from .oracles import metric_tensor_by_term, propagate_by_expm, trapezoid_integral
+
+
+def named_generator(name):
+    if name == "qubit-xz":
+        return qubit_xz_generator()
+    n = int(name.split("-")[1])
+    return random_gns_generator(np.random.default_rng(4000 + n), n, min_sigma_eig=0.15)
 
 
 class TestIntegrate:
@@ -26,7 +33,7 @@ class TestIntegrate:
             np.linalg.norm(s - (sig + np.exp(-0.7 * t) * (rho0 - sig)))
             for t, s in zip(traj.times, traj.states)
         )
-        assert worst <= 1e-8
+        assert worst <= 1e-12
 
     def test_convergence_to_stationary(self, rng):
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
@@ -43,28 +50,51 @@ class TestIntegrate:
             assert np.linalg.norm(s - s.conj().T) <= 1e-14
             assert np.linalg.eigvalsh(s)[0] >= -1e-8
 
-    def test_error_monitor_reports(self, depol, rng):
-        rho0 = mc.random_density(rng, 2, floor=0.1)
-        traj = flow.integrate(depol, rho0, 1.0, flow.suggested_dt(depol))
-        assert traj.max_err_rate <= flow.ERR_PER_TIME
-
     def test_bad_dt(self, depol):
         with pytest.raises(DomainError):
             flow.integrate(depol, depol.sigma, 1.0, -0.1)
+        with pytest.raises(DomainError):
+            flow.integrate(depol, depol.sigma, 1.0, 0.1, store_every=0)
 
-    def test_fourth_order_convergence(self, depol, rng):
-        # halving dt must shrink the closed-form defect by about 2^4
+    def test_sampling_grid(self, qubit_xz):
+        # every store_every-th multiple of dt strictly before the last grid
+        # point, then t_end itself
+        traj = flow.integrate(qubit_xz, qubit_xz.sigma, 1.0, 0.03, store_every=4)
+        assert traj.times.tolist() == [0.0] + [k * 0.03 for k in range(4, 33, 4)] + [1.0]
+        traj = flow.integrate(qubit_xz, qubit_xz.sigma, 1.0, 0.03, store_every=10**9)
+        assert traj.times.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("name", ["qubit-xz", "gns-2", "gns-3", "gns-4", "gns-8"])
+    def test_matches_expm_oracle(self, name):
+        G = named_generator(name)
+        rho0 = mc.random_density(np.random.default_rng(23), G.n, floor=0.05)
+        t_end, dt = 2.0 / G.gap.value, flow.suggested_dt(G)
+        traj = flow.integrate(G, rho0, t_end, dt, store_every=int(t_end / dt / 12))
+        ref = propagate_by_expm(G, rho0, traj.times)
+        assert len(traj.states) > 10
+        assert max(np.linalg.norm(s - r) for s, r in zip(traj.states, ref)) <= 1e-12
+
+    def test_coarse_and_fine_grids_agree(self, qubit_xz, rng):
         rho0 = mc.random_density(rng, 2, floor=0.1)
-        sig = depol.sigma
-        t_end = 2.0
+        coarse = flow.integrate(qubit_xz, rho0, 4.0, 0.4).final()
+        fine = flow.integrate(qubit_xz, rho0, 4.0, 0.001).final()
+        assert np.linalg.norm(coarse - fine) <= 1e-12
 
-        def err(dt):
-            traj = flow.integrate(depol, rho0, t_end, dt, store_every=10**9)
-            exact = sig + np.exp(-0.7 * t_end) * (rho0 - sig)
-            return np.linalg.norm(traj.final() - exact)
-
-        ratio = err(0.08) / err(0.04)
-        assert 10.0 <= ratio <= 22.0
+    def test_single_mode_decay(self, rng):
+        # a perturbation in the gap eigenspace decays as e^(-lambda t) and
+        # its chi-square divergence at the sharp rate 2 lambda
+        G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
+        lam = G.gap.value
+        X = nco.sandwich_pow(G.sigma, 1.0, flow.gap_eigen_direction(G))
+        assert np.linalg.norm(G.apply_Ldag(X) + lam * X) <= 1e-10 * np.linalg.norm(X)
+        smin = float(np.linalg.eigvalsh(G.sigma)[0])
+        delta = 0.5 * smin * X / float(np.max(np.abs(np.linalg.eigvalsh(X))))
+        rho0 = mc.hermitize(G.sigma + delta)
+        traj = flow.integrate(G, rho0, 3.0 / lam, flow.suggested_dt(G), store_every=10)
+        chi0 = dv.chi2_divergence(rho0, G.sigma)
+        for t, s in zip(traj.times, traj.states):
+            assert np.linalg.norm(s - G.sigma - np.exp(-lam * t) * delta) <= 1e-12
+            assert dv.chi2_divergence(s, G.sigma) == pytest.approx(np.exp(-2.0 * lam * t) * chi0, rel=1e-9)
 
 
 class TestDivergenceTrace:
@@ -188,17 +218,10 @@ class TestMetricTensor:
 class TestMultiplierFamily:
     """The stacked family against the per-term construction it replaced."""
 
-    @staticmethod
-    def generator(name):
-        if name == "qubit-xz":
-            return qubit_xz_generator()
-        n = int(name.split("-")[1])
-        return random_gns_generator(np.random.default_rng(4000 + n), n, min_sigma_eig=0.15)
-
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("name", ["qubit-xz", "gns-2", "gns-3", "gns-4", "gns-6", "gns-8"])
     def test_matches_per_term_oracle(self, name, alpha):
-        G = self.generator(name)
+        G = named_generator(name)
         rng = np.random.default_rng(17)
         rho = mc.random_density(rng, G.n, floor=0.1)
         nu1 = mc.random_traceless_hermitian(rng, G.n)
@@ -207,10 +230,11 @@ class TestMultiplierFamily:
         ref = metric_tensor_by_term(G, rho, alpha, nu1, nu2)
         assert flow.metric_tensor(G, rho, alpha, nu1, nu2) == pytest.approx(ref, rel=1e-10)
 
-    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
     def test_decompositions_independent_of_term_count(self, monkeypatch, alpha):
         # one decomposition of sigma and one of the sandwiched state per
-        # family, whatever the number of jump terms (15 at n=4, 63 at n=8)
+        # family, whatever the number of jump terms (15 at n=4, 63 at n=8);
+        # the residual takes its functional derivative from the same two
         eigh = np.linalg.eigh
         calls = []
 
@@ -221,7 +245,7 @@ class TestMultiplierFamily:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         counts = []
         for n in (4, 8):
-            G = self.generator(f"gns-{n}")
+            G = named_generator(f"gns-{n}")
             rng = np.random.default_rng(n)
             rho = mc.random_density(rng, n, floor=0.1)
             nu = mc.random_traceless_hermitian(rng, n)
@@ -233,6 +257,7 @@ class TestMultiplierFamily:
                 per_call.append(len(calls))
             counts.append(per_call)
         assert counts[0] == counts[1]
+        assert counts[0][0] == 2
         assert max(counts[0]) <= 6
 
 
@@ -501,7 +526,10 @@ class TestComparisonSingleIntegration:
     def test_end_divergence_is_that_of_the_integrated_flow(self, case):
         G, rho0 = case
         rep = flow.comparison_check(G, rho0, 2.0, 4.0)
-        final = flow.integrate(G, rho0, rep.T, flow.suggested_dt(G)).final()
+        dt = flow.suggested_dt(G)
+        # the grid of the monitor at its default n_samples=200
+        store = max(1, int(np.ceil(rep.T / dt / 200)))
+        final = flow.integrate(G, rho0, rep.T, dt, store_every=store).final()
         assert rep.D_end == dv.sandwiched_renyi(final, G.sigma, 4.0).value
 
     def test_integrates_once(self, case, monkeypatch):

@@ -236,6 +236,13 @@ class TestMultiplierStack:
             single = nco.renyi_multiplier(rho, sigma, om, alpha).apply(A)
             assert np.linalg.norm(row - single) <= 1e-12 * max(1.0, np.linalg.norm(single))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    def test_functional_derivative_matches_divergence_module(self, family_inputs, alpha):
+        rho, sigma, omegas, _ = family_inputs
+        fd = nco.renyi_multiplier(rho, sigma, omegas, alpha).functional_derivative()
+        ref = dv.functional_derivative(rho, sigma, alpha)
+        assert np.linalg.norm(fd - ref) <= 1e-12 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.7])
     def test_inverse_round_trip(self, family_inputs, alpha):
         rho, sigma, omegas, stack = family_inputs
