@@ -6,7 +6,10 @@ derivative of the sandwiched divergence, and the relative Fisher
 information of a state under a detailed-balance generator.
 
 All quantities are reported in nats.  The reference state sigma must be
-strictly positive, which makes every divergence finite.
+strictly positive, which makes every divergence finite.  Each public
+function validates its states once; the sandwiched divergence, the
+relative entropy and the functional derivative are then read from one
+`noncomm_ops.sandwiched_state`.
 """
 
 from __future__ import annotations
@@ -17,14 +20,7 @@ import numpy as np
 
 from . import matcore as mc
 from . import noncomm_ops as nco
-from .errors import DomainError, SingularityError, ValidationError
-
-# inside this window of alpha = 1 the relative-entropy branch is used;
-# the 1/(alpha-1) prefactor loses precision closer in
-ALPHA_ONE_WINDOW = 1e-6
-
-# floor inside logarithms for rank-deficient (but PSD-valid) states
-LOG_FLOOR = 1e-14
+from .errors import DomainError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -36,47 +32,30 @@ class DivergenceValue:
     Z: float
 
 
-def _psd_eigenvalues(A, name: str) -> np.ndarray:
-    w = mc.eig_hermitian(A).values
-    if w[0] < -mc.TOL_PSD:
-        raise ValidationError(f"{name}: negative eigenvalue {w[0]:.3e}")
-    return np.maximum(w, 0.0)
-
-
-def _xlogx(w: np.ndarray) -> float:
-    mask = w > LOG_FLOOR
-    return float(np.sum(w[mask] * np.log(w[mask])))
+def _sandwiched(rho, sigma, alpha: float, strict: bool = False) -> nco.SandwichedState:
+    """Validate the order and both states, then form their sandwiched state;
+    sigma is validated by the decomposition that supplies its powers."""
+    if alpha <= 0.0:
+        raise DomainError(f"order alpha={alpha} must be positive")
+    rho = mc.require_density(rho, strict=strict, name="rho")
+    sigma_dec = mc.density_spectrum(sigma, strict=True, name="sigma")
+    return nco.sandwiched_state(rho, sigma_dec, alpha)
 
 
 def relative_entropy(rho, sigma) -> float:
     """Quantum relative entropy tr(rho (log rho - log sigma))."""
-    rho = mc.require_density(rho, name="rho")
-    sigma = mc.require_density(sigma, strict=True, name="sigma")
-    dec = mc.eig_hermitian(rho)
-    w = np.maximum(dec.values, 0.0)
-    cross = float(np.real(np.trace(dec.reconstruct(w) @ mc.matrix_log(sigma))))
-    return _xlogx(w) - cross
+    return _sandwiched(rho, sigma, 1.0).divergence()
 
 
 def sandwiched_renyi(rho, sigma, alpha: float) -> DivergenceValue:
     """Sandwiched Renyi divergence of order alpha > 0.
 
     For orders away from 1 this is log tr[(sigma^((1-a)/2a) rho
-    sigma^((1-a)/2a))^a] / (a-1); within ALPHA_ONE_WINDOW of 1 the
+    sigma^((1-a)/2a))^a] / (a-1); within `nco.ALPHA_ONE_WINDOW` of 1 the
     relative-entropy branch is taken.
     """
-    if alpha <= 0.0:
-        raise DomainError(f"order alpha={alpha} must be positive")
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return DivergenceValue(alpha=alpha, value=relative_entropy(rho, sigma), Z=1.0)
-    rho = mc.require_density(rho, name="rho")
-    sigma = mc.require_density(sigma, strict=True, name="sigma")
-    rs = nco.rho_sigma(rho, sigma, alpha)
-    w = _psd_eigenvalues(rs, "sandwiched state")
-    Z = float(np.sum(w**alpha))
-    if Z <= 0.0:
-        raise SingularityError("sandwiched trace vanished; rho is orthogonal to sigma")
-    return DivergenceValue(alpha=alpha, value=float(np.log(Z) / (alpha - 1.0)), Z=Z)
+    rs = _sandwiched(rho, sigma, alpha)
+    return DivergenceValue(alpha=alpha, value=rs.divergence(), Z=1.0 if rs.alpha == 1.0 else float(rs.Z))
 
 
 def petz_renyi(rho, sigma, alpha: float) -> float:
@@ -113,20 +92,7 @@ def functional_derivative(rho, sigma, alpha: float) -> np.ndarray:
     state over its trace normalization; the order-1 branch is
     log rho - log sigma.
     """
-    if alpha <= 0.0:
-        raise DomainError(f"order alpha={alpha} must be positive")
-    rho = mc.require_density(rho, strict=True, name="rho")
-    sigma = mc.require_density(sigma, strict=True, name="sigma")
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return mc.matrix_log(rho) - mc.matrix_log(sigma)
-    rs = nco.rho_sigma(rho, sigma, alpha)
-    dec = mc.eig_hermitian(rs)
-    if dec.values[0] <= 0.0:
-        raise SingularityError(f"sandwiched state has eigenvalue {dec.values[0]:.3e}")
-    Z = float(np.sum(dec.values**alpha))
-    power = dec.reconstruct(dec.values ** (alpha - 1.0))
-    out = (alpha / (alpha - 1.0)) * nco.sandwich_pow(sigma, (1.0 - alpha) / alpha, power) / Z
-    return mc.hermitize(out)
+    return _sandwiched(rho, sigma, alpha, strict=True).derivative()
 
 
 def fisher_information(rho, sigma, alpha: float, G) -> float:

@@ -33,6 +33,7 @@ class Trajectory:
     times: np.ndarray
     states: list[np.ndarray]
     generator: Generator
+    min_eigenvalues: np.ndarray  # smallest eigenvalue of each stored state
 
     def final(self) -> np.ndarray:
         return self.states[-1]
@@ -61,38 +62,35 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
     `store_every`-th grid point and t_end are stored.  The flow is linear
     and autonomous, so each stored state is the previous one propagated
     exactly by expm(h Ldag_super) over its interval h, then projected back
-    to Hermitian unit trace.  A stored state with an eigenvalue below
+    to Hermitian unit trace.  One stacked eigensolve gives each stored
+    state's smallest eigenvalue, kept on the trajectory; one below
     -POSITIVITY_TOL raises IntegrationError.
     """
     if dt <= 0.0:
         raise DomainError(f"dt={dt} must be positive")
     if store_every < 1:
         raise DomainError(f"store_every={store_every} must be at least 1")
-    rho = mc.require_density(rho0, name="rho0")
-    if t_end <= 0.0:
-        return Trajectory(np.array([0.0]), [rho], G)
+    states = [mc.require_density(rho0, name="rho0")]
+    times = np.array([0.0])
+    if t_end > 0.0:
+        n_steps = max(1, int(np.ceil(t_end / dt - 1e-9)))
+        # grid points store_every, 2 store_every, ... strictly before the last
+        n_full = (n_steps - 1) // store_every
+        times = np.concatenate(([0.0], np.arange(1, n_full + 1) * store_every * dt, [t_end]))
+        S = G.Ldag_super
+        if n_full:
+            P = expm(store_every * dt * S)
+            for _ in range(n_full):
+                states.append(_project(mc.unvec(P @ mc.vec(states[-1]), G.n)))
+        P_last = expm((t_end - times[-2]) * S)
+        states.append(_project(mc.unvec(P_last @ mc.vec(states[-1]), G.n)))
 
-    n_steps = max(1, int(np.ceil(t_end / dt - 1e-9)))
-    # grid points store_every, 2 store_every, ... strictly before the last
-    n_full = (n_steps - 1) // store_every
-    times = np.concatenate(([0.0], np.arange(1, n_full + 1) * store_every * dt, [t_end]))
-    S = G.Ldag_super
-    states = [rho]
-    if n_full:
-        P = expm(store_every * dt * S)
-        for _ in range(n_full):
-            states.append(_project(mc.unvec(P @ mc.vec(states[-1]), G.n)))
-    P_last = expm((t_end - times[-2]) * S)
-    states.append(_project(mc.unvec(P_last @ mc.vec(states[-1]), G.n)))
-
-    wmin = np.linalg.eigvalsh(np.asarray(states[1:]))[:, 0]
+    wmin = np.linalg.eigvalsh(np.asarray(states))[:, 0]
     bad = np.flatnonzero(wmin < -POSITIVITY_TOL)
     if bad.size:
         k = int(bad[0])
-        raise IntegrationError(
-            f"positivity breach at t={times[k + 1]:.6g}: eigenvalue {wmin[k]:.3e}"
-        )
-    return Trajectory(times, states, G)
+        raise IntegrationError(f"positivity breach at t={times[k]:.6g}: eigenvalue {wmin[k]:.3e}")
+    return Trajectory(times, states, G, wmin)
 
 
 # --- divergence / Fisher traces ------------------------------------------------
@@ -120,27 +118,21 @@ class TraceTable:
 def divergence_trace(traj: Trajectory, alphas) -> TraceTable:
     """Evaluate divergences and Fisher informations at the stored states.
 
-    States that are not strictly positive are pruned with a warning.
+    States whose smallest eigenvalue (from `integrate`) is below POS_FLOOR
+    are pruned with a warning.
     """
     G = traj.generator
-    keep_t, keep_s = [], []
-    pruned = 0
-    for t, s in zip(traj.times, traj.states):
-        if float(np.linalg.eigvalsh(s)[0]) >= mc.POS_FLOOR:
-            keep_t.append(t)
-            keep_s.append(s)
-        else:
-            pruned += 1
-    if pruned:
-        warnings.warn(f"pruned {pruned} non-strictly-positive states from the trace")
+    keep = np.flatnonzero(traj.min_eigenvalues >= mc.POS_FLOOR)
+    if keep.size < traj.times.size:
+        warnings.warn(f"pruned {traj.times.size - keep.size} non-strictly-positive states from the trace")
     alphas = tuple(float(a) for a in alphas)
-    D = np.zeros((len(alphas), len(keep_t)))
+    D = np.zeros((len(alphas), keep.size))
     I = np.zeros_like(D)
     for i, a in enumerate(alphas):
-        for j, s in enumerate(keep_s):
-            D[i, j] = dv.sandwiched_renyi(s, G.sigma, a).value
-            I[i, j] = dv.fisher_information(s, G.sigma, a, G)
-    return TraceTable(np.asarray(keep_t), alphas, D, I)
+        for j, k in enumerate(keep):
+            D[i, j] = dv.sandwiched_renyi(traj.states[k], G.sigma, a).value
+            I[i, j] = dv.fisher_information(traj.states[k], G.sigma, a, G)
+    return TraceTable(traj.times[keep], alphas, D, I)
 
 
 @dataclass(frozen=True)
@@ -177,10 +169,6 @@ def fit_decay_rate(times, values, tail_fraction: float = 0.3) -> DecayFit:
 # --- gradient-flow identity and metric tensor ----------------------------------
 
 
-def _snap_alpha(alpha: float) -> float:
-    return 1.0 if abs(alpha - 1.0) <= dv.ALPHA_ONE_WINDOW else float(alpha)
-
-
 def _require_dim(A: np.ndarray, n: int, name: str) -> np.ndarray:
     if A.shape != (n, n):
         raise StructuralError(f"{name}: shape {A.shape} does not match the generator's ({n}, {n})")
@@ -191,10 +179,9 @@ def gradient_flow_residual(G: Generator, rho, alpha: float) -> float:
     """Relative defect between the metric-flux form of the flow and the
     generator's drift; zero in exact arithmetic for detailed-balance
     generators, contracted to stay below 1e-8."""
-    alpha = _snap_alpha(alpha)
     rho = _require_dim(mc.require_density(rho, strict=True, name="rho"), G.n, "rho")
-    M = nco.renyi_multiplier(rho, G.sigma, G.omegas, alpha)
-    flux = nco.nc_divergence(G, M.apply(nco.nc_gradient(G, M.functional_derivative())))
+    M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
+    flux = nco.nc_divergence(G, M.apply(nco.nc_gradient(G, M.state.derivative())))
     target = G.apply_Ldag(rho)
     den = float(np.linalg.norm(target))
     num = float(np.linalg.norm(flux - target))
@@ -218,12 +205,11 @@ def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
     """
     if not G.primitivity.primitive:
         raise ValidationError("metric tensor needs a primitive generator")
-    alpha = _snap_alpha(alpha)
     n = G.n
     rho = _require_dim(mc.require_density(rho, strict=True, name="rho"), n, "rho")
     nu1 = _require_traceless_hermitian(nu1, n, "nu1")
     nu2 = _require_traceless_hermitian(nu2, n, "nu2")
-    M = nco.renyi_multiplier(rho, G.sigma, G.omegas, alpha)
+    M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
     basis = np.array(nco.traceless_hermitian_basis(n))
     flat = basis.reshape(len(basis), -1).conj()
 
@@ -427,8 +413,7 @@ def lsi_constants(
     if not G.primitivity.primitive:
         raise ValidationError("log-Sobolev constants need a primitive generator")
     lam = G.gap.value
-    sig_dec = mc.eig_hermitian(G.sigma)
-    smin = float(sig_dec.values[0])
+    smin = float(G.sigma_dec.values[0])
     K_lower = _guaranteed_lsi(lam, smin)
     K_upper = lam
     K2_lower = lam * (1.0 - smin) / np.log(1.0 / smin)
@@ -547,7 +532,7 @@ def comparison_constants(
     alpha0: float, alpha1: float, eps: float, sigma, omegas, K: float
 ) -> tuple[float, float, float]:
     """Closed-form (Lambda, eta, T) of the order-comparison construction."""
-    w = mc.eig_hermitian(mc.require_density(sigma, strict=True)).values
+    w = mc.density_spectrum(sigma, strict=True).values
     return _constants(alpha0, alpha1, eps, w, omegas, K)
 
 
@@ -572,7 +557,7 @@ def decay_envelope_constants(G: Generator, alpha: float, eps: float, rho0, K: fl
     if alpha <= 0.0:
         raise DomainError(f"order alpha={alpha} must be positive")
     lam = G.gap.value
-    w = mc.eig_hermitian(G.sigma).values
+    w = G.sigma_dec.values
     smin = float(w[0])
     if K is None:
         K = _guaranteed_lsi(lam, smin)
@@ -622,21 +607,6 @@ class HyperTrace:
     final: np.ndarray  # the flowed state at the end of the delay window
 
 
-def _norm_functionals(sigma_dec: mc.SpectralDecomposition, states: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Interpolating norm functional log tr[(s rho s)^b] / b, with
-    s = sigma^((1-b)/2b), for each stacked state rho at its own order b.
-
-    One decomposition of sigma supplies every power, and one batched
-    Hermitian eigensolve covers all sandwiched states.
-    """
-    V = sigma_dec.vectors
-    p = (1.0 - beta) / beta / 2.0
-    fw = np.power(sigma_dec.values[None, :], p[:, None]).astype(complex)
-    P = mc.hermitize((V * fw[:, None, :]) @ V.conj().T)
-    w = np.maximum(np.linalg.eigh(mc.hermitize(P @ states @ P))[0], 0.0)
-    return np.log(np.sum(w ** beta[:, None], axis=1)) / beta
-
-
 def _check_initial_entropy(G: Generator, smin: float, rho0, eps: float) -> None:
     if not 0.0 < eps < smin**2 / 2.0:
         raise DomainError(f"eps={eps} outside (0, lambda_min^2/2 = {smin**2 / 2.0:.3e})")
@@ -669,8 +639,7 @@ def hypercontractivity_monitor(
         raise DomainError(f"need 1 < alpha0 <= alpha1, got ({alpha0}, {alpha1})")
     if K <= 0.0 or eta <= 0.0:
         raise DomainError(f"K={K} and eta={eta} must be positive")
-    sigma_dec = mc.eig_hermitian(G.sigma)
-    smin = float(sigma_dec.values[0])
+    smin = float(G.sigma_dec.values[0])
     eps = default_comparison_eps(smin) if eps is None else eps
     _check_initial_entropy(G, smin, rho0, eps)
     T = _delay_time(alpha0, alpha1, K, eta)
@@ -678,7 +647,8 @@ def hypercontractivity_monitor(
     store = max(1, int(np.ceil(T / dt / n_samples)))
     traj = integrate(G, rho0, T, dt, store_every=store)
     beta = 1.0 + (alpha0 - 1.0) * np.exp(2.0 * K * eta * traj.times)
-    F = _norm_functionals(sigma_dec, np.asarray(traj.states), beta)
+    # log tr[(s rho s)^b] / b with s = sigma^((1-b)/2b), for all states at once
+    F = np.log(nco.sandwiched_state(np.asarray(traj.states), G.sigma_dec, beta).Z) / beta
     fw = np.diff(F)
     return HyperTrace(traj.times, beta, F, float(fw.max(initial=0.0)), traj.final())
 
@@ -722,7 +692,7 @@ def comparison_check(
     functional non-increasing along the way.  The monitor's trajectory
     is the only integration: its final state gives the end divergence.
     """
-    w = mc.eig_hermitian(G.sigma).values
+    w = G.sigma_dec.values
     smin = float(w[0])
     eps = default_comparison_eps(smin) if eps is None else eps
     if K is None:

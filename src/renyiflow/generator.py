@@ -120,6 +120,8 @@ class Generator:
     adjoints by construction.  Immutable after construction; superoperator
     matrices use the package's column-stacking convention.  `terms` is
     present only for generators built from validated jump operators.
+    `sigma_dec` is the decomposition that validated sigma; every
+    phase-invariant function of sigma is read from it.
     """
 
     def __init__(
@@ -130,7 +132,8 @@ class Generator:
         label: str = "",
     ):
         self.n = round(np.sqrt(np.shape(L_super)[0]))
-        self.sigma = None if sigma is None else mc.require_density(sigma, strict=True, name="sigma")
+        self.sigma = None if sigma is None else mc.require_hermitian(sigma, name="sigma")
+        self.sigma_dec = None if sigma is None else mc.density_spectrum(self.sigma, strict=True, name="sigma")
         self.L_super = np.asarray(L_super, dtype=complex)
         self.Ldag_super = np.ascontiguousarray(self.L_super.conj().T)
         self.terms = list(terms) if terms else None
@@ -318,10 +321,14 @@ class SpectralGap:
 
 def _symmetrized_generator(G: Generator) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian part of -L conjugated by the two-sided quarter-power
-    weighting, together with sigma^(-1/4) for pulling eigenvectors back."""
+    weighting, together with sigma^(-1/4) for pulling eigenvectors back;
+    a relative asymmetry above TOL_SELFADJOINT raises instead."""
     q = mc.matrix_power(G.sigma, 0.25)
     qi = mc.matrix_power(G.sigma, -0.25)
     S = mc.sandwich_superop(q) @ (-G.L_super) @ mc.sandwich_superop(qi)
+    asym = np.linalg.norm(S - S.conj().T) / max(np.linalg.norm(S), 1e-300)
+    if asym > TOL_SELFADJOINT:
+        raise ValidationError(f"{G.label!r} not self-adjoint in the half-weighted inner product: {asym:.3e}")
     return 0.5 * (S + S.conj().T), qi
 
 

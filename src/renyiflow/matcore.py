@@ -62,38 +62,45 @@ def require_hermitian(A, tol: float = TOL_HERM, name: str = "matrix") -> np.ndar
     return hermitize(A)
 
 
-def require_density(
-    A,
-    tol_trace: float = TOL_TRACE,
-    tol_psd: float = TOL_PSD,
-    strict: bool = False,
-    name: str = "state",
-) -> np.ndarray:
-    """Validate a density matrix; `strict` additionally demands full rank."""
-    A = require_hermitian(A, name=name)
+def _check_density(A, wmin: float, strict: bool, name: str) -> None:
     tr = np.trace(A).real
-    if abs(tr - 1.0) > tol_trace:
-        raise StructuralError(f"{name}: trace {tr!r} deviates from 1 beyond {tol_trace:.1e}")
-    wmin = float(np.linalg.eigvalsh(A)[0])
-    if wmin < -tol_psd:
-        raise StructuralError(f"{name}: negative eigenvalue {wmin:.3e} below -{tol_psd:.1e}")
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise StructuralError(f"{name}: trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+    if wmin < -TOL_PSD:
+        raise StructuralError(f"{name}: negative eigenvalue {wmin:.3e} below -{TOL_PSD:.1e}")
     if strict and wmin < POS_FLOOR:
         raise SingularityError(
             f"{name}: smallest eigenvalue {wmin:.3e} below positivity floor {POS_FLOOR:.1e}"
         )
+
+
+def require_density(A, strict: bool = False, name: str = "state") -> np.ndarray:
+    """Validate a density matrix; `strict` additionally demands full rank."""
+    A = require_hermitian(A, name=name)
+    _check_density(A, float(np.linalg.eigvalsh(A)[0]), strict, name)
     return A
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix: ascending values, unitary columns."""
+    """Eigensystem of a Hermitian matrix, or of a stack of them (leading
+    axes on both fields): ascending values, unitary columns."""
 
     values: np.ndarray
     vectors: np.ndarray
 
     def reconstruct(self, fvals: np.ndarray | None = None) -> np.ndarray:
         w = self.values if fvals is None else np.asarray(fvals)
-        return (self.vectors * w) @ self.vectors.conj().T
+        return (self.vectors * w[..., None, :]) @ self.vectors.conj().swapaxes(-1, -2)
+
+
+def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDecomposition:
+    """Validate a density matrix as `require_density` does, from the plain
+    `np.linalg.eigh` decomposition it returns (arbitrary eigenvector phases)."""
+    A = require_hermitian(A, name=name)
+    dec = SpectralDecomposition(*np.linalg.eigh(A))
+    _check_density(A, float(dec.values[0]), strict, name)
+    return dec
 
 
 def _fix_phase(column: np.ndarray) -> np.ndarray:

@@ -3,8 +3,10 @@
 Spectral-kernel realizations of the operators that drive the gradient-flow
 and detailed-balance machinery: two-sided weighting by powers of a state,
 the modular conjugation, twisted logarithmic-mean multiplication and its
-inverse, the Renyi-order multiplication operator, the detailed-balance
-weight kernel, and the weighted-norm entropy/Dirichlet functionals.
+inverse, the sandwiched state and the Renyi-order multiplication operator
+built on it, the detailed-balance weight kernel, and the weighted-norm
+entropy/Dirichlet functionals.  The sandwiched state is formed and
+decomposed in exactly one function, `sandwiched_state`.
 
 Every integral-form operator used here diagonalizes in the eigenbasis of
 its base matrix, so it is evaluated through a closed-form entrywise
@@ -23,6 +25,13 @@ from .errors import DomainError, SingularityError
 
 # relative spacing below which two eigenvalues count as one degenerate level
 DEGENERACY_RTOL = 1e-10
+
+# floor inside logarithms for rank-deficient (but PSD-valid) states
+LOG_FLOOR = 1e-14
+
+# orders inside this window of 1 are taken as 1 (the relative-entropy
+# branch); the 1/(alpha-1) prefactor loses precision closer in
+ALPHA_ONE_WINDOW = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,14 +162,72 @@ def nc_divergence(G, fields) -> np.ndarray:
     return np.sum(fields @ Vd - Vd @ fields, axis=0)
 
 
-# --- Renyi-order multiplication operator ------------------------------------
+# --- the sandwiched state and the Renyi-order multiplication operator -------
 
 
-def rho_sigma(rho, sigma, alpha: float) -> np.ndarray:
-    """The sandwiched state sigma^((1-a)/2a) rho sigma^((1-a)/2a)."""
-    if alpha <= 0.0:
-        raise DomainError(f"order alpha={alpha} must be positive")
-    return mc.hermitize(sandwich_pow(sigma, (1.0 - alpha) / alpha, rho))
+@dataclass(frozen=True)
+class SandwichedState:
+    """The sandwiched state rs = s rho s, s = sigma^((1-alpha)/(2 alpha)),
+    decomposed once.
+
+    Every order-alpha quantity reads from it: Z = tr rs^alpha (over the
+    spectrum clamped at zero), the divergence, its functional derivative
+    and the multiplication operator's kernels.  The eigenvectors carry
+    LAPACK's arbitrary phases, so every consumer is phase-invariant.  A
+    (T, n, n) stack at T orders gives T-leading fields; only Z is read.
+    """
+
+    alpha: float | np.ndarray
+    outer: np.ndarray  # s = sigma^((1-alpha)/(2 alpha))
+    dec: mc.SpectralDecomposition  # of rs
+    sigma_dec: mc.SpectralDecomposition
+    Z: float | np.ndarray
+
+    def positive_values(self) -> np.ndarray:
+        lam = self.dec.values
+        if lam[0] <= 0.0:
+            raise SingularityError(f"sandwiched state: not strictly positive (min eigenvalue {lam[0]:.3e})")
+        return lam
+
+    def divergence(self) -> float:
+        """D_alpha = log Z / (alpha-1); tr rho (log rho - log sigma) at alpha = 1."""
+        if self.alpha != 1.0:
+            return float(np.log(self.Z) / (self.alpha - 1.0))
+        lam = np.maximum(self.dec.values, 0.0)
+        sig, pos = self.sigma_dec, lam[lam > LOG_FLOOR]
+        cross = np.real(np.trace(self.dec.reconstruct(lam) @ sig.reconstruct(np.log(sig.values))))
+        return float(np.sum(pos * np.log(pos)) - cross)
+
+    def derivative(self) -> np.ndarray:
+        """Functional derivative of D_alpha in rho: alpha/(alpha-1) s
+        rs^(alpha-1) s / Z, and log rho - log sigma at alpha = 1."""
+        lam = self.positive_values()
+        a = self.alpha
+        if a == 1.0:
+            sig = self.sigma_dec
+            out = self.dec.reconstruct(np.log(lam)) - sig.reconstruct(np.log(sig.values))
+        else:
+            out = self.outer @ self.dec.reconstruct(lam ** (a - 1.0)) @ self.outer
+            out *= a / (a - 1.0) / self.Z
+        return mc.hermitize(out)
+
+
+def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> SandwichedState:
+    """Form rs from sigma's decomposition and decompose it with one `eigh`.
+
+    `rho` is one (n, n) state with a scalar order, or a (T, n, n) stack
+    with an order per state; orders within ALPHA_ONE_WINDOW of 1 are taken
+    as 1.  Inputs are trusted: callers validate rho, and sigma through the
+    decomposition passed in.
+    """
+    a = np.where(np.abs(np.asarray(alpha, dtype=float) - 1.0) <= ALPHA_ONE_WINDOW, 1.0, alpha)
+    fw = np.power(sigma_dec.values, ((1.0 - a) / a / 2.0)[..., None]).astype(complex)
+    outer = mc.hermitize(sigma_dec.reconstruct(fw))
+    # s = sigma^0 is the identity up to rounding, which would only add noise
+    rs = rho if a.ndim == 0 and a == 1.0 else mc.hermitize(outer @ rho @ outer)
+    dec = mc.SpectralDecomposition(*np.linalg.eigh(rs))
+    Z = np.sum(np.maximum(dec.values, 0.0) ** a[..., None], axis=-1)
+    return SandwichedState(alpha=a if a.ndim else float(a), outer=outer, dec=dec, sigma_dec=sigma_dec, Z=Z)
 
 
 @dataclass(frozen=True)
@@ -175,68 +242,45 @@ class RenyiMultiplier:
     frequencies has an (m, n, n) kernel and acts on (m, n, n) stacks.
     """
 
-    alpha: float
-    Z: float
-    outer: np.ndarray       # sigma^((alpha-1)/(2 alpha))
-    outer_inv: np.ndarray
+    state: SandwichedState
+    outer_inv: np.ndarray  # sigma^((alpha-1)/(2 alpha)), the inverse of state.outer
     kernel_op: KernelOperator
-    sigma_dec: mc.SpectralDecomposition
 
     def apply(self, A) -> np.ndarray:
-        P = self.outer
+        P = self.outer_inv
         B = self.kernel_op.apply(P @ np.asarray(A, dtype=complex) @ P)
-        return (self.Z / self.alpha) * (P @ B @ P)
+        return (self.state.Z / self.state.alpha) * (P @ B @ P)
 
     def inverse_apply(self, A) -> np.ndarray:
-        Q = self.outer_inv
+        Q = self.state.outer
         B = self.kernel_op.inverse().apply(Q @ np.asarray(A, dtype=complex) @ Q)
-        return (self.alpha / self.Z) * (Q @ B @ Q)
-
-    def functional_derivative(self) -> np.ndarray:
-        """Functional derivative of the order-alpha divergence at rho, from
-        the family's own decompositions: alpha/(alpha-1) outer_inv
-        rs^(alpha-1) outer_inv / Z, and log rho - log sigma at alpha = 1."""
-        lam = self.kernel_op.eigenvalues
-        rs = mc.SpectralDecomposition(lam, self.kernel_op.basis)
-        if self.alpha == 1.0:
-            sig = self.sigma_dec
-            out = rs.reconstruct(np.log(lam)) - sig.reconstruct(np.log(sig.values))
-        else:
-            Q = self.outer_inv
-            out = Q @ rs.reconstruct(lam ** (self.alpha - 1.0)) @ Q
-            out *= self.alpha / (self.alpha - 1.0) / self.Z
-        return mc.hermitize(out)
+        return (self.state.alpha / self.state.Z) * (Q @ B @ Q)
 
 
 def renyi_multiplier(rho, sigma, omega, alpha: float) -> RenyiMultiplier:
     """Build the order-alpha multiplication operator for strictly positive rho.
 
-    `omega` is one Bohr frequency or an array of them; the family shares
-    one decomposition of sigma and one of the sandwiched state, and only
-    the entrywise kernel depends on the frequency.  At alpha = 1 it
-    reduces to the twisted multiplier of rho itself; at alpha = 2 it is
+    `sigma` is a full-rank state, or the `mc.density_spectrum` that
+    validated one (a generator's `sigma_dec`).  `omega` is one Bohr
+    frequency or an array of them; the family shares one sandwiched state,
+    and only the entrywise kernel depends on the frequency.  At alpha = 1
+    it reduces to the twisted multiplier of rho itself; at alpha = 2 it is
     (Z/2) times two-sided multiplication by sigma^(1/2).
     """
     if alpha <= 0.0:
         raise DomainError(f"order alpha={alpha} must be positive")
     omega = np.asarray(omega, dtype=float)
-    gamma = (alpha - 1.0) / alpha
-    sig = _positive_spectrum(sigma, "sigma")
-    outer = mc.hermitize(sig.reconstruct(sig.values ** (gamma / 2.0)))
-    outer_inv = mc.hermitize(sig.reconstruct(sig.values ** (-gamma / 2.0)))
-    rs = mc.hermitize(outer_inv @ np.asarray(rho, dtype=complex) @ outer_inv)
-    dec = _positive_spectrum(rs, "sandwiched state")
-    lam = dec.values
-    Z = float(np.sum(lam**alpha))
+    sig = sigma
+    if not isinstance(sig, mc.SpectralDecomposition):
+        sig = mc.density_spectrum(sigma, strict=True, name="sigma")
+    state = sandwiched_state(rho, sig, alpha)
+    alpha, lam = state.alpha, state.positive_values()
     m_num = _log_mean_kernel(lam, omega / alpha)
     m_den = _log_mean_kernel(lam ** (alpha - 1.0), (alpha - 1.0) * omega / alpha)
     return RenyiMultiplier(
-        alpha=alpha,
-        Z=Z,
-        outer=outer,
-        outer_inv=outer_inv,
-        kernel_op=KernelOperator(lam, dec.vectors, m_num / m_den),
-        sigma_dec=sig,
+        state=state,
+        outer_inv=mc.hermitize(sig.reconstruct(sig.values ** ((alpha - 1.0) / alpha / 2.0))),
+        kernel_op=KernelOperator(lam, state.dec.vectors, m_num / m_den),
     )
 
 

@@ -29,3 +29,27 @@ def cm_sigma():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def eigensolves(monkeypatch):
+    """Count Hermitian eigensolves: `eigensolves(fn)` calls fn and returns
+    how many `np.linalg.eigh` and `np.linalg.eigvalsh` calls it made."""
+    calls = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+
+    def count(fn) -> int:
+        calls.clear()
+        fn()
+        return len(calls)
+
+    return count

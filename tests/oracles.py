@@ -175,3 +175,38 @@ def metric_tensor_by_term(G, rho, alpha, nu1, nu2):
     for m, g1, g2 in zip(mults, gradient(solve(nu1)), gradient(solve(nu2))):
         g += float(np.real(mc.hs_inner(g1, m.apply(g2))))
     return g
+
+
+def sandwiched_renyi_by_matrix_powers(rho, sigma, alpha):
+    """D_alpha one call at a time: the sandwiched state from a fresh matrix
+    power of sigma, its phase-fixed eigenvalues, log Z / (alpha-1); the
+    relative entropy from rho's own spectrum and log sigma at alpha = 1."""
+    if alpha == 1.0:
+        dec = mc.eig_hermitian(rho)
+        w = np.maximum(dec.values, 0.0)
+        mask = w > 1e-14
+        cross = np.real(np.trace(dec.reconstruct(w) @ mc.matrix_log(sigma)))
+        return float(np.sum(w[mask] * np.log(w[mask])) - cross)
+    rs = mc.hermitize(nco.sandwich_pow(sigma, (1.0 - alpha) / alpha, rho))
+    w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
+    return float(np.log(np.sum(w**alpha)) / (alpha - 1.0))
+
+
+def functional_derivative_by_matrix_powers(rho, sigma, alpha):
+    """alpha/(alpha-1) sigma^g rs^(alpha-1) sigma^g / Z with g = (1-alpha)/(2 alpha),
+    every power of sigma formed afresh; log rho - log sigma at alpha = 1."""
+    if alpha == 1.0:
+        return mc.matrix_log(rho) - mc.matrix_log(sigma)
+    gamma = (1.0 - alpha) / alpha
+    dec = mc.eig_hermitian(mc.hermitize(nco.sandwich_pow(sigma, gamma, rho)))
+    Z = np.sum(dec.values**alpha)
+    power = dec.reconstruct(dec.values ** (alpha - 1.0))
+    return mc.hermitize((alpha / (alpha - 1.0)) * nco.sandwich_pow(sigma, gamma, power) / Z)
+
+
+def norm_functional_by_state(rho, sigma, beta):
+    """The hypercontractivity monitor's log tr[(s rho s)^b] / b,
+    s = sigma^((1-b)/2b), for one state."""
+    rs = mc.hermitize(nco.sandwich_pow(sigma, (1.0 - beta) / beta, rho))
+    w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
+    return float(np.log(np.sum(w**beta)) / beta)

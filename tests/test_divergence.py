@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import renyiflow.divergence as dv
 import renyiflow.matcore as mc
-from renyiflow.errors import DomainError, ValidationError
+from renyiflow.errors import DomainError, SingularityError, StructuralError, ValidationError
 from renyiflow.generator import random_gns_generator
 
 from .oracles import classical_chi2, classical_renyi
@@ -226,3 +226,74 @@ class TestFisherInformation:
         other = mc.random_density(rng, 2, floor=0.2)
         with pytest.raises(ValidationError):
             dv.fisher_information(other, other, 2.0, qubit_xz)
+
+
+def _malformed(case, G):
+    """(rho, sigma, alpha) with exactly one defect; sigma is otherwise G's."""
+    rho, sigma, alpha = mc.hermitize(0.7 * G.sigma + 0.3 * np.eye(G.n) / G.n), G.sigma, 2.0
+    if case == "non-hermitian sigma":
+        sigma = sigma + np.array([[0.0, 0.1], [0.0, 0.0]])
+    elif case == "trace of rho":
+        rho = 1.1 * rho
+    elif case == "trace of sigma":
+        sigma = 1.1 * sigma
+    elif case == "singular sigma":
+        sigma = np.diag([1.0, 0.0]).astype(complex)
+    elif case == "non-psd rho":
+        rho = np.diag([1.2, -0.2]).astype(complex)
+    elif case == "order":
+        alpha = -0.5
+    return rho, sigma, alpha
+
+
+MALFORMED_CALLS = {
+    "sandwiched_renyi": lambda rho, sigma, a, G: dv.sandwiched_renyi(rho, sigma, a),
+    "relative_entropy": lambda rho, sigma, a, G: dv.relative_entropy(rho, sigma),
+    "functional_derivative": lambda rho, sigma, a, G: dv.functional_derivative(rho, sigma, a),
+    "fisher_information": lambda rho, sigma, a, G: dv.fisher_information(rho, sigma, a, G),
+    "petz_renyi": lambda rho, sigma, a, G: dv.petz_renyi(rho, sigma, a),
+    "chi2_divergence": lambda rho, sigma, a, G: dv.chi2_divergence(rho, sigma),
+}
+STATE_ERRORS = {
+    "non-hermitian sigma": StructuralError,
+    "trace of rho": StructuralError,
+    "trace of sigma": StructuralError,
+    "singular sigma": SingularityError,
+    "non-psd rho": StructuralError,
+}
+
+
+class TestMalformedInputs:
+    """The error type each public function raises on one malformed input."""
+
+    @pytest.mark.parametrize("fn, case", [
+        (fn, case) for fn in MALFORMED_CALLS for case in [*STATE_ERRORS, "order"]
+        if not (case == "order" and fn in ("relative_entropy", "chi2_divergence"))
+    ])
+    def test_error_type(self, qubit_xz, fn, case):
+        rho, sigma, alpha = _malformed(case, qubit_xz)
+        if case == "order":
+            expected = DomainError
+        elif fn == "fisher_information" and "sigma" in case:
+            expected = ValidationError  # checked against the generator's sigma first
+        else:
+            expected = STATE_ERRORS[case]
+        with pytest.raises(expected):
+            MALFORMED_CALLS[fn](rho, sigma, alpha, qubit_xz)
+
+
+class TestEigensolveCounts:
+    """Validation of rho, sigma's decomposition (which also validates it)
+    and the sandwiched state's decomposition: at most three per call."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    def test_at_most_three_per_call(self, eigensolves, alpha):
+        G = random_gns_generator(np.random.default_rng(31), 3, min_sigma_eig=0.15)
+        rho = mc.random_density(np.random.default_rng(32), 3, floor=0.1)
+        calls = [
+            lambda: dv.sandwiched_renyi(rho, G.sigma, alpha),
+            lambda: dv.relative_entropy(rho, G.sigma),
+            lambda: dv.functional_derivative(rho, G.sigma, alpha),
+            lambda: dv.fisher_information(rho, G.sigma, alpha, G),
+        ]
+        assert [eigensolves(c) for c in calls] == [3, 3, 3, 3]

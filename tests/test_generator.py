@@ -5,6 +5,7 @@ import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
 from renyiflow.errors import ValidationError
 from renyiflow.generator import (
+    Generator,
     JumpTerm,
     build_gns,
     check_primitive,
@@ -266,6 +267,23 @@ class TestSpectralGap:
         G = random_gns_generator(rng, 3, min_sigma_eig=0.1)
         direct = np.sort(np.linalg.eigvals(-G.L_super).real)
         assert np.max(np.abs(direct - spectral_gap(G).spectrum)) <= 1e-8 * direct[-1]
+
+    def test_non_kms_generator_refused(self):
+        # stationary and primitive, but the Hamiltonian part makes -L
+        # non-normal in the weighted inner product (spectrum 1 +- 1.6i); its
+        # Hermitian part would report a gap of 1
+        sigma = np.diag([0.3, 0.7]).astype(complex)
+        ham = 0.8j * (np.kron(np.eye(2), SZ) - np.kron(SZ.T, np.eye(2)))
+        G = Generator(sigma, depolarizing_generator(1.0, sigma).L_super + ham)
+        assert G.primitivity.primitive
+        assert np.linalg.norm(G.apply_Ldag(sigma)) <= 1e-12
+        with pytest.raises(ValidationError, match="not self-adjoint"):
+            G.gap
+
+    def test_kms_balanced_generator_keeps_its_gap(self, counterexample):
+        # not GNS-balanced, but self-adjoint in the half-weighted inner
+        # product, which is all the symmetrization needs
+        assert spectral_gap(counterexample).value > 0.0
 
 
 class TestJumpTermSemantics:

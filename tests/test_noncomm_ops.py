@@ -6,7 +6,13 @@ import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
 from renyiflow.errors import DomainError, SingularityError
 
-from .oracles import mop_inverse_quadrature, mop_quadrature
+from .oracles import (
+    functional_derivative_by_matrix_powers,
+    mop_inverse_quadrature,
+    mop_quadrature,
+    norm_functional_by_state,
+    sandwiched_renyi_by_matrix_powers,
+)
 
 
 class TestSandwichAndModular:
@@ -208,6 +214,49 @@ class TestRenyiMultiplier:
                 assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
 
 
+class TestSandwichedState:
+    """The one kernel behind D_alpha, its derivative and the norm
+    functional, against the per-function formulas it replaced."""
+
+    ORDERS = [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0]
+
+    @pytest.fixture(params=[2, 3, 4])
+    def pair(self, request):
+        r = np.random.default_rng(700 + request.param)
+        return mc.random_density(r, request.param, floor=0.05), mc.random_density(r, request.param, floor=0.1)
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_divergence_matches_oracle(self, pair, alpha):
+        rho, sigma = pair
+        D = nco.sandwiched_state(rho, mc.density_spectrum(sigma), alpha).divergence()
+        assert D == pytest.approx(sandwiched_renyi_by_matrix_powers(rho, sigma, alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_derivative_matches_oracle(self, pair, alpha):
+        rho, sigma = pair
+        fd = nco.sandwiched_state(rho, mc.density_spectrum(sigma), alpha).derivative()
+        ref = functional_derivative_by_matrix_powers(rho, sigma, alpha)
+        assert np.linalg.norm(fd - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_stacked_norm_functional_matches_oracle(self, pair):
+        rho, sigma = pair
+        r = np.random.default_rng(rho.shape[0])
+        # at order 1 the functional is log tr rho = 0, with no relative scale
+        beta = np.array([b for b in self.ORDERS if b != 1.0])
+        states = np.array([mc.hermitize(0.6 * rho + 0.4 * mc.random_density(r, rho.shape[0])) for _ in beta])
+        stacked = nco.sandwiched_state(states, mc.density_spectrum(sigma), beta)
+        assert stacked.Z.shape == beta.shape
+        ref = [norm_functional_by_state(s, sigma, b) for s, b in zip(states, beta)]
+        np.testing.assert_allclose(np.log(stacked.Z) / beta, ref, rtol=1e-12, atol=0.0)
+
+    def test_one_eigensolve(self, pair, eigensolves):
+        rho, sigma = pair
+        sigma_dec = mc.density_spectrum(sigma)
+        assert eigensolves(lambda: nco.sandwiched_state(rho, sigma_dec, 2.5)) == 1
+        stack = np.array([rho, sigma, rho])
+        assert eigensolves(lambda: nco.sandwiched_state(stack, sigma_dec, np.array([1.5, 2.0, 3.0]))) == 1
+
+
 class TestMultiplierStack:
     """One multiplier family over several frequencies acts row by row."""
 
@@ -237,10 +286,10 @@ class TestMultiplierStack:
             assert np.linalg.norm(row - single) <= 1e-12 * max(1.0, np.linalg.norm(single))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
-    def test_functional_derivative_matches_divergence_module(self, family_inputs, alpha):
+    def test_family_derivative_matches_oracle(self, family_inputs, alpha):
         rho, sigma, omegas, _ = family_inputs
-        fd = nco.renyi_multiplier(rho, sigma, omegas, alpha).functional_derivative()
-        ref = dv.functional_derivative(rho, sigma, alpha)
+        fd = nco.renyi_multiplier(rho, sigma, omegas, alpha).state.derivative()
+        ref = functional_derivative_by_matrix_powers(rho, sigma, alpha)
         assert np.linalg.norm(fd - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.7])

@@ -1,6 +1,7 @@
 """Edge-path coverage: degenerate spectra, rank-deficient states, step
 recovery, large-dimension sanity, and file-based CLI inputs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -54,6 +55,23 @@ class TestRankDeficientStates:
             tab = flow.divergence_trace(traj, [2.0])
         assert len(tab.times) == len(traj.times) - 1
         assert np.all(np.diff(tab.D[0]) <= 1e-9)
+
+    def test_trajectory_records_each_smallest_eigenvalue(self, qubit_xz):
+        pure = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        traj = flow.integrate(qubit_xz, pure, 0.5, 0.002, store_every=25)
+        ref = [np.linalg.eigvalsh(s)[0] for s in traj.states]
+        np.testing.assert_allclose(traj.min_eigenvalues, ref, rtol=0.0, atol=1e-15)
+
+    def test_trace_prunes_from_the_recorded_eigenvalues(self, qubit_xz, eigensolves):
+        rho0 = mc.hermitize(0.9 * qubit_xz.sigma + 0.1 * np.diag([1.0, 0.0]))
+        traj = flow.integrate(qubit_xz, rho0, 0.5, 0.01, store_every=10)
+        marked = traj.min_eigenvalues.copy()
+        marked[2] = 0.0
+        with pytest.warns(UserWarning, match="pruned 1 "):
+            tab = flow.divergence_trace(dataclasses.replace(traj, min_eigenvalues=marked), [2.0])
+        assert tab.times.tolist() == np.delete(traj.times, 2).tolist()
+        # three eigensolves per divergence and per Fisher information, none per state
+        assert eigensolves(lambda: flow.divergence_trace(traj, [0.5, 2.0])) == 12 * len(traj.times)
 
     def test_divergence_small_order_with_singular_rho(self, rng):
         # alpha < 1 stays finite for rank-deficient states
