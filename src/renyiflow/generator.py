@@ -132,8 +132,9 @@ class Generator:
         label: str = "",
     ):
         self.n = round(np.sqrt(np.shape(L_super)[0]))
-        self.sigma = None if sigma is None else mc.require_hermitian(sigma, name="sigma")
-        self.sigma_dec = None if sigma is None else mc.density_spectrum(self.sigma, strict=True, name="sigma")
+        self.sigma_dec = None if sigma is None else mc.density_spectrum(sigma, strict=True, name="sigma")
+        # the Hermitian part that density_spectrum validated and decomposed
+        self.sigma = None if sigma is None else mc.hermitize(np.asarray(sigma, dtype=complex))
         self.L_super = np.asarray(L_super, dtype=complex)
         self.Ldag_super = np.ascontiguousarray(self.L_super.conj().T)
         self.terms = list(terms) if terms else None

@@ -94,15 +94,6 @@ class SpectralDecomposition:
         return (self.vectors * w[..., None, :]) @ self.vectors.conj().swapaxes(-1, -2)
 
 
-def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDecomposition:
-    """Validate a density matrix as `require_density` does, from the plain
-    `np.linalg.eigh` decomposition it returns (arbitrary eigenvector phases)."""
-    A = require_hermitian(A, name=name)
-    dec = SpectralDecomposition(*np.linalg.eigh(A))
-    _check_density(A, float(dec.values[0]), strict, name)
-    return dec
-
-
 def _fix_phase(column: np.ndarray) -> np.ndarray:
     mags = np.abs(column)
     idx = int(np.argmax(mags > 1e-12 * max(mags.max(), 1e-300)))
@@ -119,7 +110,10 @@ def eig_hermitian(A, tol: float = TOL_HERM) -> SpectralDecomposition:
     component phase-fixed to be real positive; exact ties are ordered by
     lexicographic comparison of the phase-fixed eigenvector entries.
     """
-    A = require_hermitian(A, tol=tol)
+    return _phase_fixed_eigh(require_hermitian(A, tol=tol))
+
+
+def _phase_fixed_eigh(A: np.ndarray) -> SpectralDecomposition:
     w, U = np.linalg.eigh(A)
     U = np.column_stack([_fix_phase(U[:, k]) for k in range(U.shape[1])])
     # deterministic order inside (numerically) degenerate groups
@@ -138,6 +132,15 @@ def eig_hermitian(A, tol: float = TOL_HERM) -> SpectralDecomposition:
             order[k:j] = order[k:j][np.lexsort(np.array(keys).T[::-1])]
         k = j
     return SpectralDecomposition(values=w[order].copy(), vectors=U[:, order].copy())
+
+
+def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDecomposition:
+    """Validate a density matrix as `require_density` does, from the
+    `eig_hermitian` decomposition it returns."""
+    A = require_hermitian(A, name=name)
+    dec = _phase_fixed_eigh(A)
+    _check_density(A, float(dec.values[0]), strict, name)
+    return dec
 
 
 def matrix_function(

@@ -68,10 +68,16 @@ class KernelOperator:
         return W @ np.diag(mc.vec(self.kernel)) @ W.conj().T
 
 
+def _require_positive(values: np.ndarray, name: str) -> np.ndarray:
+    """Ascending eigenvalues, checked strictly positive."""
+    if values[0] <= 0.0:
+        raise SingularityError(f"{name}: not strictly positive (min eigenvalue {values[0]:.3e})")
+    return values
+
+
 def _positive_spectrum(X, name: str = "X") -> mc.SpectralDecomposition:
     dec = mc.eig_hermitian(X)
-    if dec.values[0] <= 0.0:
-        raise SingularityError(f"{name}: not strictly positive (min eigenvalue {dec.values[0]:.3e})")
+    _require_positive(dec.values, name)
     return dec
 
 
@@ -184,10 +190,7 @@ class SandwichedState:
     Z: float | np.ndarray
 
     def positive_values(self) -> np.ndarray:
-        lam = self.dec.values
-        if lam[0] <= 0.0:
-            raise SingularityError(f"sandwiched state: not strictly positive (min eigenvalue {lam[0]:.3e})")
-        return lam
+        return _require_positive(self.dec.values, "sandwiched state")
 
     def divergence(self) -> float:
         """D_alpha = log Z / (alpha-1); tr rho (log rho - log sigma) at alpha = 1."""
@@ -257,11 +260,11 @@ class RenyiMultiplier:
         return (self.state.alpha / self.state.Z) * (Q @ B @ Q)
 
 
-def renyi_multiplier(rho, sigma, omega, alpha: float) -> RenyiMultiplier:
+def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: float) -> RenyiMultiplier:
     """Build the order-alpha multiplication operator for strictly positive rho.
 
-    `sigma` is a full-rank state, or the `mc.density_spectrum` that
-    validated one (a generator's `sigma_dec`).  `omega` is one Bohr
+    `sigma_dec` is the `mc.density_spectrum` that validated a full-rank
+    sigma (a generator's `sigma_dec`).  `omega` is one Bohr
     frequency or an array of them; the family shares one sandwiched state,
     and only the entrywise kernel depends on the frequency.  At alpha = 1
     it reduces to the twisted multiplier of rho itself; at alpha = 2 it is
@@ -270,16 +273,13 @@ def renyi_multiplier(rho, sigma, omega, alpha: float) -> RenyiMultiplier:
     if alpha <= 0.0:
         raise DomainError(f"order alpha={alpha} must be positive")
     omega = np.asarray(omega, dtype=float)
-    sig = sigma
-    if not isinstance(sig, mc.SpectralDecomposition):
-        sig = mc.density_spectrum(sigma, strict=True, name="sigma")
-    state = sandwiched_state(rho, sig, alpha)
+    state = sandwiched_state(rho, sigma_dec, alpha)
     alpha, lam = state.alpha, state.positive_values()
     m_num = _log_mean_kernel(lam, omega / alpha)
     m_den = _log_mean_kernel(lam ** (alpha - 1.0), (alpha - 1.0) * omega / alpha)
     return RenyiMultiplier(
         state=state,
-        outer_inv=mc.hermitize(sig.reconstruct(sig.values ** ((alpha - 1.0) / alpha / 2.0))),
+        outer_inv=mc.hermitize(sigma_dec.reconstruct(sigma_dec.values ** ((alpha - 1.0) / alpha / 2.0))),
         kernel_op=KernelOperator(lam, state.dec.vectors, m_num / m_den),
     )
 

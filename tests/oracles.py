@@ -142,7 +142,7 @@ def metric_tensor_by_term(G, rho, alpha, nu1, nu2):
     """Transport metric pairing built term by term: one order-alpha
     multiplier per Bohr frequency, list-based jump commutators, and the
     flux operator's Gram matrix from d^2 Hilbert-Schmidt products."""
-    mults = [nco.renyi_multiplier(rho, G.sigma, t.omega, alpha) for t in G.terms]
+    mults = [nco.renyi_multiplier(rho, G.sigma_dec, t.omega, alpha) for t in G.terms]
 
     def gradient(A):
         return [t.V @ A - A @ t.V for t in G.terms]

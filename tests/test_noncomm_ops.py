@@ -165,17 +165,19 @@ class TestGradientDivergence:
 class TestRenyiMultiplier:
     def test_order_one_reduces_to_state_multiplier(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
+        sigma_dec = mc.density_spectrum(sigma, strict=True)
         rho = mc.random_density(rng, 3, floor=0.1)
         A = mc.random_complex(rng, 3)
-        M = nco.renyi_multiplier(rho, sigma, 0.8, 1.0)
+        M = nco.renyi_multiplier(rho, sigma_dec, 0.8, 1.0)
         direct = nco.log_mean_multiplier(rho, 0.8)
         assert np.linalg.norm(M.apply(A) - direct.apply(A)) <= 1e-10 * np.linalg.norm(A)
 
     def test_order_two_is_scaled_weighting(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
+        sigma_dec = mc.density_spectrum(sigma, strict=True)
         rho = mc.random_density(rng, 3, floor=0.1)
         A = mc.random_complex(rng, 3)
-        M = nco.renyi_multiplier(rho, sigma, -1.1, 2.0)
+        M = nco.renyi_multiplier(rho, sigma_dec, -1.1, 2.0)
         si = mc.matrix_power(sigma, -0.5)
         Z = np.trace(si @ rho @ si @ rho).real
         expected = 0.5 * Z * nco.sandwich_pow(sigma, 1.0, A)
@@ -183,18 +185,20 @@ class TestRenyiMultiplier:
 
     def test_adjoint_relation(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
+        sigma_dec = mc.density_spectrum(sigma, strict=True)
         rho = mc.random_density(rng, 3, floor=0.1)
         A = mc.random_complex(rng, 3)
         for a in (0.5, 1.5, 3.0):
-            lhs = nco.renyi_multiplier(rho, sigma, 0.9, a).apply(A).conj().T
-            rhs = nco.renyi_multiplier(rho, sigma, -0.9, a).apply(A.conj().T)
+            lhs = nco.renyi_multiplier(rho, sigma_dec, 0.9, a).apply(A).conj().T
+            rhs = nco.renyi_multiplier(rho, sigma_dec, -0.9, a).apply(A.conj().T)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
     def test_inverse_round_trip(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
+        sigma_dec = mc.density_spectrum(sigma, strict=True)
         rho = mc.random_density(rng, 3, floor=0.1)
         A = mc.random_complex(rng, 3)
-        M = nco.renyi_multiplier(rho, sigma, 0.4, 1.7)
+        M = nco.renyi_multiplier(rho, sigma_dec, 0.4, 1.7)
         assert np.linalg.norm(M.inverse_apply(M.apply(A)) - A) <= 1e-9 * np.linalg.norm(A)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
@@ -208,7 +212,7 @@ class TestRenyiMultiplier:
             rho = mc.random_density(rng, 3, floor=0.1)
             fd = dv.functional_derivative(rho, G.sigma, alpha)
             for t in G.terms:
-                M = nco.renyi_multiplier(rho, G.sigma, t.omega, alpha)
+                M = nco.renyi_multiplier(rho, G.sigma_dec, t.omega, alpha)
                 lhs = M.apply(t.V @ fd - fd @ t.V)
                 rhs = np.exp(-t.omega / 2.0) * t.V @ rho - np.exp(t.omega / 2.0) * rho @ t.V
                 assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
@@ -279,37 +283,42 @@ class TestMultiplierStack:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
     def test_apply_matches_single_frequency(self, family_inputs, alpha):
         rho, sigma, omegas, stack = family_inputs
-        out = nco.renyi_multiplier(rho, sigma, omegas, alpha).apply(stack)
+        sigma_dec = mc.density_spectrum(sigma, strict=True)
+        out = nco.renyi_multiplier(rho, sigma_dec, omegas, alpha).apply(stack)
         assert out.shape == stack.shape
         for om, A, row in zip(omegas, stack, out):
-            single = nco.renyi_multiplier(rho, sigma, om, alpha).apply(A)
+            single = nco.renyi_multiplier(rho, sigma_dec, om, alpha).apply(A)
             assert np.linalg.norm(row - single) <= 1e-12 * max(1.0, np.linalg.norm(single))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
     def test_functional_derivative_matches_divergence_module(self, family_inputs, alpha):
         rho, sigma, omegas, _ = family_inputs
-        fd = nco.renyi_multiplier(rho, sigma, omegas, alpha).state.derivative()
+        sigma_dec = mc.density_spectrum(sigma, strict=True)
+        fd = nco.renyi_multiplier(rho, sigma_dec, omegas, alpha).state.derivative()
         ref = dv.functional_derivative(rho, sigma, alpha)
         assert np.linalg.norm(fd - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
     def test_family_derivative_matches_oracle(self, family_inputs, alpha):
         rho, sigma, omegas, _ = family_inputs
-        fd = nco.renyi_multiplier(rho, sigma, omegas, alpha).state.derivative()
+        sigma_dec = mc.density_spectrum(sigma, strict=True)
+        fd = nco.renyi_multiplier(rho, sigma_dec, omegas, alpha).state.derivative()
         ref = functional_derivative_by_matrix_powers(rho, sigma, alpha)
         assert np.linalg.norm(fd - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.7])
     def test_inverse_round_trip(self, family_inputs, alpha):
         rho, sigma, omegas, stack = family_inputs
-        M = nco.renyi_multiplier(rho, sigma, omegas, alpha)
+        sigma_dec = mc.density_spectrum(sigma, strict=True)
+        M = nco.renyi_multiplier(rho, sigma_dec, omegas, alpha)
         back = M.inverse_apply(M.apply(stack))
         assert np.linalg.norm(back - stack) <= 1e-9 * np.linalg.norm(stack)
 
     def test_scalar_frequency_keeps_matrix_shape(self, family_inputs):
         rho, sigma, _, stack = family_inputs
+        sigma_dec = mc.density_spectrum(sigma, strict=True)
         n = rho.shape[0]
-        M = nco.renyi_multiplier(rho, sigma, 0.3, 1.5)
+        M = nco.renyi_multiplier(rho, sigma_dec, 0.3, 1.5)
         assert M.kernel_op.kernel.shape == (n, n)
         assert M.apply(stack[0]).shape == (n, n)
         assert M.inverse_apply(stack[0]).shape == (n, n)
@@ -317,8 +326,9 @@ class TestMultiplierStack:
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
     def test_adjoint_relation_row_by_row(self, family_inputs, alpha):
         rho, sigma, omegas, stack = family_inputs
-        lhs = nco.renyi_multiplier(rho, sigma, omegas, alpha).apply(stack).conj().swapaxes(-1, -2)
-        rhs = nco.renyi_multiplier(rho, sigma, -omegas, alpha).apply(stack.conj().swapaxes(-1, -2))
+        sigma_dec = mc.density_spectrum(sigma, strict=True)
+        lhs = nco.renyi_multiplier(rho, sigma_dec, omegas, alpha).apply(stack).conj().swapaxes(-1, -2)
+        rhs = nco.renyi_multiplier(rho, sigma_dec, -omegas, alpha).apply(stack.conj().swapaxes(-1, -2))
         for l_row, r_row in zip(lhs, rhs):
             assert np.linalg.norm(l_row - r_row) <= 1e-10 * max(1.0, np.linalg.norm(r_row))
 
