@@ -30,8 +30,8 @@ def check_gns(G: Generator) -> float:
 def check_kms(G: Generator) -> float:
     """Relative Frobenius defect of conjugating the state-space generator
     by the half-power weighting back onto the observable-side generator."""
-    g = mc.sandwich_superop(mc.matrix_power(G.sigma, 0.5))
-    gi = mc.sandwich_superop(mc.matrix_power(G.sigma, -0.5))
+    g = mc.sandwich_superop(G.sigma_dec.power(0.5))
+    gi = mc.sandwich_superop(G.sigma_dec.power(-0.5))
     resid = gi @ G.Ldag_super @ g - G.L_super
     return float(np.linalg.norm(resid) / max(np.linalg.norm(G.L_super), 1e-300))
 
@@ -39,11 +39,11 @@ def check_kms(G: Generator) -> float:
 def srd_residual(G: Generator, alpha: float) -> float:
     """Trace-norm defect of the order-alpha weighted self-adjointness,
     relative to the generator's own trace norm."""
-    W = nco.weight_operator(G.sigma, alpha)
+    W = nco.weight_operator(G.sigma_dec, alpha)
     S_W = W.superop()
     S_Winv = W.inverse().superop()
     resid = S_W @ G.L_super @ S_Winv - G.Ldag_super
-    return float(mc.superop_trace_norm(resid) / max(mc.superop_trace_norm(G.L_super), 1e-300))
+    return float(mc.trace_norm(resid) / max(mc.trace_norm(G.L_super), 1e-300))
 
 
 def check_srd(G: Generator, alphas) -> dict[float, float]:

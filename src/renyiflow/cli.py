@@ -81,16 +81,16 @@ def parse_alphas(spec: str) -> list[float]:
         if len(parts) != 3:
             raise DomainError(f"range syntax is start:stop:step, got {spec!r}")
         start, stop, step = (_number(p, "alpha range") for p in parts)
-        if step <= 0:
-            raise DomainError(f"range step must be positive in {spec!r}")
+        if not np.all(np.isfinite([start, stop, step])) or step <= 0:
+            raise DomainError(f"range needs finite bounds and a positive step in {spec!r}")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         vals = [start + k * step for k in range(count)]
     else:
         vals = [_number(p, "alpha") for p in spec.split(",") if p.strip()]
     if not vals:
         raise DomainError(f"empty alpha list {spec!r}")
-    if any(a <= 0.0 for a in vals):
-        raise DomainError(f"alpha values must be positive in {spec!r}")
+    if not all(a > 0.0 for a in vals):
+        raise DomainError(f"alpha values must be positive numbers in {spec!r}")
     return vals
 
 
@@ -168,7 +168,10 @@ def load_rho0(spec: str, G: Generator, seed: int) -> np.ndarray:
         return mc.hermitize((1.0 - delta) * G.sigma + delta * w)
     if os.path.exists(spec):
         with open(spec) as fh:
-            return mc.require_density(mc.matrix_from_csv_block(fh.read())[1], name=spec)
+            rho = mc.require_density(mc.matrix_from_csv_block(fh.read())[1], name=spec)
+        if rho.shape != (G.n, G.n):
+            raise ValidationError(f"{spec}: shape {rho.shape} does not match the generator's ({G.n}, {G.n})")
+        return rho
     raise ValidationError(f"unrecognized rho0 spec {spec!r}")
 
 
@@ -215,8 +218,6 @@ def cmd_simulate(args) -> int:
     G = load_generator(args.generator)
     rho0 = load_rho0(args.rho0, G, args.seed)
     alphas = parse_alphas(args.alphas)
-    if args.dt <= 0:
-        raise DomainError(f"dt={args.dt} must be positive")
     store = max(1, args.store_every)
     traj = flow.integrate(G, rho0, args.t_end, args.dt, store_every=store)
     table = flow.divergence_trace(traj, alphas)
@@ -249,7 +250,7 @@ def cmd_constants(args) -> int:
 
 def cmd_compare(args) -> int:
     G = load_generator(args.generator)
-    smin = float(np.linalg.eigvalsh(G.sigma)[0])
+    smin = float(G.sigma_dec.values[0])
     eps = args.eps if args.eps is not None else flow.default_comparison_eps(smin)
     if args.rho0 == "auto":
         rho0 = _shrink_to_entropy(G, eps, args.seed)

@@ -9,7 +9,8 @@ All quantities are reported in nats.  The reference state sigma must be
 strictly positive, which makes every divergence finite.  Each public
 function validates its states once; the sandwiched divergence, the
 relative entropy and the functional derivative are then read from one
-`noncomm_ops.sandwiched_state`.
+`noncomm_ops.sandwiched_state`.  The Fisher information reads sigma from
+its generator, once the sigma passed in matches the generator's.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ class DivergenceValue:
 
 
 def _sandwiched(rho, sigma, alpha: float, strict: bool = False) -> nco.SandwichedState:
-    """Validate the order and both states, then form their sandwiched state;
-    sigma is validated by the decomposition that supplies its powers."""
-    if alpha <= 0.0:
-        raise DomainError(f"order alpha={alpha} must be positive")
+    """Validate both states, then form their sandwiched state (which checks
+    the order); sigma is validated by the decomposition that supplies its
+    powers."""
     rho = mc.require_density(rho, strict=strict, name="rho")
     sigma_dec = mc.density_spectrum(sigma, strict=True, name="sigma")
     return nco.sandwiched_state(rho, sigma_dec, alpha)
@@ -63,7 +63,7 @@ def petz_renyi(rho, sigma, alpha: float) -> float:
 
     Coincides with the sandwiched divergence for commuting states.
     """
-    if alpha <= 0.0 or alpha == 1.0:
+    if not 0.0 < alpha < np.inf or alpha == 1.0:
         raise DomainError(f"Petz order alpha={alpha} must lie in (0,1) or (1,inf)")
     rho = mc.require_density(rho, strict=alpha > 1.0, name="rho")
     sigma = mc.require_density(sigma, strict=True, name="sigma")
@@ -102,8 +102,7 @@ def fisher_information(rho, sigma, alpha: float, G) -> float:
     drift; non-negative for detailed-balance generators, and equal to the
     entropy-production rate along the flow.
     """
-    if G.sigma is None or np.linalg.norm(np.asarray(sigma, dtype=complex) - G.sigma) > 1e-10:
+    if np.linalg.norm(np.asarray(sigma, dtype=complex) - G.sigma) > 1e-10:
         raise ValidationError("sigma does not match the generator's stationary state")
-    fd = functional_derivative(rho, sigma, alpha)
-    drift = G.apply_Ldag(rho)
-    return float(-np.real(mc.hs_inner(fd, drift)))
+    state = nco.sandwiched_state(mc.require_density(rho, strict=True, name="rho"), G.sigma_dec, alpha)
+    return state.fisher(G.apply_Ldag(rho))

@@ -39,6 +39,12 @@ class Trajectory:
         return self.states[-1]
 
 
+def _require_dim(A: np.ndarray, n: int, name: str) -> np.ndarray:
+    if A.shape != (n, n):
+        raise StructuralError(f"{name}: shape {A.shape} does not match the generator's ({n}, {n})")
+    return A
+
+
 def _project(rho: np.ndarray) -> np.ndarray:
     rho = mc.hermitize(rho)
     return rho / np.trace(rho).real
@@ -66,11 +72,13 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
     state's smallest eigenvalue, kept on the trajectory; one below
     -POSITIVITY_TOL raises IntegrationError.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt={dt} must be positive")
+    if not 0.0 < dt < np.inf:
+        raise DomainError(f"dt={dt} must be positive and finite")
+    if not 0.0 <= t_end < np.inf:
+        raise DomainError(f"t_end={t_end} must be non-negative and finite")
     if store_every < 1:
         raise DomainError(f"store_every={store_every} must be at least 1")
-    states = [mc.require_density(rho0, name="rho0")]
+    states = [_require_dim(mc.require_density(rho0, name="rho0"), G.n, "rho0")]
     times = np.array([0.0])
     if t_end > 0.0:
         n_steps = max(1, int(np.ceil(t_end / dt - 1e-9)))
@@ -169,12 +177,6 @@ def fit_decay_rate(times, values, tail_fraction: float = 0.3) -> DecayFit:
 # --- gradient-flow identity and metric tensor ----------------------------------
 
 
-def _require_dim(A: np.ndarray, n: int, name: str) -> np.ndarray:
-    if A.shape != (n, n):
-        raise StructuralError(f"{name}: shape {A.shape} does not match the generator's ({n}, {n})")
-    return A
-
-
 def gradient_flow_residual(G: Generator, rho, alpha: float) -> float:
     """Relative defect between the metric-flux form of the flow and the
     generator's drift; zero in exact arithmetic for detailed-balance
@@ -249,8 +251,8 @@ def poincare_check(G: Generator, A, slack: float = 1e-10) -> InequalityCheck:
     if abs(mean) > 1e-10 * max(1.0, float(np.linalg.norm(A))):
         warnings.warn(f"projecting out nonzero sigma-mean {mean!r}")
         A = A - mean * np.eye(G.n)
-    lhs = float(np.real(mc.weighted_inner(A, -G.apply_L(A), G.sigma, 0.5)))
-    rhs = G.gap.value * float(np.real(mc.weighted_inner(A, A, G.sigma, 0.5)))
+    lhs = float(np.real(mc.weighted_inner(A, -G.apply_L(A), G.sigma_dec, 0.5)))
+    rhs = G.gap.value * float(np.real(mc.weighted_inner(A, A, G.sigma_dec, 0.5)))
     return InequalityCheck(lhs=lhs, rhs=rhs, passed=lhs >= rhs - slack)
 
 
@@ -282,13 +284,13 @@ def generic_initial_state(
     crossover time bounded for any draw.
     """
     nu = gap_eigen_direction(G)
-    X = mc.hermitize(nco.sandwich_pow(G.sigma, 1.0, nu))
+    X = mc.hermitize(nco.sandwich_pow(G.sigma_dec, 1.0, nu))
     X -= (np.trace(X).real / G.n) * np.eye(G.n)
     X /= np.linalg.norm(X)
     W = mc.random_traceless_hermitian(rng, G.n)
     pert = X + mix * W / np.linalg.norm(W)
     pert /= float(np.max(np.abs(np.linalg.eigvalsh(pert))))
-    smin = float(np.linalg.eigvalsh(G.sigma)[0])
+    smin = float(G.sigma_dec.values[0])
     return mc.hermitize(G.sigma + margin * smin * pert)
 
 
@@ -346,36 +348,31 @@ class ConstantsReport:
         return out
 
     def as_dict(self) -> dict:
-        return {
-            "lambda_L": self.lambda_L,
-            "K_lower": self.K_lower,
-            "K_upper": self.K_upper,
-            "K2_lower": self.K2_lower,
-            "K_est": self.K_est,
-            "K2_est": self.K2_est,
-            "kappa1_est": self.kappa1_est,
-            "kappa2_est": self.kappa2_est,
-            "t2_bound_at_1_over_e": float(self.t2_bound(np.exp(-1.0))),
-            "violations": self.violations(),
-        }
+        out = {k: getattr(self, k) for k in (
+            "lambda_L", "K_lower", "K_upper", "K2_lower", "K_est", "K2_est", "kappa1_est", "kappa2_est",
+        )}
+        out.update(t2_bound_at_1_over_e=float(self.t2_bound(np.exp(-1.0))), violations=self.violations())
+        return out
 
 
 def _lsi_objectives(G: Generator, denom_floor: float = 1e-8):
     # ratios become 0/0 at the stationary state; below `denom_floor` the
     # evaluation is rounding noise, and that neighborhood is covered by the
-    # extrapolated directional limits instead
-    sigma = G.sigma
-    si = mc.matrix_power(sigma, -0.5)
+    # extrapolated directional limits instead.  D and the Fisher
+    # information are read from one sandwiched state.
+    sig = G.sigma_dec
+    si = sig.power(-0.5)
 
     def k_obj(rho, alpha):
-        D = dv.sandwiched_renyi(rho, sigma, alpha).value
+        state = nco.sandwiched_state(mc.require_density(rho, strict=True, name="rho"), sig, alpha)
+        D = state.divergence()
         if D <= denom_floor:
             return np.inf
-        return dv.fisher_information(rho, sigma, alpha, G) / (2.0 * D)
+        return state.fisher(G.apply_Ldag(rho)) / (2.0 * D)
 
     def kappa_obj(rho, alpha):
         X = mc.hermitize(si @ rho @ si)
-        ent = nco.ent_fun(sigma, alpha, X)
+        ent = nco.ent_fun(sig, alpha, X)
         if ent <= denom_floor:
             return np.inf
         return nco.dirichlet_form(G, alpha, X) / ent
@@ -467,7 +464,8 @@ def lsi_constants(
     # (unguarded) objectives are safe here: the states are controlled.
     raw = _lsi_objectives(G, denom_floor=1e-13)
     nu = gap_eigen_direction(G)
-    nu = nco.log_mean_multiplier(G.sigma, 0.0).apply(nu)
+    sig = G.sigma_dec
+    nu = nco.KernelOperator(sig.values, sig.vectors, nco._log_mean_kernel(sig.values, 0.0)).apply(nu)
     nu = mc.hermitize(nu - (np.trace(nu) / G.n) * np.eye(G.n))
     nu /= np.linalg.norm(nu)
     eps = 1e-3 * smin
@@ -517,23 +515,17 @@ def _delay_time(alpha0: float, alpha1: float, K: float, eta: float) -> float:
     return float(np.log((alpha1 - 1.0) / (alpha0 - 1.0)) / (2.0 * K * eta))
 
 
-def _constants(
-    alpha0: float, alpha1: float, eps: float, sigma_values: np.ndarray, omegas, K: float
+def comparison_constants(
+    alpha0: float, alpha1: float, eps: float, sigma_dec: mc.SpectralDecomposition, omegas, K: float
 ) -> tuple[float, float, float]:
-    if not 1.0 < alpha0 <= alpha1:
-        raise DomainError(f"need 1 < alpha0 <= alpha1, got ({alpha0}, {alpha1})")
+    """Closed-form (Lambda, eta, T) of the order-comparison construction,
+    from sigma's validated decomposition."""
+    if not 1.0 < alpha0 <= alpha1 < np.inf:
+        raise DomainError(f"need 1 < alpha0 <= alpha1 < inf, got ({alpha0}, {alpha1})")
     if K <= 0.0:
         raise DomainError(f"K={K} must be positive")
-    Lam, eta = _lambda_eta(alpha0, eps, sigma_values, omegas)
+    Lam, eta = _lambda_eta(alpha0, eps, sigma_dec.values, omegas)
     return Lam, eta, _delay_time(alpha0, alpha1, K, eta)
-
-
-def comparison_constants(
-    alpha0: float, alpha1: float, eps: float, sigma, omegas, K: float
-) -> tuple[float, float, float]:
-    """Closed-form (Lambda, eta, T) of the order-comparison construction."""
-    w = mc.density_spectrum(sigma, strict=True).values
-    return _constants(alpha0, alpha1, eps, w, omegas, K)
 
 
 @dataclass(frozen=True)
@@ -607,16 +599,6 @@ class HyperTrace:
     final: np.ndarray  # the flowed state at the end of the delay window
 
 
-def _check_initial_entropy(G: Generator, smin: float, rho0, eps: float) -> None:
-    if not 0.0 < eps < smin**2 / 2.0:
-        raise DomainError(f"eps={eps} outside (0, lambda_min^2/2 = {smin**2 / 2.0:.3e})")
-    D0 = dv.relative_entropy(rho0, G.sigma)
-    if D0 > eps:
-        raise ValidationError(
-            f"initial relative entropy {D0:.3e} exceeds the required bound eps={eps:.3e}"
-        )
-
-
 def hypercontractivity_monitor(
     G: Generator,
     rho0,
@@ -635,13 +617,19 @@ def hypercontractivity_monitor(
     numerical violation.  The flow is integrated once, over the whole
     window; its final state is returned with the samples.
     """
-    if not 1.0 < alpha0 <= alpha1:
-        raise DomainError(f"need 1 < alpha0 <= alpha1, got ({alpha0}, {alpha1})")
+    if not 1.0 < alpha0 <= alpha1 < np.inf:
+        raise DomainError(f"need 1 < alpha0 <= alpha1 < inf, got ({alpha0}, {alpha1})")
     if K <= 0.0 or eta <= 0.0:
         raise DomainError(f"K={K} and eta={eta} must be positive")
+    if n_samples < 1:
+        raise DomainError(f"n_samples={n_samples} must be at least 1")
     smin = float(G.sigma_dec.values[0])
     eps = default_comparison_eps(smin) if eps is None else eps
-    _check_initial_entropy(G, smin, rho0, eps)
+    if not 0.0 < eps < smin**2 / 2.0:
+        raise DomainError(f"eps={eps} outside (0, lambda_min^2/2 = {smin**2 / 2.0:.3e})")
+    D0 = dv.relative_entropy(rho0, G.sigma)
+    if D0 > eps:
+        raise ValidationError(f"initial relative entropy {D0:.3e} exceeds the required bound eps={eps:.3e}")
     T = _delay_time(alpha0, alpha1, K, eta)
     dt = suggested_dt(G)
     store = max(1, int(np.ceil(T / dt / n_samples)))
@@ -692,12 +680,11 @@ def comparison_check(
     functional non-increasing along the way.  The monitor's trajectory
     is the only integration: its final state gives the end divergence.
     """
-    w = G.sigma_dec.values
-    smin = float(w[0])
+    smin = float(G.sigma_dec.values[0])
     eps = default_comparison_eps(smin) if eps is None else eps
     if K is None:
         K = _guaranteed_lsi(G.gap.value, smin)
-    Lam, eta, T = _constants(alpha0, alpha1, eps, w, G.omegas, K)
+    Lam, eta, T = comparison_constants(alpha0, alpha1, eps, G.sigma_dec, G.omegas, K)
     trace = hypercontractivity_monitor(
         G, rho0, alpha0, alpha1, eta, K, eps=eps, n_samples=n_samples
     )

@@ -52,8 +52,6 @@ class JumpTerm:
 
 def _validate_terms(S: np.ndarray, Sinv: np.ndarray, terms: list[JumpTerm]) -> None:
     """Structure conditions (i)-(iv); S and Sinv are sigma and its inverse."""
-    if not terms:
-        raise ValidationError("generator needs at least one jump term")
     norms = [np.linalg.norm(t.V) for t in terms]
     for j, t in enumerate(terms):
         tr = abs(np.trace(t.V))
@@ -120,8 +118,9 @@ class Generator:
     adjoints by construction.  Immutable after construction; superoperator
     matrices use the package's column-stacking convention.  `terms` is
     present only for generators built from validated jump operators.
-    `sigma_dec` is the decomposition that validated sigma; every
-    phase-invariant function of sigma is read from it.
+    sigma is validated and decomposed here, once: `sigma_dec` is the
+    decomposition every function of sigma reads.  Reading `sigma` or
+    `sigma_dec` of a generator built without one raises ValidationError.
     """
 
     def __init__(
@@ -132,15 +131,32 @@ class Generator:
         label: str = "",
     ):
         self.n = round(np.sqrt(np.shape(L_super)[0]))
-        self.sigma_dec = None if sigma is None else mc.density_spectrum(sigma, strict=True, name="sigma")
-        # the Hermitian part that density_spectrum validated and decomposed
-        self.sigma = None if sigma is None else mc.hermitize(np.asarray(sigma, dtype=complex))
         self.L_super = np.asarray(L_super, dtype=complex)
         self.Ldag_super = np.ascontiguousarray(self.L_super.conj().T)
         self.terms = list(terms) if terms else None
         self.label = label
-        for arr in (self.L_super, self.Ldag_super):
+        frozen = [self.L_super, self.Ldag_super]
+        self._sigma = None
+        if sigma is not None:
+            dec = mc.density_spectrum(sigma, strict=True, name="sigma")
+            # the Hermitian part that density_spectrum validated and decomposed
+            self._sigma = (mc.hermitize(np.asarray(sigma, dtype=complex)), dec)
+            frozen += [self._sigma[0], dec.values, dec.vectors]
+        for arr in frozen:
             arr.setflags(write=False)
+
+    def _stationary(self) -> tuple[np.ndarray, mc.SpectralDecomposition]:
+        if self._sigma is None:
+            raise ValidationError(f"generator {self.label!r} needs a stationary state")
+        return self._sigma
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self._stationary()[0]
+
+    @property
+    def sigma_dec(self) -> mc.SpectralDecomposition:
+        return self._stationary()[1]
 
     def apply_L(self, A) -> np.ndarray:
         return mc.apply_superop(self.L_super, A)
@@ -205,14 +221,16 @@ def build_gns(sigma, terms: list[JumpTerm], label: str = "gns") -> Generator:
     adjoint), stationarity of sigma, self-adjointness in the fully weighted
     inner product, and commutation with the modular conjugation.
     """
-    sigma = mc.require_density(sigma, strict=True, name="sigma")
-    n = sigma.shape[0]
-    dec = mc.eig_hermitian(sigma)
-    S = dec.reconstruct()
-    Sinv = dec.reconstruct(1.0 / dec.values)
-    _validate_terms(S, Sinv, terms)
+    n = mc.as_matrix(sigma, "sigma").shape[0]
+    if not terms:
+        raise ValidationError("generator needs at least one jump term")
+    for j, t in enumerate(terms):
+        if t.V.shape != (n, n):
+            raise ValidationError(f"term {j}: V has shape {t.V.shape}, sigma has shape ({n}, {n})")
     G = Generator(sigma, _lindblad_superop(terms), terms=terms, label=label)
-    L_super = G.L_super
+    dec, sigma, L_super = G.sigma_dec, G.sigma, G.L_super
+    S, Sinv = dec.reconstruct(), dec.reconstruct(1.0 / dec.values)
+    _validate_terms(S, Sinv, terms)
     scale = max(np.linalg.norm(L_super), 1e-30)
 
     unital = np.linalg.norm(L_super @ mc.vec(np.eye(n)))
@@ -249,17 +267,16 @@ def from_schrodinger_map(Ldag_map, n: int, sigma=None, label: str = "raw") -> Ge
     return Generator(sigma, Ldag_super.conj().T, label=label)
 
 
-def eigen_jump_terms(sigma, weights=None) -> list[JumpTerm]:
-    """Canonical jump-term basis attached to a stationary state.
+def eigen_jump_terms(sigma_dec: mc.SpectralDecomposition, weights=None) -> list[JumpTerm]:
+    """Canonical jump-term basis attached to a stationary state, from the
+    `mc.density_spectrum` that validated it.
 
     Off-diagonal eigenprojector pairs |psi_k><psi_l| carry the Bohr
     frequency log(lam_l / lam_k); eigenvalues equal within relative 1e-10
     are grouped and get frequency zero, as do the n-1 traceless diagonal
     ladder operators.  `weights` optionally rescales each term.
     """
-    sigma = mc.require_density(sigma, strict=True, name="sigma")
-    dec = mc.eig_hermitian(sigma)
-    lam, U = dec.values, dec.vectors
+    lam, U = sigma_dec.values, sigma_dec.vectors
     n = lam.size
     group = np.zeros(n, dtype=int)
     for k in range(1, n):
@@ -324,8 +341,8 @@ def _symmetrized_generator(G: Generator) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian part of -L conjugated by the two-sided quarter-power
     weighting, together with sigma^(-1/4) for pulling eigenvectors back;
     a relative asymmetry above TOL_SELFADJOINT raises instead."""
-    q = mc.matrix_power(G.sigma, 0.25)
-    qi = mc.matrix_power(G.sigma, -0.25)
+    q = G.sigma_dec.power(0.25)
+    qi = G.sigma_dec.power(-0.25)
     S = mc.sandwich_superop(q) @ (-G.L_super) @ mc.sandwich_superop(qi)
     asym = np.linalg.norm(S - S.conj().T) / max(np.linalg.norm(S), 1e-300)
     if asym > TOL_SELFADJOINT:
@@ -342,11 +359,10 @@ def spectral_gap(G: Generator) -> SpectralGap:
     and diagonalized.  Eigenvalues below -1e-6 (relative) signal a
     detailed-balance violation.
     """
-    if G.sigma is None:
-        raise ValidationError("spectral gap needs a stationary state")
+    H = _symmetrized_generator(G)[0]
     if not G.primitivity.primitive:
         raise ValidationError(f"generator {G.label!r} is not primitive")
-    w = np.linalg.eigvalsh(_symmetrized_generator(G)[0])
+    w = np.linalg.eigvalsh(H)
     scale = max(w[-1], 1e-300)
     if w[0] < -1e-6 * scale:
         raise ValidationError(
@@ -367,7 +383,7 @@ def depolarizing_generator(gamma: float, sigma, label: str = "depolarizing") -> 
     """Uniform relaxation toward sigma at rate gamma (detailed balanced)."""
     if gamma <= 0.0:
         raise ValidationError(f"depolarizing rate must be positive, got {gamma}")
-    sigma = mc.require_density(sigma, strict=True, name="sigma")
+    sigma = mc.require_hermitian(sigma, name="sigma")
     n = sigma.shape[0]
     # L(A) = gamma (tr(sigma A) I - A), with tr(sigma A) = <vec sigma, vec A>
     L_super = gamma * (np.outer(mc.vec(np.eye(n)), mc.vec(sigma).conj()) - np.eye(n * n))
@@ -399,19 +415,11 @@ def random_gns_generator(
     lam /= lam.sum()
     Q = np.linalg.qr(mc.random_complex(rng, n))[0]
     sigma = mc.hermitize(Q @ np.diag(lam) @ Q.conj().T)
-    terms = eigen_jump_terms(sigma)
     lo, hi = weight_range
-    weights = np.empty(len(terms))
-    idx = 0
-    pair_w = {}
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            key = (min(k, l), max(k, l))
-            if key not in pair_w:
-                pair_w[key] = rng.uniform(lo, hi)
-            weights[idx] = pair_w[key]
-            idx += 1
-    weights[idx:] = rng.uniform(lo, hi, size=len(terms) - idx)
-    return build_gns(sigma, eigen_jump_terms(sigma, weights=weights), label=label)
+    # one weight per unordered pair, drawn in (k < l) order, then the ladders
+    pair_w = np.zeros((n, n))
+    pair_w[np.triu_indices(n, 1)] = rng.uniform(lo, hi, size=n * (n - 1) // 2)
+    off = ~np.eye(n, dtype=bool)
+    weights = np.concatenate(((pair_w + pair_w.T)[off], rng.uniform(lo, hi, size=n - 1)))
+    terms = eigen_jump_terms(mc.density_spectrum(sigma, strict=True, name="sigma"), weights=weights)
+    return build_gns(sigma, terms, label=label)

@@ -6,7 +6,9 @@ the modular conjugation, twisted logarithmic-mean multiplication and its
 inverse, the sandwiched state and the Renyi-order multiplication operator
 built on it, the detailed-balance weight kernel, and the weighted-norm
 entropy/Dirichlet functionals.  The sandwiched state is formed and
-decomposed in exactly one function, `sandwiched_state`.
+decomposed in exactly one function, `sandwiched_state`.  Functions of a
+reference state sigma take the `mc.density_spectrum` that validated it (a
+generator's `sigma_dec`) and never decompose sigma themselves.
 
 Every integral-form operator used here diagonalizes in the eigenbasis of
 its base matrix, so it is evaluated through a closed-form entrywise
@@ -81,19 +83,18 @@ def _positive_spectrum(X, name: str = "X") -> mc.SpectralDecomposition:
     return dec
 
 
-def sandwich_pow(sigma, gamma: float, A) -> np.ndarray:
+def sandwich_pow(sigma_dec: mc.SpectralDecomposition, gamma: float, A) -> np.ndarray:
     """Two-sided weighting sigma^(gamma/2) A sigma^(gamma/2)."""
     if gamma == 0.0:
         return np.asarray(A, dtype=complex).copy()
-    P = mc.matrix_power(sigma, gamma / 2.0)
+    P = sigma_dec.power(gamma / 2.0)
     return P @ np.asarray(A, dtype=complex) @ P
 
 
-def modular_apply(sigma, A) -> np.ndarray:
+def modular_apply(sigma_dec: mc.SpectralDecomposition, A) -> np.ndarray:
     """Modular conjugation sigma A sigma^(-1)."""
-    dec = _positive_spectrum(sigma, "sigma")
-    S = dec.reconstruct()
-    Sinv = dec.reconstruct(1.0 / dec.values)
+    S = sigma_dec.reconstruct()
+    Sinv = sigma_dec.reconstruct(1.0 / sigma_dec.values)
     return S @ np.asarray(A, dtype=complex) @ Sinv
 
 
@@ -177,10 +178,11 @@ class SandwichedState:
     decomposed once.
 
     Every order-alpha quantity reads from it: Z = tr rs^alpha (over the
-    spectrum clamped at zero), the divergence, its functional derivative
-    and the multiplication operator's kernels.  The eigenvectors carry
-    LAPACK's arbitrary phases, so every consumer is phase-invariant.  A
-    (T, n, n) stack at T orders gives T-leading fields; only Z is read.
+    spectrum clamped at zero), the divergence, its functional derivative,
+    the Fisher information and the multiplication operator's kernels.  The
+    eigenvectors carry LAPACK's arbitrary phases, so every consumer is
+    phase-invariant.  A (T, n, n) stack at T orders gives T-leading fields;
+    only Z is read.
     """
 
     alpha: float | np.ndarray
@@ -214,18 +216,25 @@ class SandwichedState:
             out *= a / (a - 1.0) / self.Z
         return mc.hermitize(out)
 
+    def fisher(self, drift) -> float:
+        """Minus the pairing of the derivative with the flow's drift at rho."""
+        return float(-np.real(mc.hs_inner(self.derivative(), drift)))
+
 
 def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> SandwichedState:
     """Form rs from sigma's decomposition and decompose it with one `eigh`.
 
     `rho` is one (n, n) state with a scalar order, or a (T, n, n) stack
     with an order per state; orders within ALPHA_ONE_WINDOW of 1 are taken
-    as 1.  Inputs are trusted: callers validate rho, and sigma through the
-    decomposition passed in.
+    as 1.  Every order must be positive and finite.  The states are
+    trusted: callers validate rho, and sigma through the decomposition
+    passed in.
     """
-    a = np.where(np.abs(np.asarray(alpha, dtype=float) - 1.0) <= ALPHA_ONE_WINDOW, 1.0, alpha)
-    fw = np.power(sigma_dec.values, ((1.0 - a) / a / 2.0)[..., None]).astype(complex)
-    outer = mc.hermitize(sigma_dec.reconstruct(fw))
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((a > 0.0) & np.isfinite(a)):
+        raise DomainError(f"order alpha={alpha} must be positive and finite")
+    a = np.where(np.abs(a - 1.0) <= ALPHA_ONE_WINDOW, 1.0, a)
+    outer = sigma_dec.power((1.0 - a) / a / 2.0)
     # s = sigma^0 is the identity up to rounding, which would only add noise
     rs = rho if a.ndim == 0 and a == 1.0 else mc.hermitize(outer @ rho @ outer)
     dec = mc.SpectralDecomposition(*np.linalg.eigh(rs))
@@ -270,8 +279,6 @@ def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: flo
     it reduces to the twisted multiplier of rho itself; at alpha = 2 it is
     (Z/2) times two-sided multiplication by sigma^(1/2).
     """
-    if alpha <= 0.0:
-        raise DomainError(f"order alpha={alpha} must be positive")
     omega = np.asarray(omega, dtype=float)
     state = sandwiched_state(rho, sigma_dec, alpha)
     alpha, lam = state.alpha, state.positive_values()
@@ -279,7 +286,7 @@ def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: flo
     m_den = _log_mean_kernel(lam ** (alpha - 1.0), (alpha - 1.0) * omega / alpha)
     return RenyiMultiplier(
         state=state,
-        outer_inv=mc.hermitize(sigma_dec.reconstruct(sigma_dec.values ** ((alpha - 1.0) / alpha / 2.0))),
+        outer_inv=sigma_dec.power((alpha - 1.0) / alpha / 2.0),
         kernel_op=KernelOperator(lam, state.dec.vectors, m_num / m_den),
     )
 
@@ -363,44 +370,43 @@ def _weight_kernel(lam: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(degenerate, mean, f)
 
 
-def weight_operator(sigma, alpha: float) -> KernelOperator:
+def weight_operator(sigma_dec: mc.SpectralDecomposition, alpha: float) -> KernelOperator:
     """Weight operator whose inner product tests order-alpha detailed balance.
 
     alpha = 1 gives the BKM (logarithmic-mean) weighting, alpha = 2 the KMS
     weighting; alpha in [0, infinity] is accepted.
     """
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise DomainError(f"weight order alpha={alpha} must be >= 0")
-    dec = _positive_spectrum(sigma, "sigma")
-    return KernelOperator(dec.values, dec.vectors, _weight_kernel(dec.values, alpha))
+    return KernelOperator(sigma_dec.values, sigma_dec.vectors, _weight_kernel(sigma_dec.values, alpha))
 
 
 # --- weighted L_alpha functionals --------------------------------------------
 
 
-def lp_norm(sigma, alpha: float, A) -> float:
+def lp_norm(sigma_dec: mc.SpectralDecomposition, alpha: float, A) -> float:
     """Weighted alpha-norm (tr |sigma^(1/2a) A sigma^(1/2a)|^alpha)^(1/alpha)."""
-    B = sandwich_pow(sigma, 1.0 / alpha, A)
+    B = sandwich_pow(sigma_dec, 1.0 / alpha, A)
     dec = mc.eig_hermitian(mc.hermitize(B))
     return float(np.sum(np.abs(dec.values) ** alpha) ** (1.0 / alpha))
 
 
-def power_op(sigma, beta: float, alpha: float, A) -> np.ndarray:
+def power_op(sigma_dec: mc.SpectralDecomposition, beta: float, alpha: float, A) -> np.ndarray:
     """Power operator: unweight by 1/beta after raising the 1/alpha-weighted
     modulus to the alpha/beta power."""
-    B = mc.hermitize(sandwich_pow(sigma, 1.0 / alpha, A))
+    B = mc.hermitize(sandwich_pow(sigma_dec, 1.0 / alpha, A))
     absB = mc.matrix_function(B, np.abs)
     P = mc.matrix_power(absB, alpha / beta, lenient=True)
-    return sandwich_pow(sigma, -1.0 / beta, P)
+    return sandwich_pow(sigma_dec, -1.0 / beta, P)
 
 
-def ent_fun(sigma, alpha: float, X) -> float:
+def ent_fun(sigma_dec: mc.SpectralDecomposition, alpha: float, X) -> float:
     """Order-alpha entropy functional of a strictly positive X (>= 0)."""
-    B = mc.hermitize(sandwich_pow(sigma, 1.0 / alpha, X))
+    B = mc.hermitize(sandwich_pow(sigma_dec, 1.0 / alpha, X))
     dec = _positive_spectrum(B, "weighted argument")
     w = dec.values**alpha
     Balpha = dec.reconstruct(w)
-    log_sigma = mc.matrix_log(sigma)
+    log_sigma = sigma_dec.log()
     t1 = float(np.sum(w * np.log(w)))
     t2 = float(np.real(np.trace(Balpha @ log_sigma)))
     nrm = float(np.sum(w))
@@ -413,14 +419,14 @@ def dirichlet_form(G, alpha: float, X) -> float:
     The generic branch pairs the conjugate-power operator with -L(X) in the
     1/2-weighted inner product; alpha = 1 takes the logarithmic limit.
     """
-    sigma = G.sigma
+    sig = G.sigma_dec
     minus_LX = -G.apply_L(X)
     if alpha == 1.0:
-        arg = mc.matrix_log(mc.hermitize(sandwich_pow(sigma, 1.0, X))) - mc.matrix_log(sigma)
-        return 0.25 * float(np.real(mc.weighted_inner(arg, minus_LX, sigma, 0.5)))
+        arg = mc.matrix_log(mc.hermitize(sandwich_pow(sig, 1.0, X))) - sig.log()
+        return 0.25 * float(np.real(mc.weighted_inner(arg, minus_LX, sig, 0.5)))
     at = alpha / (alpha - 1.0)
-    P = power_op(sigma, at, alpha, X)
-    return (alpha * at / 4.0) * float(np.real(mc.weighted_inner(P, minus_LX, sigma, 0.5)))
+    P = power_op(sig, at, alpha, X)
+    return (alpha * at / 4.0) * float(np.real(mc.weighted_inner(P, minus_LX, sig, 0.5)))
 
 
 # --- traceless Hermitian basis ------------------------------------------------

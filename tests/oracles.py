@@ -177,6 +177,11 @@ def metric_tensor_by_term(G, rho, alpha, nu1, nu2):
     return g
 
 
+def _sandwich_pow(sigma, gamma, A):
+    P = mc.matrix_power(sigma, gamma / 2.0)
+    return P @ A @ P
+
+
 def sandwiched_renyi_by_matrix_powers(rho, sigma, alpha):
     """D_alpha one call at a time: the sandwiched state from a fresh matrix
     power of sigma, its phase-fixed eigenvalues, log Z / (alpha-1); the
@@ -187,7 +192,7 @@ def sandwiched_renyi_by_matrix_powers(rho, sigma, alpha):
         mask = w > 1e-14
         cross = np.real(np.trace(dec.reconstruct(w) @ mc.matrix_log(sigma)))
         return float(np.sum(w[mask] * np.log(w[mask])) - cross)
-    rs = mc.hermitize(nco.sandwich_pow(sigma, (1.0 - alpha) / alpha, rho))
+    rs = mc.hermitize(_sandwich_pow(sigma, (1.0 - alpha) / alpha, rho))
     w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
     return float(np.log(np.sum(w**alpha)) / (alpha - 1.0))
 
@@ -198,15 +203,15 @@ def functional_derivative_by_matrix_powers(rho, sigma, alpha):
     if alpha == 1.0:
         return mc.matrix_log(rho) - mc.matrix_log(sigma)
     gamma = (1.0 - alpha) / alpha
-    dec = mc.eig_hermitian(mc.hermitize(nco.sandwich_pow(sigma, gamma, rho)))
+    dec = mc.eig_hermitian(mc.hermitize(_sandwich_pow(sigma, gamma, rho)))
     Z = np.sum(dec.values**alpha)
     power = dec.reconstruct(dec.values ** (alpha - 1.0))
-    return mc.hermitize((alpha / (alpha - 1.0)) * nco.sandwich_pow(sigma, gamma, power) / Z)
+    return mc.hermitize((alpha / (alpha - 1.0)) * _sandwich_pow(sigma, gamma, power) / Z)
 
 
 def norm_functional_by_state(rho, sigma, beta):
     """The hypercontractivity monitor's log tr[(s rho s)^b] / b,
     s = sigma^((1-b)/2b), for one state."""
-    rs = mc.hermitize(nco.sandwich_pow(sigma, (1.0 - beta) / beta, rho))
+    rs = mc.hermitize(_sandwich_pow(sigma, (1.0 - beta) / beta, rho))
     w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
     return float(np.log(np.sum(w**beta)) / beta)

@@ -122,10 +122,11 @@ def test_criterion_4_kernel_vs_quadrature():
         if abs(alpha - 1.0) < 0.05:
             alpha += 0.1
         A = mc.random_complex(rng, n)
-        W = nco.weight_operator(sigma, alpha)
+        dec = mc.density_spectrum(sigma, strict=True)
+        W = nco.weight_operator(dec, alpha)
         m1 = nco.log_mean_multiplier(mc.matrix_power(sigma, 1.0 / alpha))
         m2i = nco.log_mean_multiplier(mc.matrix_power(sigma, (alpha - 1.0) / alpha)).inverse()
-        comp = m1.apply(m2i.apply(nco.sandwich_pow(sigma, 2.0 * (alpha - 1.0) / alpha, A)))
+        comp = m1.apply(m2i.apply(nco.sandwich_pow(dec, 2.0 * (alpha - 1.0) / alpha, A)))
         worst_w = max(worst_w, np.linalg.norm(W.apply(A) - comp) / np.linalg.norm(comp))
     assert worst_fw <= 1e-8 and worst_bw <= 1e-8 and worst_w <= 1e-8
     elapsed = time.time() - t0
@@ -260,7 +261,8 @@ def test_criterion_8_comparison_theorem():
         worst_inc = max(worst_inc, rep.max_forward_increase)
         checks.append(f"({a0:g},{a1:g}): T={rep.T:.2f}")
     # closed forms at the maximally mixed state
-    Lam, eta, _ = flow.comparison_constants(2.0, 4.0, eps, np.eye(2) / 2.0, [0.0, 0.0], 1.0)
+    mixed = mc.density_spectrum(np.eye(2) / 2.0, strict=True)
+    Lam, eta, _ = flow.comparison_constants(2.0, 4.0, eps, mixed, [0.0, 0.0], 1.0)
     assert Lam == pytest.approx(np.exp(3.0), rel=1e-12)
     assert eta == pytest.approx(2.0 * np.exp(-1.5) / (1.0 + np.exp(3.0)), rel=1e-12)
     elapsed = time.time() - t0

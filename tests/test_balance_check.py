@@ -73,7 +73,7 @@ class TestGnsCheck:
 
     def test_random_eigen_generator_passes(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
-        G = build_gns(sigma, eigen_jump_terms(sigma))
+        G = build_gns(sigma, eigen_jump_terms(mc.density_spectrum(sigma, strict=True)))
         assert bc.check_gns(G) <= 1e-10
 
     def test_counterexample_fails(self, counterexample):
@@ -103,6 +103,15 @@ class TestSrdCheck:
         assert list(res) == [2.0]
 
 
+class TestSigmaContext:
+    def test_checks_read_sigma_from_the_generator(self, rng, eigensolves):
+        # the half powers and the weight kernel come from the generator's
+        # decomposition of sigma: no eigensolve per check
+        G = random_gns_generator(rng, 3)
+        assert eigensolves(lambda: bc.check_kms(G)) == 0
+        assert eigensolves(lambda: bc.srd_residual(G, 1.5)) == 0
+
+
 class TestImplicationChain:
     def test_chain_on_available_generators(self, qubit_xz, depol, counterexample, rng):
         thr = bc.VERDICT_THRESHOLD
@@ -120,7 +129,7 @@ class TestImplicationChain:
 
     def test_permutation_invariance(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
-        terms = eigen_jump_terms(sigma)
+        terms = eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
         G1 = build_gns(sigma, terms)
         G2 = build_gns(sigma, terms[::-1])
         assert bc.check_gns(G1) == pytest.approx(bc.check_gns(G2), abs=1e-12)
@@ -134,7 +143,7 @@ class TestImplicationChain:
         # verdicts are scale-free: rescaling the generator leaves the
         # normalized residuals unchanged
         sigma = mc.random_density(rng, 3, floor=0.1)
-        terms = eigen_jump_terms(sigma)
+        terms = eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
         from renyiflow.generator import JumpTerm
 
         G1 = build_gns(sigma, terms)

@@ -6,6 +6,7 @@ import pytest
 import renyiflow.matcore as mc
 from renyiflow.cli import main, parse_alphas
 from renyiflow.errors import DomainError
+from renyiflow.generator import random_gns_generator
 
 
 def run(argv, capsys):
@@ -25,7 +26,7 @@ def generator_file(tmp_path):
         "sigma": mc.matrix_to_rows(sigma),
         "terms": [
             {"V": mc.matrix_to_rows(t.V), "omega": t.omega, "weight": t.weight}
-            for t in eigen_jump_terms(sigma)
+            for t in eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
         ],
     }
     path = tmp_path / "uniform.json"
@@ -46,6 +47,15 @@ class TestParsing:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             parse_alphas("0,1")
+
+    @pytest.mark.parametrize("spec", ["1,nan", "nan:2:0.5", "1:inf:0.5", "1:2:nan"])
+    def test_rejects_nan_and_unbounded_ranges(self, spec):
+        with pytest.raises(DomainError):
+            parse_alphas(spec)
+
+    def test_keeps_infinite_order(self):
+        # the detailed-balance weight kernel is defined at alpha = infinity
+        assert parse_alphas("2,inf") == [2.0, np.inf]
 
 
 class TestCommands:
@@ -232,6 +242,37 @@ class TestMalformedInputs:
     def test_non_numeric_parameter(self, argv, capsys):
         self.assert_validation_exit(argv, capsys)
 
+    def test_jump_operator_larger_than_sigma(self, generator_file, tmp_path, capsys):
+        doc = json.loads(open(generator_file).read())
+        doc["terms"][0]["V"] = mc.matrix_to_rows(np.diag([1.0, -1.0, 0.0]))
+        path = tmp_path / "sizes.json"
+        path.write_text(json.dumps(doc))
+        self.assert_validation_exit(["dbcheck", "--generator", str(path)], capsys)
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--t-end", "0.1", "--dt", "0.01"],
+        ["compare", "--alpha0", "2", "--alpha1", "3"],
+    ])
+    def test_rho0_of_another_size(self, command, tmp_path, capsys):
+        path = tmp_path / "rho0.csv"
+        path.write_text(mc.matrix_to_csv_block("rho0", np.eye(3) / 3.0))
+        self.assert_validation_exit(
+            [command[0], "--generator", "builtin:qubit-xz", "--rho0", str(path), *command[1:]], capsys
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--generator", "builtin:qubit-xz", "--alphas", "inf", "--t-end", "0.1", "--dt", "0.01"],
+        ["gradflow", "--generator", "builtin:qubit-xz", "--samples", "1", "--alphas", "inf"],
+        ["dbcheck", "--generator", "builtin:qubit-xz", "--alphas", "nan"],
+        ["simulate", "--generator", "builtin:qubit-xz", "--t-end", "nan", "--dt", "0.01"],
+        ["simulate", "--generator", "builtin:qubit-xz", "--t-end", "-1", "--dt", "0.01"],
+        ["simulate", "--generator", "builtin:qubit-xz", "--t-end", "0.1", "--dt", "nan"],
+        ["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2", "--alpha1", "inf"],
+    ], ids=["simulate-inf-order", "gradflow-inf-order", "dbcheck-nan-order", "nan-t-end",
+            "negative-t-end", "nan-dt", "compare-inf-order"])
+    def test_non_finite_or_negative_number(self, argv, capsys):
+        self.assert_validation_exit(argv, capsys)
+
     @pytest.mark.parametrize("spec", ["builtin:depolarizing?n=3", "builtin:carlen-maas"])
     def test_gradflow_without_jump_terms(self, spec, capsys):
         code, _, err = run(["gradflow", "--generator", spec, "--samples", "1", "--alphas", "2"], capsys)
@@ -239,6 +280,30 @@ class TestMalformedInputs:
         doc = json.loads(err)
         assert doc["error"] == "validation"
         assert "has no jump-term decomposition" in doc["detail"]
+
+
+class TestSigmaContext:
+    @pytest.fixture(scope="class")
+    def gns8_file(self, tmp_path_factory):
+        G = random_gns_generator(np.random.default_rng(8), 8, min_sigma_eig=0.15)
+        doc = {
+            "label": "gns-8",
+            "sigma": mc.matrix_to_rows(G.sigma),
+            "terms": [{"V": mc.matrix_to_rows(t.V), "omega": t.omega} for t in G.terms],
+        }
+        path = tmp_path_factory.mktemp("gns8") / "gns8.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["dbcheck", "--alphas", "0.25,0.5,1,1.5,2,3,4,6"],
+    ], ids=["validate", "dbcheck"])
+    def test_one_eigensolve_per_balance_report(self, gns8_file, argv, eigensolves, capsys):
+        # sigma's decomposition at load; every check reads it
+        codes = []
+        assert eigensolves(lambda: codes.append(main([argv[0], "--generator", gns8_file, *argv[1:]]))) == 1
+        assert codes == [0]
 
 
 class TestDeterminism:

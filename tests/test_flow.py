@@ -29,6 +29,17 @@ class TestIntegrate:
         for s in traj.states:
             assert np.linalg.norm(s - qubit_xz.sigma) <= 1e-9
 
+    @pytest.mark.parametrize("t_end, dt", [
+        (np.nan, 0.01), (-1.0, 0.01), (np.inf, 0.01), (1.0, np.nan), (1.0, np.inf), (1.0, 0.0),
+    ])
+    def test_rejects_negative_or_non_finite_times(self, qubit_xz, t_end, dt):
+        with pytest.raises(DomainError, match="finite"):
+            flow.integrate(qubit_xz, qubit_xz.sigma, t_end, dt)
+
+    def test_rejects_state_of_another_size(self, qubit_xz):
+        with pytest.raises(StructuralError, match="does not match"):
+            flow.integrate(qubit_xz, np.eye(3) / 3.0, 1.0, 0.1)
+
     def test_depolarizing_closed_form(self, depol, rng):
         rho0 = mc.random_density(rng, 2, floor=0.1)
         dt = flow.suggested_dt(depol)
@@ -90,7 +101,7 @@ class TestIntegrate:
         # its chi-square divergence at the sharp rate 2 lambda
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
         lam = G.gap.value
-        X = nco.sandwich_pow(G.sigma, 1.0, flow.gap_eigen_direction(G))
+        X = nco.sandwich_pow(G.sigma_dec, 1.0, flow.gap_eigen_direction(G))
         assert np.linalg.norm(G.apply_Ldag(X) + lam * X) <= 1e-10 * np.linalg.norm(X)
         smin = float(np.linalg.eigvalsh(G.sigma)[0])
         delta = 0.5 * smin * X / float(np.max(np.abs(np.linalg.eigvalsh(X))))
@@ -420,38 +431,50 @@ class TestLsiConstants:
         from renyiflow.generator import build_gns, eigen_jump_terms
 
         sigma = np.diag([0.25, 0.75]).astype(complex)
-        G = build_gns(sigma, eigen_jump_terms(sigma), label="thermal")
+        G = build_gns(sigma, eigen_jump_terms(mc.density_spectrum(sigma, strict=True)), label="thermal")
         rep = flow.lsi_constants(G, n_starts=6, seed=2)
         assert rep.violations() == []
         assert rep.K_est <= rep.lambda_L + 1e-6
         assert rep.kappa2_est < rep.kappa1_est  # strict for this model
 
 
+class TestLsiObjectiveCost:
+    def test_objectives_read_sigma_from_the_generator(self, rng, eigensolves):
+        # K and K2: rho's validation and one sandwiched state; kappa: the
+        # weighted argument's spectrum, plus |B| and its power at order 2
+        G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
+        rho = mc.random_density(rng, 3, floor=0.1)
+        objectives = flow._lsi_objectives(G)
+        counts = {name: eigensolves(lambda: fn(rho)) for name, fn in objectives.items()}
+        assert counts == {"K": 2, "K2": 2, "kappa1": 2, "kappa2": 3}
+
+
 class TestComparisonConstants:
     def test_equal_orders_give_zero_delay(self, rng):
         sigma = mc.random_density(rng, 2, floor=0.2)
         smin = np.linalg.eigvalsh(sigma)[0]
-        _, _, T = flow.comparison_constants(2.0, 2.0, smin**2 / 8.0, sigma, [0.0], 1.0)
+        dec = mc.density_spectrum(sigma, strict=True)
+        _, _, T = flow.comparison_constants(2.0, 2.0, smin**2 / 8.0, dec, [0.0], 1.0)
         assert T == 0.0
 
     def test_maximally_mixed_closed_form(self):
-        sigma = np.eye(2) / 2.0
+        dec = mc.density_spectrum(np.eye(2) / 2.0, strict=True)
         eps = 0.5**2 / 8.0  # lambda_min^2 / 8
-        Lam, eta, _ = flow.comparison_constants(2.0, 4.0, eps, sigma, [0.0, 0.0], 1.0)
+        Lam, eta, _ = flow.comparison_constants(2.0, 4.0, eps, dec, [0.0, 0.0], 1.0)
         assert Lam == pytest.approx(np.exp(3.0), rel=1e-12)
         assert eta == pytest.approx(2.0 * np.exp(-1.5) / (1.0 + np.exp(3.0)), rel=1e-12)
         assert eta == pytest.approx(0.02116, abs=5e-6)
 
     def test_delay_scales_with_log_ratio(self):
-        sigma = np.eye(2) / 2.0
+        dec = mc.density_spectrum(np.eye(2) / 2.0, strict=True)
         eps = 0.5**2 / 8.0
-        _, _, T1 = flow.comparison_constants(2.0, 3.0, eps, sigma, [0.0], 1.0)
-        _, _, T2 = flow.comparison_constants(2.0, 5.0, eps, sigma, [0.0], 1.0)
+        _, _, T1 = flow.comparison_constants(2.0, 3.0, eps, dec, [0.0], 1.0)
+        _, _, T2 = flow.comparison_constants(2.0, 5.0, eps, dec, [0.0], 1.0)
         assert T2 == pytest.approx(2.0 * T1, rel=1e-12)
 
     def test_eps_domain(self):
         with pytest.raises(DomainError):
-            flow.comparison_constants(2.0, 3.0, 0.2, np.eye(2) / 2.0, [0.0], 1.0)
+            flow.comparison_constants(2.0, 3.0, 0.2, mc.density_spectrum(np.eye(2) / 2.0), [0.0], 1.0)
 
 
 class TestWeightFunction:
@@ -498,6 +521,10 @@ class TestComparisonFlow:
         # a non-positive K * eta makes the delay time negative or infinite
         with pytest.raises(DomainError, match="must be positive"):
             flow.hypercontractivity_monitor(qubit_xz, qubit_xz.sigma, 2.0, 4.0, eta=eta, K=K)
+
+    def test_monitor_needs_a_sample(self, qubit_xz):
+        with pytest.raises(DomainError, match="n_samples"):
+            flow.hypercontractivity_monitor(qubit_xz, qubit_xz.sigma, 2.0, 4.0, eta=0.02, K=1.0, n_samples=0)
 
     def test_monitor_monotone_and_comparison_holds(self, qubit_xz, rng):
         w = mc.random_density(rng, 2, floor=0.05)

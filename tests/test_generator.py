@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import renyiflow.balance_check as bc
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
 from renyiflow.errors import ValidationError
+from renyiflow.flow import generic_initial_state, poincare_check
 from renyiflow.generator import (
     Generator,
     JumpTerm,
@@ -81,6 +83,10 @@ class TestBuildGns:
         with pytest.raises(ValidationError, match=r"condition \((ii|iv)\)"):
             build_gns(sigma, [up, dn])
 
+    def test_jump_operator_size_must_match_sigma(self):
+        with pytest.raises(ValidationError, match=r"term 0: V has shape \(3, 3\), sigma has shape \(2, 2\)"):
+            build_gns(np.eye(2) / 2.0, [JumpTerm.of(np.diag([1.0, -1.0, 0.0]), 0.0)])
+
     @pytest.mark.parametrize("terms, message", [
         pytest.param(*case, id=name) for name, case in _gram_violation_cases().items()
     ])
@@ -139,7 +145,7 @@ class TestGeneratorIdentities:
             assert np.linalg.norm(out - out.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(out))
 
     def test_weighted_selfadjointness_on_basis(self, random_gen):
-        sigma = random_gen.sigma
+        sigma = random_gen.sigma_dec
         n = 3
         worst = 0.0
         for a in range(n * n):
@@ -156,15 +162,15 @@ class TestGeneratorIdentities:
         for _ in range(20):
             A = mc.random_complex(rng, 3)
             lhs = sum(
-                mc.weighted_inner(g, g, random_gen.sigma, 0.5).real
+                mc.weighted_inner(g, g, random_gen.sigma_dec, 0.5).real
                 for g in nco.nc_gradient(random_gen, A)
             )
-            rhs = mc.weighted_inner(A, -random_gen.apply_L(A), random_gen.sigma, 0.5).real
+            rhs = mc.weighted_inner(A, -random_gen.apply_L(A), random_gen.sigma_dec, 0.5).real
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_commutes_with_modular(self, random_gen):
         mod = mc.superoperator_of_map(
-            lambda A: nco.modular_apply(random_gen.sigma, A), 3
+            lambda A: nco.modular_apply(random_gen.sigma_dec, A), 3
         )
         comm = random_gen.L_super @ mod - mod @ random_gen.L_super
         assert np.linalg.norm(comm) <= 1e-8 * np.linalg.norm(random_gen.L_super)
@@ -172,12 +178,12 @@ class TestGeneratorIdentities:
 
 class TestEigenJumpTerms:
     def test_maximally_mixed_qubit(self):
-        terms = eigen_jump_terms(np.eye(2) / 2.0)
+        terms = eigen_jump_terms(mc.density_spectrum(np.eye(2) / 2.0, strict=True))
         assert len(terms) == 3
         assert all(t.omega == 0.0 for t in terms)
 
     def test_diagonal_sigma_frequencies(self):
-        terms = eigen_jump_terms(np.diag([0.25, 0.75]))
+        terms = eigen_jump_terms(mc.density_spectrum(np.diag([0.25, 0.75]), strict=True))
         freq = {}
         for t in terms:
             if abs(t.V[0, 1]) > 0.5:
@@ -194,7 +200,7 @@ class TestEigenJumpTerms:
 
     def test_cm_sigma_frequencies(self, cm_sigma):
         lam = mc.eig_hermitian(cm_sigma).values
-        terms = eigen_jump_terms(cm_sigma)
+        terms = eigen_jump_terms(mc.density_spectrum(cm_sigma, strict=True))
         assert len(terms) == 3
         omegas = sorted(t.omega for t in terms)
         expected = np.log(lam[1] / lam[0])
@@ -202,14 +208,14 @@ class TestEigenJumpTerms:
 
     def test_full_basis_builds_valid_generator(self, rng):
         sigma = mc.random_density(rng, 4, floor=0.1)
-        G = build_gns(sigma, eigen_jump_terms(sigma))
+        G = build_gns(sigma, eigen_jump_terms(mc.density_spectrum(sigma, strict=True)))
         assert G.primitivity.primitive
 
 
 class TestPrimitivity:
     def test_full_eigen_basis_primitive(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
-        G = build_gns(sigma, eigen_jump_terms(sigma))
+        G = build_gns(sigma, eigen_jump_terms(mc.density_spectrum(sigma, strict=True)))
         rep = check_primitive(G)
         assert rep.primitive and rep.kernel_dim == 1
 
@@ -245,13 +251,13 @@ class TestSpectralGap:
         lo, hi = gap.spectrum[0], gap.spectrum[-1]
         for _ in range(200):
             A = mc.random_complex(rng, 2)
-            num = mc.weighted_inner(A, -qubit_xz.apply_L(A), qubit_xz.sigma, 0.5).real
-            den = mc.weighted_inner(A, A, qubit_xz.sigma, 0.5).real
+            num = mc.weighted_inner(A, -qubit_xz.apply_L(A), qubit_xz.sigma_dec, 0.5).real
+            den = mc.weighted_inner(A, A, qubit_xz.sigma_dec, 0.5).real
             assert lo - 1e-8 <= num / den <= hi + 1e-8
 
     def test_weight_scaling_doubles_gap(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.15)
-        terms = eigen_jump_terms(sigma)
+        terms = eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
         G1 = build_gns(sigma, terms)
         G2 = build_gns(sigma, [JumpTerm.of(np.sqrt(2.0) * t.V, t.omega) for t in terms])
         assert spectral_gap(G2).value == pytest.approx(2.0 * spectral_gap(G1).value, rel=1e-10)
@@ -284,6 +290,40 @@ class TestSpectralGap:
         # not GNS-balanced, but self-adjoint in the half-weighted inner
         # product, which is all the symmetrization needs
         assert spectral_gap(counterexample).value > 0.0
+
+
+class TestSigmaContext:
+    """sigma is validated and decomposed once, when the generator is built,
+    and every function of it reads that decomposition."""
+
+    def test_shared_context_is_read_only(self, rng):
+        G = random_gns_generator(rng, 3)
+        for arr in (G.sigma, G.sigma_dec.values, G.sigma_dec.vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_build_gns_decomposes_sigma_once(self, rng, eigensolves):
+        sigma = mc.random_density(rng, 3, floor=0.1)
+        terms = eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
+        assert eigensolves(lambda: build_gns(sigma, terms)) == 1
+
+    def test_spectral_gap_decomposes_only_the_symmetrized_generator(self, rng, eigensolves):
+        G = random_gns_generator(rng, 3)
+        assert eigensolves(lambda: spectral_gap(G)) == 1
+
+    @pytest.mark.parametrize("call", [
+        bc.check_gns,
+        bc.check_kms,
+        lambda G: bc.srd_residual(G, 2.0),
+        lambda G: poincare_check(G, np.diag([1.0, -1.0])),
+        lambda G: generic_initial_state(G, np.random.default_rng(0)),
+        spectral_gap,
+    ], ids=["check_gns", "check_kms", "srd_residual", "poincare_check", "generic_initial_state",
+            "spectral_gap"])
+    def test_missing_stationary_state_fails_the_same_way(self, depol, call):
+        G = Generator(None, depol.L_super, label="no-sigma")
+        with pytest.raises(ValidationError, match="'no-sigma' needs a stationary state"):
+            call(G)
 
 
 class TestJumpTermSemantics:

@@ -78,35 +78,60 @@ class TestMatrixFunction:
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
 
+class TestSpectralCalculus:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_power_and_log_match_matrix_functions_bitwise(self, rng, n):
+        # on the decomposition that validated sigma, the spectral calculus
+        # is the same arithmetic as matrix_power / matrix_log
+        for _ in range(10):
+            sigma = mc.random_density(rng, n, floor=0.05)
+            dec = mc.density_spectrum(sigma, strict=True)
+            for p in (0.25, -0.25, 0.5, -0.5, 1.0 / 3.0):
+                assert np.array_equal(dec.power(p), mc.matrix_power(sigma, p))
+            assert np.array_equal(dec.log(), mc.matrix_log(sigma))
+
+    def test_array_of_exponents_gives_the_stack(self, rng):
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
+        p = np.array([0.5, -0.25, 2.0])
+        stack = dec.power(p)
+        assert stack.shape == (3, 3, 3)
+        for k in range(3):
+            assert np.array_equal(stack[k], dec.power(p[k]))
+
+
 class TestWeightedInner:
     def test_identity_pair(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
+        dec = mc.density_spectrum(sigma, strict=True)
         for s in (0.0, 0.3, 0.5, 1.0):
-            assert mc.weighted_inner(np.eye(3), np.eye(3), sigma, s) == pytest.approx(1.0, abs=1e-12)
+            assert mc.weighted_inner(np.eye(3), np.eye(3), dec, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_positive_definite_at_half(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
+        dec = mc.density_spectrum(sigma, strict=True)
         A = mc.random_complex(rng, 3)
-        val = mc.weighted_inner(A, A, sigma, 0.5)
+        val = mc.weighted_inner(A, A, dec, 0.5)
         assert val.real > 0 and abs(val.imag) <= 1e-12
-        assert mc.weighted_inner(np.zeros((3, 3)), np.zeros((3, 3)), sigma, 0.5) == 0
+        assert mc.weighted_inner(np.zeros((3, 3)), np.zeros((3, 3)), dec, 0.5) == 0
 
     def test_endpoints_against_direct_trace(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
+        dec = mc.density_spectrum(sigma, strict=True)
         A, B = mc.random_complex(rng, 3), mc.random_complex(rng, 3)
         s0 = np.trace(A.conj().T @ sigma @ B)
         s1 = np.trace(sigma @ A.conj().T @ B)
-        assert mc.weighted_inner(A, B, sigma, 0.0) == pytest.approx(s0, abs=1e-12)
-        assert mc.weighted_inner(A, B, sigma, 1.0) == pytest.approx(s1, abs=1e-12)
+        assert mc.weighted_inner(A, B, dec, 0.0) == pytest.approx(s0, abs=1e-12)
+        assert mc.weighted_inner(A, B, dec, 1.0) == pytest.approx(s1, abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     def test_conjugate_symmetry(self, seed, s):
         r = np.random.default_rng(seed)
         sigma = mc.random_density(r, 3, floor=0.05)
+        dec = mc.density_spectrum(sigma, strict=True)
         A, B = mc.random_complex(r, 3), mc.random_complex(r, 3)
-        lhs = mc.weighted_inner(A, B, sigma, s)
-        rhs = np.conj(mc.weighted_inner(B, A, sigma, s))
+        lhs = mc.weighted_inner(A, B, dec, s)
+        rhs = np.conj(mc.weighted_inner(B, A, dec, s))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -149,14 +174,14 @@ class TestSuperoperators:
             assert np.linalg.norm(mc.apply_superop(S, A) - (X @ A @ Y + A)) <= 1e-12
 
     def test_trace_norm_zero_and_identity(self):
-        assert mc.superop_trace_norm(np.zeros((4, 4))) == 0.0
-        assert mc.superop_trace_norm(np.eye(4)) == pytest.approx(4.0, abs=1e-13)
+        assert mc.trace_norm(np.zeros((4, 4))) == 0.0
+        assert mc.trace_norm(np.eye(4)) == pytest.approx(4.0, abs=1e-13)
 
     def test_trace_norm_of_sqrt_weighting(self, cm_sigma):
         half = mc.matrix_power(cm_sigma, 0.5)
         S = mc.superoperator_of_map(lambda A: half @ A @ half, 2)
         lam = np.linalg.eigvalsh(cm_sigma)
-        assert mc.superop_trace_norm(S) == pytest.approx(np.sum(np.sqrt(lam)) ** 2, abs=1e-12)
+        assert mc.trace_norm(S) == pytest.approx(np.sum(np.sqrt(lam)) ** 2, abs=1e-12)
 
 
 class TestValidation:

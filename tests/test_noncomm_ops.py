@@ -17,42 +17,44 @@ from .oracles import (
 
 class TestSandwichAndModular:
     def test_zero_power_is_identity(self, rng):
-        sigma = mc.random_density(rng, 3, floor=0.1)
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
         A = mc.random_complex(rng, 3)
-        assert np.array_equal(nco.sandwich_pow(sigma, 0.0, A), A)
+        assert np.array_equal(nco.sandwich_pow(dec, 0.0, A), A)
 
     def test_weighting_of_identity_gives_sigma(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
-        assert np.allclose(nco.sandwich_pow(sigma, 1.0, np.eye(3)), sigma, atol=1e-13)
+        dec = mc.density_spectrum(sigma, strict=True)
+        assert np.allclose(nco.sandwich_pow(dec, 1.0, np.eye(3)), sigma, atol=1e-13)
 
     def test_power_composition(self, rng):
-        sigma = mc.random_density(rng, 3, floor=0.1)
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
         A = mc.random_complex(rng, 3)
         g1, g2 = 0.7, -1.3
-        lhs = nco.sandwich_pow(sigma, g1, nco.sandwich_pow(sigma, g2, A))
-        rhs = nco.sandwich_pow(sigma, g1 + g2, A)
+        lhs = nco.sandwich_pow(dec, g1, nco.sandwich_pow(dec, g2, A))
+        rhs = nco.sandwich_pow(dec, g1 + g2, A)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_modular_fixes_identity(self, rng):
-        sigma = mc.random_density(rng, 3, floor=0.1)
-        assert np.allclose(nco.modular_apply(sigma, np.eye(3)), np.eye(3), atol=1e-12)
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
+        assert np.allclose(nco.modular_apply(dec, np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_modular_eigenprojectors(self, rng):
-        sigma = mc.random_density(rng, 3, floor=0.1)
-        dec = mc.eig_hermitian(sigma)
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
         for k in range(3):
             for l in range(3):
                 V = np.outer(dec.vectors[:, k], dec.vectors[:, l].conj())
-                out = nco.modular_apply(sigma, V)
+                out = nco.modular_apply(dec, V)
                 assert np.allclose(out, (dec.values[k] / dec.values[l]) * V, atol=1e-11)
 
     def test_modular_trivial_for_maximally_mixed(self, rng):
         A = mc.random_complex(rng, 4)
-        assert np.allclose(nco.modular_apply(np.eye(4) / 4.0, A), A, atol=1e-12)
+        dec = mc.density_spectrum(np.eye(4) / 4.0, strict=True)
+        assert np.allclose(nco.modular_apply(dec, A), A, atol=1e-12)
 
     def test_modular_rejects_singular(self):
+        # a singular sigma has no validated decomposition to conjugate with
         with pytest.raises(SingularityError):
-            nco.modular_apply(np.diag([1.0, 0.0]), np.eye(2))
+            nco.modular_apply(mc.density_spectrum(np.diag([1.0, 0.0]), strict=True), np.eye(2))
 
 
 class TestLogMeanMultiplier:
@@ -180,7 +182,7 @@ class TestRenyiMultiplier:
         M = nco.renyi_multiplier(rho, sigma_dec, -1.1, 2.0)
         si = mc.matrix_power(sigma, -0.5)
         Z = np.trace(si @ rho @ si @ rho).real
-        expected = 0.5 * Z * nco.sandwich_pow(sigma, 1.0, A)
+        expected = 0.5 * Z * nco.sandwich_pow(sigma_dec, 1.0, A)
         assert np.linalg.norm(M.apply(A) - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_adjoint_relation(self, rng):
@@ -371,45 +373,47 @@ class TestSimilarityPair:
 
 class TestWeightOperator:
     def test_kms_case_is_sqrt_weighting(self, cm_sigma, rng):
-        W = nco.weight_operator(cm_sigma, 2.0)
-        lam = mc.eig_hermitian(cm_sigma).values
+        dec = mc.density_spectrum(cm_sigma, strict=True)
+        W = nco.weight_operator(dec, 2.0)
+        lam = dec.values
         assert np.allclose(W.kernel, np.sqrt(lam[:, None] * lam[None, :]), atol=1e-12)
         A = mc.random_complex(rng, 2)
         assert np.linalg.norm(
-            W.apply(A) - nco.sandwich_pow(cm_sigma, 1.0, A)
+            W.apply(A) - nco.sandwich_pow(dec, 1.0, A)
         ) <= 1e-12 * np.linalg.norm(A)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.0, np.inf])
     def test_diagonal_entries_are_eigenvalues(self, rng, alpha):
         sigma = mc.random_density(rng, 4, floor=0.05)
-        W = nco.weight_operator(sigma, alpha)
+        W = nco.weight_operator(mc.density_spectrum(sigma, strict=True), alpha)
         lam = mc.eig_hermitian(sigma).values
         assert np.allclose(np.diag(W.kernel), lam, atol=1e-11)
 
     def test_limit_toward_one_matches_log_mean(self, rng):
-        sigma = mc.random_density(rng, 3, floor=0.1)
-        lam = mc.eig_hermitian(sigma).values
-        logmean = nco.weight_operator(sigma, 1.0).kernel
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
+        logmean = nco.weight_operator(dec, 1.0).kernel
         for a in (1.0 - 1e-5, 1.0 + 1e-5):
-            K = nco.weight_operator(sigma, a).kernel
+            K = nco.weight_operator(dec, a).kernel
             assert np.max(np.abs(K - logmean)) <= 1e-4
 
     @pytest.mark.parametrize("alpha", [0.5, 3.0])
     def test_against_composition_oracle(self, rng, alpha):
         sigma = mc.random_density(rng, 4, floor=0.05)
-        W = nco.weight_operator(sigma, alpha)
+        dec = mc.density_spectrum(sigma, strict=True)
+        W = nco.weight_operator(dec, alpha)
         m1 = nco.log_mean_multiplier(mc.matrix_power(sigma, 1.0 / alpha))
         m2i = nco.log_mean_multiplier(mc.matrix_power(sigma, (alpha - 1.0) / alpha)).inverse()
         A = mc.random_complex(rng, 4)
-        comp = m1.apply(m2i.apply(nco.sandwich_pow(sigma, 2.0 * (alpha - 1.0) / alpha, A)))
+        comp = m1.apply(m2i.apply(nco.sandwich_pow(dec, 2.0 * (alpha - 1.0) / alpha, A)))
         assert np.linalg.norm(W.apply(A) - comp) <= 1e-9 * np.linalg.norm(comp)
 
     def test_explicit_zero_and_infinity_forms(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
         lam = mc.eig_hermitian(sigma).values
-        K0 = nco.weight_operator(sigma, 0.0).kernel
+        dec = mc.density_spectrum(sigma, strict=True)
+        K0 = nco.weight_operator(dec, 0.0).kernel
         assert np.allclose(K0, np.maximum(lam[:, None], lam[None, :]), atol=1e-12)
-        Kinf = nco.weight_operator(sigma, np.inf).kernel
+        Kinf = nco.weight_operator(dec, np.inf).kernel
         lt = np.log(lam[:, None]) - np.log(lam[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = lt / (lam[:, None] - lam[None, :])
@@ -419,27 +423,27 @@ class TestWeightOperator:
         assert np.allclose(Kinf, expected, atol=1e-10)
 
     def test_symmetric_positive_kernel(self, rng):
-        sigma = mc.random_density(rng, 4, floor=0.02)
+        dec = mc.density_spectrum(mc.random_density(rng, 4, floor=0.02), strict=True)
         for a in (0.0, 0.3, 1.0, 2.0, 5.0, np.inf):
-            K = nco.weight_operator(sigma, a).kernel
+            K = nco.weight_operator(dec, a).kernel
             assert np.allclose(K, K.T, atol=1e-12)
             assert np.all(K > 0)
 
     def test_negative_alpha_rejected(self, rng):
         with pytest.raises(DomainError):
-            nco.weight_operator(np.eye(2) / 2.0, -0.5)
+            nco.weight_operator(mc.density_spectrum(np.eye(2) / 2.0, strict=True), -0.5)
 
 
 class TestWeightedFunctionals:
     def test_norm_of_identity(self, rng):
-        sigma = mc.random_density(rng, 3, floor=0.1)
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
         for a in (0.5, 1.0, 2.0, 4.0):
-            assert nco.lp_norm(sigma, a, np.eye(3)) == pytest.approx(1.0, abs=1e-12)
+            assert nco.lp_norm(dec, a, np.eye(3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_entropy_of_identity_vanishes(self, rng):
-        sigma = mc.random_density(rng, 3, floor=0.1)
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
         for a in (0.5, 1.0, 2.0):
-            assert abs(nco.ent_fun(sigma, a, np.eye(3))) <= 1e-12
+            assert abs(nco.ent_fun(dec, a, np.eye(3))) <= 1e-12
 
     def test_dirichlet_of_identity_vanishes(self, qubit_xz):
         for a in (0.5, 1.0, 2.0):
@@ -470,7 +474,7 @@ class TestWeightedFunctionals:
         lam = np.array([0.2, 0.3, 0.5])
         sigma = np.diag(lam).astype(complex)
         A = np.diag(rng.uniform(0.5, 2.0, size=3)).astype(complex)
-        out = nco.power_op(sigma, 3.0, 2.0, A)
+        out = nco.power_op(mc.density_spectrum(sigma, strict=True), 3.0, 2.0, A)
         assert np.allclose(out, mc.matrix_power(A, 2.0 / 3.0), atol=1e-10)
 
 

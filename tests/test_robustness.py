@@ -19,7 +19,7 @@ from renyiflow.generator import Generator, build_gns, eigen_jump_terms, random_g
 class TestDegenerateSigma:
     def test_partially_degenerate_eigen_terms(self):
         sigma = np.diag([0.25, 0.25, 0.5]).astype(complex)
-        terms = eigen_jump_terms(sigma)
+        terms = eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
         assert len(terms) == 8
         # frequencies vanish inside the degenerate block
         zero_freq = sum(1 for t in terms if t.omega == 0.0)
@@ -30,13 +30,13 @@ class TestDegenerateSigma:
     def test_weight_kernel_degenerate_entries(self):
         sigma = np.diag([0.25, 0.25, 0.5]).astype(complex)
         for a in (0.5, 1.0, 2.0, 3.0, np.inf):
-            K = nco.weight_operator(sigma, a).kernel
+            K = nco.weight_operator(mc.density_spectrum(sigma, strict=True), a).kernel
             assert K[0, 1] == pytest.approx(0.25, abs=1e-12)
 
     def test_weight_kernel_alpha_to_zero_limit(self, rng):
-        sigma = mc.random_density(rng, 3, floor=0.1)
-        K0 = nco.weight_operator(sigma, 0.0).kernel
-        Ksmall = nco.weight_operator(sigma, 1e-5).kernel
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
+        K0 = nco.weight_operator(dec, 0.0).kernel
+        Ksmall = nco.weight_operator(dec, 1e-5).kernel
         assert np.max(np.abs(K0 - Ksmall)) <= 1e-3
 
 
@@ -70,8 +70,8 @@ class TestRankDeficientStates:
         with pytest.warns(UserWarning, match="pruned 1 "):
             tab = flow.divergence_trace(dataclasses.replace(traj, min_eigenvalues=marked), [2.0])
         assert tab.times.tolist() == np.delete(traj.times, 2).tolist()
-        # three eigensolves per divergence and per Fisher information, none per state
-        assert eigensolves(lambda: flow.divergence_trace(traj, [0.5, 2.0])) == 12 * len(traj.times)
+        # three eigensolves per divergence, two per Fisher information, none per state
+        assert eigensolves(lambda: flow.divergence_trace(traj, [0.5, 2.0])) == 10 * len(traj.times)
 
     def test_divergence_small_order_with_singular_rho(self, rng):
         # alpha < 1 stays finite for rank-deficient states
@@ -127,7 +127,7 @@ class TestCliFileInputs:
     def test_sigma_from_csv_block_reference(self, tmp_path, capsys):
         sigma = np.diag([0.25, 0.75]).astype(complex)
         (tmp_path / "sigma.csv").write_text(mc.matrix_to_csv_block("sigma", sigma))
-        terms = eigen_jump_terms(sigma)
+        terms = eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
         doc = {
             "label": "thermal-file",
             "sigma": "sigma.csv",
