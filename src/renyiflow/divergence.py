@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matcore as mc
 from . import noncomm_ops as nco
-from .errors import DomainError, ValidationError
+from .errors import DomainError, StructuralError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,19 @@ class DivergenceValue:
     Z: float
 
 
-def _sandwiched(rho, sigma, alpha: float, strict: bool = False) -> nco.SandwichedState:
-    """Validate both states, then form their sandwiched state (which checks
-    the order); sigma is validated by the decomposition that supplies its
-    powers."""
+def _states(rho, sigma, strict: bool = False) -> tuple[np.ndarray, mc.SpectralDecomposition]:
+    """Validate rho, and sigma by the decomposition that supplies its
+    powers; the two must have one size."""
     rho = mc.require_density(rho, strict=strict, name="rho")
     sigma_dec = mc.density_spectrum(sigma, strict=True, name="sigma")
-    return nco.sandwiched_state(rho, sigma_dec, alpha)
+    if rho.shape != sigma_dec.vectors.shape:
+        raise StructuralError(f"rho has shape {rho.shape}, sigma {sigma_dec.vectors.shape}")
+    return rho, sigma_dec
+
+
+def _sandwiched(rho, sigma, alpha: float, strict: bool = False) -> nco.SandwichedState:
+    """Validate both states, then form their sandwiched state (which checks the order)."""
+    return nco.sandwiched_state(*_states(rho, sigma, strict), alpha)
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -65,11 +71,9 @@ def petz_renyi(rho, sigma, alpha: float) -> float:
     """
     if not 0.0 < alpha < np.inf or alpha == 1.0:
         raise DomainError(f"Petz order alpha={alpha} must lie in (0,1) or (1,inf)")
-    rho = mc.require_density(rho, strict=alpha > 1.0, name="rho")
-    sigma = mc.require_density(sigma, strict=True, name="sigma")
+    rho, sigma_dec = _states(rho, sigma, strict=alpha > 1.0)
     ra = mc.matrix_power(rho, alpha, lenient=True)
-    sb = mc.matrix_power(sigma, 1.0 - alpha)
-    val = float(np.real(np.trace(ra @ sb)))
+    val = float(np.real(np.trace(ra @ sigma_dec.power(1.0 - alpha))))
     return float(np.log(val) / (alpha - 1.0))
 
 
@@ -78,10 +82,9 @@ def chi2_divergence(rho, sigma) -> float:
 
     Satisfies exp(D_2) = 1 + chi2 exactly.
     """
-    rho = mc.require_density(rho, name="rho")
-    sigma = mc.require_density(sigma, strict=True, name="sigma")
-    delta = rho - sigma
-    si = mc.matrix_power(sigma, -0.5)
+    rho, sigma_dec = _states(rho, sigma)
+    delta = rho - mc.hermitize(np.asarray(sigma, dtype=complex))  # the validated sigma
+    si = sigma_dec.power(-0.5)
     return float(np.real(np.trace(delta @ si @ delta @ si)))
 
 
@@ -102,7 +105,10 @@ def fisher_information(rho, sigma, alpha: float, G) -> float:
     drift; non-negative for detailed-balance generators, and equal to the
     entropy-production rate along the flow.
     """
-    if np.linalg.norm(np.asarray(sigma, dtype=complex) - G.sigma) > 1e-10:
+    sigma = np.asarray(sigma, dtype=complex)
+    if sigma.shape != G.sigma.shape or np.linalg.norm(sigma - G.sigma) > 1e-10:
         raise ValidationError("sigma does not match the generator's stationary state")
-    state = nco.sandwiched_state(mc.require_density(rho, strict=True, name="rho"), G.sigma_dec, alpha)
-    return state.fisher(G.apply_Ldag(rho))
+    rho = mc.require_density(rho, strict=True, name="rho")
+    if rho.shape != sigma.shape:
+        raise StructuralError(f"rho has shape {rho.shape}, sigma {sigma.shape}")
+    return nco.sandwiched_state(rho, G.sigma_dec, alpha).fisher(G.apply_Ldag(rho))

@@ -20,9 +20,10 @@ from . import divergence as dv
 from . import matcore as mc
 from . import noncomm_ops as nco
 from .errors import DomainError, IntegrationError, RenyiflowError, StructuralError, ValidationError
-from .generator import Generator, _symmetrized_generator
+from .generator import Generator
 
 POSITIVITY_TOL = 1e-8
+GAP_CLUSTER_RTOL = 1e-8
 
 
 # --- integration --------------------------------------------------------------
@@ -257,17 +258,16 @@ def poincare_check(G: Generator, A, slack: float = 1e-10) -> InequalityCheck:
 
 
 def gap_eigen_direction(G: Generator) -> np.ndarray:
-    """Hermitian, sigma-mean-zero eigenvector of the symmetrized generator
-    at the spectral gap, normalized in Frobenius norm."""
-    H, qi = _symmetrized_generator(G)
-    w, V = np.linalg.eigh(H)
-    scale = max(w[-1], 1e-300)
-    idx = int(np.argmax(w > 1e-9 * scale))
-    phi = qi @ mc.unvec(V[:, idx], G.n) @ qi
-    h = mc.hermitize(phi)
-    if np.linalg.norm(h) < 1e-8 * np.linalg.norm(phi):
-        h = mc.hermitize(1j * phi)
-    return h / np.linalg.norm(h)
+    """Hermitian, sigma-mean-zero eigenvector of -L at the spectral gap,
+    normalized in Frobenius norm: the half-weighted orthogonal projection of
+    one fixed generic traceless Hermitian matrix onto the gap's eigenspace
+    (eigenvalues of `G.spectrum` within relative GAP_CLUSTER_RTOL of the
+    gap), so it depends on neither the eigensolver's phases nor its basis."""
+    spec, lam = G.spectrum, G.gap.value
+    U = spec.vectors[:, np.abs(spec.values - lam) <= GAP_CLUSTER_RTOL * lam]
+    probe = nco.sandwich_pow(G.sigma_dec, 0.5, mc.random_traceless_hermitian(np.random.default_rng(0), G.n))
+    nu = mc.hermitize(nco.sandwich_pow(G.sigma_dec, -0.5, mc.unvec(U @ (U.conj().T @ mc.vec(probe)), G.n)))
+    return nu / np.linalg.norm(nu)
 
 
 def generic_initial_state(
@@ -420,7 +420,7 @@ def lsi_constants(
 
     def to_rho(x):
         H = sum(c * B for c, B in zip(x, basis))
-        dec = mc.eig_hermitian(H)
+        dec = mc.SpectralDecomposition(*np.linalg.eigh(H))
         w = np.exp(dec.values - dec.values.max())
         rho = dec.reconstruct(w)
         return rho / np.trace(rho).real

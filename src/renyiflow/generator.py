@@ -190,6 +190,23 @@ class Generator:
     def gap(self) -> "SpectralGap":
         return spectral_gap(self)
 
+    @cached_property
+    def spectrum(self) -> mc.SpectralDecomposition:
+        """Eigensystem of -L conjugated by A -> q A q, q = sigma^(1/4), which
+        takes the half-weighted inner product to the Hilbert-Schmidt one, so
+        an eigenvector u pulls back to the eigenvector qi unvec(u) qi of -L,
+        qi = q^-1.  A relative asymmetry above TOL_SELFADJOINT raises."""
+        qi = self.sigma_dec.power(-0.25)
+        S = mc.sandwich_superop(self.sigma_dec.power(0.25)) @ (-self.L_super) @ mc.sandwich_superop(qi)
+        asym = np.linalg.norm(S - S.conj().T) / max(np.linalg.norm(S), 1e-300)
+        if asym > TOL_SELFADJOINT:
+            raise ValidationError(
+                f"{self.label!r} not self-adjoint in the half-weighted inner product: {asym:.3e}")
+        dec = mc.SpectralDecomposition(*np.linalg.eigh(mc.hermitize(S)))
+        for arr in (dec.values, dec.vectors):
+            arr.setflags(write=False)
+        return dec
+
     def __repr__(self) -> str:
         kind = "jump" if self.terms is not None else "map"
         return f"Generator(n={self.n}, kind={kind}, label={self.label!r})"
@@ -198,18 +215,19 @@ class Generator:
 def _lindblad_superop(terms: list[JumpTerm]) -> np.ndarray:
     """Observable-side superoperator of the jump-term generator.
 
-    L(A) = sum_j e^(-omega_j/2) (V_j*[A, V_j] + [V_j*, A] V_j)
-         = sum_j e^(-omega_j/2) (2 V_j* A V_j - V_j*V_j A - A V_j*V_j),
-    assembled from the column-stacking identity A -> X A Y = kron(Y.T, X).
+    L(A) = sum_j e^(-omega_j/2) (V_j*[A, V_j] + [V_j*, A] V_j) = 2 sum_j e^(-omega_j/2) V_j* A V_j - K A - A K
+    with K = sum_j e^(-omega_j/2) V_j*V_j, under A -> X A Y = kron(Y.T, X):
+    the sandwich terms in one stacked contraction, K in two kron.
     """
-    n = terms[0].V.shape[0]
+    V = np.array([t.V for t in terms])
+    Vd = V.conj().swapaxes(-1, -2)
+    w = np.exp(-np.array([t.omega for t in terms]) / 2.0)
+    m, n = V.shape[:2]
+    K = np.tensordot(w, Vd @ V, axes=1)
+    # entry (p, q, r, s) is sum_j w_j V_j[q, p] V_j*[r, s], the (p n + r, q n + s) entry of the sum of kron
+    S = ((w[:, None] * V.swapaxes(-1, -2).reshape(m, -1)).T @ Vd.reshape(m, -1)).reshape(n, n, n, n)
     eye = np.eye(n)
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for t in terms:
-        V, Vd, w = t.V, t.V.conj().T, np.exp(-t.omega / 2.0)
-        VdV = Vd @ V
-        out += w * (2.0 * np.kron(V.T, Vd) - np.kron(eye, VdV) - np.kron(VdV.T, eye))
-    return out
+    return 2.0 * S.transpose(0, 2, 1, 3).reshape(n * n, n * n) - np.kron(eye, K) - np.kron(K.T, eye)
 
 
 def build_gns(sigma, terms: list[JumpTerm], label: str = "gns") -> Generator:
@@ -269,14 +287,16 @@ def from_schrodinger_map(Ldag_map, n: int, sigma=None, label: str = "raw") -> Ge
 
 def eigen_jump_terms(sigma_dec: mc.SpectralDecomposition, weights=None) -> list[JumpTerm]:
     """Canonical jump-term basis attached to a stationary state, from the
-    `mc.density_spectrum` that validated it.
+    `mc.density_spectrum` that validated it, made canonical here
+    (`SpectralDecomposition.canonical`) so serialized operators keep their bits.
 
     Off-diagonal eigenprojector pairs |psi_k><psi_l| carry the Bohr
     frequency log(lam_l / lam_k); eigenvalues equal within relative 1e-10
     are grouped and get frequency zero, as do the n-1 traceless diagonal
     ladder operators.  `weights` optionally rescales each term.
     """
-    lam, U = sigma_dec.values, sigma_dec.vectors
+    canon = sigma_dec.canonical()
+    lam, U = canon.values, canon.vectors
     n = lam.size
     group = np.zeros(n, dtype=int)
     for k in range(1, n):
@@ -337,38 +357,20 @@ class SpectralGap:
     spectrum: np.ndarray
 
 
-def _symmetrized_generator(G: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian part of -L conjugated by the two-sided quarter-power
-    weighting, together with sigma^(-1/4) for pulling eigenvectors back;
-    a relative asymmetry above TOL_SELFADJOINT raises instead."""
-    q = G.sigma_dec.power(0.25)
-    qi = G.sigma_dec.power(-0.25)
-    S = mc.sandwich_superop(q) @ (-G.L_super) @ mc.sandwich_superop(qi)
-    asym = np.linalg.norm(S - S.conj().T) / max(np.linalg.norm(S), 1e-300)
-    if asym > TOL_SELFADJOINT:
-        raise ValidationError(f"{G.label!r} not self-adjoint in the half-weighted inner product: {asym:.3e}")
-    return 0.5 * (S + S.conj().T), qi
-
-
 def spectral_gap(G: Generator) -> SpectralGap:
     """Spectrum of -L as a self-adjoint operator in the half-weighted inner
     product, and its smallest nonzero eigenvalue.
 
-    The generator is conjugated by the quarter-power weighting (which maps
-    the weighted inner product to the Hilbert-Schmidt one), symmetrized,
-    and diagonalized.  Eigenvalues below -1e-6 (relative) signal a
+    Read from `G.spectrum`.  Eigenvalues below -1e-6 (relative) signal a
     detailed-balance violation.
     """
-    H = _symmetrized_generator(G)[0]
+    w = G.spectrum.values
     if not G.primitivity.primitive:
         raise ValidationError(f"generator {G.label!r} is not primitive")
-    w = np.linalg.eigvalsh(H)
     scale = max(w[-1], 1e-300)
     if w[0] < -1e-6 * scale:
         raise ValidationError(
-            f"symmetrized generator has negative eigenvalue {w[0]:.3e}; "
-            "detailed balance violated"
-        )
+            f"symmetrized generator has negative eigenvalue {w[0]:.3e}; detailed balance violated")
     positive = w[w > ZERO_MODE_RTOL * scale]
     n_zero = w.size - positive.size
     if n_zero != 1:

@@ -8,9 +8,10 @@ Conventions fixed once for the whole package:
 * Vectorization is column-stacking (Fortran order).  Under it the map
   ``A -> X A Y`` has the matrix ``kron(Y.T, X)``, and the matrix-unit
   basis element ``E_kl`` occupies vec index ``k + n*l``.
-* ``eig_hermitian`` returns ascending eigenvalues with phase-fixed
-  eigenvectors (first significant component real positive) and a
-  deterministic tie order, so repeated runs serialize identically.
+* Eigenvalues ascend.  Eigenvector phases and tie order are fixed in one
+  place, ``SpectralDecomposition.canonical`` (behind ``eig_hermitian``), for
+  eigenvectors that are serialized; matrix functions, ``density_spectrum``
+  and every other decomposition are a plain ``eigh``.
 """
 
 from __future__ import annotations
@@ -106,52 +107,42 @@ class SpectralDecomposition:
     def _real_function(self, fw: np.ndarray) -> np.ndarray:
         return hermitize(self.reconstruct(fw.astype(complex)))
 
-
-def _fix_phase(column: np.ndarray) -> np.ndarray:
-    mags = np.abs(column)
-    idx = int(np.argmax(mags > 1e-12 * max(mags.max(), 1e-300)))
-    pivot = column[idx]
-    if abs(pivot) == 0.0:
-        return column
-    return column * (pivot.conjugate() / abs(pivot))
+    def canonical(self) -> "SpectralDecomposition":
+        """The same eigensystem with each eigenvector's first significant
+        component real positive, and exact ties ordered by lexicographic
+        comparison of the phase-fixed eigenvector entries."""
+        w, U = self.values, self.vectors
+        mags = np.abs(U)
+        first = np.argmax(mags > 1e-12 * np.maximum(mags.max(axis=0), 1e-300), axis=0)
+        pivot = U[first, np.arange(w.size)]
+        # np.hypot rounds as scalar abs does (vectorized np.abs may not): written operators keep their bits
+        U = U * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+        scale = max(1.0, float(np.max(np.abs(w))))
+        order = np.arange(w.size)
+        k = 0
+        while k < w.size:
+            j = k + 1
+            while j < w.size and w[j] - w[k] <= 1e-12 * scale:
+                j += 1
+            if j - k > 1:
+                keys = np.array([np.round(np.column_stack([U[:, c].real, U[:, c].imag]).ravel(), 10)
+                                 for c in order[k:j]])
+                order[k:j] = order[k:j][np.lexsort(keys.T[::-1])]
+            k = j
+        return SpectralDecomposition(values=w[order].copy(), vectors=U[:, order].copy())
 
 
 def eig_hermitian(A, tol: float = TOL_HERM) -> SpectralDecomposition:
-    """Eigendecomposition with deterministic ordering.
-
-    Ascending eigenvalues; each eigenvector has its first significant
-    component phase-fixed to be real positive; exact ties are ordered by
-    lexicographic comparison of the phase-fixed eigenvector entries.
-    """
-    return _phase_fixed_eigh(require_hermitian(A, tol=tol))
-
-
-def _phase_fixed_eigh(A: np.ndarray) -> SpectralDecomposition:
-    w, U = np.linalg.eigh(A)
-    U = np.column_stack([_fix_phase(U[:, k]) for k in range(U.shape[1])])
-    # deterministic order inside (numerically) degenerate groups
-    scale = max(1.0, float(np.max(np.abs(w))))
-    order = np.arange(w.size)
-    k = 0
-    while k < w.size:
-        j = k + 1
-        while j < w.size and w[j] - w[k] <= 1e-12 * scale:
-            j += 1
-        if j - k > 1:
-            keys = []
-            for c in order[k:j]:
-                col = U[:, c]
-                keys.append(tuple(np.round(np.column_stack([col.real, col.imag]).ravel(), 10)))
-            order[k:j] = order[k:j][np.lexsort(np.array(keys).T[::-1])]
-        k = j
-    return SpectralDecomposition(values=w[order].copy(), vectors=U[:, order].copy())
+    """Eigendecomposition of a Hermitian matrix with deterministic phases
+    and tie order (`SpectralDecomposition.canonical`)."""
+    return SpectralDecomposition(*np.linalg.eigh(require_hermitian(A, tol=tol))).canonical()
 
 
 def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDecomposition:
-    """Validate a density matrix as `require_density` does, from the
-    `eig_hermitian` decomposition it returns."""
+    """Validate a density matrix as `require_density` does, from the plain
+    `eigh` decomposition it returns."""
     A = require_hermitian(A, name=name)
-    dec = _phase_fixed_eigh(A)
+    dec = SpectralDecomposition(*np.linalg.eigh(A))
     _check_density(A, float(dec.values[0]), strict, name)
     return dec
 
@@ -168,7 +159,7 @@ def matrix_function(
     log and negative powers).  Eigenvalues below it raise; in lenient
     mode values in [-TOL_PSD, min_eigenvalue) are clamped up instead.
     """
-    dec = eig_hermitian(A)
+    dec = SpectralDecomposition(*np.linalg.eigh(require_hermitian(A)))
     w = dec.values.copy()
     if min_eigenvalue is not None:
         bad = w < min_eigenvalue

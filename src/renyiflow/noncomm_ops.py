@@ -8,7 +8,9 @@ built on it, the detailed-balance weight kernel, and the weighted-norm
 entropy/Dirichlet functionals.  The sandwiched state is formed and
 decomposed in exactly one function, `sandwiched_state`.  Functions of a
 reference state sigma take the `mc.density_spectrum` that validated it (a
-generator's `sigma_dec`) and never decompose sigma themselves.
+generator's `sigma_dec`) and never decompose sigma themselves.  Every
+decomposition here is a plain `eigh`: no kernel operator depends on the
+eigenvector phases, which are fixed only in `mc.eig_hermitian`.
 
 Every integral-form operator used here diagonalizes in the eigenbasis of
 its base matrix, so it is evaluated through a closed-form entrywise
@@ -78,7 +80,7 @@ def _require_positive(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def _positive_spectrum(X, name: str = "X") -> mc.SpectralDecomposition:
-    dec = mc.eig_hermitian(X)
+    dec = mc.SpectralDecomposition(*np.linalg.eigh(mc.require_hermitian(X)))
     _require_positive(dec.values, name)
     return dec
 
@@ -387,8 +389,7 @@ def weight_operator(sigma_dec: mc.SpectralDecomposition, alpha: float) -> Kernel
 def lp_norm(sigma_dec: mc.SpectralDecomposition, alpha: float, A) -> float:
     """Weighted alpha-norm (tr |sigma^(1/2a) A sigma^(1/2a)|^alpha)^(1/alpha)."""
     B = sandwich_pow(sigma_dec, 1.0 / alpha, A)
-    dec = mc.eig_hermitian(mc.hermitize(B))
-    return float(np.sum(np.abs(dec.values) ** alpha) ** (1.0 / alpha))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(mc.hermitize(B))) ** alpha) ** (1.0 / alpha))
 
 
 def power_op(sigma_dec: mc.SpectralDecomposition, beta: float, alpha: float, A) -> np.ndarray:

@@ -215,3 +215,17 @@ def norm_functional_by_state(rho, sigma, beta):
     rs = mc.hermitize(_sandwich_pow(sigma, (1.0 - beta) / beta, rho))
     w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
     return float(np.log(np.sum(w**beta)) / beta)
+
+
+def lindblad_superop_by_term(terms):
+    """Observable-side superoperator of a jump-term generator, three kron
+    products per term: sum_j e^(-omega_j/2) (2 kron(V_j.T, V_j*)
+    - kron(I, V_j*V_j) - kron((V_j*V_j).T, I))."""
+    n = terms[0].V.shape[0]
+    eye = np.eye(n)
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for t in terms:
+        V, Vd, w = t.V, t.V.conj().T, np.exp(-t.omega / 2.0)
+        VdV = Vd @ V
+        out += w * (2.0 * np.kron(V.T, Vd) - np.kron(eye, VdV) - np.kron(VdV.T, eye))
+    return out

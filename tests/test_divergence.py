@@ -241,6 +241,8 @@ def _malformed(case, G):
         sigma = np.diag([1.0, 0.0]).astype(complex)
     elif case == "non-psd rho":
         rho = np.diag([1.2, -0.2]).astype(complex)
+    elif case == "rho of another size":
+        rho = np.eye(3) / 3.0
     elif case == "order":
         alpha = -0.5
     return rho, sigma, alpha
@@ -260,6 +262,7 @@ STATE_ERRORS = {
     "trace of sigma": StructuralError,
     "singular sigma": SingularityError,
     "non-psd rho": StructuralError,
+    "rho of another size": StructuralError,
 }
 
 

@@ -6,7 +6,13 @@ import renyiflow.flow as flow
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
 from renyiflow.errors import DomainError, SingularityError, StructuralError, ValidationError
-from renyiflow.generator import depolarizing_generator, qubit_xz_generator, random_gns_generator
+from renyiflow.generator import (
+    JumpTerm,
+    build_gns,
+    depolarizing_generator,
+    qubit_xz_generator,
+    random_gns_generator,
+)
 
 from .oracles import (
     metric_tensor_by_term,
@@ -322,6 +328,41 @@ class TestTermlessGenerators:
     def test_gradient_raises_validation(self, termless):
         with pytest.raises(ValidationError, match="no jump-term decomposition"):
             nco.nc_gradient(termless, np.eye(termless.n))
+
+
+def weights_scaled(G, factor):
+    """The generator with every jump weight multiplied by `factor`."""
+    return build_gns(G.sigma, [JumpTerm.of(t.V * np.sqrt(factor), t.omega) for t in G.terms])
+
+
+class TestGapDirection:
+    """The gap direction is the projection of one fixed matrix onto the gap
+    eigenspace, so neither the eigensolver's phases nor its basis of a
+    degenerate gap can move it."""
+
+    @pytest.mark.parametrize("n, seed", [(2, 1), (2, 3), (3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_initial_state_stable_under_weight_perturbation(self, n, seed):
+        G = random_gns_generator(np.random.default_rng(seed), n, min_sigma_eig=0.15)
+        rho0 = flow.generic_initial_state(G, np.random.default_rng(0))
+        moved = flow.generic_initial_state(weights_scaled(G, 1.0 + 1e-14), np.random.default_rng(0))
+        assert np.linalg.norm(moved - rho0) <= 1e-10 * np.linalg.norm(rho0)
+
+    @pytest.mark.parametrize("n, seed", [(2, 1), (3, 2), (4, 2)])
+    def test_perturbed_draws_include_degenerate_gaps(self, n, seed):
+        G = random_gns_generator(np.random.default_rng(seed), n, min_sigma_eig=0.15)
+        lam = G.gap.value
+        assert np.sum(np.abs(G.gap.spectrum - lam) <= flow.GAP_CLUSTER_RTOL * lam) == 2
+
+    def test_gap_then_direction_is_one_eigensolve(self, eigensolves):
+        G = random_gns_generator(np.random.default_rng(6), 3, min_sigma_eig=0.15)
+        assert eigensolves(lambda: (G.gap, flow.gap_eigen_direction(G))) == 1
+
+    @pytest.mark.parametrize("name", ["qubit-xz", "gns-2", "gns-3", "gns-4"])
+    def test_direction_is_gap_eigenvector(self, name):
+        G = named_generator(name)
+        nu = flow.gap_eigen_direction(G)
+        assert np.linalg.norm(nu - nu.conj().T) == 0.0
+        assert np.linalg.norm(-G.apply_L(nu) - G.gap.value * nu) <= 1e-9
 
 
 class TestPoincare:

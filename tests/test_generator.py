@@ -21,6 +21,7 @@ from renyiflow.generator import (
 from .oracles import (
     brute_force_commutant_dim,
     depolarizing_superops_by_probing,
+    lindblad_superop_by_term,
     lindblad_superops_by_probing,
 )
 
@@ -119,6 +120,12 @@ class TestClosedFormSuperoperators:
         assert np.linalg.norm(G.Ldag_super - Ldag_ref) <= tol
         assert np.array_equal(G.Ldag_super, G.L_super.conj().T)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stacked_assembly_matches_per_term_kron(self, n):
+        G = random_gns_generator(np.random.default_rng(7000 + n), n, min_sigma_eig=0.15)
+        ref = lindblad_superop_by_term(G.terms)
+        assert np.linalg.norm(G.L_super - ref) <= 1e-14 * np.linalg.norm(ref)
+
 
 @pytest.fixture(scope="module")
 def random_gen():
@@ -205,6 +212,18 @@ class TestEigenJumpTerms:
         omegas = sorted(t.omega for t in terms)
         expected = np.log(lam[1] / lam[0])
         assert omegas == pytest.approx([-expected, 0.0, expected], abs=1e-12)
+
+    @pytest.mark.parametrize("n, degenerate", [(2, False), (3, False), (4, False), (8, False), (4, True)])
+    def test_operators_keep_their_bits(self, rng, n, degenerate):
+        # jump operators are serialized: a plain decomposition of sigma must
+        # give exactly the operators of the phase-fixed one, ties included
+        sigma = mc.random_density(rng, n, floor=0.1)
+        if degenerate:
+            Q = np.linalg.qr(mc.random_complex(rng, n))[0]
+            sigma = mc.hermitize(Q @ np.diag([0.1, 0.2, 0.2, 0.5]) @ Q.conj().T)
+        plain = eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
+        fixed = eigen_jump_terms(mc.eig_hermitian(sigma))
+        assert all(np.array_equal(a.V, b.V) and a.omega == b.omega for a, b in zip(plain, fixed, strict=True))
 
     def test_full_basis_builds_valid_generator(self, rng):
         sigma = mc.random_density(rng, 4, floor=0.1)
