@@ -17,9 +17,9 @@ from urllib.parse import parse_qs
 import numpy as np
 
 from . import balance_check as bc
-from . import divergence as dv
 from . import flow
 from . import matcore as mc
+from . import noncomm_ops as nco
 from .errors import (
     DomainError,
     IntegrationError,
@@ -266,8 +266,8 @@ def _shrink_to_entropy(G: Generator, eps: float, seed: int) -> np.ndarray:
     w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
     delta = 0.5
     for _ in range(60):
-        rho = mc.hermitize((1.0 - delta) * G.sigma + delta * w)
-        if dv.relative_entropy(rho, G.sigma) <= 0.8 * eps:
+        rho = mc.require_density((1.0 - delta) * G.sigma + delta * w, name="rho")
+        if nco.sandwiched_state(rho, G.sigma_dec, 1.0).divergence() <= 0.8 * eps:
             return rho
         delta *= 0.7
     raise ValidationError("could not construct an initial state inside the entropy ball")

@@ -46,6 +46,10 @@ def _require_dim(A: np.ndarray, n: int, name: str) -> np.ndarray:
     return A
 
 
+def _validated(G: Generator, rho) -> np.ndarray:
+    return _require_dim(mc.require_density(rho, name="rho"), G.n, "rho")
+
+
 def _project(rho: np.ndarray) -> np.ndarray:
     rho = mc.hermitize(rho)
     return rho / np.trace(rho).real
@@ -203,8 +207,10 @@ def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
 
     Each direction is lifted to a potential by inverting the strictly
     positive flux operator on the traceless Hermitian subspace
-    (pseudo-inverse cutoff 1e-10), then the lifted gradients are paired
-    through the order-alpha multiplication operator.
+    (pseudo-inverse cutoff 1e-10), and the lifted gradients are paired
+    through the order-alpha multiplication operator: with T the flux
+    operator's Gram matrix, the lifts x = T+ c of coordinates c pair to
+    x1' T x2 = c1' T+ c2.
     """
     if not G.primitivity.primitive:
         raise ValidationError("metric tensor needs a primitive generator")
@@ -222,13 +228,8 @@ def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
     w, Q = np.linalg.eigh(T)
     cutoff = 1e-10 * max(abs(w[-1]), 1e-300)
     winv = np.where(np.abs(w) > cutoff, 1.0 / w, 0.0)
-
-    def solve(nu):
-        coords = np.real(flat @ nu.ravel())
-        return np.tensordot(Q @ (winv * (Q.T @ coords)), basis, axes=1)
-
-    g1, g2 = nco.nc_gradient(G, solve(nu1)), nco.nc_gradient(G, solve(nu2))
-    return float(np.real(np.vdot(g1, M.apply(g2))))
+    a1, a2 = np.real(np.array([nu1.ravel(), nu2.ravel()]) @ flat.T) @ Q
+    return float(a1 @ (winv * a2))
 
 
 # --- inequality checks ----------------------------------------------------------
@@ -262,11 +263,13 @@ def gap_eigen_direction(G: Generator) -> np.ndarray:
     normalized in Frobenius norm: the half-weighted orthogonal projection of
     one fixed generic traceless Hermitian matrix onto the gap's eigenspace
     (eigenvalues of `G.spectrum` within relative GAP_CLUSTER_RTOL of the
-    gap), so it depends on neither the eigensolver's phases nor its basis."""
-    spec, lam = G.spectrum, G.gap.value
-    U = spec.vectors[:, np.abs(spec.values - lam) <= GAP_CLUSTER_RTOL * lam]
-    probe = nco.sandwich_pow(G.sigma_dec, 0.5, mc.random_traceless_hermitian(np.random.default_rng(0), G.n))
-    nu = mc.hermitize(nco.sandwich_pow(G.sigma_dec, -0.5, mc.unvec(U @ (U.conj().T @ mc.vec(probe)), G.n)))
+    gap), so it depends on neither the eigensolver's phases nor its basis.
+    It is formed in sigma's eigenbasis, the basis of `G.spectrum`."""
+    spec, lam, sig = G.spectrum, G.gap.value, G.sigma_dec
+    C = spec.vectors[:, np.abs(spec.values - lam) <= GAP_CLUSTER_RTOL * lam]
+    U, q = sig.vectors, np.outer(sig.values, sig.values) ** 0.25
+    probe = q * (U.conj().T @ mc.random_traceless_hermitian(np.random.default_rng(0), G.n) @ U)
+    nu = mc.hermitize(U @ (mc.unvec(C @ (C.conj().T @ mc.vec(probe)), G.n) / q) @ U.conj().T)
     return nu / np.linalg.norm(nu)
 
 
@@ -295,10 +298,11 @@ def generic_initial_state(
 
 
 def fisher2_bound_check(G: Generator, rho, slack: float = 1e-9) -> InequalityCheck:
-    """Uniform lower bound on the order-2 Fisher information by the gap."""
-    rho = mc.require_density(rho, strict=True, name="rho")
-    I2 = dv.fisher_information(rho, G.sigma, 2.0, G)
-    D2 = dv.sandwiched_renyi(rho, G.sigma, 2.0).value
+    """Uniform lower bound on the order-2 Fisher information by the gap;
+    I2 and D2 are read from one sandwiched state."""
+    rho = _require_dim(mc.require_density(rho, strict=True, name="rho"), G.n, "rho")
+    state = nco.sandwiched_state(rho, G.sigma_dec, 2.0)
+    I2, D2 = state.fisher(G.apply_Ldag(rho)), state.divergence()
     bound = 2.0 * G.gap.value * (1.0 - np.exp(-D2))
     return InequalityCheck(lhs=I2, rhs=float(bound), passed=I2 >= bound - slack)
 
@@ -555,9 +559,8 @@ def decay_envelope_constants(G: Generator, alpha: float, eps: float, rho0, K: fl
         K = _guaranteed_lsi(lam, smin)
     Lam, eta = _lambda_eta(2.0, eps, w, G.omegas)
     T = max(0.0, np.log(alpha - 1.0) / (2.0 * K * eta)) if alpha > 1.0 else 0.0
-    D2_0 = dv.sandwiched_renyi(rho0, G.sigma, 2.0).value
-    Da_0 = dv.sandwiched_renyi(rho0, G.sigma, alpha).value
-    D1_0 = dv.relative_entropy(rho0, G.sigma)
+    rho0 = _validated(G, rho0)
+    D2_0, Da_0, D1_0 = (nco.sandwiched_state(rho0, G.sigma_dec, a).divergence() for a in (2.0, alpha, 1.0))
     heaviside = 1.0 if alpha > 2.0 else 0.0
     C = (np.expm1(D2_0) / Da_0) * np.exp(heaviside * 2.0 * lam * T)
     tau = 0.0 if alpha <= 2.0 else T + max(0.0, np.log(D1_0 / eps) / (2.0 * K))
@@ -627,7 +630,7 @@ def hypercontractivity_monitor(
     eps = default_comparison_eps(smin) if eps is None else eps
     if not 0.0 < eps < smin**2 / 2.0:
         raise DomainError(f"eps={eps} outside (0, lambda_min^2/2 = {smin**2 / 2.0:.3e})")
-    D0 = dv.relative_entropy(rho0, G.sigma)
+    D0 = nco.sandwiched_state(_validated(G, rho0), G.sigma_dec, 1.0).divergence()
     if D0 > eps:
         raise ValidationError(f"initial relative entropy {D0:.3e} exceeds the required bound eps={eps:.3e}")
     T = _delay_time(alpha0, alpha1, K, eta)
@@ -688,8 +691,8 @@ def comparison_check(
     trace = hypercontractivity_monitor(
         G, rho0, alpha0, alpha1, eta, K, eps=eps, n_samples=n_samples
     )
-    D_start = dv.sandwiched_renyi(rho0, G.sigma, alpha0).value
-    D_end = dv.sandwiched_renyi(trace.final, G.sigma, alpha1).value
+    D_start = nco.sandwiched_state(_validated(G, rho0), G.sigma_dec, alpha0).divergence()
+    D_end = nco.sandwiched_state(_validated(G, trace.final), G.sigma_dec, alpha1).divergence()
     passed = (D_end <= D_start + slack) and (trace.max_forward_increase <= monitor_slack)
     return ComparisonReport(
         alpha0=float(alpha0), alpha1=float(alpha1), eps=float(eps), K=float(K),

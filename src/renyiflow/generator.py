@@ -3,6 +3,8 @@
 Builds and validates jump-operator generators whose stationary state
 enters through modular (Bohr-frequency) eigenvector conditions, decides
 primitivity, and computes the spectral gap of the symmetrized generator.
+Every sigma-weighting of L is an entrywise kernel on `Generator.L_eig`, L
+written in the matrix units of sigma's eigenbasis.
 """
 
 from __future__ import annotations
@@ -50,64 +52,76 @@ class JumpTerm:
         return JumpTerm(V=V, omega=float(omega), weight=float(weight))
 
 
-def _validate_terms(S: np.ndarray, Sinv: np.ndarray, terms: list[JumpTerm]) -> None:
-    """Structure conditions (i)-(iv); S and Sinv are sigma and its inverse."""
-    norms = [np.linalg.norm(t.V) for t in terms]
-    for j, t in enumerate(terms):
-        tr = abs(np.trace(t.V))
-        if tr > TOL_TRACELESS * max(1.0, norms[j]):
-            raise ValidationError(f"condition (i) violated at term {j}: |tr V| = {tr:.3e}")
-        res = np.linalg.norm(S @ t.V @ Sinv - np.exp(-t.omega) * t.V)
-        if res > TOL_MODULAR * norms[j]:
-            raise ValidationError(
-                f"condition (iii) violated at term {j}: modular eigenvector residual "
-                f"{res / norms[j]:.3e} for omega={t.omega}"
-            )
+def _raise_first(*conditions) -> None:
+    """Raise the first violation in (term, condition) order; a condition is (mask, message of j)."""
+    bad = np.array([mask for mask, _ in conditions]).T
+    if bad.any():
+        j, c = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValidationError(conditions[c][1](int(j)))
+
+
+def _modular_kernel(dec: mc.SpectralDecomposition) -> np.ndarray:
+    """lam_k / lam_l, the kernel of A -> sigma A sigma^-1 in sigma's eigenbasis."""
+    return np.outer(dec.values, 1.0 / dec.values)
+
+
+def _validate_terms(G: Generator) -> None:
+    """Structure conditions (i)-(iv) on the stacked jump operators."""
+    terms, (V, Vd), U = G.terms, G.jump_stacks, G.sigma_dec.vectors
+    omega, weights = np.array([[t.omega, t.weight] for t in terms]).T
+    X, Xd = V.reshape(len(V), -1), Vd.reshape(len(V), -1)
+    norms = np.linalg.norm(X, axis=1)
+    tr = np.abs(np.trace(V, axis1=1, axis2=2))
+    res = (_modular_kernel(G.sigma_dec) - np.exp(-omega)[:, None, None]) * (U.conj().T @ V @ U)
+    res = np.linalg.norm(res, axis=(1, 2))
+    _raise_first(
+        (tr > TOL_TRACELESS * np.maximum(1.0, norms),
+         lambda j: f"condition (i) violated at term {j}: |tr V| = {tr[j]:.3e}"),
+        (res > TOL_MODULAR * norms,
+         lambda j: f"condition (iii) violated at term {j}: modular eigenvector residual "
+                   f"{res[j] / norms[j]:.3e} for omega={terms[j].omega}"),
+    )
     # Gram matrix <V_j, V_k> of the stacked vec(V_j); first violation in (j, k) order
-    X = np.array([t.V.ravel() for t in terms])
     gram = X.conj() @ X.T
-    weights = np.array([t.weight for t in terms])
-    nrm = np.array(norms)
-    bad = np.abs(gram) > TOL_GRAM * np.outer(nrm, nrm)
+    bad = np.abs(gram) > TOL_GRAM * np.outer(norms, norms)
     np.fill_diagonal(bad, np.abs(np.diag(gram) - weights) > TOL_GRAM * np.maximum(1.0, weights))
     if bad.any():
         j, k = np.unravel_index(np.argmax(bad), bad.shape)
         g = complex(gram[j, k])
         if j == k:
-            raise ValidationError(
-                f"condition (i) violated at term {j}: <V,V>={g!r} != weight {terms[j].weight}"
-            )
+            raise ValidationError(f"condition (i) violated at term {j}: <V,V>={g!r} != weight {weights[j]}")
         raise ValidationError(f"condition (i) violated at pair ({j},{k}): overlap {abs(g):.3e}")
-    for j, tj in enumerate(terms):
-        dist = np.linalg.norm(X - tj.V.conj().T.ravel(), axis=1)
-        hits = np.flatnonzero(dist <= 1e-8 * norms[j])
-        if hits.size == 0:
-            raise ValidationError(f"condition (ii) violated: no adjoint partner for term {j}")
-        partner = int(hits[0])
-        tk = terms[partner]
-        if abs(tj.weight - tk.weight) > 1e-8 * max(1.0, tj.weight):
-            raise ValidationError(
-                f"condition (iv) violated at pair ({j},{partner}): weights "
-                f"{tj.weight} vs {tk.weight}"
-            )
-        if abs(tj.omega + tk.omega) > 1e-8:
-            raise ValidationError(
-                f"condition (iv) violated at pair ({j},{partner}): omegas "
-                f"{tj.omega} vs {tk.omega}"
-            )
+    # adjoint partner of V_j: the V_k nearest to V_j*, from one overlap product
+    # (the V_k are orthogonal, so no other V_k comes within the tolerance)
+    p = np.argmin(norms**2 - 2.0 * np.real(Xd.conj() @ X.T), axis=1)
+    dist = np.linalg.norm(X[p] - Xd, axis=1)
+    _raise_first(
+        (dist > 1e-8 * norms, lambda j: f"condition (ii) violated: no adjoint partner for term {j}"),
+        (np.abs(weights - weights[p]) > 1e-8 * np.maximum(1.0, weights),
+         lambda j: f"condition (iv) violated at pair ({j},{p[j]}): weights "
+                   f"{terms[j].weight} vs {terms[p[j]].weight}"),
+        (np.abs(omega + omega[p]) > 1e-8,
+         lambda j: f"condition (iv) violated at pair ({j},{p[j]}): omegas "
+                   f"{terms[j].omega} vs {terms[p[j]].omega}"),
+    )
 
 
-def gns_selfadjoint_residual(L_super: np.ndarray, sigma: np.ndarray) -> float:
-    """Asymmetry of the generator in the fully sigma-weighted inner product.
+def gns_selfadjoint_residual(G: Generator) -> float:
+    """Asymmetry of the generator in the fully weighted inner product.
 
     Zero iff <L(A), B>_1 = <A, L(B)>_1 for all A, B; returned relative to
-    the weighted generator's own size.
+    the weighted generator's own size.  The weighting A -> A sigma scales
+    the rows of `G.L_eig` by its kernel lam_l.
     """
-    K = mc.right_mult_superop(sigma) @ L_super
-    scale = np.linalg.norm(K)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(K - K.conj().T) / scale)
+    K = np.repeat(G.sigma_dec.values, G.n)[:, None] * G.L_eig
+    return float(np.linalg.norm(K - K.conj().T) / max(np.linalg.norm(K), 1e-300))
+
+
+def modular_commutator_residual(G: Generator) -> float:
+    """Frobenius norm of [L, A -> sigma A sigma^-1] relative to L's; the
+    modular kernel scales the rows and columns of `G.L_eig`."""
+    mod = mc.vec(_modular_kernel(G.sigma_dec))
+    return float(np.linalg.norm(G.L_eig * (mod - mod[:, None])) / max(np.linalg.norm(G.L_super), 1e-30))
 
 
 class Generator:
@@ -191,13 +205,31 @@ class Generator:
         return spectral_gap(self)
 
     @cached_property
+    def L_eig(self) -> np.ndarray:
+        """Read-only `L_super` in the matrix units u_k u_l* of sigma's eigenbasis
+        (index k + n l), W* L W with W = kron(conj(U), U), where a weighting
+        A -> sigma^a A sigma^b is the diagonal of its kernel lam_k^a lam_l^b."""
+        U = self.sigma_dec.vectors
+        W = np.kron(U.conj(), U)
+        out = W.conj().T @ self.L_super @ W
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def trace_norm(self) -> float:
+        """Schatten-1 norm of L, the scale of the order-alpha residuals."""
+        return mc.trace_norm(self.L_super)
+
+    @cached_property
     def spectrum(self) -> mc.SpectralDecomposition:
-        """Eigensystem of -L conjugated by A -> q A q, q = sigma^(1/4), which
-        takes the half-weighted inner product to the Hilbert-Schmidt one, so
-        an eigenvector u pulls back to the eigenvector qi unvec(u) qi of -L,
-        qi = q^-1.  A relative asymmetry above TOL_SELFADJOINT raises."""
-        qi = self.sigma_dec.power(-0.25)
-        S = mc.sandwich_superop(self.sigma_dec.power(0.25)) @ (-self.L_super) @ mc.sandwich_superop(qi)
+        """Eigensystem of -L conjugated by A -> q A q, q = sigma^(1/4), the
+        kernel k = (lam_k lam_l)^(1/4) on `L_eig`; it takes the half-weighted
+        inner product to the Hilbert-Schmidt one, so an eigenvector u pulls
+        back to the eigenvector U (unvec(u) / k) U* of -L.  A relative
+        asymmetry above TOL_SELFADJOINT raises."""
+        lam = self.sigma_dec.values
+        q = mc.vec(np.outer(lam, lam) ** 0.25)
+        S = q[:, None] * -self.L_eig / q
         asym = np.linalg.norm(S - S.conj().T) / max(np.linalg.norm(S), 1e-300)
         if asym > TOL_SELFADJOINT:
             raise ValidationError(
@@ -246,22 +278,19 @@ def build_gns(sigma, terms: list[JumpTerm], label: str = "gns") -> Generator:
         if t.V.shape != (n, n):
             raise ValidationError(f"term {j}: V has shape {t.V.shape}, sigma has shape ({n}, {n})")
     G = Generator(sigma, _lindblad_superop(terms), terms=terms, label=label)
-    dec, sigma, L_super = G.sigma_dec, G.sigma, G.L_super
-    S, Sinv = dec.reconstruct(), dec.reconstruct(1.0 / dec.values)
-    _validate_terms(S, Sinv, terms)
-    scale = max(np.linalg.norm(L_super), 1e-30)
+    _validate_terms(G)
+    scale = max(np.linalg.norm(G.L_super), 1e-30)
 
-    unital = np.linalg.norm(L_super @ mc.vec(np.eye(n)))
+    unital = np.linalg.norm(G.L_super @ mc.vec(np.eye(n)))
     if unital > TOL_STATIONARY * scale * n:
         raise ValidationError(f"generator not unital: ||L(I)|| = {unital:.3e}")
-    stat = np.linalg.norm(G.Ldag_super @ mc.vec(sigma))
+    stat = np.linalg.norm(G.Ldag_super @ mc.vec(G.sigma))
     if stat > TOL_STATIONARY * scale:
         raise ValidationError(f"sigma not stationary: ||Ldag(sigma)|| = {stat:.3e}")
-    sa = gns_selfadjoint_residual(L_super, sigma)
+    sa = gns_selfadjoint_residual(G)
     if sa > TOL_SELFADJOINT:
         raise ValidationError(f"not self-adjoint in the weighted inner product: {sa:.3e}")
-    mod = mc.sandwich_superop(S, Sinv)
-    comm = np.linalg.norm(L_super @ mod - mod @ L_super) / scale
+    comm = modular_commutator_residual(G)
     if comm > TOL_COMMUTE:
         raise ValidationError(f"[L, modular] residual {comm:.3e} exceeds {TOL_COMMUTE:.1e}")
     return G

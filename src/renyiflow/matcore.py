@@ -7,7 +7,10 @@ Conventions fixed once for the whole package:
 
 * Vectorization is column-stacking (Fortran order).  Under it the map
   ``A -> X A Y`` has the matrix ``kron(Y.T, X)``, and the matrix-unit
-  basis element ``E_kl`` occupies vec index ``k + n*l``.
+  basis element ``E_kl`` occupies vec index ``k + n*l``.  A weighting
+  ``A -> sigma^a A sigma^b`` is never formed as such a matrix: in the
+  matrix units of sigma's eigenbasis it is the entrywise kernel
+  ``lam_k^a lam_l^b`` (see ``Generator.L_eig``).
 * Eigenvalues ascend.  Eigenvector phases and tie order are fixed in one
   place, ``SpectralDecomposition.canonical`` (behind ``eig_hermitian``), for
   eigenvectors that are serialized; matrix functions, ``density_spectrum``
@@ -229,22 +232,6 @@ def superoperator_of_map(phi: Callable[[np.ndarray], np.ndarray], n: int) -> np.
 def apply_superop(S: np.ndarray, A: np.ndarray) -> np.ndarray:
     n = round(np.sqrt(S.shape[0]))
     return unvec(S @ vec(A), n)
-
-
-def sandwich_superop(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Superoperator of A -> X A Y (Y defaults to X)."""
-    Y = X if Y is None else Y
-    return np.kron(np.asarray(Y).T, np.asarray(X))
-
-
-def left_mult_superop(X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    return np.kron(np.eye(n), X)
-
-
-def right_mult_superop(X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    return np.kron(np.asarray(X).T, np.eye(n))
 
 
 # --- random samplers (test and CLI plumbing) --------------------------------

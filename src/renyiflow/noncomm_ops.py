@@ -66,11 +66,6 @@ class KernelOperator:
             raise SingularityError("kernel operator has a zero entry; not invertible")
         return KernelOperator(self.eigenvalues, self.basis, 1.0 / self.kernel)
 
-    def superop(self) -> np.ndarray:
-        U = self.basis
-        W = np.kron(U.conj(), U)
-        return W @ np.diag(mc.vec(self.kernel)) @ W.conj().T
-
 
 def _require_positive(values: np.ndarray, name: str) -> np.ndarray:
     """Ascending eigenvalues, checked strictly positive."""

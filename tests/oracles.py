@@ -229,3 +229,68 @@ def lindblad_superop_by_term(terms):
         VdV = Vd @ V
         out += w * (2.0 * np.kron(V.T, Vd) - np.kron(eye, VdV) - np.kron(VdV.T, eye))
     return out
+
+
+# --- sigma-weightings as n^2 x n^2 superoperators ------------------------------
+# The package applies each weighting as its entrywise kernel to the generator
+# written in sigma's eigenbasis; these are the standard-basis kron forms.
+
+
+def _sandwich_superop(X, Y):
+    """Superoperator of A -> X A Y."""
+    return np.kron(np.asarray(Y).T, np.asarray(X))
+
+
+def _sigma_power(G, p):
+    return mc.matrix_power(G.sigma, p)
+
+
+def gns_residual_by_kron(G):
+    """||K - K*|| / ||K|| with K = (A -> A sigma) composed after L."""
+    K = _sandwich_superop(np.eye(G.n), G.sigma) @ G.L_super
+    return float(np.linalg.norm(K - K.conj().T) / np.linalg.norm(K))
+
+
+def kms_residual_by_kron(G):
+    """Defect of conjugating Ldag by the half-power weighting onto L."""
+    half, ihalf = _sigma_power(G, 0.5), _sigma_power(G, -0.5)
+    resid = _sandwich_superop(ihalf, ihalf) @ G.Ldag_super @ _sandwich_superop(half, half) - G.L_super
+    return float(np.linalg.norm(resid) / np.linalg.norm(G.L_super))
+
+
+def srd_residual_by_kron(G, alpha):
+    """Trace-norm defect of the order-alpha weighting, its superoperator
+    W diag(vec kernel) W* with W = kron(conj(U), U) from a phase-fixed
+    decomposition of sigma."""
+    dec = mc.eig_hermitian(G.sigma)
+    kernel = nco._weight_kernel(dec.values, alpha)
+    W = np.kron(dec.vectors.conj(), dec.vectors)
+    S_W = W @ np.diag(mc.vec(kernel)) @ W.conj().T
+    S_Winv = W @ np.diag(mc.vec(1.0 / kernel)) @ W.conj().T
+    resid = S_W @ G.L_super @ S_Winv - G.Ldag_super
+    return mc.trace_norm(resid) / mc.trace_norm(G.L_super)
+
+
+def modular_commutator_by_kron(G):
+    """||[L, A -> sigma A sigma^-1]|| / ||L||."""
+    mod = _sandwich_superop(_sigma_power(G, 1.0), _sigma_power(G, -1.0))
+    return float(np.linalg.norm(G.L_super @ mod - mod @ G.L_super) / np.linalg.norm(G.L_super))
+
+
+def symmetrized_generator_by_kron(G):
+    """-L conjugated by A -> q A q, q = sigma^(1/4), in the standard basis."""
+    q, qi = _sigma_power(G, 0.25), _sigma_power(G, -0.25)
+    return _sandwich_superop(q, q) @ (-G.L_super) @ _sandwich_superop(qi, qi)
+
+
+def gap_direction_by_kron(G, cluster_rtol):
+    """The half-weighted projection of the fixed probe onto the gap's
+    eigenspace, with the eigenspace taken in the standard basis."""
+    w, U = np.linalg.eigh(mc.hermitize(symmetrized_generator_by_kron(G)))
+    gap = w[w > 1e-9 * w[-1]][0]
+    C = U[:, np.abs(w - gap) <= cluster_rtol * gap]
+    probe = _sigma_power(G, 0.25) @ mc.random_traceless_hermitian(np.random.default_rng(0), G.n)
+    probe = probe @ _sigma_power(G, 0.25)
+    x = mc.unvec(C @ (C.conj().T @ mc.vec(probe)), G.n)
+    nu = mc.hermitize(_sigma_power(G, -0.25) @ x @ _sigma_power(G, -0.25))
+    return nu / np.linalg.norm(nu)

@@ -6,7 +6,22 @@ import pytest
 import renyiflow.balance_check as bc
 import renyiflow.matcore as mc
 from renyiflow.errors import StructuralError
-from renyiflow.generator import build_gns, eigen_jump_terms, random_gns_generator
+from renyiflow.generator import (
+    build_gns,
+    depolarizing_generator,
+    eigen_jump_terms,
+    gns_selfadjoint_residual,
+    modular_commutator_residual,
+    random_gns_generator,
+)
+
+from .oracles import (
+    gns_residual_by_kron,
+    kms_residual_by_kron,
+    modular_commutator_by_kron,
+    srd_residual_by_kron,
+    symmetrized_generator_by_kron,
+)
 
 # first verified run of the order sweep on the stock counterexample,
 # cross-checked against the kernel-composition oracle; regression-pinned
@@ -110,6 +125,52 @@ class TestSigmaContext:
         G = random_gns_generator(rng, 3)
         assert eigensolves(lambda: bc.check_kms(G)) == 0
         assert eigensolves(lambda: bc.srd_residual(G, 1.5)) == 0
+
+
+def _weighting_cases():
+    cases = [pytest.param(bc.carlen_maas_counterexample(), id="carlen-maas")]
+    sigma = mc.random_density(np.random.default_rng(9), 3, floor=0.1)
+    cases.append(pytest.param(depolarizing_generator(0.7, sigma), id="depolarizing-3"))
+    for n in (2, 3, 4, 6, 8):
+        G = random_gns_generator(np.random.default_rng(9000 + n), n, min_sigma_eig=0.15)
+        cases.append(pytest.param(G, id=f"gns-{n}"))
+    return cases
+
+
+class TestEigenbasisWeighting:
+    """Every sigma-weighting is a kernel on the generator written in sigma's
+    eigenbasis; each residual must match its standard-basis kron form."""
+
+    @pytest.mark.parametrize("G", _weighting_cases())
+    def test_gns_residual(self, G):
+        assert gns_selfadjoint_residual(G) == pytest.approx(gns_residual_by_kron(G), rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("G", _weighting_cases())
+    def test_kms_residual(self, G):
+        assert bc.check_kms(G) == pytest.approx(kms_residual_by_kron(G), rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("G", _weighting_cases())
+    def test_order_alpha_residuals(self, G):
+        for alpha in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0, np.inf):
+            ref = srd_residual_by_kron(G, alpha)
+            assert bc.srd_residual(G, alpha) == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("G", _weighting_cases())
+    def test_modular_commutator(self, G):
+        ref = modular_commutator_by_kron(G)
+        assert modular_commutator_residual(G) == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("G", _weighting_cases())
+    def test_symmetrized_spectrum(self, G):
+        ref = np.linalg.eigvalsh(mc.hermitize(symmetrized_generator_by_kron(G)))
+        assert np.max(np.abs(G.spectrum.values - ref)) <= 1e-13 * ref[-1]
+
+    def test_residuals_distinguish_the_counterexample(self, counterexample):
+        # the kernels are not all trivially equal: carlen-maas is KMS but
+        # neither GNS nor modular-commuting
+        assert bc.check_kms(counterexample) <= 1e-12
+        assert gns_selfadjoint_residual(counterexample) > 1e-3
+        assert modular_commutator_residual(counterexample) > 1e-3
 
 
 class TestImplicationChain:

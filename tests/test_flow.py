@@ -5,6 +5,7 @@ import renyiflow.divergence as dv
 import renyiflow.flow as flow
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
+from renyiflow.balance_check import carlen_maas_counterexample
 from renyiflow.errors import DomainError, SingularityError, StructuralError, ValidationError
 from renyiflow.generator import (
     JumpTerm,
@@ -15,6 +16,7 @@ from renyiflow.generator import (
 )
 
 from .oracles import (
+    gap_direction_by_kron,
     metric_tensor_by_term,
     norm_functional_by_state,
     propagate_by_expm,
@@ -356,6 +358,20 @@ class TestGapDirection:
     def test_gap_then_direction_is_one_eigensolve(self, eigensolves):
         G = random_gns_generator(np.random.default_rng(6), 3, min_sigma_eig=0.15)
         assert eigensolves(lambda: (G.gap, flow.gap_eigen_direction(G))) == 1
+
+    @pytest.mark.parametrize("name", ["qubit-xz", "gns-2", "gns-3", "gns-4", "gns-6", "gns-8",
+                                      "carlen-maas", "depolarizing"])
+    def test_matches_standard_basis_projection(self, name):
+        # the projection made in sigma's eigenbasis, against the kron form
+        # of the quarter-power weighting in the standard basis
+        if name == "carlen-maas":
+            G = carlen_maas_counterexample()
+        elif name == "depolarizing":
+            G = depolarizing_generator(0.7, mc.random_density(np.random.default_rng(9), 3, floor=0.1))
+        else:
+            G = named_generator(name)
+        ref = gap_direction_by_kron(G, flow.GAP_CLUSTER_RTOL)
+        assert np.linalg.norm(flow.gap_eigen_direction(G) - ref) <= 1e-12
 
     @pytest.mark.parametrize("name", ["qubit-xz", "gns-2", "gns-3", "gns-4"])
     def test_direction_is_gap_eigenvector(self, name):

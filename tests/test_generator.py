@@ -29,6 +29,12 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _unit(n, k, l):
+    E = np.zeros((n, n), dtype=complex)
+    E[k, l] = 1.0
+    return E
+
+
 def _gram_violation_cases():
     def sym(k, l):
         E = np.zeros((3, 3), dtype=complex)
@@ -59,7 +65,7 @@ class TestBuildGns:
     def test_depolarizing_is_weighted_selfadjoint(self, depol):
         from renyiflow.generator import gns_selfadjoint_residual
 
-        assert gns_selfadjoint_residual(depol.L_super, depol.sigma) <= 1e-10
+        assert gns_selfadjoint_residual(depol) <= 1e-10
 
     def test_nonzero_trace_rejected(self):
         V = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
@@ -87,6 +93,25 @@ class TestBuildGns:
     def test_jump_operator_size_must_match_sigma(self):
         with pytest.raises(ValidationError, match=r"term 0: V has shape \(3, 3\), sigma has shape \(2, 2\)"):
             build_gns(np.eye(2) / 2.0, [JumpTerm.of(np.diag([1.0, -1.0, 0.0]), 0.0)])
+
+    def test_pair_condition_at_term_0_reported_before_missing_partner_later(self):
+        # per term: (ii), then (iv); term 0's partner has an unpaired
+        # frequency, term 2 has no partner at all
+        lam = np.array([0.01, 0.2, 0.79])
+        w01, w12 = np.log(lam[1] / lam[0]), np.log(lam[2] / lam[1])
+        terms = [JumpTerm.of(_unit(3, 0, 1), w01 + 1e-7), JumpTerm.of(_unit(3, 1, 0), -w01),
+                 JumpTerm.of(_unit(3, 1, 2), w12)]
+        with pytest.raises(ValidationError) as err:
+            build_gns(np.diag(lam), terms)
+        assert str(err.value) == f"condition (iv) violated at pair (0,1): omegas {w01 + 1e-7} vs {-w01}"
+
+    def test_modular_condition_at_term_0_reported_before_trace_later(self):
+        # per term: (i), then (iii); term 0 has the wrong frequency, term 1 a trace
+        terms = [JumpTerm.of(_unit(2, 0, 1), 0.0), JumpTerm.of(np.diag([1.0, 0.0]), 0.0)]
+        with pytest.raises(ValidationError) as err:
+            build_gns(np.diag([0.25, 0.75]), terms)
+        assert str(err.value) == ("condition (iii) violated at term 0: modular eigenvector residual "
+                                  "6.667e-01 for omega=0.0")
 
     @pytest.mark.parametrize("terms, message", [
         pytest.param(*case, id=name) for name, case in _gram_violation_cases().items()

@@ -164,7 +164,6 @@ class TestSuperoperators:
         X = mc.random_complex(rng, 3)
         S = mc.superoperator_of_map(lambda A: X @ A, 3)
         assert np.allclose(S, np.kron(np.eye(3), X))
-        assert np.allclose(S, mc.left_mult_superop(X))
 
     def test_round_trip(self, rng):
         X, Y = mc.random_complex(rng, 3), mc.random_complex(rng, 3)

@@ -111,13 +111,6 @@ class TestLogMeanMultiplier:
         rhs = mop_inverse_quadrature(X, omega, A)
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
-    def test_superop_matches_apply(self, rng):
-        X = mc.random_positive(rng, 3)
-        op = nco.log_mean_multiplier(X, 0.4)
-        S = op.superop()
-        A = mc.random_complex(rng, 3)
-        assert np.linalg.norm(mc.apply_superop(S, A) - op.apply(A)) <= 1e-12
-
 
 class TestChainRule:
     def test_zero_argument(self, rng):
