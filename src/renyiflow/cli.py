@@ -8,6 +8,7 @@ computations, and writes CSV / JSON reports atomically with fixed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -273,7 +274,9 @@ def _shrink_to_entropy(G: Generator, eps: float, seed: int) -> np.ndarray:
     raise ValidationError("could not construct an initial state inside the entropy ball")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="renyiflow", description=__doc__)
     p.add_argument("--config", help="JSON file of defaults for the chosen command")
     sub = p.add_subparsers(dest="command", required=True)

@@ -32,7 +32,7 @@ GAP_CLUSTER_RTOL = 1e-8
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray  # C-contiguous (T, n, n) stack, one state per stored time
     generator: Generator
     min_eigenvalues: np.ndarray  # smallest eigenvalue of each stored state
 
@@ -51,15 +51,16 @@ def _validated(G: Generator, rho) -> np.ndarray:
 
 
 def _project(rho: np.ndarray) -> np.ndarray:
+    """Hermitian part at unit trace; of each matrix, for a stack (..., n, n)."""
     rho = mc.hermitize(rho)
-    return rho / np.trace(rho).real
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def suggested_dt(G: Generator) -> float:
     """Default sampling step: min(0.05, 1.5/s, (1.2e-6)^(1/4) / s^(5/4))
     with s the spectral norm of the state-space superoperator, so faster
     generators are sampled more finely."""
-    nrm = float(np.linalg.norm(G.Ldag_super, 2))
+    nrm = G.spectral_norm
     if nrm == 0.0:
         return 0.05
     dt = (120.0 * 1e-8) ** 0.25 / nrm**1.25
@@ -71,11 +72,15 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
 
     The grid has steps of dt, shortened at the end to reach t_end; every
     `store_every`-th grid point and t_end are stored.  The flow is linear
-    and autonomous, so each stored state is the previous one propagated
-    exactly by expm(h Ldag_super) over its interval h, then projected back
-    to Hermitian unit trace.  One stacked eigensolve gives each stored
-    state's smallest eigenvalue, kept on the trajectory; one below
-    -POSITIVITY_TOL raises IntegrationError.
+    and autonomous, so the stored states on the uniform part of the grid
+    are the powers P^k vec(rho0) of one interval propagator
+    P = expm(store_every dt Ldag_super), formed by doubling: the columns
+    V = [vec(rho0)] become [V, P V] while P becomes P P, O(log T) matrix
+    products in all.  The last, shorter interval is its own expm.  Each
+    state is then projected to Hermitian unit trace in one stacked step;
+    `states[0]` is the validated rho0 itself.  One stacked eigensolve gives
+    each stored state's smallest eigenvalue, kept on the trajectory; one
+    below -POSITIVITY_TOL raises IntegrationError.
     """
     if not 0.0 < dt < np.inf:
         raise DomainError(f"dt={dt} must be positive and finite")
@@ -83,8 +88,9 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
         raise DomainError(f"t_end={t_end} must be non-negative and finite")
     if store_every < 1:
         raise DomainError(f"store_every={store_every} must be at least 1")
-    states = [_require_dim(mc.require_density(rho0, name="rho0"), G.n, "rho0")]
+    rho0 = _require_dim(mc.require_density(rho0, name="rho0"), G.n, "rho0")
     times = np.array([0.0])
+    V = mc.vec(rho0)[:, None]
     if t_end > 0.0:
         n_steps = max(1, int(np.ceil(t_end / dt - 1e-9)))
         # grid points store_every, 2 store_every, ... strictly before the last
@@ -93,12 +99,14 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
         S = G.Ldag_super
         if n_full:
             P = expm(store_every * dt * S)
-            for _ in range(n_full):
-                states.append(_project(mc.unvec(P @ mc.vec(states[-1]), G.n)))
-        P_last = expm((t_end - times[-2]) * S)
-        states.append(_project(mc.unvec(P_last @ mc.vec(states[-1]), G.n)))
+            while V.shape[1] <= n_full:
+                V = np.concatenate((V, P @ V[:, : n_full + 1 - V.shape[1]]), axis=1)
+                P = P @ P
+        V = np.concatenate((V, expm((t_end - times[-2]) * S) @ V[:, -1:]), axis=1)
 
-    wmin = np.linalg.eigvalsh(np.asarray(states))[:, 0]
+    states = np.ascontiguousarray(_project(mc.unvec(V, G.n)))
+    states[0] = rho0
+    wmin = np.linalg.eigvalsh(states)[:, 0]
     bad = np.flatnonzero(wmin < -POSITIVITY_TOL)
     if bad.size:
         k = int(bad[0])
@@ -639,7 +647,7 @@ def hypercontractivity_monitor(
     traj = integrate(G, rho0, T, dt, store_every=store)
     beta = 1.0 + (alpha0 - 1.0) * np.exp(2.0 * K * eta * traj.times)
     # log tr[(s rho s)^b] / b with s = sigma^((1-b)/2b), for all states at once
-    F = np.log(nco.sandwiched_state(np.asarray(traj.states), G.sigma_dec, beta).Z) / beta
+    F = np.log(nco.sandwiched_state(traj.states, G.sigma_dec, beta).Z) / beta
     fw = np.diff(F)
     return HyperTrace(traj.times, beta, F, float(fw.max(initial=0.0)), traj.final())
 

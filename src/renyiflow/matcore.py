@@ -43,9 +43,12 @@ def vec(A: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Inverse of `vec`; of each column, for an (n^2, T) array, as a (T, n, n) stack."""
     v = np.asarray(v)
     if n is None:
-        n = round(v.size**0.5)
+        n = round(v.shape[0] ** 0.5)
+    if v.ndim == 2:
+        return v.T.reshape(-1, n, n).swapaxes(-1, -2)
     return v.reshape((n, n), order="F")
 
 

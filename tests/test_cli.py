@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import renyiflow.cli as cli
 import renyiflow.matcore as mc
 from renyiflow.cli import main, parse_alphas
 from renyiflow.errors import DomainError
@@ -322,3 +323,51 @@ class TestDeterminism:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_help_text_unchanged(self):
+        cli.build_parser().parse_args(["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2",
+                                       "--alpha1", "3"])
+        assert cli.build_parser().format_help() == cli.build_parser.__wrapped__().format_help()
+
+    def test_successive_calls_match_fresh_parsers(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": "1:3:1"}))
+        calls = [
+            ["validate", "--generator", "builtin:qubit-xz"],
+            ["--config", str(cfg), "fig1", "--generator", "builtin:carlen-maas"],
+            ["fig1", "--generator", "builtin:carlen-maas"],
+            ["dbcheck", "--generator", "builtin:qubit-xz", "--config", str(cfg)],
+            ["dbcheck", "--generator", "builtin:qubit-xz"],
+            ["simulate", "--generator", "builtin:qubit-xz", "--dt", "0.1"],
+            ["simulate", "--generator", "builtin:qubit-xz", "--rho0", "random", "--seed", "3",
+             "--alphas", "2", "--t-end", "0.5", "--dt", "0.01", "--store-every", "5"],
+            ["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2", "--alpha1", "3", "--seed", "5"],
+            ["frobnicate"],
+            ["--help"],
+            ["compare", "--help"],
+        ]
+
+        def run_all(fresh):
+            results = []
+            for argv in calls:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                code = main(argv)
+                out = capsys.readouterr()
+                results.append((code, out.out.encode(), out.err.encode()))
+            return results
+
+        cli.build_parser.cache_clear()
+        warm = run_all(fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = run_all(fresh=True)
+        assert [code for code, _, _ in warm] == [0, 0, 0, 0, 0, 64, 0, 0, 64, 0, 0]
+        assert warm == fresh
+        # the config reached only the call that named it
+        assert len(warm[1][1].splitlines()) == 4 and len(warm[2][1].splitlines()) > 4
+        assert warm[3][1] != warm[4][1]

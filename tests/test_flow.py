@@ -121,6 +121,62 @@ class TestIntegrate:
             assert dv.chi2_divergence(s, G.sigma) == pytest.approx(np.exp(-2.0 * lam * t) * chi0, rel=1e-9)
 
 
+class TestBlockedPropagation:
+    @pytest.mark.parametrize("name", ["gns-2", "gns-4", "gns-8"])
+    def test_long_horizon_matches_expm_oracle(self, name):
+        G = named_generator(name)
+        rho0 = mc.random_density(np.random.default_rng(29), G.n, floor=0.05)
+        dt = flow.suggested_dt(G)
+        traj = flow.integrate(G, rho0, 2100.5 * dt, dt, store_every=1)
+        assert len(traj.times) == 2102
+        idx = np.linspace(0, len(traj.times) - 1, 25).round().astype(int)
+        ref = propagate_by_expm(G, rho0, traj.times[idx])
+        assert max(np.linalg.norm(traj.states[k] - r) for k, r in zip(idx, ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n_full", [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17])
+    def test_every_stored_state_near_a_power_of_two(self, qubit_xz, n_full):
+        # the doubling stops mid-block unless n_full + 1 is a power of two
+        rho0 = mc.random_density(np.random.default_rng(31), 2, floor=0.05)
+        traj = flow.integrate(qubit_xz, rho0, (3 * n_full + 1.5) * 0.02, 0.02, store_every=3)
+        assert len(traj.times) == n_full + 2
+        ref = propagate_by_expm(qubit_xz, rho0, traj.times)
+        assert max(np.linalg.norm(s - r) for s, r in zip(traj.states, ref)) <= 1e-13
+
+    @pytest.mark.parametrize("t_end, store_every", [(0.0, 1), (0.05, 1), (1.0, 10**9), (3.0, 1), (40.0, 1)])
+    def test_fixed_work_whatever_the_interval_count(self, qubit_xz, monkeypatch, t_end, store_every):
+        expms, projections = [], []
+        real_expm, real_hermitize = flow.expm, mc.hermitize
+
+        def counting_expm(A):
+            expms.append(A.shape)
+            return real_expm(A)
+
+        def counting_hermitize(A):
+            projections.append(A.shape)
+            return real_hermitize(A)
+
+        monkeypatch.setattr(flow, "expm", counting_expm)
+        monkeypatch.setattr(mc, "hermitize", counting_hermitize)
+        traj = flow.integrate(qubit_xz, np.eye(2) / 2.0, t_end, 0.01, store_every=store_every)
+        assert len(expms) <= 2
+        # rho0's validation, then one projection of the whole stack
+        assert projections == [(2, 2), (len(traj.times), 2, 2)]
+
+    def test_states_are_one_stack_starting_at_rho0(self, rng):
+        G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
+        rho0 = mc.random_density(rng, 3, floor=0.05) + 1e-13j * mc.random_hermitian(rng, 3)
+        traj = flow.integrate(G, rho0, 1.0, 0.01, store_every=7)
+        assert isinstance(traj.states, np.ndarray) and traj.states.flags.c_contiguous
+        assert traj.states.shape == (len(traj.times), 3, 3)
+        assert np.array_equal(traj.states[0], mc.require_density(rho0))
+
+    def test_suggested_dt_reads_one_cached_norm(self, rng):
+        G = random_gns_generator(rng, 4, min_sigma_eig=0.15)
+        nrm = float(np.linalg.norm(G.Ldag_super, 2))
+        assert flow.suggested_dt(G) == min(0.05, (120.0 * 1e-8) ** 0.25 / nrm**1.25, 1.5 / nrm)
+        assert vars(G)["spectral_norm"] == nrm
+
+
 class TestDivergenceTrace:
     def test_order_one_equals_relative_entropy(self, depol, rng):
         rho0 = mc.random_density(rng, 2, floor=0.1)

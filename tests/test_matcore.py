@@ -172,6 +172,12 @@ class TestSuperoperators:
             A = mc.random_complex(rng, 3)
             assert np.linalg.norm(mc.apply_superop(S, A) - (X @ A @ Y + A)) <= 1e-12
 
+    def test_unvec_of_columns_is_the_stack(self, rng):
+        mats = [mc.random_complex(rng, 3) for _ in range(4)]
+        V = np.stack([mc.vec(A) for A in mats], axis=1)
+        assert np.array_equal(mc.unvec(V, 3), np.array(mats))
+        assert np.array_equal(mc.unvec(V[:, 2]), mats[2])
+
     def test_trace_norm_zero_and_identity(self):
         assert mc.trace_norm(np.zeros((4, 4))) == 0.0
         assert mc.trace_norm(np.eye(4)) == pytest.approx(4.0, abs=1e-13)
