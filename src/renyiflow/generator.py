@@ -221,11 +221,6 @@ class Generator:
         return mc.trace_norm(self.L_super)
 
     @cached_property
-    def spectral_norm(self) -> float:
-        """Spectral norm of `Ldag_super`, the scale of the default sampling step."""
-        return float(np.linalg.norm(self.Ldag_super, 2))
-
-    @cached_property
     def spectrum(self) -> mc.SpectralDecomposition:
         """Eigensystem of -L conjugated by A -> q A q, q = sigma^(1/4), the
         kernel k = (lam_k lam_l)^(1/4) on `L_eig`; it takes the half-weighted
