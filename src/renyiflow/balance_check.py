@@ -119,8 +119,8 @@ def carlen_maas_counterexample() -> Generator:
     K1 = np.outer(psi, [1.0, 0.0])
     K2 = np.outer(phi, [0.0, 1.0])
     sigma = np.array([[2.0, 3.0], [3.0, 5.0]], dtype=complex) / 7.0
-    shalf = mc.matrix_power(sigma, 0.5)
-    sinvh = mc.matrix_power(sigma, -0.5)
+    sigma_dec = mc.density_spectrum(sigma, strict=True)
+    shalf, sinvh = sigma_dec.power(0.5), sigma_dec.power(-0.5)
     Kt1 = shalf @ K1.conj().T @ sinvh
     Kt2 = shalf @ K2.conj().T @ sinvh
 

@@ -341,16 +341,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
+    """Set each option a config file names, through the option's own
+    conversion of its command-line text."""
     if not args.config:
         return args
     doc = _load_json(args.config)
     if not isinstance(doc, dict):
         raise ValidationError(f"{args.config}: config must be a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in sub.choices[args.command]._actions if a.dest not in ("help", "config")}
     for key, val in doc.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr):
-            setattr(args, attr, val)
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ValidationError(f"{args.config}: {args.command} has no option {key!r}")
+        text = val if isinstance(val, str) else json.dumps(val)
+        try:
+            setattr(args, action.dest, action.type(text) if action.type else text)
+        except ValueError:
+            raise ValidationError(f"{args.config}: {key} = {text} is not a valid {action.type.__name__}") from None
     return args
 
 
@@ -361,7 +370,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        args = _apply_config(args)
+        args = _apply_config(parser, args)
         return args.fn(args)
     except (ValidationError, StructuralError, DomainError) as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)

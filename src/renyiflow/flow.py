@@ -588,29 +588,6 @@ def decay_envelope_constants(G: Generator, alpha: float, eps: float, rho0, K: fl
     )
 
 
-def weight_function(s: float, beta: float) -> float:
-    """Piecewise-linear averaging weight of the two-parameter order change.
-
-    A symmetric probability density on [0, 1] with plateau value beta for
-    beta <= 2 and beta/(beta-1) for beta >= 2.
-    """
-    if beta <= 1.0:
-        raise DomainError(f"beta={beta} must exceed 1")
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"s={s} outside [0, 1]")
-    pref = beta**2 / (2.0 * (beta - 1.0))
-    return float(pref * (min(s, 2.0 * (beta - 1.0) / beta - s) - max(-s, s - 2.0 / beta)))
-
-
-def weight_function_knots(beta: float) -> tuple[float, float, float]:
-    """Unit-level crossings (s1, s2 = 1 - s1) and the plateau maximum."""
-    if beta <= 1.0:
-        raise DomainError(f"beta={beta} must exceed 1")
-    s1 = (beta - 1.0) / beta**2
-    fmax = beta if beta <= 2.0 else beta / (beta - 1.0)
-    return float(s1), float(1.0 - s1), float(fmax)
-
-
 @dataclass(frozen=True)
 class HyperTrace:
     times: np.ndarray

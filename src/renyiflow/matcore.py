@@ -1,7 +1,7 @@
 """Dense complex Hermitian linear algebra substrate.
 
-Spectral calculus, matrix functions, sigma-weighted inner products and
-superoperator algebra for Hilbert-space dimensions n <= 16.
+Spectral calculus of one decomposition per matrix, sigma-weighted inner
+products and superoperator algebra for Hilbert-space dimensions n <= 16.
 
 Conventions fixed once for the whole package:
 
@@ -13,8 +13,8 @@ Conventions fixed once for the whole package:
   ``lam_k^a lam_l^b`` (see ``Generator.L_eig``).
 * Eigenvalues ascend.  Eigenvector phases and tie order are fixed in one
   place, ``SpectralDecomposition.canonical`` (behind ``eig_hermitian``), for
-  eigenvectors that are serialized; matrix functions, ``density_spectrum``
-  and every other decomposition are a plain ``eigh``.
+  eigenvectors that are serialized; ``density_spectrum`` and every other
+  decomposition are a plain ``eigh``.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class SpectralDecomposition:
         w = self.values if fvals is None else np.asarray(fvals)
         return (self.vectors * w[..., None, :]) @ self.vectors.conj().swapaxes(-1, -2)
 
-    # Spectral calculus of a strictly positive matrix, as `matrix_power` and
-    # `matrix_log` apply it: bit for bit the same on the same decomposition.
+    # Spectral calculus of a strictly positive matrix: each function of it is
+    # read from this one decomposition, never from a fresh eigensolve.
 
     def power(self, p) -> np.ndarray:
         """A^p; an array of exponents gives the stack of powers."""
@@ -151,51 +151,6 @@ def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDe
     dec = SpectralDecomposition(*np.linalg.eigh(A))
     _check_density(A, float(dec.values[0]), strict, name)
     return dec
-
-
-def matrix_function(
-    A,
-    f: Callable[[np.ndarray], np.ndarray],
-    min_eigenvalue: float | None = None,
-    lenient: bool = False,
-) -> np.ndarray:
-    """Spectral calculus U f(w) U* for Hermitian A.
-
-    `min_eigenvalue` sets the domain boundary for f (e.g. POS_FLOOR for
-    log and negative powers).  Eigenvalues below it raise; in lenient
-    mode values in [-TOL_PSD, min_eigenvalue) are clamped up instead.
-    """
-    dec = SpectralDecomposition(*np.linalg.eigh(require_hermitian(A)))
-    w = dec.values.copy()
-    if min_eigenvalue is not None:
-        bad = w < min_eigenvalue
-        if np.any(bad):
-            if lenient and w[bad].min() >= -TOL_PSD:
-                w[bad] = min_eigenvalue
-            else:
-                raise SingularityError(
-                    f"matrix function domain violation: eigenvalue {w[bad].min():.6e} "
-                    f"below floor {min_eigenvalue:.1e}"
-                )
-    fw = np.asarray(f(w), dtype=complex)
-    if not np.all(np.isfinite(fw)):
-        raise SingularityError("matrix function produced non-finite values on the spectrum")
-    out = dec.reconstruct(fw)
-    return hermitize(out) if np.allclose(fw.imag, 0.0) else out
-
-
-def matrix_power(A, p: float, lenient: bool = False) -> np.ndarray:
-    if p < 0:
-        floor = POS_FLOOR  # negative powers need strict positivity
-    elif float(p).is_integer():
-        floor = None
-    else:
-        floor = 0.0  # fractional powers need a PSD spectrum
-    return matrix_function(A, lambda w: np.power(w, p), min_eigenvalue=floor, lenient=lenient)
-
-
-def matrix_log(A, lenient: bool = False) -> np.ndarray:
-    return matrix_function(A, np.log, min_eigenvalue=POS_FLOOR, lenient=lenient)
 
 
 def weighted_inner(A, B, sigma_dec: SpectralDecomposition, s: float) -> complex:
@@ -261,13 +216,6 @@ def random_density(rng: np.random.Generator, n: int, floor: float = 0.0) -> np.n
     if floor > 0.0:
         rho = (1.0 - floor) * rho + floor * np.eye(n) / n
     return hermitize(rho)
-
-
-def random_positive(rng: np.random.Generator, n: int, floor: float = 1e-3) -> np.ndarray:
-    """Strictly positive Hermitian matrix with unit Frobenius norm."""
-    G = random_complex(rng, n)
-    X = G @ G.conj().T + floor * np.eye(n)
-    return hermitize(X / np.linalg.norm(X))
 
 
 # --- CSV matrix blocks -------------------------------------------------------

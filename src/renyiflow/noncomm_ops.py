@@ -124,11 +124,6 @@ def log_mean_multiplier(X, omega: float = 0.0) -> KernelOperator:
     return KernelOperator(dec.values, dec.vectors, _log_mean_kernel(dec.values, omega))
 
 
-def log_mean_multiplier_inv(X, omega: float = 0.0) -> KernelOperator:
-    """Inverse of `log_mean_multiplier`: entrywise reciprocal kernel."""
-    return log_mean_multiplier(X, omega).inverse()
-
-
 def chain_rule_residual(V, X, omega: float) -> float:
     """Frobenius defect of the chain-rule identity for the twisted multiplier.
 
@@ -288,32 +283,6 @@ def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: flo
     )
 
 
-# --- comparison-theorem similarity pair --------------------------------------
-
-
-def similarity_pair(X, omega: float, s: float) -> KernelOperator:
-    """The symmetrized conjugation pair e^(ws) X^s . X^(-s) + e^(w(1-s)) X^(1-s) . X^(s-1).
-
-    Defined for s in [0, 1/2]; its kernel is b^s + b^(1-s) with
-    b = e^omega lam_k / lam_l, entrywise non-increasing in s.
-    """
-    if not 0.0 <= s <= 0.5:
-        raise DomainError(f"similarity exponent s={s} outside [0, 1/2]")
-    dec = _positive_spectrum(X)
-    loglam = np.log(dec.values)
-    logb = omega + loglam[:, None] - loglam[None, :]
-    kernel = np.exp(s * logb) + np.exp((1.0 - s) * logb)
-    return KernelOperator(dec.values, dec.vectors, kernel)
-
-
-def similarity_pair_bounds(X, omega: float) -> tuple[float, float]:
-    """Spectrum envelope [2 sqrt(e^w lmin/lmax), 1 + e^w lmax/lmin], valid for all s."""
-    dec = _positive_spectrum(X)
-    lo = 2.0 * np.sqrt(np.exp(omega) * dec.values[0] / dec.values[-1])
-    hi = 1.0 + np.exp(omega) * dec.values[-1] / dec.values[0]
-    return float(lo), float(hi)
-
-
 # --- detailed-balance weight operator ----------------------------------------
 
 
@@ -391,8 +360,8 @@ def power_op(sigma_dec: mc.SpectralDecomposition, beta: float, alpha: float, A) 
     """Power operator: unweight by 1/beta after raising the 1/alpha-weighted
     modulus to the alpha/beta power."""
     B = mc.hermitize(sandwich_pow(sigma_dec, 1.0 / alpha, A))
-    absB = mc.matrix_function(B, np.abs)
-    P = mc.matrix_power(absB, alpha / beta, lenient=True)
+    dec = mc.SpectralDecomposition(*np.linalg.eigh(B))
+    P = mc.hermitize(dec.reconstruct(np.abs(dec.values) ** (alpha / beta)))
     return sandwich_pow(sigma_dec, -1.0 / beta, P)
 
 
@@ -418,7 +387,13 @@ def dirichlet_form(G, alpha: float, X) -> float:
     sig = G.sigma_dec
     minus_LX = -G.apply_L(X)
     if alpha == 1.0:
-        arg = mc.matrix_log(mc.hermitize(sandwich_pow(sig, 1.0, X))) - sig.log()
+        B = mc.hermitize(sandwich_pow(sig, 1.0, X))
+        dec = mc.SpectralDecomposition(*np.linalg.eigh(B))
+        if dec.values[0] < mc.POS_FLOOR:
+            raise SingularityError(
+                f"weighted argument: smallest eigenvalue {dec.values[0]:.3e} below {mc.POS_FLOOR:.1e}"
+            )
+        arg = dec.log() - sig.log()
         return 0.25 * float(np.real(mc.weighted_inner(arg, minus_LX, sig, 0.5)))
     at = alpha / (alpha - 1.0)
     P = power_op(sig, at, alpha, X)

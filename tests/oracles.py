@@ -13,6 +13,60 @@ from scipy.linalg import expm
 
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
+from renyiflow.errors import SingularityError
+
+
+# --- generic spectral calculus ------------------------------------------------
+# A fresh decomposition per call, with its own domain floor and an optional
+# lenient clamp: the reference that `SpectralDecomposition.power` and `.log`
+# reproduce bit for bit on the decomposition that validated the matrix.
+
+
+def matrix_function(A, f, min_eigenvalue=None, lenient=False):
+    """Spectral calculus U f(w) U* for Hermitian A.
+
+    `min_eigenvalue` sets the domain boundary for f (e.g. POS_FLOOR for
+    log and negative powers).  Eigenvalues below it raise; in lenient
+    mode values in [-TOL_PSD, min_eigenvalue) are clamped up instead.
+    """
+    dec = mc.SpectralDecomposition(*np.linalg.eigh(mc.require_hermitian(A)))
+    w = dec.values.copy()
+    if min_eigenvalue is not None:
+        bad = w < min_eigenvalue
+        if np.any(bad):
+            if lenient and w[bad].min() >= -mc.TOL_PSD:
+                w[bad] = min_eigenvalue
+            else:
+                raise SingularityError(
+                    f"matrix function domain violation: eigenvalue {w[bad].min():.6e} "
+                    f"below floor {min_eigenvalue:.1e}"
+                )
+    fw = np.asarray(f(w), dtype=complex)
+    if not np.all(np.isfinite(fw)):
+        raise SingularityError("matrix function produced non-finite values on the spectrum")
+    out = dec.reconstruct(fw)
+    return mc.hermitize(out) if np.allclose(fw.imag, 0.0) else out
+
+
+def matrix_power(A, p, lenient=False):
+    if p < 0:
+        floor = mc.POS_FLOOR  # negative powers need strict positivity
+    elif float(p).is_integer():
+        floor = None
+    else:
+        floor = 0.0  # fractional powers need a PSD spectrum
+    return matrix_function(A, lambda w: np.power(w, p), min_eigenvalue=floor, lenient=lenient)
+
+
+def matrix_log(A, lenient=False):
+    return matrix_function(A, np.log, min_eigenvalue=mc.POS_FLOOR, lenient=lenient)
+
+
+def random_positive(rng, n, floor=1e-3):
+    """Strictly positive Hermitian matrix with unit Frobenius norm."""
+    G = mc.random_complex(rng, n)
+    X = G @ G.conj().T + floor * np.eye(n)
+    return mc.hermitize(X / np.linalg.norm(X))
 
 
 def simpson_weights(npts: int, length: float = 1.0) -> np.ndarray:
@@ -178,7 +232,7 @@ def metric_tensor_by_term(G, rho, alpha, nu1, nu2):
 
 
 def _sandwich_pow(sigma, gamma, A):
-    P = mc.matrix_power(sigma, gamma / 2.0)
+    P = matrix_power(sigma, gamma / 2.0)
     return P @ A @ P
 
 
@@ -190,7 +244,7 @@ def sandwiched_renyi_by_matrix_powers(rho, sigma, alpha):
         dec = mc.eig_hermitian(rho)
         w = np.maximum(dec.values, 0.0)
         mask = w > 1e-14
-        cross = np.real(np.trace(dec.reconstruct(w) @ mc.matrix_log(sigma)))
+        cross = np.real(np.trace(dec.reconstruct(w) @ matrix_log(sigma)))
         return float(np.sum(w[mask] * np.log(w[mask])) - cross)
     rs = mc.hermitize(_sandwich_pow(sigma, (1.0 - alpha) / alpha, rho))
     w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
@@ -201,7 +255,7 @@ def functional_derivative_by_matrix_powers(rho, sigma, alpha):
     """alpha/(alpha-1) sigma^g rs^(alpha-1) sigma^g / Z with g = (1-alpha)/(2 alpha),
     every power of sigma formed afresh; log rho - log sigma at alpha = 1."""
     if alpha == 1.0:
-        return mc.matrix_log(rho) - mc.matrix_log(sigma)
+        return matrix_log(rho) - matrix_log(sigma)
     gamma = (1.0 - alpha) / alpha
     dec = mc.eig_hermitian(mc.hermitize(_sandwich_pow(sigma, gamma, rho)))
     Z = np.sum(dec.values**alpha)
@@ -242,7 +296,7 @@ def _sandwich_superop(X, Y):
 
 
 def _sigma_power(G, p):
-    return mc.matrix_power(G.sigma, p)
+    return matrix_power(G.sigma, p)
 
 
 def gns_residual_by_kron(G):

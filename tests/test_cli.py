@@ -198,6 +198,33 @@ class TestCommands:
             assert len(out.strip().splitlines()) == 4, argv
 
 
+class TestConfigValues:
+    """A config value passes through its option's own conversion, as if
+    given on the command line; a bad value, or a key that names no option
+    of the command (such as the internal `fn`), exits 1 with JSON detail."""
+
+    SIMULATE = ["simulate", "--generator", "builtin:qubit-xz", "--t-end", "0.1", "--dt", "0.05"]
+    FIG1 = ["fig1", "--generator", "builtin:carlen-maas"]
+
+    @pytest.mark.parametrize("argv, doc, flags", [
+        (SIMULATE, {"dt": "x"}, None),
+        (FIG1, {"alphas": 2}, ["--alphas", "2"]),
+        (["gradflow", "--generator", "builtin:qubit-xz"], {"samples": "3"}, ["--samples", "3"]),
+        (SIMULATE, {"seed": 1.5}, None),
+        (FIG1, {"fn": 1}, None),
+    ], ids=["dt-not-a-number", "alphas-a-number", "samples-a-string", "seed-not-an-int", "internal-fn"])
+    def test_value_converted_as_on_the_command_line(self, tmp_path, capsys, argv, doc, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(argv + ["--config", str(cfg)], capsys)
+        if flags is None:
+            assert code == 1
+            assert json.loads(err)["error"] == "validation"
+        else:
+            assert (code, err) == (0, "")
+            assert out == run(argv + flags, capsys)[1]
+
+
 class TestMalformedInputs:
     """Each malformed input exits 1 with JSON detail, never a traceback."""
 

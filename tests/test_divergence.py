@@ -7,7 +7,7 @@ import renyiflow.matcore as mc
 from renyiflow.errors import DomainError, SingularityError, StructuralError, ValidationError
 from renyiflow.generator import random_gns_generator
 
-from .oracles import classical_chi2, classical_renyi
+from .oracles import classical_chi2, classical_renyi, matrix_power
 
 
 class TestSandwichedRenyi:
@@ -34,7 +34,7 @@ class TestSandwichedRenyi:
     def test_order_two_shortcut(self, rng):
         rho = mc.random_density(rng, 3, floor=0.05)
         sigma = mc.random_density(rng, 3, floor=0.05)
-        si = mc.matrix_power(sigma, -0.5)
+        si = matrix_power(sigma, -0.5)
         direct = np.log(np.trace(si @ rho @ si @ rho).real)
         assert dv.sandwiched_renyi(rho, sigma, 2.0).value == pytest.approx(direct, abs=1e-10)
 
@@ -147,6 +147,20 @@ class TestPetzRenyi:
         with pytest.raises(DomainError):
             dv.petz_renyi(sigma, sigma, 1.0)
 
+    def test_rounding_negative_eigenvalue_clamped(self, rng):
+        # the validation admits eigenvalues down to -TOL_PSD; at a fractional
+        # order below 1 they count as 0 instead of giving a nan power
+        U = np.linalg.qr(mc.random_complex(rng, 3))[0]
+        p = np.array([-5e-11, 0.4, 0.6 + 5e-11])
+        rho = mc.hermitize((U * p) @ U.conj().T)
+        sigma = mc.random_density(rng, 3, floor=0.1)
+        assert np.linalg.eigvalsh(rho)[0] < 0.0
+        r_half = (U * np.sqrt(np.maximum(p, 0.0))) @ U.conj().T
+        ref = np.log(np.real(np.trace(r_half @ matrix_power(sigma, 0.5)))) / (0.5 - 1.0)
+        val = dv.petz_renyi(rho, sigma, 0.5)
+        assert np.isfinite(val)
+        assert val == pytest.approx(ref, rel=1e-12)
+
 
 class TestChiSquare:
     def test_self_vanishes(self, rng):
@@ -212,7 +226,7 @@ class TestFisherInformation:
 
     def test_order_two_closed_form(self, rng):
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
-        si = mc.matrix_power(G.sigma, -0.5)
+        si = matrix_power(G.sigma, -0.5)
         for _ in range(20):
             rho = mc.random_density(rng, 3, floor=0.05)
             gi = si @ rho @ si

@@ -554,12 +554,13 @@ class TestLsiConstants:
 class TestLsiObjectiveCost:
     def test_objectives_read_sigma_from_the_generator(self, rng, eigensolves):
         # K and K2: rho's validation and one sandwiched state; kappa: the
-        # weighted argument's spectrum, plus |B| and its power at order 2
+        # weighted argument's spectrum, and one more decomposition for the
+        # Dirichlet form (its log at order 1, |B| and its power at order 2)
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
         rho = mc.random_density(rng, 3, floor=0.1)
         objectives = flow._lsi_objectives(G)
         counts = {name: eigensolves(lambda: fn(rho)) for name, fn in objectives.items()}
-        assert counts == {"K": 2, "K2": 2, "kappa1": 2, "kappa2": 3}
+        assert counts == {"K": 2, "K2": 2, "kappa1": 2, "kappa2": 2}
 
 
 class TestComparisonConstants:
@@ -590,36 +591,63 @@ class TestComparisonConstants:
             flow.comparison_constants(2.0, 3.0, 0.2, mc.density_spectrum(np.eye(2) / 2.0), [0.0], 1.0)
 
 
+# The averaging weight of the comparison proof's two-parameter order change.
+# Nothing in the package evaluates it, so it lives here beside its lemma.
+
+
+def weight_function(s: float, beta: float) -> float:
+    """Piecewise-linear averaging weight of the two-parameter order change.
+
+    A symmetric probability density on [0, 1] with plateau value beta for
+    beta <= 2 and beta/(beta-1) for beta >= 2.
+    """
+    if beta <= 1.0:
+        raise DomainError(f"beta={beta} must exceed 1")
+    if not 0.0 <= s <= 1.0:
+        raise DomainError(f"s={s} outside [0, 1]")
+    pref = beta**2 / (2.0 * (beta - 1.0))
+    return float(pref * (min(s, 2.0 * (beta - 1.0) / beta - s) - max(-s, s - 2.0 / beta)))
+
+
+def weight_function_knots(beta: float) -> tuple[float, float, float]:
+    """Unit-level crossings (s1, s2 = 1 - s1) and the plateau maximum."""
+    if beta <= 1.0:
+        raise DomainError(f"beta={beta} must exceed 1")
+    s1 = (beta - 1.0) / beta**2
+    fmax = beta if beta <= 2.0 else beta / (beta - 1.0)
+    return float(s1), float(1.0 - s1), float(fmax)
+
+
 class TestWeightFunction:
     def test_knots_beta_two(self):
-        s1, s2, fmax = flow.weight_function_knots(2.0)
+        s1, s2, fmax = weight_function_knots(2.0)
         assert (s1, s2, fmax) == (0.25, 0.75, 2.0)
 
     def test_knots_beta_three(self):
-        s1, s2, fmax = flow.weight_function_knots(3.0)
+        s1, s2, fmax = weight_function_knots(3.0)
         assert s1 == pytest.approx(2.0 / 9.0)
         assert fmax == pytest.approx(1.5)
 
     @pytest.mark.parametrize("beta", [1.1, 1.5, 2.0, 3.0, 10.0])
     def test_normalization(self, beta):
-        total = trapezoid_integral(lambda s: flow.weight_function(s, beta), 0.0, 1.0, 10001)
+        total = trapezoid_integral(lambda s: weight_function(s, beta), 0.0, 1.0, 10001)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_symmetry_and_max(self, beta):
-        s1, _, fmax = flow.weight_function_knots(beta)
+        s1, _, fmax = weight_function_knots(beta)
         grid = np.linspace(0.0, 1.0, 501)
-        vals = [flow.weight_function(s, beta) for s in grid]
+        vals = [weight_function(s, beta) for s in grid]
         assert max(vals) == pytest.approx(fmax, abs=1e-9)
         for s in grid:
-            assert flow.weight_function(s, beta) == pytest.approx(
-                flow.weight_function(1.0 - s, beta), abs=1e-12
+            assert weight_function(s, beta) == pytest.approx(
+                weight_function(1.0 - s, beta), abs=1e-12
             )
-        assert flow.weight_function(s1, beta) == pytest.approx(1.0, abs=1e-12)
+        assert weight_function(s1, beta) == pytest.approx(1.0, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            flow.weight_function(0.5, 1.0)
+            weight_function(0.5, 1.0)
 
 
 class TestComparisonFlow:

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 import renyiflow.matcore as mc
 from renyiflow.errors import SingularityError, StructuralError
 
+from .oracles import matrix_log, matrix_power, random_positive
+
 # eigenvalues of [[2,3],[3,5]]/7 from the characteristic polynomial:
 # tr = 1, det = 1/49  ->  (7 -+ 3 sqrt5)/14
 PAPER_EIGS = ((7.0 - 3.0 * np.sqrt(5.0)) / 14.0, (7.0 + 3.0 * np.sqrt(5.0)) / 14.0)
@@ -47,34 +49,39 @@ class TestEigHermitian:
             assert col[idx].real > 0 and abs(col[idx].imag) <= 1e-12 * abs(col[idx])
 
 
+def spectrum(A):
+    return mc.SpectralDecomposition(*np.linalg.eigh(A))
+
+
 class TestMatrixFunction:
     def test_sqrt(self):
-        out = mc.matrix_function(np.diag([4.0, 9.0]), np.sqrt)
+        out = spectrum(np.diag([4.0, 9.0])).power(0.5)
         assert np.allclose(out, np.diag([2.0, 3.0]))
 
     def test_power_zero(self, rng):
-        A = mc.random_positive(rng, 3)
-        assert np.allclose(mc.matrix_power(A, 0.0), np.eye(3))
+        A = random_positive(rng, 3)
+        assert np.allclose(spectrum(A).power(0.0), np.eye(3))
 
     def test_log_of_cm_sigma(self, cm_sigma):
-        out = mc.matrix_log(cm_sigma)
+        out = mc.density_spectrum(cm_sigma, strict=True).log()
         w = np.linalg.eigvalsh(out)
         assert w == pytest.approx([np.log(PAPER_EIGS[0]), np.log(PAPER_EIGS[1])], abs=1e-12)
 
     def test_log_singular_raises(self):
+        # the oracle's domain floor, which order-1 `dirichlet_form` keeps
         with pytest.raises(SingularityError, match="eigenvalue"):
-            mc.matrix_log(np.diag([0.0, 1.0]))
+            matrix_log(np.diag([0.0, 1.0]))
 
     def test_lenient_clamp(self):
-        out = mc.matrix_log(np.diag([0.0, 1.0]), lenient=True)
+        out = matrix_log(np.diag([0.0, 1.0]), lenient=True)
         assert np.isfinite(out).all()
 
     def test_semigroup_property(self, rng):
         for _ in range(50):
-            sigma = mc.random_positive(rng, 4, floor=0.05)
+            dec = spectrum(random_positive(rng, 4, floor=0.05))
             a, b = rng.uniform(-2, 2, size=2)
-            lhs = mc.matrix_power(sigma, a) @ mc.matrix_power(sigma, b)
-            rhs = mc.matrix_power(sigma, a + b)
+            lhs = dec.power(a) @ dec.power(b)
+            rhs = dec.power(a + b)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -82,13 +89,13 @@ class TestSpectralCalculus:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_power_and_log_match_matrix_functions_bitwise(self, rng, n):
         # on the decomposition that validated sigma, the spectral calculus
-        # is the same arithmetic as matrix_power / matrix_log
+        # is the same arithmetic as the oracles' matrix_power / matrix_log
         for _ in range(10):
             sigma = mc.random_density(rng, n, floor=0.05)
             dec = mc.density_spectrum(sigma, strict=True)
             for p in (0.25, -0.25, 0.5, -0.5, 1.0 / 3.0):
-                assert np.array_equal(dec.power(p), mc.matrix_power(sigma, p))
-            assert np.array_equal(dec.log(), mc.matrix_log(sigma))
+                assert np.array_equal(dec.power(p), matrix_power(sigma, p))
+            assert np.array_equal(dec.log(), matrix_log(sigma))
 
     def test_array_of_exponents_gives_the_stack(self, rng):
         dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
@@ -156,7 +163,7 @@ class TestSuperoperators:
 
     def test_maximally_mixed_weighting(self):
         sig = np.eye(2) / 2.0
-        half = mc.matrix_power(sig, 0.5)
+        half = spectrum(sig).power(0.5)
         S = mc.superoperator_of_map(lambda A: half @ A @ half, 2)
         assert np.allclose(S, np.eye(4) / 2.0)
 
@@ -183,7 +190,7 @@ class TestSuperoperators:
         assert mc.trace_norm(np.eye(4)) == pytest.approx(4.0, abs=1e-13)
 
     def test_trace_norm_of_sqrt_weighting(self, cm_sigma):
-        half = mc.matrix_power(cm_sigma, 0.5)
+        half = mc.density_spectrum(cm_sigma, strict=True).power(0.5)
         S = mc.superoperator_of_map(lambda A: half @ A @ half, 2)
         lam = np.linalg.eigvalsh(cm_sigma)
         assert mc.trace_norm(S) == pytest.approx(np.sum(np.sqrt(lam)) ** 2, abs=1e-12)

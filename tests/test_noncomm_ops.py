@@ -8,9 +8,11 @@ from renyiflow.errors import DomainError, SingularityError
 
 from .oracles import (
     functional_derivative_by_matrix_powers,
+    matrix_power,
     mop_inverse_quadrature,
     mop_quadrature,
     norm_functional_by_state,
+    random_positive,
     sandwiched_renyi_by_matrix_powers,
 )
 
@@ -65,21 +67,21 @@ class TestLogMeanMultiplier:
         assert np.allclose(op.apply(A), A, atol=1e-13)
 
     def test_on_identity_matches_scalar_integral(self, rng):
-        X = mc.random_positive(rng, 3)
+        X = random_positive(rng, 3)
         for om in (-2.0, 0.7, 3.0):
             out = nco.log_mean_multiplier(X, om).apply(np.eye(3))
             assert np.allclose(out, X * 2.0 * np.sinh(om / 2.0) / om, atol=1e-12)
 
     @pytest.mark.parametrize("omega", [-2.0, 0.3, 5.0])
     def test_against_quadrature(self, rng, omega):
-        X = mc.random_positive(rng, 4)
+        X = random_positive(rng, 4)
         A = mc.random_complex(rng, 4)
         lhs = nco.log_mean_multiplier(X, omega).apply(A)
         rhs = mop_quadrature(X, omega, A)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_adjoint_flips_twist(self, rng):
-        X = mc.random_positive(rng, 4)
+        X = random_positive(rng, 4)
         A = mc.random_complex(rng, 4)
         for om in (-1.2, 0.0, 2.5):
             lhs = nco.log_mean_multiplier(X, om).apply(A).conj().T
@@ -87,7 +89,7 @@ class TestLogMeanMultiplier:
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
     def test_strict_positivity(self, rng):
-        X = mc.random_positive(rng, 3)
+        X = random_positive(rng, 3)
         op = nco.log_mean_multiplier(X, 1.3)
         assert op.is_positive
         for _ in range(20):
@@ -96,25 +98,25 @@ class TestLogMeanMultiplier:
             assert q.real > 0 and abs(q.imag) <= 1e-10 * q.real
 
     def test_inverse_round_trip(self, rng):
-        X = mc.random_positive(rng, 4)
+        X = random_positive(rng, 4)
         fw = nco.log_mean_multiplier(X, 0.9)
-        bw = nco.log_mean_multiplier_inv(X, 0.9)
+        bw = nco.log_mean_multiplier(X, 0.9).inverse()
         for _ in range(10):
             A = mc.random_complex(rng, 4)
             assert np.linalg.norm(bw.apply(fw.apply(A)) - A) <= 1e-10 * np.linalg.norm(A)
 
     @pytest.mark.parametrize("omega", [-1.0, 0.0, 2.0])
     def test_inverse_against_quadrature(self, rng, omega):
-        X = mc.random_positive(rng, 3, floor=0.05)
+        X = random_positive(rng, 3, floor=0.05)
         A = mc.random_complex(rng, 3)
-        lhs = nco.log_mean_multiplier_inv(X, omega).apply(A)
+        lhs = nco.log_mean_multiplier(X, omega).inverse().apply(A)
         rhs = mop_inverse_quadrature(X, omega, A)
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 class TestChainRule:
     def test_zero_argument(self, rng):
-        X = mc.random_positive(rng, 3)
+        X = random_positive(rng, 3)
         assert nco.chain_rule_residual(np.zeros((3, 3)), X, 1.7) == 0.0
 
     def test_identity_base_zero_twist(self, rng):
@@ -127,7 +129,7 @@ class TestChainRule:
             n = int(rng.integers(2, 6))
             V = mc.random_complex(rng, n)
             V /= np.linalg.norm(V)
-            X = mc.random_positive(rng, n)
+            X = random_positive(rng, n)
             omega = float(rng.uniform(-3, 3))
             worst = max(worst, nco.chain_rule_residual(V, X, omega))
         assert worst <= 1e-9
@@ -173,7 +175,7 @@ class TestRenyiMultiplier:
         rho = mc.random_density(rng, 3, floor=0.1)
         A = mc.random_complex(rng, 3)
         M = nco.renyi_multiplier(rho, sigma_dec, -1.1, 2.0)
-        si = mc.matrix_power(sigma, -0.5)
+        si = matrix_power(sigma, -0.5)
         Z = np.trace(si @ rho @ si @ rho).real
         expected = 0.5 * Z * nco.sandwich_pow(sigma_dec, 1.0, A)
         assert np.linalg.norm(M.apply(A) - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -328,31 +330,59 @@ class TestMultiplierStack:
             assert np.linalg.norm(l_row - r_row) <= 1e-10 * max(1.0, np.linalg.norm(r_row))
 
 
+# The comparison proof's similarity pair and its spectrum envelope.  Nothing
+# in the package applies them (`flow.comparison_constants` takes eta = lo/hi
+# in closed form), so they live here beside the lemma they check.
+
+
+def similarity_pair(X, omega: float, s: float) -> nco.KernelOperator:
+    """The symmetrized conjugation pair e^(ws) X^s . X^(-s) + e^(w(1-s)) X^(1-s) . X^(s-1).
+
+    Defined for s in [0, 1/2]; its kernel is b^s + b^(1-s) with
+    b = e^omega lam_k / lam_l, entrywise non-increasing in s.
+    """
+    if not 0.0 <= s <= 0.5:
+        raise DomainError(f"similarity exponent s={s} outside [0, 1/2]")
+    dec = nco._positive_spectrum(X)
+    loglam = np.log(dec.values)
+    logb = omega + loglam[:, None] - loglam[None, :]
+    kernel = np.exp(s * logb) + np.exp((1.0 - s) * logb)
+    return nco.KernelOperator(dec.values, dec.vectors, kernel)
+
+
+def similarity_pair_bounds(X, omega: float) -> tuple[float, float]:
+    """Spectrum envelope [2 sqrt(e^w lmin/lmax), 1 + e^w lmax/lmin], valid for all s."""
+    dec = nco._positive_spectrum(X)
+    lo = 2.0 * np.sqrt(np.exp(omega) * dec.values[0] / dec.values[-1])
+    hi = 1.0 + np.exp(omega) * dec.values[-1] / dec.values[0]
+    return float(lo), float(hi)
+
+
 class TestSimilarityPair:
     def test_identity_base(self, rng):
-        op = nco.similarity_pair(np.eye(3), 0.0, 0.25)
+        op = similarity_pair(np.eye(3), 0.0, 0.25)
         assert np.allclose(op.kernel, 2.0)
 
     def test_half_is_twice_sqrt(self, rng):
-        X = mc.random_positive(rng, 3)
-        op = nco.similarity_pair(X, 0.7, 0.5)
+        X = random_positive(rng, 3)
+        op = similarity_pair(X, 0.7, 0.5)
         lam = mc.eig_hermitian(X).values
         b = np.exp(0.7) * lam[:, None] / lam[None, :]
         assert np.allclose(op.kernel, 2.0 * np.sqrt(b), atol=1e-12)
 
     def test_entrywise_monotone_in_s(self, rng):
-        X = mc.random_positive(rng, 4)
+        X = random_positive(rng, 4)
         for om in (-1.0, 0.0, 1.5):
-            kernels = [nco.similarity_pair(X, om, s).kernel for s in np.linspace(0.0, 0.5, 6)]
+            kernels = [similarity_pair(X, om, s).kernel for s in np.linspace(0.0, 0.5, 6)]
             for k1, k2 in zip(kernels, kernels[1:]):
                 assert np.all(k1 - k2 >= -1e-12)
 
     def test_spectrum_bounds_and_eta(self, rng):
-        X = mc.random_positive(rng, 4)
+        X = random_positive(rng, 4)
         for om in (-1.0, 0.0, 1.5):
-            lo, hi = nco.similarity_pair_bounds(X, om)
+            lo, hi = similarity_pair_bounds(X, om)
             eta = lo / hi
-            ks = [nco.similarity_pair(X, om, s).kernel for s in np.linspace(0.0, 0.5, 6)]
+            ks = [similarity_pair(X, om, s).kernel for s in np.linspace(0.0, 0.5, 6)]
             for k in ks:
                 assert np.all(k >= lo - 1e-12) and np.all(k <= hi + 1e-12)
             for ka in ks:
@@ -361,7 +391,7 @@ class TestSimilarityPair:
 
     def test_domain(self, rng):
         with pytest.raises(DomainError):
-            nco.similarity_pair(np.eye(2), 0.0, 0.6)
+            similarity_pair(np.eye(2), 0.0, 0.6)
 
 
 class TestWeightOperator:
@@ -394,8 +424,8 @@ class TestWeightOperator:
         sigma = mc.random_density(rng, 4, floor=0.05)
         dec = mc.density_spectrum(sigma, strict=True)
         W = nco.weight_operator(dec, alpha)
-        m1 = nco.log_mean_multiplier(mc.matrix_power(sigma, 1.0 / alpha))
-        m2i = nco.log_mean_multiplier(mc.matrix_power(sigma, (alpha - 1.0) / alpha)).inverse()
+        m1 = nco.log_mean_multiplier(dec.power(1.0 / alpha))
+        m2i = nco.log_mean_multiplier(dec.power((alpha - 1.0) / alpha)).inverse()
         A = mc.random_complex(rng, 4)
         comp = m1.apply(m2i.apply(nco.sandwich_pow(dec, 2.0 * (alpha - 1.0) / alpha, A)))
         assert np.linalg.norm(W.apply(A) - comp) <= 1e-9 * np.linalg.norm(comp)
@@ -444,7 +474,7 @@ class TestWeightedFunctionals:
 
     def test_dirichlet_nonnegative(self, qubit_xz, rng):
         for _ in range(50):
-            X = mc.random_positive(rng, 2, floor=0.05)
+            X = random_positive(rng, 2, floor=0.05)
             X = X / np.trace(X).real
             for a in (0.5, 1.0, 2.0, 3.0):
                 assert nco.dirichlet_form(qubit_xz, a, X) >= -1e-10
@@ -454,7 +484,7 @@ class TestWeightedFunctionals:
         from renyiflow.generator import random_gns_generator
 
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
-        si = mc.matrix_power(G.sigma, -0.5)
+        si = matrix_power(G.sigma, -0.5)
         for _ in range(5):
             rho = mc.random_density(rng, 3, floor=0.1)
             X = mc.hermitize(si @ rho @ si)
@@ -463,12 +493,19 @@ class TestWeightedFunctionals:
             Ia = dv.fisher_information(rho, G.sigma, alpha, G)
             assert E / Z == pytest.approx(alpha / 4.0 * Ia, abs=1e-8 * max(1.0, abs(Ia)))
 
+    def test_order_one_dirichlet_below_floor_raises(self, qubit_xz):
+        # the log of the weighted argument needs it at or above POS_FLOOR
+        X = np.diag([1e-13, 1.0]).astype(complex)
+        with pytest.raises(SingularityError, match="below"):
+            nco.dirichlet_form(qubit_xz, 1.0, X)
+        assert np.isfinite(nco.dirichlet_form(qubit_xz, 1.0, np.diag([1e-6, 1.0]).astype(complex)))
+
     def test_power_op_commuting_case(self, rng):
         lam = np.array([0.2, 0.3, 0.5])
         sigma = np.diag(lam).astype(complex)
         A = np.diag(rng.uniform(0.5, 2.0, size=3)).astype(complex)
         out = nco.power_op(mc.density_spectrum(sigma, strict=True), 3.0, 2.0, A)
-        assert np.allclose(out, mc.matrix_power(A, 2.0 / 3.0), atol=1e-10)
+        assert np.allclose(out, matrix_power(A, 2.0 / 3.0), atol=1e-10)
 
 
 class TestTracelessBasis:
