@@ -231,6 +231,8 @@ def cmd_simulate(args) -> int:
 def cmd_gradflow(args) -> int:
     G = load_generator(args.generator)
     alphas = parse_alphas(args.alphas)
+    if args.samples < 0:
+        raise DomainError(f"--samples {args.samples} must be non-negative")
     rng = np.random.default_rng(args.seed)
     lines = ["sample,alpha,residual"]
     for s in range(args.samples):
@@ -341,26 +343,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
-    """Set each option a config file names, through the option's own
-    conversion of its command-line text."""
+def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
+    """Make each option a config file names default to its value, converted
+    as the option converts its command-line text, and parse argv again, so
+    an option given on the command line keeps its value.  The defaults go
+    on a fresh parser; the shared one is left unchanged."""
     if not args.config:
         return args
     doc = _load_json(args.config)
     if not isinstance(doc, dict):
         raise ValidationError(f"{args.config}: config must be a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {a.dest: a for a in sub.choices[args.command]._actions if a.dest not in ("help", "config")}
+    parser = build_parser.__wrapped__()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    options = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    defaults = {}
     for key, val in doc.items():
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise ValidationError(f"{args.config}: {args.command} has no option {key!r}")
         text = val if isinstance(val, str) else json.dumps(val)
         try:
-            setattr(args, action.dest, action.type(text) if action.type else text)
+            defaults[action.dest] = action.type(text) if action.type else text
         except ValueError:
             raise ValidationError(f"{args.config}: {key} = {text} is not a valid {action.type.__name__}") from None
-    return args
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -370,7 +377,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        args = _apply_config(parser, args)
+        args = _apply_config(args, argv)
         return args.fn(args)
     except (ValidationError, StructuralError, DomainError) as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)

@@ -92,6 +92,8 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
         raise DomainError(f"t_end={t_end} must be non-negative and finite")
     if store_every < 1:
         raise DomainError(f"store_every={store_every} must be at least 1")
+    if t_end / dt >= 2.0**53:
+        raise DomainError(f"t_end/dt={t_end / dt:.3g} steps: the step count must be below 2**53")
     rho0 = _require_dim(mc.require_density(rho0, name="rho0"), G.n, "rho0")
     times = np.array([0.0])
     W = mc.vec(rho0)[None, :]  # one row vec(rho) per stored state
@@ -224,11 +226,14 @@ def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
     """Transport metric pairing of two tangent directions at rho.
 
     Each direction is lifted to a potential by inverting the strictly
-    positive flux operator on the traceless Hermitian subspace
-    (pseudo-inverse cutoff 1e-10), and the lifted gradients are paired
-    through the order-alpha multiplication operator: with T the flux
+    positive flux operator B -> -div M grad B on the traceless Hermitian
+    subspace (pseudo-inverse cutoff 1e-10), and the lifted gradients are
+    paired through the order-alpha multiplication operator: with T the flux
     operator's Gram matrix, the lifts x = T+ c of coordinates c pair to
-    x1' T x2 = c1' T+ c2.
+    x1' T x2 = c1' T+ c2.  T_ab = Re sum_j <[V_j, B_a], M_j [V_j, B_b]> on
+    the n^2 - 1 basis elements comes from one contraction of the family's
+    kernels with the jump operators (`RenyiMultiplier.flux_gram`), O(m n^4)
+    for m jump terms; no basis element is imaged on its own.
     """
     if not G.primitivity.primitive:
         raise ValidationError("metric tensor needs a primitive generator")
@@ -240,8 +245,7 @@ def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
     basis = np.array(nco.traceless_hermitian_basis(n))
     flat = basis.reshape(len(basis), -1).conj()
 
-    images = np.array([-nco.nc_divergence(G, M.apply(nco.nc_gradient(G, B))) for B in basis])
-    T = np.real(flat @ images.reshape(len(basis), -1).T)
+    T = M.flux_gram(G.jump_stacks[0], basis)
     T = 0.5 * (T + T.T)
     w, Q = np.linalg.eigh(T)
     cutoff = 1e-10 * max(abs(w[-1]), 1e-300)
@@ -429,6 +433,8 @@ def lsi_constants(
     the gap direction is added through second-order extrapolation; every
     reported estimate is an upper bound on the corresponding infimum.
     """
+    if n_starts < 0:
+        raise DomainError(f"n_starts={n_starts} must be non-negative")
     if not G.primitivity.primitive:
         raise ValidationError("log-Sobolev constants need a primitive generator")
     lam = G.gap.value

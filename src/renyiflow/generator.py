@@ -412,8 +412,8 @@ def spectral_gap(G: Generator) -> SpectralGap:
 
 def depolarizing_generator(gamma: float, sigma, label: str = "depolarizing") -> Generator:
     """Uniform relaxation toward sigma at rate gamma (detailed balanced)."""
-    if gamma <= 0.0:
-        raise ValidationError(f"depolarizing rate must be positive, got {gamma}")
+    if not 0.0 < gamma < np.inf:
+        raise ValidationError(f"depolarizing rate must be positive and finite, got {gamma}")
     sigma = mc.require_hermitian(sigma, name="sigma")
     n = sigma.shape[0]
     # L(A) = gamma (tr(sigma A) I - A), with tr(sigma A) = <vec sigma, vec A>

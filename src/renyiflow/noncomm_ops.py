@@ -240,7 +240,8 @@ class RenyiMultiplier:
 
     apply() realizes the strictly positive map whose inverse carries the
     gradient of the order-alpha divergence onto jump-operator commutators;
-    inverse_apply() is the exact inverse.  Composition structure:
+    inverse_apply() is the exact inverse; flux_gram() pairs jump
+    commutators of many directions through it at once.  Composition structure:
     a scalar Z/alpha, outer two-sided sigma powers, and a single entrywise
     kernel in the eigenbasis of the sandwiched state.  A family over m
     frequencies has an (m, n, n) kernel and acts on (m, n, n) stacks.
@@ -259,6 +260,47 @@ class RenyiMultiplier:
         Q = self.state.outer
         B = self.kernel_op.inverse().apply(Q @ np.asarray(A, dtype=complex) @ Q)
         return (self.state.alpha / self.state.Z) * (Q @ B @ Q)
+
+    def flux_gram(self, V, B) -> np.ndarray:
+        """Gram matrix Re sum_j <[V_j, B_a], M_j [V_j, B_b]> of a family over
+        the (m, n, n) jump stack V, for a (d, n, n) stack of directions B.
+
+        With Q = P U (P = outer_inv, U the sandwiched state's eigenvectors)
+        M_j(X) = (Z/alpha) Q (k_j . (Q* X Q)) Q*, and Q* [V_j, B] Q is
+        Vt_j B' - B' Vh_j with Vt_j = Q* V_j Q^-*, Vh_j = Q^-1 V_j Q,
+        B' = Q* B Q and Q^-1 = U* outer, so nothing is inverted.  The pairing
+        is one Hermitian n^2 x n^2 form H in the entries of B', summed over
+        the jump terms in O(m n^4): the Vt-Vt and Vh-Vh parts are diagonal
+        in one index of B', each n weighted Gram matrices A* diag(w) A over
+        the m n rows (j, k) of the stack; the cross part is one product over
+        j per row index.  The d directions then cost one change of basis
+        and two products with H.
+        """
+        P, U = self.outer_inv, self.kernel_op.basis
+        Q = P @ U
+        Qinv = U.conj().T @ self.state.outer
+        Vt = Q.conj().T @ V @ Qinv.conj().T
+        Vh = Qinv @ V @ Q
+        k = self.kernel_op.kernel
+        m, n = k.shape[0], k.shape[-1]
+        eye = np.eye(n)
+
+        def weighted_grams(A, w):
+            # [p, i, p'] = sum over rows r = (j, k) of conj(A[r, p]) w[r, i] A[r, p']
+            A, w = A.reshape(m * n, n), w.reshape(m * n, n)
+            return (A.conj().T @ (w[:, :, None] * A[:, None, :]).reshape(m * n, n * n)).reshape(n, n, n)
+
+        # H[p, q, p', q'] pairs conj(B'[p, q]) with B'[p', q']
+        tt = weighted_grams(Vt, k)  # [p, q, p'], times delta(q, q')
+        hh = weighted_grams(Vh.transpose(0, 2, 1), k.transpose(0, 2, 1))  # [q, p, q'], times delta(p, p')
+        H = tt[:, :, :, None] * eye[None, :, None, :] + hh.transpose(1, 0, 2)[:, :, None, :] * eye[:, None, :, None]
+        # cross[p', p, (q, q')] = sum_j conj(Vt_j[p', p]) k_j[p', q] Vh_j[q', q], and its adjoint
+        W = k.transpose(1, 0, 2)[:, :, :, None] * Vh.transpose(0, 2, 1)[None, :, :, :]
+        cross = (Vt.conj().transpose(1, 2, 0) @ W.reshape(n, m, n * n)).reshape(n, n, n, n)
+        cross = cross.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+        H = H.reshape(n * n, n * n) - cross - cross.conj().T
+        Bp = (Q.conj().T @ np.asarray(B, dtype=complex) @ Q).reshape(len(B), n * n)
+        return (self.state.Z / self.state.alpha) * np.real(Bp.conj() @ H @ Bp.T)
 
 
 def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: float) -> RenyiMultiplier:

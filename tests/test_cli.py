@@ -188,6 +188,27 @@ class TestCommands:
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 4  # header + alpha in {1,2,3}
 
+    @pytest.mark.parametrize("flags", [["--alphas", "0.5,1"], ["--alphas=0.5,1"], ["--alph", "0.5,1"]],
+                             ids=["separate", "joined", "abbreviated"])
+    @pytest.mark.parametrize("before", [True, False], ids=["config-first", "config-last"])
+    def test_command_line_overrides_config(self, tmp_path, capsys, flags, before):
+        # the file holds defaults: an option given on the command line keeps its value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": "1:3:1"}))
+        command = ["fig1", "--generator", "builtin:carlen-maas", *flags]
+        config = ["--config", str(cfg)]
+        code, out, _ = run(config + command if before else command + config, capsys)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["0.5", "1"]
+
+    def test_config_fills_only_absent_options(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 1, "alphas": "2", "seed": 9}))
+        argv = ["gradflow", "--generator", "builtin:qubit-xz", "--seed", "3"]
+        code, out, _ = run(argv + ["--config", str(cfg)], capsys)
+        assert code == 0
+        assert out == run(argv + ["--samples", "1", "--alphas", "2"], capsys)[1]
+
     def test_config_before_or_after_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alphas": "1:3:1"}))
@@ -296,10 +317,24 @@ class TestMalformedInputs:
         ["simulate", "--generator", "builtin:qubit-xz", "--t-end", "-1", "--dt", "0.01"],
         ["simulate", "--generator", "builtin:qubit-xz", "--t-end", "0.1", "--dt", "nan"],
         ["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2", "--alpha1", "inf"],
+        ["dbcheck", "--generator", "builtin:depolarizing?gamma=nan"],
+        ["dbcheck", "--generator", "builtin:depolarizing?gamma=inf"],
+        ["simulate", "--generator", "builtin:qubit-xz", "--t-end", "1", "--dt", "1e-300"],
+        ["gradflow", "--generator", "builtin:qubit-xz", "--samples", "-2"],
+        ["constants", "--generator", "builtin:qubit-xz", "--starts", "-1"],
     ], ids=["simulate-inf-order", "gradflow-inf-order", "dbcheck-nan-order", "nan-t-end",
-            "negative-t-end", "nan-dt", "compare-inf-order"])
+            "negative-t-end", "nan-dt", "compare-inf-order", "nan-rate", "inf-rate", "tiny-dt",
+            "negative-samples", "negative-starts"])
     def test_non_finite_or_negative_number(self, argv, capsys):
         self.assert_validation_exit(argv, capsys)
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_validate_non_finite_rate(self, rate, capsys):
+        code, out, err = run(["validate", "--generator", f"builtin:depolarizing?gamma={rate}"], capsys)
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["valid"] is False
+        assert "positive and finite" in doc["failures"][0]
 
     @pytest.mark.parametrize("spec", ["builtin:depolarizing?n=3", "builtin:carlen-maas"])
     def test_gradflow_without_jump_terms(self, spec, capsys):

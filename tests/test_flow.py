@@ -44,6 +44,11 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="finite"):
             flow.integrate(qubit_xz, qubit_xz.sigma, t_end, dt)
 
+    def test_rejects_step_count_beyond_exact_integers(self, qubit_xz):
+        # t_end/dt = 1e300 steps: rejected before any grid is allocated
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            flow.integrate(qubit_xz, qubit_xz.sigma, 1.0, 1e-300)
+
     def test_rejects_state_of_another_size(self, qubit_xz):
         with pytest.raises(StructuralError, match="does not match"):
             flow.integrate(qubit_xz, np.eye(3) / 3.0, 1.0, 0.1)
@@ -298,7 +303,7 @@ class TestMetricTensor:
 class TestMultiplierFamily:
     """The stacked family against the per-term construction it replaced."""
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("name", ["qubit-xz", "gns-2", "gns-3", "gns-4", "gns-6", "gns-8"])
     def test_matches_per_term_oracle(self, name, alpha):
         G = named_generator(name)
@@ -329,6 +334,21 @@ class TestMultiplierFamily:
         assert counts[0] == counts[1]
         assert counts[0][0] == 2
         assert max(counts[0]) <= 6
+
+    def test_metric_contracts_the_kernel_without_imaging_directions(self, monkeypatch):
+        # the flux Gram matrix comes from one contraction over the jump
+        # terms, not from the gradient and multiplier applied per direction
+        G = named_generator("gns-4")
+        rng = np.random.default_rng(4)
+        rho = mc.random_density(rng, 4, floor=0.1)
+        nu = mc.random_traceless_hermitian(rng, 4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("metric_tensor imaged a direction")
+
+        monkeypatch.setattr(nco, "nc_gradient", forbidden)
+        monkeypatch.setattr(nco.RenyiMultiplier, "apply", forbidden)
+        assert flow.metric_tensor(G, rho, 1.5, nu, nu) > 0.0
 
     @pytest.mark.parametrize("alpha", [1.0, 2.5])
     def test_family_decomposes_sigma_and_the_sandwiched_state_once(self, eigensolves, alpha):
@@ -509,6 +529,10 @@ class TestLsiConstants:
         G = build_gns(np.eye(2) / 2.0, [JumpTerm.of(SZ, 0.0)])
         with pytest.raises(ValidationError):
             flow.lsi_constants(G)
+
+    def test_negative_start_count_rejected(self, qubit_xz):
+        with pytest.raises(DomainError, match="n_starts"):
+            flow.lsi_constants(qubit_xz, n_starts=-1)
 
     def test_programming_error_propagates(self, qubit_xz, monkeypatch):
         # only package and LAPACK errors are scored as +inf; anything else

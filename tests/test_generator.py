@@ -67,6 +67,11 @@ class TestBuildGns:
 
         assert gns_selfadjoint_residual(depol) <= 1e-10
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_depolarizing_rate_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            depolarizing_generator(gamma, np.eye(2) / 2.0)
+
     def test_nonzero_trace_rejected(self):
         V = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValidationError, match=r"condition \(i\)"):

@@ -320,6 +320,18 @@ class TestMultiplierStack:
         assert M.apply(stack[0]).shape == (n, n)
         assert M.inverse_apply(stack[0]).shape == (n, n)
 
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.5, 6.0])
+    def test_flux_gram_matches_imaged_directions(self, family_inputs, alpha, rng):
+        # Re sum_j <[V_j, B_a], M_j [V_j, B_b]> from the stacked multiplier,
+        # for jump operators and directions without any symmetry
+        rho, sigma, omegas, V = family_inputs
+        M = nco.renyi_multiplier(rho, mc.density_spectrum(sigma, strict=True), omegas, alpha)
+        B = np.array([mc.random_complex(rng, rho.shape[0]) for _ in range(4)])
+        grads = V[None] @ B[:, None] - B[:, None] @ V[None]
+        images = np.array([M.apply(g) for g in grads])
+        ref = np.real(np.einsum("ajkl,bjkl->ab", grads.conj(), images))
+        assert np.abs(M.flux_gram(V, B) - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
     def test_adjoint_relation_row_by_row(self, family_inputs, alpha):
         rho, sigma, omegas, stack = family_inputs
