@@ -9,8 +9,8 @@ All quantities are reported in nats.  The reference state sigma must be
 strictly positive, which makes every divergence finite.  Each public
 function validates its states once; the sandwiched divergence, the
 relative entropy and the functional derivative are then read from one
-`noncomm_ops.sandwiched_state`.  The Fisher information reads sigma from
-its generator, once the sigma passed in matches the generator's.
+`noncomm_ops.sandwiched_state`.  The Fisher information takes no sigma:
+it reads sigma's decomposition from its generator.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matcore as mc
 from . import noncomm_ops as nco
-from .errors import DomainError, StructuralError, ValidationError
+from .errors import DomainError, StructuralError
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,15 @@ def functional_derivative(rho, sigma, alpha: float) -> np.ndarray:
     return _sandwiched(rho, sigma, alpha, strict=True).derivative()
 
 
-def fisher_information(rho, sigma, alpha: float, G) -> float:
-    """Relative alpha-Fisher information of rho under the generator.
+def fisher_information(rho, alpha: float, G) -> float:
+    """Relative alpha-Fisher information of rho under the generator, relative
+    to its stationary state G.sigma.
 
     Minus the pairing of the functional derivative with the state-space
     drift; non-negative for detailed-balance generators, and equal to the
     entropy-production rate along the flow.
     """
-    sigma = np.asarray(sigma, dtype=complex)
-    if sigma.shape != G.sigma.shape or np.linalg.norm(sigma - G.sigma) > 1e-10:
-        raise ValidationError("sigma does not match the generator's stationary state")
     rho = mc.require_density(rho, strict=True, name="rho")
-    if rho.shape != sigma.shape:
-        raise StructuralError(f"rho has shape {rho.shape}, sigma {sigma.shape}")
+    if rho.shape != (G.n, G.n):
+        raise StructuralError(f"rho has shape {rho.shape}, the generator's sigma {(G.n, G.n)}")
     return nco.sandwiched_state(rho, G.sigma_dec, alpha).fisher(G.apply_Ldag(rho))

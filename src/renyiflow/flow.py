@@ -46,8 +46,10 @@ def _require_dim(A: np.ndarray, n: int, name: str) -> np.ndarray:
     return A
 
 
-def _validated(G: Generator, rho) -> np.ndarray:
-    return _require_dim(mc.require_density(rho, name="rho"), G.n, "rho")
+def _validated(G: Generator, rho, strict: bool = False, name: str = "rho") -> np.ndarray:
+    """rho checked as a density matrix of the generator's size; `strict`
+    additionally demands full rank."""
+    return _require_dim(mc.require_density(rho, strict=strict, name=name), G.n, name)
 
 
 def _project(rho: np.ndarray) -> np.ndarray:
@@ -94,7 +96,7 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
         raise DomainError(f"store_every={store_every} must be at least 1")
     if t_end / dt >= 2.0**53:
         raise DomainError(f"t_end/dt={t_end / dt:.3g} steps: the step count must be below 2**53")
-    rho0 = _require_dim(mc.require_density(rho0, name="rho0"), G.n, "rho0")
+    rho0 = _validated(G, rho0, name="rho0")
     times = np.array([0.0])
     W = mc.vec(rho0)[None, :]  # one row vec(rho) per stored state
     if t_end > 0.0:
@@ -164,7 +166,7 @@ def divergence_trace(traj: Trajectory, alphas) -> TraceTable:
     for i, a in enumerate(alphas):
         for j, k in enumerate(keep):
             D[i, j] = dv.sandwiched_renyi(traj.states[k], G.sigma, a).value
-            I[i, j] = dv.fisher_information(traj.states[k], G.sigma, a, G)
+            I[i, j] = dv.fisher_information(traj.states[k], a, G)
     return TraceTable(traj.times[keep], alphas, D, I)
 
 
@@ -206,7 +208,7 @@ def gradient_flow_residual(G: Generator, rho, alpha: float) -> float:
     """Relative defect between the metric-flux form of the flow and the
     generator's drift; zero in exact arithmetic for detailed-balance
     generators, contracted to stay below 1e-8."""
-    rho = _require_dim(mc.require_density(rho, strict=True, name="rho"), G.n, "rho")
+    rho = _validated(G, rho, strict=True)
     M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
     flux = nco.nc_divergence(G, M.apply(nco.nc_gradient(G, M.state.derivative())))
     target = G.apply_Ldag(rho)
@@ -238,7 +240,7 @@ def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
     if not G.primitivity.primitive:
         raise ValidationError("metric tensor needs a primitive generator")
     n = G.n
-    rho = _require_dim(mc.require_density(rho, strict=True, name="rho"), n, "rho")
+    rho = _validated(G, rho, strict=True)
     nu1 = _require_traceless_hermitian(nu1, n, "nu1")
     nu2 = _require_traceless_hermitian(nu2, n, "nu2")
     M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
@@ -322,7 +324,7 @@ def generic_initial_state(
 def fisher2_bound_check(G: Generator, rho, slack: float = 1e-9) -> InequalityCheck:
     """Uniform lower bound on the order-2 Fisher information by the gap;
     I2 and D2 are read from one sandwiched state."""
-    rho = _require_dim(mc.require_density(rho, strict=True, name="rho"), G.n, "rho")
+    rho = _validated(G, rho, strict=True)
     state = nco.sandwiched_state(rho, G.sigma_dec, 2.0)
     I2, D2 = state.fisher(G.apply_Ldag(rho)), state.divergence()
     bound = 2.0 * G.gap.value * (1.0 - np.exp(-D2))
@@ -384,24 +386,25 @@ class ConstantsReport:
 def _lsi_objectives(G: Generator, denom_floor: float = 1e-8):
     # ratios become 0/0 at the stationary state; below `denom_floor` the
     # evaluation is rounding noise, and that neighborhood is covered by the
-    # extrapolated directional limits instead.  D and the Fisher
-    # information are read from one sandwiched state.
+    # extrapolated directional limits instead.  Each ratio reads its
+    # numerator and denominator from one sandwiched state of the strictly
+    # validated rho, so all four share one domain.
     sig = G.sigma_dec
     si = sig.power(-0.5)
 
     def k_obj(rho, alpha):
-        state = nco.sandwiched_state(mc.require_density(rho, strict=True, name="rho"), sig, alpha)
+        state = nco.sandwiched_state(_validated(G, rho, strict=True), sig, alpha)
         D = state.divergence()
         if D <= denom_floor:
             return np.inf
         return state.fisher(G.apply_Ldag(rho)) / (2.0 * D)
 
     def kappa_obj(rho, alpha):
-        X = mc.hermitize(si @ rho @ si)
-        ent = nco.ent_fun(sig, alpha, X)
+        state = nco.sandwiched_state(_validated(G, rho, strict=True), sig, alpha)
+        ent = state.entropy()
         if ent <= denom_floor:
             return np.inf
-        return nco.dirichlet_form(G, alpha, X) / ent
+        return state.dirichlet(G.apply_L(mc.hermitize(si @ rho @ si))) / ent
 
     return {
         "K": lambda rho: k_obj(rho, 1.0),

@@ -3,9 +3,10 @@
 Spectral-kernel realizations of the operators that drive the gradient-flow
 and detailed-balance machinery: two-sided weighting by powers of a state,
 the modular conjugation, twisted logarithmic-mean multiplication and its
-inverse, the sandwiched state and the Renyi-order multiplication operator
-built on it, the detailed-balance weight kernel, and the weighted-norm
-entropy/Dirichlet functionals.  The sandwiched state is formed and
+inverse, the sandwiched state with the order-alpha functionals read from
+it (divergence, derivative, Fisher information, entropy, Dirichlet form)
+and the Renyi-order multiplication operator built on it, and the
+detailed-balance weight kernel.  The sandwiched state is formed and
 decomposed in exactly one function, `sandwiched_state`.  Functions of a
 reference state sigma take the `mc.density_spectrum` that validated it (a
 generator's `sigma_dec`) and never decompose sigma themselves.  Every
@@ -171,10 +172,10 @@ class SandwichedState:
 
     Every order-alpha quantity reads from it: Z = tr rs^alpha (over the
     spectrum clamped at zero), the divergence, its functional derivative,
-    the Fisher information and the multiplication operator's kernels.  The
-    eigenvectors carry LAPACK's arbitrary phases, so every consumer is
-    phase-invariant.  A (T, n, n) stack at T orders gives T-leading fields;
-    only Z is read.
+    the Fisher information, the entropy functional, the Dirichlet form and
+    the multiplication operator's kernels.  The eigenvectors carry LAPACK's
+    arbitrary phases, so every consumer is phase-invariant.  A (T, n, n)
+    stack at T orders gives T-leading fields; only Z is read.
     """
 
     alpha: float | np.ndarray
@@ -212,6 +213,19 @@ class SandwichedState:
         """Minus the pairing of the derivative with the flow's drift at rho."""
         return float(-np.real(mc.hs_inner(self.derivative(), drift)))
 
+    def entropy(self) -> float:
+        """Ent_alpha = sum lam^alpha log lam^alpha - tr(rs^alpha log sigma) - Z log Z."""
+        w = self.positive_values() ** self.alpha
+        cross = np.real(np.trace(self.dec.reconstruct(w) @ self.sigma_dec.log()))
+        return float(np.sum(w * np.log(w)) - cross - self.Z * np.log(self.Z))
+
+    def dirichlet(self, LX) -> float:
+        """Order-alpha Dirichlet form (alpha Z/4) Re<derivative, -L(X)> in the
+        half-weighted inner product, given L(X) for X = sigma^(-1/2) rho
+        sigma^(-1/2)."""
+        pairing = np.real(mc.weighted_inner(self.derivative(), LX, self.sigma_dec, 0.5))
+        return float(-self.alpha * self.Z / 4.0 * pairing)
+
 
 def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> SandwichedState:
     """Form rs from sigma's decomposition and decompose it with one `eigh`.
@@ -240,8 +254,8 @@ class RenyiMultiplier:
 
     apply() realizes the strictly positive map whose inverse carries the
     gradient of the order-alpha divergence onto jump-operator commutators;
-    inverse_apply() is the exact inverse; flux_gram() pairs jump
-    commutators of many directions through it at once.  Composition structure:
+    flux_gram() pairs jump commutators of many directions through it at
+    once.  Composition structure:
     a scalar Z/alpha, outer two-sided sigma powers, and a single entrywise
     kernel in the eigenbasis of the sandwiched state.  A family over m
     frequencies has an (m, n, n) kernel and acts on (m, n, n) stacks.
@@ -255,11 +269,6 @@ class RenyiMultiplier:
         P = self.outer_inv
         B = self.kernel_op.apply(P @ np.asarray(A, dtype=complex) @ P)
         return (self.state.Z / self.state.alpha) * (P @ B @ P)
-
-    def inverse_apply(self, A) -> np.ndarray:
-        Q = self.state.outer
-        B = self.kernel_op.inverse().apply(Q @ np.asarray(A, dtype=complex) @ Q)
-        return (self.state.alpha / self.state.Z) * (Q @ B @ Q)
 
     def flux_gram(self, V, B) -> np.ndarray:
         """Gram matrix Re sum_j <[V_j, B_a], M_j [V_j, B_b]> of a family over
@@ -387,59 +396,6 @@ def weight_operator(sigma_dec: mc.SpectralDecomposition, alpha: float) -> Kernel
     if not alpha >= 0.0:
         raise DomainError(f"weight order alpha={alpha} must be >= 0")
     return KernelOperator(sigma_dec.values, sigma_dec.vectors, _weight_kernel(sigma_dec.values, alpha))
-
-
-# --- weighted L_alpha functionals --------------------------------------------
-
-
-def lp_norm(sigma_dec: mc.SpectralDecomposition, alpha: float, A) -> float:
-    """Weighted alpha-norm (tr |sigma^(1/2a) A sigma^(1/2a)|^alpha)^(1/alpha)."""
-    B = sandwich_pow(sigma_dec, 1.0 / alpha, A)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(mc.hermitize(B))) ** alpha) ** (1.0 / alpha))
-
-
-def power_op(sigma_dec: mc.SpectralDecomposition, beta: float, alpha: float, A) -> np.ndarray:
-    """Power operator: unweight by 1/beta after raising the 1/alpha-weighted
-    modulus to the alpha/beta power."""
-    B = mc.hermitize(sandwich_pow(sigma_dec, 1.0 / alpha, A))
-    dec = mc.SpectralDecomposition(*np.linalg.eigh(B))
-    P = mc.hermitize(dec.reconstruct(np.abs(dec.values) ** (alpha / beta)))
-    return sandwich_pow(sigma_dec, -1.0 / beta, P)
-
-
-def ent_fun(sigma_dec: mc.SpectralDecomposition, alpha: float, X) -> float:
-    """Order-alpha entropy functional of a strictly positive X (>= 0)."""
-    B = mc.hermitize(sandwich_pow(sigma_dec, 1.0 / alpha, X))
-    dec = _positive_spectrum(B, "weighted argument")
-    w = dec.values**alpha
-    Balpha = dec.reconstruct(w)
-    log_sigma = sigma_dec.log()
-    t1 = float(np.sum(w * np.log(w)))
-    t2 = float(np.real(np.trace(Balpha @ log_sigma)))
-    nrm = float(np.sum(w))
-    return t1 - t2 - nrm * np.log(nrm)
-
-
-def dirichlet_form(G, alpha: float, X) -> float:
-    """Order-alpha Dirichlet form of the generator on strictly positive X.
-
-    The generic branch pairs the conjugate-power operator with -L(X) in the
-    1/2-weighted inner product; alpha = 1 takes the logarithmic limit.
-    """
-    sig = G.sigma_dec
-    minus_LX = -G.apply_L(X)
-    if alpha == 1.0:
-        B = mc.hermitize(sandwich_pow(sig, 1.0, X))
-        dec = mc.SpectralDecomposition(*np.linalg.eigh(B))
-        if dec.values[0] < mc.POS_FLOOR:
-            raise SingularityError(
-                f"weighted argument: smallest eigenvalue {dec.values[0]:.3e} below {mc.POS_FLOOR:.1e}"
-            )
-        arg = dec.log() - sig.log()
-        return 0.25 * float(np.real(mc.weighted_inner(arg, minus_LX, sig, 0.5)))
-    at = alpha / (alpha - 1.0)
-    P = power_op(sig, at, alpha, X)
-    return (alpha * at / 4.0) * float(np.real(mc.weighted_inner(P, minus_LX, sig, 0.5)))
 
 
 # --- traceless Hermitian basis ------------------------------------------------

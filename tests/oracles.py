@@ -271,6 +271,56 @@ def norm_functional_by_state(rho, sigma, beta):
     return float(np.log(np.sum(w**beta)) / beta)
 
 
+# --- weighted L_alpha functionals of X = sigma^(-1/2) rho sigma^(-1/2) ---------
+# The X-parameterized form of the entropy functional and Dirichlet form, each
+# forming and decomposing the weighted argument itself: the reference for
+# `SandwichedState.entropy` and `.dirichlet`.
+
+
+def power_op(sigma_dec: mc.SpectralDecomposition, beta: float, alpha: float, A) -> np.ndarray:
+    """Power operator: unweight by 1/beta after raising the 1/alpha-weighted
+    modulus to the alpha/beta power."""
+    B = mc.hermitize(nco.sandwich_pow(sigma_dec, 1.0 / alpha, A))
+    dec = mc.SpectralDecomposition(*np.linalg.eigh(B))
+    P = mc.hermitize(dec.reconstruct(np.abs(dec.values) ** (alpha / beta)))
+    return nco.sandwich_pow(sigma_dec, -1.0 / beta, P)
+
+
+def ent_fun(sigma_dec: mc.SpectralDecomposition, alpha: float, X) -> float:
+    """Order-alpha entropy functional of a strictly positive X (>= 0)."""
+    B = mc.hermitize(nco.sandwich_pow(sigma_dec, 1.0 / alpha, X))
+    dec = nco._positive_spectrum(B, "weighted argument")
+    w = dec.values**alpha
+    Balpha = dec.reconstruct(w)
+    log_sigma = sigma_dec.log()
+    t1 = float(np.sum(w * np.log(w)))
+    t2 = float(np.real(np.trace(Balpha @ log_sigma)))
+    nrm = float(np.sum(w))
+    return t1 - t2 - nrm * np.log(nrm)
+
+
+def dirichlet_form(G, alpha: float, X) -> float:
+    """Order-alpha Dirichlet form of the generator on strictly positive X.
+
+    The generic branch pairs the conjugate-power operator with -L(X) in the
+    1/2-weighted inner product; alpha = 1 takes the logarithmic limit.
+    """
+    sig = G.sigma_dec
+    minus_LX = -G.apply_L(X)
+    if alpha == 1.0:
+        B = mc.hermitize(nco.sandwich_pow(sig, 1.0, X))
+        dec = mc.SpectralDecomposition(*np.linalg.eigh(B))
+        if dec.values[0] < mc.POS_FLOOR:
+            raise SingularityError(
+                f"weighted argument: smallest eigenvalue {dec.values[0]:.3e} below {mc.POS_FLOOR:.1e}"
+            )
+        arg = dec.log() - sig.log()
+        return 0.25 * float(np.real(mc.weighted_inner(arg, minus_LX, sig, 0.5)))
+    at = alpha / (alpha - 1.0)
+    P = power_op(sig, at, alpha, X)
+    return (alpha * at / 4.0) * float(np.real(mc.weighted_inner(P, minus_LX, sig, 0.5)))
+
+
 def lindblad_superop_by_term(terms):
     """Observable-side superoperator of a jump-term generator, three kron
     products per term: sum_j e^(-omega_j/2) (2 kron(V_j.T, V_j*)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import renyiflow.divergence as dv
 import renyiflow.matcore as mc
-from renyiflow.errors import DomainError, SingularityError, StructuralError, ValidationError
+from renyiflow.errors import DomainError, SingularityError, StructuralError
 from renyiflow.generator import random_gns_generator
 
 from .oracles import classical_chi2, classical_renyi, matrix_power
@@ -215,14 +215,14 @@ class TestFunctionalDerivative:
 class TestFisherInformation:
     def test_vanishes_at_stationary_state(self, qubit_xz):
         for a in (0.5, 1.0, 2.0, 4.0):
-            assert abs(dv.fisher_information(qubit_xz.sigma, qubit_xz.sigma, a, qubit_xz)) <= 1e-10
+            assert abs(dv.fisher_information(qubit_xz.sigma, a, qubit_xz)) <= 1e-10
 
     def test_nonnegative_on_random_states(self, rng):
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
         for _ in range(100):
             rho = mc.random_density(rng, 3, floor=0.05)
             for a in (0.5, 1.0, 2.0, 4.0):
-                assert dv.fisher_information(rho, G.sigma, a, G) >= -1e-10
+                assert dv.fisher_information(rho, a, G) >= -1e-10
 
     def test_order_two_closed_form(self, rng):
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
@@ -232,14 +232,9 @@ class TestFisherInformation:
             gi = si @ rho @ si
             fd2 = 2.0 * gi / np.trace(gi @ rho).real
             closed = -np.real(mc.hs_inner(fd2, G.apply_Ldag(rho)))
-            assert dv.fisher_information(rho, G.sigma, 2.0, G) == pytest.approx(
+            assert dv.fisher_information(rho, 2.0, G) == pytest.approx(
                 closed, abs=1e-10 * max(1.0, abs(closed))
             )
-
-    def test_mismatched_sigma_rejected(self, qubit_xz, rng):
-        other = mc.random_density(rng, 2, floor=0.2)
-        with pytest.raises(ValidationError):
-            dv.fisher_information(other, other, 2.0, qubit_xz)
 
 
 def _malformed(case, G):
@@ -266,7 +261,7 @@ MALFORMED_CALLS = {
     "sandwiched_renyi": lambda rho, sigma, a, G: dv.sandwiched_renyi(rho, sigma, a),
     "relative_entropy": lambda rho, sigma, a, G: dv.relative_entropy(rho, sigma),
     "functional_derivative": lambda rho, sigma, a, G: dv.functional_derivative(rho, sigma, a),
-    "fisher_information": lambda rho, sigma, a, G: dv.fisher_information(rho, sigma, a, G),
+    "fisher_information": lambda rho, sigma, a, G: dv.fisher_information(rho, a, G),
     "petz_renyi": lambda rho, sigma, a, G: dv.petz_renyi(rho, sigma, a),
     "chi2_divergence": lambda rho, sigma, a, G: dv.chi2_divergence(rho, sigma),
 }
@@ -286,15 +281,12 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("fn, case", [
         (fn, case) for fn in MALFORMED_CALLS for case in [*STATE_ERRORS, "order"]
         if not (case == "order" and fn in ("relative_entropy", "chi2_divergence"))
+        # the Fisher information takes no sigma: it reads the generator's
+        and not (fn == "fisher_information" and "sigma" in case)
     ])
     def test_error_type(self, qubit_xz, fn, case):
         rho, sigma, alpha = _malformed(case, qubit_xz)
-        if case == "order":
-            expected = DomainError
-        elif fn == "fisher_information" and "sigma" in case:
-            expected = ValidationError  # checked against the generator's sigma first
-        else:
-            expected = STATE_ERRORS[case]
+        expected = DomainError if case == "order" else STATE_ERRORS[case]
         with pytest.raises(expected):
             MALFORMED_CALLS[fn](rho, sigma, alpha, qubit_xz)
 
@@ -312,6 +304,6 @@ class TestEigensolveCounts:
             lambda: dv.sandwiched_renyi(rho, G.sigma, alpha),
             lambda: dv.relative_entropy(rho, G.sigma),
             lambda: dv.functional_derivative(rho, G.sigma, alpha),
-            lambda: dv.fisher_information(rho, G.sigma, alpha, G),
+            lambda: dv.fisher_information(rho, alpha, G),
         ]
         assert [eigensolves(c) for c in calls] == [3, 3, 3, 2]

@@ -291,7 +291,7 @@ class TestMetricTensor:
         rho = mc.random_density(rng, 3, floor=0.1)
         drift = G.apply_Ldag(rho)
         g = flow.metric_tensor(G, rho, alpha, drift, drift)
-        Ia = dv.fisher_information(rho, G.sigma, alpha, G)
+        Ia = dv.fisher_information(rho, alpha, G)
         assert g == pytest.approx(Ia, abs=1e-8 * max(1.0, Ia))
 
     def test_requires_traceless(self, qubit_xz, rng):
@@ -576,15 +576,22 @@ class TestLsiConstants:
 
 
 class TestLsiObjectiveCost:
-    def test_objectives_read_sigma_from_the_generator(self, rng, eigensolves):
-        # K and K2: rho's validation and one sandwiched state; kappa: the
-        # weighted argument's spectrum, and one more decomposition for the
-        # Dirichlet form (its log at order 1, |B| and its power at order 2)
+    def test_objectives_read_sigma_from_the_generator(self, rng, eigensolves, monkeypatch):
+        # every ratio: rho's strict validation and one sandwiched state,
+        # whose one decomposition gives both numerator and denominator
+        # (K = I/2D, kappa = E/Ent)
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
         rho = mc.random_density(rng, 3, floor=0.1)
         objectives = flow._lsi_objectives(G)
         counts = {name: eigensolves(lambda: fn(rho)) for name, fn in objectives.items()}
         assert counts == {"K": 2, "K2": 2, "kappa1": 2, "kappa2": 2}
+        states = []
+        real = nco.sandwiched_state
+        monkeypatch.setattr(nco, "sandwiched_state", lambda *args: states.append(args) or real(*args))
+        for name, fn in objectives.items():
+            states.clear()
+            fn(rho)
+            assert len(states) == 1, name
 
 
 class TestComparisonConstants:

@@ -68,7 +68,7 @@ class TestMatrixFunction:
         assert w == pytest.approx([np.log(PAPER_EIGS[0]), np.log(PAPER_EIGS[1])], abs=1e-12)
 
     def test_log_singular_raises(self):
-        # the oracle's domain floor, which order-1 `dirichlet_form` keeps
+        # the oracle's domain floor, which the X-form `oracles.dirichlet_form` keeps at order 1
         with pytest.raises(SingularityError, match="eigenvalue"):
             matrix_log(np.diag([0.0, 1.0]))
 
