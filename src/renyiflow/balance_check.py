@@ -49,9 +49,10 @@ def srd_residual(G: Generator, alpha: float) -> float:
 
 
 def check_srd(G: Generator, alphas) -> dict[float, float]:
-    """Order-alpha residuals over a grid; non-positive orders are skipped."""
+    """Order-alpha residuals over a grid, one per distinct order;
+    non-positive orders are skipped."""
     out: dict[float, float] = {}
-    for a in alphas:
+    for a in dict.fromkeys(alphas):
         if a <= 0.0:
             warnings.warn(f"skipping non-positive order alpha={a}")
             continue
@@ -95,12 +96,15 @@ class BalanceReport:
 
 
 def balance_report(G: Generator, alphas=DEFAULT_ALPHAS) -> BalanceReport:
+    """The four verdicts' residuals; BKM is the order-1 residual, read from
+    the grid when the grid has order 1."""
+    srd = check_srd(G, alphas)
     return BalanceReport(
         label=G.label,
         gns_residual=check_gns(G),
         kms_residual=check_kms(G),
-        bkm_residual=check_bkm(G),
-        srd_residuals=check_srd(G, alphas),
+        bkm_residual=srd[1.0] if 1.0 in srd else check_bkm(G),
+        srd_residuals=srd,
     )
 
 

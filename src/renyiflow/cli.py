@@ -8,6 +8,7 @@ computations, and writes CSV / JSON reports atomically with fixed
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -21,21 +22,8 @@ from . import balance_check as bc
 from . import flow
 from . import matcore as mc
 from . import noncomm_ops as nco
-from .errors import (
-    DomainError,
-    IntegrationError,
-    RenyiflowError,
-    SingularityError,
-    StructuralError,
-    ValidationError,
-)
-from .generator import (
-    Generator,
-    JumpTerm,
-    build_gns,
-    depolarizing_generator,
-    qubit_xz_generator,
-)
+from .errors import DomainError, IntegrationError, RenyiflowError, SingularityError, StructuralError, ValidationError
+from .generator import Generator, JumpTerms, build_gns, depolarizing_generator, qubit_xz_generator
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -125,16 +113,36 @@ def load_generator(spec: str) -> Generator:
         raise ValidationError(f"{spec}: a generator file needs a 'sigma' entry")
     base = os.path.dirname(os.path.abspath(spec))
     sigma = _load_matrix_field(doc["sigma"], base)
-    terms = []
-    for j, entry in enumerate(doc.get("terms", [])):
+    entries = doc.get("terms")
+    if not isinstance(entries, list) or not entries:
+        raise ValidationError(f"{spec}: no jump terms given")
+    for j, entry in enumerate(entries):
         if not isinstance(entry, dict) or "V" not in entry:
             raise ValidationError(f"{spec}: term {j} needs a 'V' entry")
-        V = _load_matrix_field(entry["V"], base)
-        omega = _number(entry.get("omega", 0.0), f"{spec}: term {j} omega")
-        terms.append(JumpTerm.of(V, omega, entry.get("weight")))
-    if not terms:
-        raise ValidationError(f"{spec}: no jump terms given")
+    # a V given as a CSV path joins the inline rows in their (n, 2n) layout
+    rows = [mc.matrix_to_rows(_load_matrix_field(e["V"], base)) if isinstance(e["V"], str) else e["V"]
+            for e in entries]
+    weights = [e.get("weight") for e in entries]
+    try:
+        terms = JumpTerms.of(_jump_stack(rows, len(sigma)), [e.get("omega", 0.0) for e in entries],
+                             None if all(w is None for w in weights) else weights)
+    except (ValidationError, StructuralError) as exc:
+        raise ValidationError(f"{spec}: {exc}") from None
     return build_gns(sigma, terms, label=doc.get("label", os.path.basename(spec)))
+
+
+def _jump_stack(rows: list, n: int) -> np.ndarray:
+    """The terms' V from their rows of 2n interleaved reals, converted at
+    once to an (m, n, n) stack; if that fails, the first term at fault is named."""
+    arr = None
+    with contextlib.suppress(TypeError, ValueError):
+        arr = np.array(rows, dtype=float)
+    if arr is None or arr.shape[1:] != (n, 2 * n):
+        for j, r in enumerate(rows):
+            shape = mc.rows_to_matrix(r, f"term {j}: V").shape
+            if shape != (n, n):
+                raise ValidationError(f"term {j}: V has shape {shape}, sigma has shape ({n}, {n})")
+    return arr[..., 0::2] + 1j * arr[..., 1::2]
 
 
 def _load_json(path: str):

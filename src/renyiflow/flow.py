@@ -210,7 +210,7 @@ def gradient_flow_residual(G: Generator, rho, alpha: float) -> float:
     generators, contracted to stay below 1e-8."""
     rho = _validated(G, rho, strict=True)
     M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
-    flux = nco.nc_divergence(G, M.apply(nco.nc_gradient(G, M.state.derivative())))
+    flux = M.flux(G.jump_stacks[0], M.state.derivative())
     target = G.apply_Ldag(rho)
     den = float(np.linalg.norm(target))
     num = float(np.linalg.norm(flux - target))
@@ -244,7 +244,7 @@ def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
     nu1 = _require_traceless_hermitian(nu1, n, "nu1")
     nu2 = _require_traceless_hermitian(nu2, n, "nu2")
     M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
-    basis = np.array(nco.traceless_hermitian_basis(n))
+    basis = nco.traceless_hermitian_basis(n)
     flat = basis.reshape(len(basis), -1).conj()
 
     T = M.flux_gram(G.jump_stacks[0], basis)

@@ -9,6 +9,7 @@ written in the matrix units of sigma's eigenbasis.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,28 +29,63 @@ ZERO_MODE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class JumpTerm:
-    """One jump operator with its Bohr frequency and normalization weight.
-
-    The operator V is used as-is in the dynamics; `weight` records its
-    squared Hilbert-Schmidt norm.
-    """
+    """One jump operator with its Bohr frequency and weight, a read-only
+    view of one term of a `JumpTerms` stack."""
 
     V: np.ndarray
     omega: float
     weight: float
 
+
+@dataclass(frozen=True)
+class JumpTerms:
+    """m jump operators as one read-only (m, n, n) stack `V` with their
+    Bohr frequencies `omega` and weights `weight` (squared Hilbert-Schmidt
+    norms); indexing gives `JumpTerm` views.  `of` validates and normalizes."""
+
+    V: np.ndarray
+    omega: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.V)
+
+    def __getitem__(self, j: int) -> JumpTerm:
+        return JumpTerm(V=self.V[j], omega=float(self.omega[j]), weight=float(self.weight[j]))
+
     @staticmethod
-    def of(V, omega: float, weight: float | None = None) -> "JumpTerm":
-        V = mc.as_matrix(V, "jump operator")
-        nrm2 = float(np.real(mc.hs_inner(V, V)))
+    def of(V, omega, weight=None) -> "JumpTerms":
+        """The stack of m square operators, m finite frequencies and, if given,
+        m weights (None for a term without one).  A term without a weight keeps
+        its V and records <V, V>; with a positive finite one, V is a direction
+        scaled so that <V, V> = weight.  The first term at fault is named."""
+        V = np.array(V, dtype=complex)
+        if V.ndim != 3 or V.shape[1] != V.shape[2] or not V.size:
+            raise ValidationError(f"jump operators: expected a nonempty (m, n, n) stack, got shape {V.shape}")
+        _raise_first((~np.isfinite(V).all(axis=(1, 2)), lambda j: f"term {j}: V has non-finite entries"))
+        nrm2 = np.real(np.trace(V.conj().swapaxes(-1, -2) @ V, axis1=1, axis2=2))
+        omega = _term_reals(omega, len(V), "omega")
         if weight is None:
             weight = nrm2
-        elif abs(weight - nrm2) > 1e-8 * max(1.0, weight):
-            # explicit weight wins: V is treated as a direction
-            V = V * np.sqrt(weight / nrm2)
-        V = V.copy()
-        V.setflags(write=False)
-        return JumpTerm(V=V, omega=float(omega), weight=float(weight))
+        else:
+            given = np.array([w is not None for w in weight])
+            weight = _term_reals([nrm2[j] if w is None else w for j, w in enumerate(weight)], len(V), "weight")
+            scale = np.abs(weight - nrm2) > 1e-8 * np.maximum(1.0, weight)
+            _raise_first((given & (weight <= 0.0), lambda j: f"term {j}: weight {weight[j]} is not positive"),
+                         (scale & (nrm2 == 0.0), lambda j: f"term {j}: V = 0 cannot carry weight {weight[j]}"))
+            V[scale] *= np.sqrt(weight[scale] / nrm2[scale])[:, None, None]
+        for arr in (V, omega, weight):
+            arr.setflags(write=False)
+        return JumpTerms(V=V, omega=omega, weight=weight)
+
+
+def _term_reals(values, m: int, what: str) -> np.ndarray:
+    """(m,) floats, one per term; the first that is not a finite real raises."""
+    arr = np.array([x if isinstance(x, numbers.Real) else np.nan for x in values], dtype=float)
+    if arr.shape != (m,):
+        raise ValidationError(f"{what}: expected {m} values, one per term")
+    _raise_first((~np.isfinite(arr), lambda j: f"term {j}: {what} {values[j]!r} is not a finite real"))
+    return arr
 
 
 def _raise_first(*conditions) -> None:
@@ -67,19 +103,22 @@ def _modular_kernel(dec: mc.SpectralDecomposition) -> np.ndarray:
 
 def _validate_terms(G: Generator) -> None:
     """Structure conditions (i)-(iv) on the stacked jump operators."""
-    terms, (V, Vd), U = G.terms, G.jump_stacks, G.sigma_dec.vectors
-    omega, weights = np.array([[t.omega, t.weight] for t in terms]).T
-    X, Xd = V.reshape(len(V), -1), Vd.reshape(len(V), -1)
+    (V, Vd), U = G.jump_stacks, G.sigma_dec.vectors
+    omega, weights = G.terms.omega, G.terms.weight
+    m, n = V.shape[:2]
+    X, Xd = V.reshape(m, -1), Vd.reshape(m, -1)
     norms = np.linalg.norm(X, axis=1)
     tr = np.abs(np.trace(V, axis1=1, axis2=2))
-    res = (_modular_kernel(G.sigma_dec) - np.exp(-omega)[:, None, None]) * (U.conj().T @ V @ U)
-    res = np.linalg.norm(res, axis=(1, 2))
+    # U* V_j U laid out [p, j, q]: one product on the stack's rows, one on its columns
+    R = (V.reshape(m * n, n) @ U).reshape(m, n, n).transpose(1, 0, 2).reshape(n, m * n)
+    R = (U.conj().T @ R).reshape(n, m, n)
+    res = np.linalg.norm((_modular_kernel(G.sigma_dec)[:, None, :] - np.exp(-omega)[:, None]) * R, axis=(0, 2))
     _raise_first(
         (tr > TOL_TRACELESS * np.maximum(1.0, norms),
          lambda j: f"condition (i) violated at term {j}: |tr V| = {tr[j]:.3e}"),
         (res > TOL_MODULAR * norms,
          lambda j: f"condition (iii) violated at term {j}: modular eigenvector residual "
-                   f"{res[j] / norms[j]:.3e} for omega={terms[j].omega}"),
+                   f"{res[j] / norms[j]:.3e} for omega={omega[j]}"),
     )
     # Gram matrix <V_j, V_k> of the stacked vec(V_j); first violation in (j, k) order
     gram = X.conj() @ X.T
@@ -99,10 +138,10 @@ def _validate_terms(G: Generator) -> None:
         (dist > 1e-8 * norms, lambda j: f"condition (ii) violated: no adjoint partner for term {j}"),
         (np.abs(weights - weights[p]) > 1e-8 * np.maximum(1.0, weights),
          lambda j: f"condition (iv) violated at pair ({j},{p[j]}): weights "
-                   f"{terms[j].weight} vs {terms[p[j]].weight}"),
+                   f"{weights[j]} vs {weights[p[j]]}"),
         (np.abs(omega + omega[p]) > 1e-8,
          lambda j: f"condition (iv) violated at pair ({j},{p[j]}): omegas "
-                   f"{terms[j].omega} vs {terms[p[j]].omega}"),
+                   f"{omega[j]} vs {omega[p[j]]}"),
     )
 
 
@@ -141,13 +180,13 @@ class Generator:
         self,
         sigma: np.ndarray | None,
         L_super: np.ndarray,
-        terms: list[JumpTerm] | None = None,
+        terms: JumpTerms | None = None,
         label: str = "",
     ):
         self.n = round(np.sqrt(np.shape(L_super)[0]))
         self.L_super = np.asarray(L_super, dtype=complex)
         self.Ldag_super = np.ascontiguousarray(self.L_super.conj().T)
-        self.terms = list(terms) if terms else None
+        self.terms = terms
         self.label = label
         frozen = [self.L_super, self.Ldag_super]
         self._sigma = None
@@ -178,22 +217,21 @@ class Generator:
     def apply_Ldag(self, A) -> np.ndarray:
         return mc.apply_superop(self.Ldag_super, A)
 
-    def _require_terms(self) -> list[JumpTerm]:
+    def _require_terms(self) -> JumpTerms:
         if self.terms is None:
             raise ValidationError(f"generator {self.label!r} has no jump-term decomposition")
         return self.terms
 
     @property
-    def omegas(self) -> list[float]:
-        return [t.omega for t in self._require_terms()]
+    def omegas(self) -> np.ndarray:
+        return self._require_terms().omega
 
     @cached_property
     def jump_stacks(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (m, n, n) stacks of the V_j and of their adjoints V_j*, in term order."""
-        V = np.array([t.V for t in self._require_terms()])
+        V = self._require_terms().V
         Vd = np.ascontiguousarray(V.conj().swapaxes(-1, -2))
-        for arr in (V, Vd):
-            arr.setflags(write=False)
+        Vd.setflags(write=False)
         return V, Vd
 
     @cached_property
@@ -239,30 +277,30 @@ class Generator:
             arr.setflags(write=False)
         return dec
 
-    def __repr__(self) -> str:
-        kind = "jump" if self.terms is not None else "map"
-        return f"Generator(n={self.n}, kind={kind}, label={self.label!r})"
 
-
-def _lindblad_superop(terms: list[JumpTerm]) -> np.ndarray:
+def _lindblad_superop(terms: JumpTerms) -> np.ndarray:
     """Observable-side superoperator of the jump-term generator.
 
     L(A) = sum_j e^(-omega_j/2) (V_j*[A, V_j] + [V_j*, A] V_j) = 2 sum_j e^(-omega_j/2) V_j* A V_j - K A - A K
     with K = sum_j e^(-omega_j/2) V_j*V_j, under A -> X A Y = kron(Y.T, X):
-    the sandwich terms in one stacked contraction, K in two kron.
+    the sandwich terms in one stacked contraction, then K A = kron(I, K) and
+    A K = kron(K.T, I) subtracted on their blocks.
     """
-    V = np.array([t.V for t in terms])
+    V = terms.V
     Vd = V.conj().swapaxes(-1, -2)
-    w = np.exp(-np.array([t.omega for t in terms]) / 2.0)
+    w = np.exp(-terms.omega / 2.0)
     m, n = V.shape[:2]
     K = np.tensordot(w, Vd @ V, axes=1)
     # entry (p, q, r, s) is sum_j w_j V_j[q, p] V_j*[r, s], the (p n + r, q n + s) entry of the sum of kron
     S = ((w[:, None] * V.swapaxes(-1, -2).reshape(m, -1)).T @ Vd.reshape(m, -1)).reshape(n, n, n, n)
-    eye = np.eye(n)
-    return 2.0 * S.transpose(0, 2, 1, 3).reshape(n * n, n * n) - np.kron(eye, K) - np.kron(K.T, eye)
+    L = 2.0 * S.transpose(0, 2, 1, 3)  # [p, r, q, s], row p n + r, column q n + s
+    k = np.arange(n)
+    L[k, :, k, :] -= K  # [p, r, p, s] -= K[r, s]
+    L[:, k, :, k] -= K.T  # [p, r, q, r] -= K[q, p], indexed [r, p, q]
+    return L.reshape(n * n, n * n)
 
 
-def build_gns(sigma, terms: list[JumpTerm], label: str = "gns") -> Generator:
+def build_gns(sigma, terms: JumpTerms, label: str = "gns") -> Generator:
     """Validated detailed-balance generator from jump terms.
 
     Checks the structure conditions (traceless orthogonal jumps, adjoint
@@ -272,11 +310,8 @@ def build_gns(sigma, terms: list[JumpTerm], label: str = "gns") -> Generator:
     inner product, and commutation with the modular conjugation.
     """
     n = mc.as_matrix(sigma, "sigma").shape[0]
-    if not terms:
-        raise ValidationError("generator needs at least one jump term")
-    for j, t in enumerate(terms):
-        if t.V.shape != (n, n):
-            raise ValidationError(f"term {j}: V has shape {t.V.shape}, sigma has shape ({n}, {n})")
+    if terms.V.shape[1:] != (n, n):
+        raise ValidationError(f"term 0: V has shape {terms.V.shape[1:]}, sigma has shape ({n}, {n})")
     G = Generator(sigma, _lindblad_superop(terms), terms=terms, label=label)
     _validate_terms(G)
     scale = max(np.linalg.norm(G.L_super), 1e-30)
@@ -314,44 +349,31 @@ def from_schrodinger_map(Ldag_map, n: int, sigma=None, label: str = "raw") -> Ge
     return Generator(sigma, Ldag_super.conj().T, label=label)
 
 
-def eigen_jump_terms(sigma_dec: mc.SpectralDecomposition, weights=None) -> list[JumpTerm]:
+def eigen_jump_terms(sigma_dec: mc.SpectralDecomposition, weights=None) -> JumpTerms:
     """Canonical jump-term basis attached to a stationary state, from the
     `mc.density_spectrum` that validated it, made canonical here
     (`SpectralDecomposition.canonical`) so serialized operators keep their bits.
 
-    Off-diagonal eigenprojector pairs |psi_k><psi_l| carry the Bohr
-    frequency log(lam_l / lam_k); eigenvalues equal within relative 1e-10
-    are grouped and get frequency zero, as do the n-1 traceless diagonal
-    ladder operators.  `weights` optionally rescales each term.
+    Off-diagonal eigenprojector pairs |psi_k><psi_l| (k != l, in row-major
+    order) carry the Bohr frequency log(lam_l / lam_k); eigenvalues equal
+    within relative 1e-10 are grouped and get frequency zero, as do the n-1
+    diagonal ladders `mc.traceless_diagonals(n)` in the eigenbasis.
+    `weights` optionally rescales each term.
     """
     canon = sigma_dec.canonical()
     lam, U = canon.values, canon.vectors
     n = lam.size
-    group = np.zeros(n, dtype=int)
-    for k in range(1, n):
-        same = (lam[k] - lam[k - 1]) <= 1e-10 * max(lam[k], lam[k - 1])
-        group[k] = group[k - 1] if same else group[k - 1] + 1
-
-    terms: list[JumpTerm] = []
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            V = np.outer(U[:, k], U[:, l].conj())
-            omega = 0.0 if group[k] == group[l] else float(np.log(lam[l] / lam[k]))
-            terms.append(JumpTerm.of(V, omega))
-    for k in range(1, n):
-        D = np.zeros(n, dtype=complex)
-        D[:k] = 1.0
-        D[k] = -float(k)
-        D /= np.sqrt(k * (k + 1.0))
-        terms.append(JumpTerm.of(U @ np.diag(D) @ U.conj().T, 0.0))
-
+    group = np.cumsum(np.diff(lam, prepend=lam[0]) > 1e-10 * np.maximum(lam, np.roll(lam, 1)))
+    k, l = np.nonzero(~np.eye(n, dtype=bool))
+    V = U.T[k][:, :, None] * U.T[l].conj()[:, None, :]
+    omega = np.where(group[k] == group[l], 0.0, np.log(lam[l] / lam[k]))
+    ladders = (U * mc.traceless_diagonals(n)[:, None, :]) @ U.conj().T
+    V, omega = np.concatenate((V, ladders)), np.concatenate((omega, np.zeros(n - 1)))
     if weights is not None:
-        if len(weights) != len(terms):
-            raise ValidationError(f"got {len(weights)} weights for {len(terms)} terms")
-        terms = [JumpTerm.of(t.V * np.sqrt(w), t.omega) for t, w in zip(terms, weights)]
-    return terms
+        if len(weights) != len(V):
+            raise ValidationError(f"got {len(weights)} weights for {len(V)} terms")
+        V = V * np.sqrt(np.asarray(weights, dtype=float))[:, None, None]
+    return JumpTerms.of(V, omega)
 
 
 @dataclass(frozen=True)
@@ -423,10 +445,8 @@ def depolarizing_generator(gamma: float, sigma, label: str = "depolarizing") -> 
 
 def qubit_xz_generator(label: str = "qubit-xz") -> Generator:
     """Two-level generator with X and Z jumps at the maximally mixed state."""
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    terms = [JumpTerm.of(sx, 0.0), JumpTerm.of(sz, 0.0)]
-    return build_gns(np.eye(2) / 2.0, terms, label=label)
+    sx_sz = [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]]
+    return build_gns(np.eye(2) / 2.0, JumpTerms.of(sx_sz, [0.0, 0.0]), label=label)
 
 
 def random_gns_generator(

@@ -203,6 +203,13 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
     return hermitize(random_complex(rng, n)) * scale
 
 
+def traceless_diagonals(n: int) -> np.ndarray:
+    """The orthonormal traceless diagonals (1, ..., 1, -k, 0, ...) / sqrt(k (k+1)),
+    k = 1 .. n-1, as rows; divided as complex numbers, as serialized operators were."""
+    D = (np.tril(np.ones((n - 1, n))) - np.diag(np.arange(1.0, n), 1)[:-1]).astype(complex)
+    return D / np.sqrt(np.arange(1.0, n) * np.arange(2.0, n + 1))[:, None]
+
+
 def random_traceless_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     H = random_hermitian(rng, n)
     return H - (np.trace(H).real / n) * np.eye(n)
@@ -252,14 +259,14 @@ def matrix_from_csv_block(text: str) -> tuple[str, np.ndarray]:
     return name, A
 
 
-def rows_to_matrix(rows) -> np.ndarray:
+def rows_to_matrix(rows, name: str = "inline matrix") -> np.ndarray:
     """Inline JSON rows of 2n interleaved reals -> complex matrix."""
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError):
-        raise StructuralError("inline matrix rows must be equal-length lists of reals") from None
+        raise StructuralError(f"{name}: rows must be equal-length lists of reals") from None
     if arr.ndim != 2 or arr.shape[1] != 2 * arr.shape[0]:
-        raise StructuralError(f"inline matrix rows have shape {arr.shape}; want (n, 2n)")
+        raise StructuralError(f"{name}: rows have shape {arr.shape}; want (n, 2n)")
     return arr[:, 0::2] + 1j * arr[:, 1::2]
 
 

@@ -2,11 +2,11 @@
 
 Spectral-kernel realizations of the operators that drive the gradient-flow
 and detailed-balance machinery: two-sided weighting by powers of a state,
-the modular conjugation, twisted logarithmic-mean multiplication and its
-inverse, the sandwiched state with the order-alpha functionals read from
-it (divergence, derivative, Fisher information, entropy, Dirichlet form)
-and the Renyi-order multiplication operator built on it, and the
-detailed-balance weight kernel.  The sandwiched state is formed and
+twisted logarithmic-mean multiplication and its inverse, the sandwiched
+state with the order-alpha functionals read from it (divergence,
+derivative, Fisher information, entropy, Dirichlet form), the Renyi-order
+multiplication operator built on it with its flux over a jump stack, and
+the detailed-balance weight kernel.  The sandwiched state is formed and
 decomposed in exactly one function, `sandwiched_state`.  Functions of a
 reference state sigma take the `mc.density_spectrum` that validated it (a
 generator's `sigma_dec`) and never decompose sigma themselves.  Every
@@ -54,10 +54,6 @@ class KernelOperator:
     basis: np.ndarray
     kernel: np.ndarray
 
-    @property
-    def is_positive(self) -> bool:
-        return bool(np.all(np.real(self.kernel) > 0.0) and np.allclose(self.kernel.imag, 0.0))
-
     def apply(self, A: np.ndarray) -> np.ndarray:
         U = self.basis
         return U @ (self.kernel * (U.conj().T @ np.asarray(A, dtype=complex) @ U)) @ U.conj().T
@@ -89,13 +85,6 @@ def sandwich_pow(sigma_dec: mc.SpectralDecomposition, gamma: float, A) -> np.nda
     return P @ np.asarray(A, dtype=complex) @ P
 
 
-def modular_apply(sigma_dec: mc.SpectralDecomposition, A) -> np.ndarray:
-    """Modular conjugation sigma A sigma^(-1)."""
-    S = sigma_dec.reconstruct()
-    Sinv = sigma_dec.reconstruct(1.0 / sigma_dec.values)
-    return S @ np.asarray(A, dtype=complex) @ Sinv
-
-
 def _log_mean_kernel(lam: np.ndarray, omega) -> np.ndarray:
     """Kernel of the twisted logarithmic mean.
 
@@ -123,43 +112,6 @@ def log_mean_multiplier(X, omega: float = 0.0) -> KernelOperator:
     """
     dec = _positive_spectrum(X)
     return KernelOperator(dec.values, dec.vectors, _log_mean_kernel(dec.values, omega))
-
-
-def chain_rule_residual(V, X, omega: float) -> float:
-    """Frobenius defect of the chain-rule identity for the twisted multiplier.
-
-    Exactly zero in exact arithmetic; the returned value is floating-point
-    noise and is contracted to stay below 1e-9 * ||V|| * ||X||.
-    """
-    V = np.asarray(V, dtype=complex)
-    dec = _positive_spectrum(X)
-    logX = dec.reconstruct(np.log(dec.values))
-    n = V.shape[0]
-    shift = 0.5 * omega * np.eye(n)
-    inner = V @ (logX - shift) - (logX + shift) @ V
-    lhs = log_mean_multiplier(X, omega).apply(inner)
-    Xm = dec.reconstruct()
-    rhs = np.exp(-omega / 2.0) * V @ Xm - np.exp(omega / 2.0) * Xm @ V
-    return float(np.linalg.norm(lhs - rhs))
-
-
-# --- gradient / divergence against a generator's jump operators -------------
-
-
-def nc_gradient(G, A) -> np.ndarray:
-    """Noncommutative gradient: the (m, n, n) stack of commutators [V_j, A]."""
-    A = np.asarray(A, dtype=complex)
-    V = G.jump_stacks[0]
-    return V @ A - A @ V
-
-
-def nc_divergence(G, fields) -> np.ndarray:
-    """Noncommutative divergence: sum of [A_j, V_j*]; adjoint of -gradient."""
-    fields = np.asarray(fields, dtype=complex)
-    Vd = G.jump_stacks[1]
-    if len(fields) != len(Vd):
-        raise DomainError(f"vector field has {len(fields)} components, generator has {len(Vd)}")
-    return np.sum(fields @ Vd - Vd @ fields, axis=0)
 
 
 # --- the sandwiched state and the Renyi-order multiplication operator -------
@@ -254,8 +206,9 @@ class RenyiMultiplier:
 
     apply() realizes the strictly positive map whose inverse carries the
     gradient of the order-alpha divergence onto jump-operator commutators;
-    flux_gram() pairs jump commutators of many directions through it at
-    once.  Composition structure:
+    flux() carries one potential through gradient, multiplier and
+    divergence over the jump stack, and flux_gram() pairs jump commutators
+    of many directions through it at once.  Composition structure:
     a scalar Z/alpha, outer two-sided sigma powers, and a single entrywise
     kernel in the eigenbasis of the sandwiched state.  A family over m
     frequencies has an (m, n, n) kernel and acts on (m, n, n) stacks.
@@ -270,26 +223,46 @@ class RenyiMultiplier:
         B = self.kernel_op.apply(P @ np.asarray(A, dtype=complex) @ P)
         return (self.state.Z / self.state.alpha) * (P @ B @ P)
 
+    def _frame(self, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Q = P U (P = outer_inv, U the sandwiched state's eigenvectors) and
+        the (m, n, n) jump stack V in its frame, Vt_j = Q* V_j Q^-* and
+        Vh_j = Q^-1 V_j Q (Q^-1 = U* outer: nothing is inverted), so that
+        M_j(X) = (Z/alpha) Q (k_j . (Q* X Q)) Q* and Q* [V_j, B] Q =
+        Vt_j B' - B' Vh_j with B' = Q* B Q.  One GEMM per side over the stack."""
+        U = self.kernel_op.basis
+        Q, Qinv = self.outer_inv @ U, U.conj().T @ self.state.outer
+        m, n = V.shape[:2]
+        R = (V.reshape(m * n, n) @ np.hstack((Qinv.conj().T, Q))).reshape(m, n, 2, n)
+        Vt = (Q.conj().T @ R[:, :, 0].transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n)
+        Vh = (Qinv @ R[:, :, 1].transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n)
+        return Q, Vt.swapaxes(0, 1), Vh.swapaxes(0, 1)
+
+    def flux(self, V, D) -> np.ndarray:
+        """The flux div(M grad D) = sum_j [M_j [V_j, D], V_j*] of a potential D
+        over the (m, n, n) jump stack V.  In the frame (`_frame`), with
+        Y_j = k_j . (Vt_j D' - D' Vh_j), it is (Z/alpha) Q (sum_j Y_j Vh_j* -
+        Vt_j* Y_j) Q*; on the layout [p, j, q] each product, the sums over j
+        included, is one GEMM."""
+        Q, Vt, Vh = self._frame(V)
+        Vt, Vh = Vt.swapaxes(0, 1), Vh.swapaxes(0, 1)
+        n, m = Vt.shape[:2]
+        Dp = Q.conj().T @ np.asarray(D, dtype=complex) @ Q
+        Y = (Vt.reshape(n * m, n) @ Dp).reshape(n, m, n) - (Dp @ Vh.reshape(n, m * n)).reshape(n, m, n)
+        Y = (Y * self.kernel_op.kernel.swapaxes(0, 1)).reshape(n, m * n)
+        S = Y @ Vh.reshape(n, m * n).conj().T - Vt.reshape(n * m, n).conj().T @ Y.reshape(n * m, n)
+        return (self.state.Z / self.state.alpha) * (Q @ S @ Q.conj().T)
+
     def flux_gram(self, V, B) -> np.ndarray:
         """Gram matrix Re sum_j <[V_j, B_a], M_j [V_j, B_b]> of a family over
         the (m, n, n) jump stack V, for a (d, n, n) stack of directions B.
 
-        With Q = P U (P = outer_inv, U the sandwiched state's eigenvectors)
-        M_j(X) = (Z/alpha) Q (k_j . (Q* X Q)) Q*, and Q* [V_j, B] Q is
-        Vt_j B' - B' Vh_j with Vt_j = Q* V_j Q^-*, Vh_j = Q^-1 V_j Q,
-        B' = Q* B Q and Q^-1 = U* outer, so nothing is inverted.  The pairing
-        is one Hermitian n^2 x n^2 form H in the entries of B', summed over
-        the jump terms in O(m n^4): the Vt-Vt and Vh-Vh parts are diagonal
-        in one index of B', each n weighted Gram matrices A* diag(w) A over
-        the m n rows (j, k) of the stack; the cross part is one product over
-        j per row index.  The d directions then cost one change of basis
-        and two products with H.
+        In the frame (`_frame`) it is one Hermitian n^2 x n^2 form H in the
+        entries of B', O(m n^4): the Vt-Vt and Vh-Vh parts are diagonal in one
+        index of B', each n weighted Gram matrices A* diag(w) A over the m n
+        rows of the stack, and the cross part is one product over j per row
+        index.  The d directions then cost two products with H.
         """
-        P, U = self.outer_inv, self.kernel_op.basis
-        Q = P @ U
-        Qinv = U.conj().T @ self.state.outer
-        Vt = Q.conj().T @ V @ Qinv.conj().T
-        Vh = Qinv @ V @ Q
+        Q, Vt, Vh = self._frame(V)
         k = self.kernel_op.kernel
         m, n = k.shape[0], k.shape[-1]
         eye = np.eye(n)
@@ -401,27 +374,14 @@ def weight_operator(sigma_dec: mc.SpectralDecomposition, alpha: float) -> Kernel
 # --- traceless Hermitian basis ------------------------------------------------
 
 
-def traceless_hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt) basis of traceless Hermitian matrices.
-
-    Generalized Gell-Mann construction: symmetric and antisymmetric pair
-    matrices, then diagonal ladder matrices; n^2 - 1 elements.
-    """
-    basis: list[np.ndarray] = []
-    for k in range(n):
-        for l in range(k + 1, n):
-            S = np.zeros((n, n), dtype=complex)
-            S[k, l] = S[l, k] = 1.0 / np.sqrt(2.0)
-            basis.append(S)
-            A = np.zeros((n, n), dtype=complex)
-            A[k, l] = -1j / np.sqrt(2.0)
-            A[l, k] = 1j / np.sqrt(2.0)
-            basis.append(A)
-    for k in range(1, n):
-        D = np.zeros((n, n), dtype=complex)
-        for j in range(k):
-            D[j, j] = 1.0
-        D[k, k] = -float(k)
-        D /= np.sqrt(k * (k + 1.0))
-        basis.append(D)
-    return basis
+def traceless_hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) basis of traceless Hermitian matrices as
+    an (n^2 - 1, n, n) stack, the generalized Gell-Mann construction: the
+    symmetric and antisymmetric pair matrices of each k < l in row-major
+    order, then the diagonal ladders `mc.traceless_diagonals(n)`."""
+    k, l = np.triu_indices(n, 1)
+    j = np.arange(len(k))
+    pairs = np.zeros((len(k), 2, n, n), dtype=complex)
+    pairs[j, 0, k, l] = pairs[j, 0, l, k] = 1.0 / np.sqrt(2.0)
+    pairs[j, 1, k, l], pairs[j, 1, l, k] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+    return np.concatenate((pairs.reshape(-1, n, n), mc.traceless_diagonals(n)[:, :, None] * np.eye(n)))

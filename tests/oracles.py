@@ -13,7 +13,8 @@ from scipy.linalg import expm
 
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
-from renyiflow.errors import SingularityError
+from renyiflow.errors import DomainError, SingularityError
+from renyiflow.generator import JumpTerm
 
 
 # --- generic spectral calculus ------------------------------------------------
@@ -398,3 +399,68 @@ def gap_direction_by_kron(G, cluster_rtol):
     x = mc.unvec(C @ (C.conj().T @ mc.vec(probe)), G.n)
     nu = mc.hermitize(_sigma_power(G, -0.25) @ x @ _sigma_power(G, -0.25))
     return nu / np.linalg.norm(nu)
+
+
+# --- gradient and divergence against a generator's jump operators -------------
+# `RenyiMultiplier.flux` fuses nc_divergence(M.apply(nc_gradient(D))) into
+# products over the jump stack; these are the unfused lemma objects.
+
+
+def nc_gradient(G, A) -> np.ndarray:
+    """Noncommutative gradient: the (m, n, n) stack of commutators [V_j, A]."""
+    A = np.asarray(A, dtype=complex)
+    V = G.jump_stacks[0]
+    return V @ A - A @ V
+
+
+def nc_divergence(G, fields) -> np.ndarray:
+    """Noncommutative divergence: sum of [A_j, V_j*]; adjoint of -gradient."""
+    fields = np.asarray(fields, dtype=complex)
+    Vd = G.jump_stacks[1]
+    if len(fields) != len(Vd):
+        raise DomainError(f"vector field has {len(fields)} components, generator has {len(Vd)}")
+    return np.sum(fields @ Vd - Vd @ fields, axis=0)
+
+
+# --- jump terms one at a time ----------------------------------------------------
+
+
+def jump_term(V, omega: float, weight: float | None = None) -> JumpTerm:
+    """One jump term normalized on its own, the per-term reference for
+    `JumpTerms.of`: without a weight V is kept and <V, V> recorded; an
+    explicit weight scales V as a direction so that <V, V> = weight."""
+    V = mc.as_matrix(V, "jump operator")
+    nrm2 = float(np.real(mc.hs_inner(V, V)))
+    if weight is None:
+        weight = nrm2
+    elif abs(weight - nrm2) > 1e-8 * max(1.0, weight):
+        V = V * np.sqrt(weight / nrm2)
+    return JumpTerm(V=V, omega=float(omega), weight=float(weight))
+
+
+# --- lemma objects without a package caller ------------------------------------
+
+
+def modular_apply(sigma_dec: mc.SpectralDecomposition, A) -> np.ndarray:
+    """Modular conjugation sigma A sigma^(-1)."""
+    S = sigma_dec.reconstruct()
+    Sinv = sigma_dec.reconstruct(1.0 / sigma_dec.values)
+    return S @ np.asarray(A, dtype=complex) @ Sinv
+
+
+def chain_rule_residual(V, X, omega: float) -> float:
+    """Frobenius defect of the chain-rule identity for the twisted multiplier.
+
+    Exactly zero in exact arithmetic; the returned value is floating-point
+    noise and is contracted to stay below 1e-9 * ||V|| * ||X||.
+    """
+    V = np.asarray(V, dtype=complex)
+    dec = nco._positive_spectrum(X)
+    logX = dec.reconstruct(np.log(dec.values))
+    n = V.shape[0]
+    shift = 0.5 * omega * np.eye(n)
+    inner = V @ (logX - shift) - (logX + shift) @ V
+    lhs = nco.log_mean_multiplier(X, omega).apply(inner)
+    Xm = dec.reconstruct()
+    rhs = np.exp(-omega / 2.0) * V @ Xm - np.exp(omega / 2.0) * Xm @ V
+    return float(np.linalg.norm(lhs - rhs))

@@ -7,6 +7,7 @@ import renyiflow.balance_check as bc
 import renyiflow.matcore as mc
 from renyiflow.errors import StructuralError
 from renyiflow.generator import (
+    JumpTerms,
     build_gns,
     depolarizing_generator,
     eigen_jump_terms,
@@ -118,6 +119,40 @@ class TestSrdCheck:
         assert list(res) == [2.0]
 
 
+class TestBalanceReportCost:
+    """One trace norm per distinct order, plus the generator's own."""
+
+    @pytest.fixture()
+    def svds(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    @pytest.mark.parametrize("alphas, orders", [
+        (bc.DEFAULT_ALPHAS, 4),
+        ((0.5, 1.0, 1.0, 2.0), 3),
+        ((0.5, 2.0), 3),  # BKM adds order 1
+    ], ids=["default", "repeated-order", "without-order-one"])
+    def test_one_svd_per_distinct_order(self, svds, alphas, orders):
+        G = random_gns_generator(np.random.default_rng(31), 4, min_sigma_eig=0.15)
+        bc.balance_report(G, alphas)
+        assert len(svds) == orders + 1
+
+    @pytest.mark.parametrize("alphas", [bc.DEFAULT_ALPHAS, (0.5, 2.0)], ids=["default", "without-order-one"])
+    def test_report_matches_the_separate_checks(self, counterexample, alphas):
+        report = bc.balance_report(counterexample, alphas)
+        assert report.bkm_residual == bc.check_bkm(counterexample)
+        assert report.srd_residuals == {float(a): bc.srd_residual(counterexample, float(a)) for a in alphas}
+        assert (report.gns_residual, report.kms_residual) == (bc.check_gns(counterexample),
+                                                              bc.check_kms(counterexample))
+
+
 class TestSigmaContext:
     def test_checks_read_sigma_from_the_generator(self, rng, eigensolves):
         # the half powers and the weight kernel come from the generator's
@@ -192,7 +227,7 @@ class TestImplicationChain:
         sigma = mc.random_density(rng, 3, floor=0.1)
         terms = eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
         G1 = build_gns(sigma, terms)
-        G2 = build_gns(sigma, terms[::-1])
+        G2 = build_gns(sigma, JumpTerms(terms.V[::-1], terms.omega[::-1], terms.weight[::-1]))
         assert bc.check_gns(G1) == pytest.approx(bc.check_gns(G2), abs=1e-12)
         assert bc.check_kms(G1) == pytest.approx(bc.check_kms(G2), abs=1e-12)
         r1 = bc.check_srd(G1, [0.5, 2.0])
@@ -205,10 +240,9 @@ class TestImplicationChain:
         # normalized residuals unchanged
         sigma = mc.random_density(rng, 3, floor=0.1)
         terms = eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
-        from renyiflow.generator import JumpTerm
 
         G1 = build_gns(sigma, terms)
-        G2 = build_gns(sigma, [JumpTerm.of(np.sqrt(2.0) * t.V, t.omega) for t in terms])
+        G2 = build_gns(sigma, JumpTerms.of(np.sqrt(2.0) * terms.V, terms.omega))
         assert bc.check_gns(G2) == pytest.approx(bc.check_gns(G1), abs=1e-11)
 
 

@@ -7,13 +7,25 @@ import renyiflow.cli as cli
 import renyiflow.matcore as mc
 from renyiflow.cli import main, parse_alphas
 from renyiflow.errors import DomainError
-from renyiflow.generator import random_gns_generator
+from renyiflow.generator import JumpTerms, qubit_xz_generator, random_gns_generator
+
+from .oracles import jump_term
 
 
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def generator_doc(G, weights=False):
+    """A generator file's document from the generator's own terms, in the
+    layout the benchmark writes (no weights unless asked)."""
+    terms = [{"V": mc.matrix_to_rows(t.V), "omega": t.omega} for t in G.terms]
+    if weights:
+        for entry, t in zip(terms, G.terms):
+            entry["weight"] = t.weight
+    return {"label": G.label, "sigma": mc.matrix_to_rows(G.sigma), "terms": terms}
 
 
 @pytest.fixture()
@@ -298,6 +310,35 @@ class TestMalformedInputs:
         path.write_text(json.dumps(doc))
         self.assert_validation_exit(["dbcheck", "--generator", str(path)], capsys)
 
+    @pytest.mark.parametrize("key, value", [("weight", "abc"), ("omega", float("nan")),
+                                            ("weight", float("inf"))],
+                             ids=["text-weight", "nan-omega", "inf-weight"])
+    @pytest.mark.parametrize("command", ["dbcheck", "validate"])
+    def test_term_number_not_a_finite_real(self, key, value, command, tmp_path, capsys):
+        # qubit-xz written to a file, one term number broken
+        doc = generator_doc(qubit_xz_generator(), weights=True)
+        doc["terms"][1][key] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run([command, "--generator", str(path)], capsys)
+        assert code == 1
+        detail = json.loads(err)["detail"] if command == "dbcheck" else json.loads(out)["failures"][0]
+        assert f"term 1: {key}" in detail
+
+    @pytest.mark.parametrize("V, message", [
+        (np.diag([1.0, -1.0, 0.0]), "term 1: V has shape (3, 3), sigma has shape (2, 2)"),
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0]], "term 1: V: rows"),
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, "x", 0.0]], "term 1: V: rows"),
+    ], ids=["larger-operator", "ragged-rows", "non-numeric-cell"])
+    def test_ragged_jump_operators_name_the_term(self, V, message, tmp_path, capsys):
+        doc = generator_doc(qubit_xz_generator())
+        doc["terms"][1]["V"] = mc.matrix_to_rows(V) if isinstance(V, np.ndarray) else V
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["dbcheck", "--generator", str(path)], capsys)
+        assert code == 1
+        assert message in json.loads(err)["detail"]
+
     @pytest.mark.parametrize("command", [
         ["simulate", "--t-end", "0.1", "--dt", "0.01"],
         ["compare", "--alpha0", "2", "--alpha1", "3"],
@@ -345,17 +386,66 @@ class TestMalformedInputs:
         assert "has no jump-term decomposition" in doc["detail"]
 
 
+class TestGeneratorFile:
+    """The jump terms load as one stack, the same generator as in memory."""
+
+    @pytest.mark.parametrize("name", ["qubit-xz", "gns-2", "gns-3", "gns-4", "gns-5", "gns-6", "gns-7", "gns-8"])
+    def test_round_trip_is_bit_identical(self, name, tmp_path):
+        if name == "qubit-xz":
+            G = qubit_xz_generator()
+        else:
+            n = int(name.split("-")[1])
+            G = random_gns_generator(np.random.default_rng(4000 + n), n, min_sigma_eig=0.15)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(generator_doc(G)))
+        H = cli.load_generator(str(path))
+        for a, b in zip(G.jump_stacks, H.jump_stacks):
+            assert np.array_equal(a, b)
+        assert np.array_equal(G.L_super, H.L_super)
+        assert np.array_equal(G.terms.omega, H.terms.omega)
+
+    def test_operator_from_a_csv_path(self, tmp_path):
+        G = random_gns_generator(np.random.default_rng(4003), 3, min_sigma_eig=0.15)
+        doc = generator_doc(G)
+        (tmp_path / "v4.csv").write_text(mc.matrix_to_csv_block("V4", G.terms[4].V))
+        doc["terms"][4]["V"] = "v4.csv"
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        H = cli.load_generator(str(path))
+        assert np.array_equal(H.jump_stacks[0], G.jump_stacks[0])
+        assert np.array_equal(H.L_super, G.L_super)
+
+    def test_explicit_weight_rescales_as_the_per_term_oracle(self, tmp_path):
+        G = qubit_xz_generator()
+        doc = generator_doc(G)
+        doc["terms"][0]["V"] = mc.matrix_to_rows(0.7 * G.terms[0].V)
+        doc["terms"][0]["weight"] = 3.0
+        doc["terms"][1]["weight"] = 0.5
+        path = tmp_path / "weighted.json"
+        path.write_text(json.dumps(doc))
+        H = cli.load_generator(str(path))
+        for j, w in enumerate((3.0, 0.5)):
+            ref = jump_term(mc.rows_to_matrix(doc["terms"][j]["V"]), 0.0, w)
+            assert np.array_equal(H.terms.V[j], ref.V)
+            assert H.terms.weight[j] == ref.weight
+
+    def test_stack_normalizes_as_the_per_term_oracle(self):
+        rng = np.random.default_rng(12)
+        V = np.array([mc.random_complex(rng, 4) for _ in range(6)])
+        weights = [None, 2.5, None, 0.3, float(np.real(np.vdot(V[4], V[4]))), 7.0]
+        stack = JumpTerms.of(V, np.zeros(6), weights)
+        for j, w in enumerate(weights):
+            ref = jump_term(V[j], 0.0, w)
+            assert np.array_equal(stack.V[j], ref.V)
+            assert stack.weight[j] == ref.weight
+
+
 class TestSigmaContext:
     @pytest.fixture(scope="class")
     def gns8_file(self, tmp_path_factory):
-        G = random_gns_generator(np.random.default_rng(8), 8, min_sigma_eig=0.15)
-        doc = {
-            "label": "gns-8",
-            "sigma": mc.matrix_to_rows(G.sigma),
-            "terms": [{"V": mc.matrix_to_rows(t.V), "omega": t.omega} for t in G.terms],
-        }
+        G = random_gns_generator(np.random.default_rng(8), 8, min_sigma_eig=0.15, label="gns-8")
         path = tmp_path_factory.mktemp("gns8") / "gns8.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(generator_doc(G)))
         return str(path)
 
     @pytest.mark.parametrize("argv", [

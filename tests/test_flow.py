@@ -8,7 +8,7 @@ import renyiflow.noncomm_ops as nco
 from renyiflow.balance_check import carlen_maas_counterexample
 from renyiflow.errors import DomainError, SingularityError, StructuralError, ValidationError
 from renyiflow.generator import (
-    JumpTerm,
+    JumpTerms,
     build_gns,
     depolarizing_generator,
     qubit_xz_generator,
@@ -18,6 +18,7 @@ from renyiflow.generator import (
 from .oracles import (
     gap_direction_by_kron,
     metric_tensor_by_term,
+    nc_gradient,
     norm_functional_by_state,
     propagate_by_expm,
     trapezoid_integral,
@@ -346,9 +347,21 @@ class TestMultiplierFamily:
         def forbidden(*args, **kwargs):
             raise AssertionError("metric_tensor imaged a direction")
 
-        monkeypatch.setattr(nco, "nc_gradient", forbidden)
+        monkeypatch.setattr(nco.RenyiMultiplier, "flux", forbidden)
         monkeypatch.setattr(nco.RenyiMultiplier, "apply", forbidden)
         assert flow.metric_tensor(G, rho, 1.5, nu, nu) > 0.0
+
+    def test_residual_takes_the_fused_flux(self, monkeypatch):
+        # gradient, multiplier and divergence run as one flux over the jump
+        # stack; the multiplier is never applied to the commutator stack
+        G = named_generator("gns-4")
+        rho = mc.random_density(np.random.default_rng(5), 4, floor=0.1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gradient_flow_residual applied the multiplier")
+
+        monkeypatch.setattr(nco.RenyiMultiplier, "apply", forbidden)
+        assert flow.gradient_flow_residual(G, rho, 1.5) <= 1e-8
 
     @pytest.mark.parametrize("alpha", [1.0, 2.5])
     def test_family_decomposes_sigma_and_the_sandwiched_state_once(self, eigensolves, alpha):
@@ -405,12 +418,12 @@ class TestTermlessGenerators:
 
     def test_gradient_raises_validation(self, termless):
         with pytest.raises(ValidationError, match="no jump-term decomposition"):
-            nco.nc_gradient(termless, np.eye(termless.n))
+            nc_gradient(termless, np.eye(termless.n))
 
 
 def weights_scaled(G, factor):
     """The generator with every jump weight multiplied by `factor`."""
-    return build_gns(G.sigma, [JumpTerm.of(t.V * np.sqrt(factor), t.omega) for t in G.terms])
+    return build_gns(G.sigma, JumpTerms.of(G.terms.V * np.sqrt(factor), G.terms.omega))
 
 
 class TestGapDirection:
@@ -523,10 +536,10 @@ class TestLsiConstants:
         assert report.t2_bound(10.0) == 0.0
 
     def test_non_primitive_rejected(self):
-        from renyiflow.generator import JumpTerm, build_gns
+        from renyiflow.generator import JumpTerms, build_gns
 
         SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-        G = build_gns(np.eye(2) / 2.0, [JumpTerm.of(SZ, 0.0)])
+        G = build_gns(np.eye(2) / 2.0, JumpTerms.of([SZ], [0.0]))
         with pytest.raises(ValidationError):
             flow.lsi_constants(G)
 

@@ -1,14 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 import renyiflow.balance_check as bc
 import renyiflow.matcore as mc
-import renyiflow.noncomm_ops as nco
-from renyiflow.errors import ValidationError
+from renyiflow.errors import StructuralError, ValidationError
 from renyiflow.flow import generic_initial_state, poincare_check
 from renyiflow.generator import (
     Generator,
-    JumpTerm,
+    JumpTerms,
     build_gns,
     check_primitive,
     depolarizing_generator,
@@ -23,6 +24,8 @@ from .oracles import (
     depolarizing_superops_by_probing,
     lindblad_superop_by_term,
     lindblad_superops_by_probing,
+    modular_apply,
+    nc_gradient,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -47,10 +50,11 @@ def _gram_violation_cases():
     # violations at pairs (0,3) and (2,4); the first in (j, k) order is reported
     overlaps = [sym(0, 1), d, sym(1, 2), sym(0, 1) + sym(0, 2), sym(1, 2) + skew]
     # violations at term 1 (weight) and pair (2,3)
-    off_weight = [JumpTerm.of(sym(0, 1), 0.0), JumpTerm(V=d, omega=0.0, weight=3.0),
-                  JumpTerm.of(sym(1, 2), 0.0), JumpTerm.of(sym(1, 2) + skew, 0.0)]
+    off_weight = JumpTerms.of([sym(0, 1), d, sym(1, 2), sym(1, 2) + skew], np.zeros(4))
+    # term 1 keeps V = d, of squared norm 2, but records weight 3
+    off_weight = JumpTerms(off_weight.V, off_weight.omega, off_weight.weight * [1.0, 1.5, 1.0, 1.0])
     return {
-        "two-overlaps": ([JumpTerm.of(V, 0.0) for V in overlaps],
+        "two-overlaps": (JumpTerms.of(overlaps, np.zeros(len(overlaps))),
                          "condition (i) violated at pair (0,3): overlap 2.000e+00"),
         "weight-then-overlap": (off_weight,
                                 "condition (i) violated at term 1: <V,V>=(2+0j) != weight 3.0"),
@@ -75,44 +79,41 @@ class TestBuildGns:
     def test_nonzero_trace_rejected(self):
         V = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValidationError, match=r"condition \(i\)"):
-            build_gns(np.eye(2) / 2.0, [JumpTerm.of(V, 0.0)])
+            build_gns(np.eye(2) / 2.0, JumpTerms.of([V], [0.0]))
 
     def test_wrong_frequency_rejected(self):
         with pytest.raises(ValidationError, match=r"condition \(iii\)"):
-            build_gns(np.diag([0.25, 0.75]), [JumpTerm.of(np.array([[0, 1], [0, 0]]), 0.0),
-                                              JumpTerm.of(np.array([[0, 0], [1, 0]]), 0.0)])
+            build_gns(np.diag([0.25, 0.75]), JumpTerms.of([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], [0.0, 0.0]))
 
     def test_missing_adjoint_partner_rejected(self):
         sigma = np.diag([0.25, 0.75]).astype(complex)
-        up = JumpTerm.of(np.array([[0, 1], [0, 0]]), np.log(3.0))
+        up = JumpTerms.of([[[0, 1], [0, 0]]], [np.log(3.0)])
         with pytest.raises(ValidationError, match=r"condition \(ii\)"):
-            build_gns(sigma, [up])
+            build_gns(sigma, up)
 
     def test_mismatched_pair_weight_rejected(self):
         sigma = np.diag([0.25, 0.75]).astype(complex)
-        up = JumpTerm.of(np.array([[0, 1], [0, 0]]), np.log(3.0), weight=1.0)
-        dn = JumpTerm.of(np.array([[0, 0], [2, 0]]), -np.log(3.0))
+        pair = JumpTerms.of([[[0, 1], [0, 0]], [[0, 0], [2, 0]]], [np.log(3.0), -np.log(3.0)], [1.0, None])
         with pytest.raises(ValidationError, match=r"condition \((ii|iv)\)"):
-            build_gns(sigma, [up, dn])
+            build_gns(sigma, pair)
 
     def test_jump_operator_size_must_match_sigma(self):
         with pytest.raises(ValidationError, match=r"term 0: V has shape \(3, 3\), sigma has shape \(2, 2\)"):
-            build_gns(np.eye(2) / 2.0, [JumpTerm.of(np.diag([1.0, -1.0, 0.0]), 0.0)])
+            build_gns(np.eye(2) / 2.0, JumpTerms.of([np.diag([1.0, -1.0, 0.0])], [0.0]))
 
     def test_pair_condition_at_term_0_reported_before_missing_partner_later(self):
         # per term: (ii), then (iv); term 0's partner has an unpaired
         # frequency, term 2 has no partner at all
         lam = np.array([0.01, 0.2, 0.79])
         w01, w12 = np.log(lam[1] / lam[0]), np.log(lam[2] / lam[1])
-        terms = [JumpTerm.of(_unit(3, 0, 1), w01 + 1e-7), JumpTerm.of(_unit(3, 1, 0), -w01),
-                 JumpTerm.of(_unit(3, 1, 2), w12)]
+        terms = JumpTerms.of([_unit(3, 0, 1), _unit(3, 1, 0), _unit(3, 1, 2)], [w01 + 1e-7, -w01, w12])
         with pytest.raises(ValidationError) as err:
             build_gns(np.diag(lam), terms)
         assert str(err.value) == f"condition (iv) violated at pair (0,1): omegas {w01 + 1e-7} vs {-w01}"
 
     def test_modular_condition_at_term_0_reported_before_trace_later(self):
         # per term: (i), then (iii); term 0 has the wrong frequency, term 1 a trace
-        terms = [JumpTerm.of(_unit(2, 0, 1), 0.0), JumpTerm.of(np.diag([1.0, 0.0]), 0.0)]
+        terms = JumpTerms.of([_unit(2, 0, 1), np.diag([1.0, 0.0])], [0.0, 0.0])
         with pytest.raises(ValidationError) as err:
             build_gns(np.diag([0.25, 0.75]), terms)
         assert str(err.value) == ("condition (iii) violated at term 0: modular eigenvector residual "
@@ -200,14 +201,14 @@ class TestGeneratorIdentities:
             A = mc.random_complex(rng, 3)
             lhs = sum(
                 mc.weighted_inner(g, g, random_gen.sigma_dec, 0.5).real
-                for g in nco.nc_gradient(random_gen, A)
+                for g in nc_gradient(random_gen, A)
             )
             rhs = mc.weighted_inner(A, -random_gen.apply_L(A), random_gen.sigma_dec, 0.5).real
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_commutes_with_modular(self, random_gen):
         mod = mc.superoperator_of_map(
-            lambda A: nco.modular_apply(random_gen.sigma_dec, A), 3
+            lambda A: modular_apply(random_gen.sigma_dec, A), 3
         )
         comm = random_gen.L_super @ mod - mod @ random_gen.L_super
         assert np.linalg.norm(comm) <= 1e-8 * np.linalg.norm(random_gen.L_super)
@@ -269,7 +270,7 @@ class TestPrimitivity:
         assert rep.primitive and rep.kernel_dim == 1
 
     def test_single_z_jump_not_primitive(self):
-        G = build_gns(np.eye(2) / 2.0, [JumpTerm.of(SZ, 0.0)])
+        G = build_gns(np.eye(2) / 2.0, JumpTerms.of([SZ], [0.0]))
         rep = check_primitive(G)
         assert not rep.primitive
         assert rep.kernel_dim == brute_force_commutant_dim([SZ], 2) == 2
@@ -308,11 +309,11 @@ class TestSpectralGap:
         sigma = mc.random_density(rng, 3, floor=0.15)
         terms = eigen_jump_terms(mc.density_spectrum(sigma, strict=True))
         G1 = build_gns(sigma, terms)
-        G2 = build_gns(sigma, [JumpTerm.of(np.sqrt(2.0) * t.V, t.omega) for t in terms])
+        G2 = build_gns(sigma, JumpTerms.of(np.sqrt(2.0) * terms.V, terms.omega))
         assert spectral_gap(G2).value == pytest.approx(2.0 * spectral_gap(G1).value, rel=1e-10)
 
     def test_non_primitive_rejected(self):
-        G = build_gns(np.eye(2) / 2.0, [JumpTerm.of(SZ, 0.0)])
+        G = build_gns(np.eye(2) / 2.0, JumpTerms.of([SZ], [0.0]))
         with pytest.raises(ValidationError, match="primitive"):
             spectral_gap(G)
 
@@ -377,9 +378,32 @@ class TestSigmaContext:
 
 class TestJumpTermSemantics:
     def test_weight_defaults_to_norm(self):
-        t = JumpTerm.of(2.0 * SX, 0.0)
+        t = JumpTerms.of([2.0 * SX], [0.0])[0]
         assert t.weight == pytest.approx(8.0)
 
     def test_explicit_weight_rescales_direction(self):
-        t = JumpTerm.of(SX / np.sqrt(2.0), 0.0, weight=3.0)
+        t = JumpTerms.of([SX / np.sqrt(2.0)], [0.0], [3.0])[0]
         assert mc.hs_inner(t.V, t.V).real == pytest.approx(3.0, abs=1e-12)
+
+    def test_terms_are_read_only_views_of_one_stack(self, qubit_xz):
+        stack = qubit_xz.terms
+        assert [np.shares_memory(t.V, stack.V) for t in stack] == [True, True]
+        assert qubit_xz.jump_stacks[0] is stack.V
+        for arr in (stack.V, stack.omega, stack.weight):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("V, omega, weight, message", [
+        ([SX, np.diag([np.nan, 1.0])], [0.0, 0.0], None, "term 1: V has non-finite entries"),
+        ([SX, SZ], [0.0, np.inf], None, "term 1: omega inf is not a finite real"),
+        ([SX, SZ], [0.0, "x"], None, "term 1: omega 'x' is not a finite real"),
+        ([SX, SZ], [0.0], None, "omega: expected 2 values"),
+        ([SX, SZ], [0.0, 0.0], [None, -1.0], "term 1: weight -1.0 is not positive"),
+        ([SX, 0.0 * SZ], [0.0, 0.0], [None, 2.0], "term 1: V = 0 cannot carry weight 2.0"),
+        ([0.0 * SX, SZ, SX], [0.0, 0.0, 0.0], [None, 2.0, 0.0], "term 2: weight 0.0 is not positive"),
+        ([], [], None, "expected a nonempty (m, n, n) stack"),
+    ], ids=["nan-entry", "inf-omega", "text-omega", "short-omega", "negative-weight", "zero-direction",
+            "zero-weight", "empty"])
+    def test_stack_rejects_the_first_bad_term(self, V, omega, weight, message):
+        with pytest.raises((ValidationError, StructuralError), match=re.escape(message)):
+            JumpTerms.of(V, omega, weight)
+

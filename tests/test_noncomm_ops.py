@@ -7,12 +7,16 @@ import renyiflow.noncomm_ops as nco
 from renyiflow.errors import DomainError, SingularityError
 
 from .oracles import (
+    chain_rule_residual,
     dirichlet_form,
     ent_fun,
     functional_derivative_by_matrix_powers,
     matrix_power,
     mop_inverse_quadrature,
+    modular_apply,
     mop_quadrature,
+    nc_divergence,
+    nc_gradient,
     norm_functional_by_state,
     power_op,
     random_positive,
@@ -41,25 +45,25 @@ class TestSandwichAndModular:
 
     def test_modular_fixes_identity(self, rng):
         dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
-        assert np.allclose(nco.modular_apply(dec, np.eye(3)), np.eye(3), atol=1e-12)
+        assert np.allclose(modular_apply(dec, np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_modular_eigenprojectors(self, rng):
         dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
         for k in range(3):
             for l in range(3):
                 V = np.outer(dec.vectors[:, k], dec.vectors[:, l].conj())
-                out = nco.modular_apply(dec, V)
+                out = modular_apply(dec, V)
                 assert np.allclose(out, (dec.values[k] / dec.values[l]) * V, atol=1e-11)
 
     def test_modular_trivial_for_maximally_mixed(self, rng):
         A = mc.random_complex(rng, 4)
         dec = mc.density_spectrum(np.eye(4) / 4.0, strict=True)
-        assert np.allclose(nco.modular_apply(dec, A), A, atol=1e-12)
+        assert np.allclose(modular_apply(dec, A), A, atol=1e-12)
 
     def test_modular_rejects_singular(self):
         # a singular sigma has no validated decomposition to conjugate with
         with pytest.raises(SingularityError):
-            nco.modular_apply(mc.density_spectrum(np.diag([1.0, 0.0]), strict=True), np.eye(2))
+            modular_apply(mc.density_spectrum(np.diag([1.0, 0.0]), strict=True), np.eye(2))
 
 
 class TestLogMeanMultiplier:
@@ -94,7 +98,7 @@ class TestLogMeanMultiplier:
     def test_strict_positivity(self, rng):
         X = random_positive(rng, 3)
         op = nco.log_mean_multiplier(X, 1.3)
-        assert op.is_positive
+        assert np.all(op.kernel.real > 0.0) and np.allclose(op.kernel.imag, 0.0)
         for _ in range(20):
             A = mc.random_complex(rng, 3)
             q = mc.hs_inner(A, op.apply(A))
@@ -120,11 +124,11 @@ class TestLogMeanMultiplier:
 class TestChainRule:
     def test_zero_argument(self, rng):
         X = random_positive(rng, 3)
-        assert nco.chain_rule_residual(np.zeros((3, 3)), X, 1.7) == 0.0
+        assert chain_rule_residual(np.zeros((3, 3)), X, 1.7) == 0.0
 
     def test_identity_base_zero_twist(self, rng):
         V = mc.random_complex(rng, 3)
-        assert nco.chain_rule_residual(V, np.eye(3), 0.0) <= 1e-12
+        assert chain_rule_residual(V, np.eye(3), 0.0) <= 1e-12
 
     def test_random_ensemble(self, rng):
         worst = 0.0
@@ -134,32 +138,50 @@ class TestChainRule:
             V /= np.linalg.norm(V)
             X = random_positive(rng, n)
             omega = float(rng.uniform(-3, 3))
-            worst = max(worst, nco.chain_rule_residual(V, X, omega))
+            worst = max(worst, chain_rule_residual(V, X, omega))
         assert worst <= 1e-9
+
+
+class TestFlux:
+    """`RenyiMultiplier.flux` against gradient, multiplier and divergence
+    applied one after another, on the generators' own jump stacks."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.0 + 0.5 * nco.ALPHA_ONE_WINDOW, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_unfused_chain(self, n, alpha):
+        from renyiflow.generator import random_gns_generator
+
+        rng = np.random.default_rng(500 + n)
+        G = random_gns_generator(rng, n, min_sigma_eig=0.15)
+        rho = mc.random_density(rng, n, floor=0.1)
+        M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
+        D = M.state.derivative()
+        ref = nc_divergence(G, M.apply(nc_gradient(G, D)))
+        assert np.linalg.norm(M.flux(G.jump_stacks[0], D) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestGradientDivergence:
     def test_gradient_of_identity_vanishes(self, qubit_xz):
-        for g in nco.nc_gradient(qubit_xz, np.eye(2)):
+        for g in nc_gradient(qubit_xz, np.eye(2)):
             assert np.linalg.norm(g) == 0.0
 
     def test_adjointness(self, qubit_xz, rng):
         A = mc.random_complex(rng, 2)
         Bs = [mc.random_complex(rng, 2) for _ in qubit_xz.terms]
-        lhs = sum(mc.hs_inner(g, B) for g, B in zip(nco.nc_gradient(qubit_xz, A), Bs))
-        rhs = mc.hs_inner(A, -nco.nc_divergence(qubit_xz, Bs))
+        lhs = sum(mc.hs_inner(g, B) for g, B in zip(nc_gradient(qubit_xz, A), Bs))
+        rhs = mc.hs_inner(A, -nc_divergence(qubit_xz, Bs))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_kernel_matches_generator_kernel(self, qubit_xz, rng):
         # gradient kernel = multiples of the identity for a primitive generator
         for _ in range(20):
             A = mc.random_traceless_hermitian(rng, 2)
-            gnorm = sum(np.linalg.norm(g) for g in nco.nc_gradient(qubit_xz, A))
+            gnorm = sum(np.linalg.norm(g) for g in nc_gradient(qubit_xz, A))
             assert gnorm > 1e-8 * np.linalg.norm(A)
 
     def test_length_mismatch(self, qubit_xz):
         with pytest.raises(DomainError):
-            nco.nc_divergence(qubit_xz, [np.eye(2)])
+            nc_divergence(qubit_xz, [np.eye(2)])
 
 
 class TestRenyiMultiplier:
@@ -317,6 +339,18 @@ class TestMultiplierStack:
         images = np.array([M.apply(g) for g in grads])
         ref = np.real(np.einsum("ajkl,bjkl->ab", grads.conj(), images))
         assert np.abs(M.flux_gram(V, B) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.5, 6.0])
+    def test_flux_matches_unfused_chain_on_any_stack(self, family_inputs, alpha, rng):
+        # sum_j [M_j [V_j, D], V_j*] for jump operators and a potential
+        # without any symmetry
+        rho, sigma, omegas, V = family_inputs
+        M = nco.renyi_multiplier(rho, mc.density_spectrum(sigma, strict=True), omegas, alpha)
+        D = mc.random_complex(rng, rho.shape[0])
+        F = M.apply(V @ D - D @ V)
+        Vd = V.conj().swapaxes(-1, -2)
+        ref = np.sum(F @ Vd - Vd @ F, axis=0)
+        assert np.linalg.norm(M.flux(V, D) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
     def test_adjoint_relation_row_by_row(self, family_inputs, alpha):
