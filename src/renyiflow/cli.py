@@ -262,7 +262,7 @@ def cmd_constants(args) -> int:
 def cmd_compare(args) -> int:
     G = load_generator(args.generator)
     smin = float(G.sigma_dec.values[0])
-    eps = args.eps if args.eps is not None else flow.default_comparison_eps(smin)
+    eps = flow.require_comparison_eps(args.eps if args.eps is not None else flow.default_comparison_eps(smin), smin)
     if args.rho0 == "auto":
         rho0 = _shrink_to_entropy(G, eps, args.seed)
     else:
@@ -272,15 +272,23 @@ def cmd_compare(args) -> int:
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
+# mixing weights 0.5 * 0.7^k (k < 60) of the initial-state ladder, each the
+# previous one times 0.7
+_LADDER = np.cumprod(np.r_[0.5, np.full(59, 0.7)])[:, None, None]
+
+
 def _shrink_to_entropy(G: Generator, eps: float, seed: int) -> np.ndarray:
-    """Mix a random state toward sigma until its relative entropy is < eps."""
+    """The first state of the ladder (1 - delta_k) sigma + delta_k w
+    (weights `_LADDER`) toward sigma from a random state w whose relative
+    entropy is at most 0.8 eps.  Every rung is checked as a density matrix
+    and scored from one stacked decomposition of the ladder."""
     w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
-    delta = 0.5
-    for _ in range(60):
-        rho = mc.require_density((1.0 - delta) * G.sigma + delta * w, name="rho")
-        if nco.sandwiched_state(rho, G.sigma_dec, 1.0).divergence() <= 0.8 * eps:
+    rungs = mc.hermitize((1.0 - _LADDER) * G.sigma + _LADDER * w)
+    state = nco.sandwiched_state(rungs, G.sigma_dec, 1.0)
+    for rho, wmin, D in zip(rungs, state.dec.values[:, 0], state.divergence()):
+        mc.check_density(rho, wmin, name="rho")
+        if D <= 0.8 * eps:
             return rho
-        delta *= 0.7
     raise ValidationError("could not construct an initial state inside the entropy ball")
 
 

@@ -531,10 +531,17 @@ def default_comparison_eps(smin: float) -> float:
     return smin**2 / 8.0
 
 
-def _lambda_eta(alpha0: float, eps: float, sigma_values: np.ndarray, omegas) -> tuple[float, float]:
-    smin, smax = float(sigma_values[0]), float(sigma_values[-1])
+def require_comparison_eps(eps: float, smin: float) -> float:
+    """eps, checked inside (0, smin^2/2), where the comparison construction
+    is defined (smin the smallest eigenvalue of sigma)."""
     if not 0.0 < eps < smin**2 / 2.0:
         raise DomainError(f"eps={eps} outside (0, {smin**2 / 2.0})")
+    return eps
+
+
+def _lambda_eta(alpha0: float, eps: float, sigma_values: np.ndarray, omegas) -> tuple[float, float]:
+    smin, smax = float(sigma_values[0]), float(sigma_values[-1])
+    require_comparison_eps(eps, smin)
     s2e = np.sqrt(2.0 * eps)
     Lam = (smax / smin) * np.exp(alpha0 * s2e * (2.0 * smin - s2e) / (smin * (smin - s2e)))
     etas = [2.0 * np.sqrt(np.exp(om) / Lam) / (1.0 + np.exp(om) * Lam) for om in omegas]
@@ -604,6 +611,7 @@ class HyperTrace:
     F: np.ndarray
     max_forward_increase: float
     final: np.ndarray  # the flowed state at the end of the delay window
+    D_start: float  # the order-alpha0 divergence of the validated rho0
 
 
 def hypercontractivity_monitor(
@@ -622,7 +630,11 @@ def hypercontractivity_monitor(
     the functional is non-increasing when eta respects the comparison
     bound, and the reported maximum forward difference quantifies any
     numerical violation.  The flow is integrated once, over the whole
-    window; its final state is returned with the samples.
+    window, and `integrate` is the one validation of rho0; its final state
+    is returned with the samples.  The order-1 divergence D0 <= eps is then
+    checked, and D0 and the order-alpha0 divergence D_start of rho0 come
+    from one stacked sandwiched state.  The functional reads only the
+    spectrum values of the sandwiched states along the trajectory.
     """
     if not 1.0 < alpha0 <= alpha1 < np.inf:
         raise DomainError(f"need 1 < alpha0 <= alpha1 < inf, got ({alpha0}, {alpha1})")
@@ -631,21 +643,19 @@ def hypercontractivity_monitor(
     if n_samples < 1:
         raise DomainError(f"n_samples={n_samples} must be at least 1")
     smin = float(G.sigma_dec.values[0])
-    eps = default_comparison_eps(smin) if eps is None else eps
-    if not 0.0 < eps < smin**2 / 2.0:
-        raise DomainError(f"eps={eps} outside (0, lambda_min^2/2 = {smin**2 / 2.0:.3e})")
-    D0 = nco.sandwiched_state(_validated(G, rho0), G.sigma_dec, 1.0).divergence()
-    if D0 > eps:
-        raise ValidationError(f"initial relative entropy {D0:.3e} exceeds the required bound eps={eps:.3e}")
+    eps = require_comparison_eps(default_comparison_eps(smin) if eps is None else eps, smin)
     T = _delay_time(alpha0, alpha1, K, eta)
     dt = suggested_dt(G)
     store = max(1, int(np.ceil(T / dt / n_samples)))
     traj = integrate(G, rho0, T, dt, store_every=store)
+    D0, D_start = nco.sandwiched_state(traj.states[0], G.sigma_dec, [1.0, alpha0]).divergence()
+    if D0 > eps:
+        raise ValidationError(f"initial relative entropy {D0:.3e} exceeds the required bound eps={eps:.3e}")
     beta = 1.0 + (alpha0 - 1.0) * np.exp(2.0 * K * eta * traj.times)
     # log tr[(s rho s)^b] / b with s = sigma^((1-b)/2b), for all states at once
-    F = np.log(nco.sandwiched_state(traj.states, G.sigma_dec, beta).Z) / beta
+    F = np.log(nco.sandwiched_trace(traj.states, G.sigma_dec, beta)) / beta
     fw = np.diff(F)
-    return HyperTrace(traj.times, beta, F, float(fw.max(initial=0.0)), traj.final())
+    return HyperTrace(traj.times, beta, F, float(fw.max(initial=0.0)), traj.final(), float(D_start))
 
 
 @dataclass(frozen=True)
@@ -685,7 +695,8 @@ def comparison_check(
     Integrates to the delay time and requires the final higher-order
     divergence to stay below the initial lower-order one, with the norm
     functional non-increasing along the way.  The monitor's trajectory
-    is the only integration: its final state gives the end divergence.
+    is the only integration and validates rho0: the monitor gives the
+    start divergence, and its final state the end divergence.
     """
     smin = float(G.sigma_dec.values[0])
     eps = default_comparison_eps(smin) if eps is None else eps
@@ -695,7 +706,7 @@ def comparison_check(
     trace = hypercontractivity_monitor(
         G, rho0, alpha0, alpha1, eta, K, eps=eps, n_samples=n_samples
     )
-    D_start = nco.sandwiched_state(_validated(G, rho0), G.sigma_dec, alpha0).divergence()
+    D_start = trace.D_start
     D_end = nco.sandwiched_state(_validated(G, trace.final), G.sigma_dec, alpha1).divergence()
     passed = (D_end <= D_start + slack) and (trace.max_forward_increase <= monitor_slack)
     return ComparisonReport(

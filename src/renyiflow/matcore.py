@@ -69,7 +69,9 @@ def require_hermitian(A, tol: float = TOL_HERM, name: str = "matrix") -> np.ndar
     return hermitize(A)
 
 
-def _check_density(A, wmin: float, strict: bool, name: str) -> None:
+def check_density(A, wmin: float, strict: bool = False, name: str = "state") -> None:
+    """Check a Hermitian matrix whose smallest eigenvalue is wmin as a
+    density matrix, as `require_density` does."""
     tr = np.trace(A).real
     if abs(tr - 1.0) > TOL_TRACE:
         raise StructuralError(f"{name}: trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
@@ -84,7 +86,7 @@ def _check_density(A, wmin: float, strict: bool, name: str) -> None:
 def require_density(A, strict: bool = False, name: str = "state") -> np.ndarray:
     """Validate a density matrix; `strict` additionally demands full rank."""
     A = require_hermitian(A, name=name)
-    _check_density(A, float(np.linalg.eigvalsh(A)[0]), strict, name)
+    check_density(A, float(np.linalg.eigvalsh(A)[0]), strict, name)
     return A
 
 
@@ -97,8 +99,14 @@ class SpectralDecomposition:
     vectors: np.ndarray
 
     def reconstruct(self, fvals: np.ndarray | None = None) -> np.ndarray:
+        """U diag(f) U*; a stack of value rows over one basis gives the
+        stack of matrices, formed as one product over all of its rows."""
         w = self.values if fvals is None else np.asarray(fvals)
-        return (self.vectors * w[..., None, :]) @ self.vectors.conj().swapaxes(-1, -2)
+        U = self.vectors
+        if U.ndim == 2 and w.ndim > 1:
+            n = U.shape[-1]
+            return ((U * w[..., None, :]).reshape(-1, n) @ U.conj().T).reshape(w.shape[:-1] + (n, n))
+        return (U * w[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
     # Spectral calculus of a strictly positive matrix: each function of it is
     # read from this one decomposition, never from a fresh eigensolve.
@@ -149,7 +157,7 @@ def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDe
     `eigh` decomposition it returns."""
     A = require_hermitian(A, name=name)
     dec = SpectralDecomposition(*np.linalg.eigh(A))
-    _check_density(A, float(dec.values[0]), strict, name)
+    check_density(A, float(dec.values[0]), strict, name)
     return dec
 
 

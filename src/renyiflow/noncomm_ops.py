@@ -6,12 +6,14 @@ twisted logarithmic-mean multiplication and its inverse, the sandwiched
 state with the order-alpha functionals read from it (divergence,
 derivative, Fisher information, entropy, Dirichlet form), the Renyi-order
 multiplication operator built on it with its flux over a jump stack, and
-the detailed-balance weight kernel.  The sandwiched state is formed and
-decomposed in exactly one function, `sandwiched_state`.  Functions of a
-reference state sigma take the `mc.density_spectrum` that validated it (a
-generator's `sigma_dec`) and never decompose sigma themselves.  Every
-decomposition here is a plain `eigh`: no kernel operator depends on the
-eigenvector phases, which are fixed only in `mc.eig_hermitian`.
+the detailed-balance weight kernel.  The sandwiched state is formed in
+exactly one function, `_sandwich`; `sandwiched_state` decomposes it, and
+`sandwiched_trace` reads its trace power from the spectrum values alone.
+Functions of a reference state sigma take the `mc.density_spectrum` that
+validated it (a generator's `sigma_dec`) and never decompose sigma
+themselves.  Every decomposition here is a plain `eigh` (`eigvalsh` for
+values only): no kernel operator depends on the eigenvector phases, which
+are fixed only in `mc.eig_hermitian`.
 
 Every integral-form operator used here diagonalizes in the eigenbasis of
 its base matrix, so it is evaluated through a closed-form entrywise
@@ -65,9 +67,10 @@ class KernelOperator:
 
 
 def _require_positive(values: np.ndarray, name: str) -> np.ndarray:
-    """Ascending eigenvalues, checked strictly positive."""
-    if values[0] <= 0.0:
-        raise SingularityError(f"{name}: not strictly positive (min eigenvalue {values[0]:.3e})")
+    """Ascending eigenvalues, of one matrix or of a stack, checked strictly positive."""
+    low = values[0] if values.ndim == 1 else values[:, 0].min()
+    if low <= 0.0:
+        raise SingularityError(f"{name}: not strictly positive (min eigenvalue {low:.3e})")
     return values
 
 
@@ -94,14 +97,36 @@ def _log_mean_kernel(lam: np.ndarray, omega) -> np.ndarray:
     the degenerate limit u -> 0.  An array of m frequencies gives the
     (m, n, n) stack of kernels.
     """
+    u, geo = _log_ratio(lam, omega)
+    half = 0.5 * u
+    return geo * np.divide(np.sinh(half), half, out=np.ones_like(u), where=half != 0.0)
+
+
+def _log_ratio(lam: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray]:
+    """u = omega + log lam_k - log lam_l, stacked over an array of
+    frequencies, and the geometric mean sqrt(lam_k lam_l)."""
     loglam = np.log(lam)
     u = np.asarray(omega)[..., None, None] + loglam[:, None] - loglam[None, :]
-    geo = np.sqrt(lam[:, None] * lam[None, :])
-    half = 0.5 * u
-    ratio = np.ones_like(u)
-    mask = half != 0.0
-    ratio[mask] = np.sinh(half[mask]) / half[mask]
-    return geo * ratio
+    return u, np.sqrt(lam[:, None] * lam[None, :])
+
+
+def _renyi_kernel(lam: np.ndarray, omega, alpha: float) -> np.ndarray:
+    """Kernel of the order-alpha multiplication operator in the sandwiched
+    state's eigenbasis: the quotient of the log-mean kernels of lam at
+    omega/alpha and of lam^(alpha-1) at (alpha-1) omega/alpha, in closed
+    form geo^(2-alpha) (alpha-1) sinh(u/2) / sinh((alpha-1) u/2) with
+    u = omega/alpha + log lam_k - log lam_l.  With x = |u|/2 and
+    y = |alpha-1| x it is evaluated as |alpha-1| e^(x-y) expm1(-2x) /
+    expm1(-2y): nothing overflows (e^(x-y) <= e^(|omega|/2)
+    (lam_max/lam_min)^(1/2)), small x keeps full precision, and u = 0
+    gives 1.  At order 1 it is the log-mean kernel of lam at omega."""
+    if alpha == 1.0:
+        return _log_mean_kernel(lam, omega)
+    u, geo = _log_ratio(lam, np.asarray(omega) / alpha)
+    x = 0.5 * np.abs(u)
+    y = abs(alpha - 1.0) * x
+    num = abs(alpha - 1.0) * np.exp(x - y) * np.expm1(-2.0 * x)
+    return geo ** (2.0 - alpha) * np.divide(num, np.expm1(-2.0 * y), out=np.ones_like(u), where=x != 0.0)
 
 
 def log_mean_multiplier(X, omega: float = 0.0) -> KernelOperator:
@@ -127,7 +152,9 @@ class SandwichedState:
     the Fisher information, the entropy functional, the Dirichlet form and
     the multiplication operator's kernels.  The eigenvectors carry LAPACK's
     arbitrary phases, so every consumer is phase-invariant.  A (T, n, n)
-    stack at T orders gives T-leading fields; only Z is read.
+    stack gives T-leading fields, at one order or at an order per state;
+    `divergence` and `derivative` then return one value per state, on the
+    order-1 branch for the states whose order is 1.
     """
 
     alpha: float | np.ndarray
@@ -139,26 +166,56 @@ class SandwichedState:
     def positive_values(self) -> np.ndarray:
         return _require_positive(self.dec.values, "sandwiched state")
 
-    def divergence(self) -> float:
+    def _order_one(self) -> bool | None:
+        """Whether the states take the order-1 branch; None for a stack
+        that mixes order 1 with other orders."""
+        if isinstance(self.alpha, float):
+            return self.alpha == 1.0
+        one = self.alpha == 1.0
+        return bool(one[0]) if (one == one[0]).all() else None
+
+    def _by_branch(self, fn) -> np.ndarray:
+        """`fn` of the order-1 states and of the others of a mixed stack,
+        merged in stack order."""
+        one = self.alpha == 1.0
+        parts = [fn(SandwichedState(self.alpha[rows], self.outer[rows],
+                                    mc.SpectralDecomposition(self.dec.values[rows], self.dec.vectors[rows]),
+                                    self.sigma_dec, self.Z[rows]))
+                 for rows in (one, ~one)]
+        out = np.empty(one.shape + parts[0].shape[1:], dtype=parts[0].dtype)
+        out[one], out[~one] = parts
+        return out
+
+    def divergence(self) -> float | np.ndarray:
         """D_alpha = log Z / (alpha-1); tr rho (log rho - log sigma) at alpha = 1."""
-        if self.alpha != 1.0:
-            return float(np.log(self.Z) / (self.alpha - 1.0))
-        lam = np.maximum(self.dec.values, 0.0)
-        sig, pos = self.sigma_dec, lam[lam > LOG_FLOOR]
-        cross = np.real(np.trace(self.dec.reconstruct(lam) @ sig.reconstruct(np.log(sig.values))))
-        return float(np.sum(pos * np.log(pos)) - cross)
+        one = self._order_one()
+        if one is None:
+            return self._by_branch(SandwichedState.divergence)
+        if not one:
+            D = np.log(self.Z) / (self.alpha - 1.0)
+        else:
+            lam = np.maximum(self.dec.values, 0.0)
+            sig = self.sigma_dec
+            # eigenvalues at or below LOG_FLOOR add exactly zero
+            plogp = (lam * np.log(np.where(lam > LOG_FLOOR, lam, 1.0))).sum(axis=-1)
+            cross = self.dec.reconstruct(lam) @ sig.reconstruct(np.log(sig.values))
+            D = plogp - cross.trace(axis1=-2, axis2=-1).real
+        return D if isinstance(D, np.ndarray) else float(D)
 
     def derivative(self) -> np.ndarray:
         """Functional derivative of D_alpha in rho: alpha/(alpha-1) s
         rs^(alpha-1) s / Z, and log rho - log sigma at alpha = 1."""
         lam = self.positive_values()
+        one = self._order_one()
+        if one is None:
+            return self._by_branch(SandwichedState.derivative)
         a = self.alpha
-        if a == 1.0:
+        if one:
             sig = self.sigma_dec
             out = self.dec.reconstruct(np.log(lam)) - sig.reconstruct(np.log(sig.values))
         else:
-            out = self.outer @ self.dec.reconstruct(lam ** (a - 1.0)) @ self.outer
-            out *= a / (a - 1.0) / self.Z
+            out = self.outer @ self.dec.reconstruct(lam ** _per_state(a - 1.0, 1)) @ self.outer
+            out *= _per_state(a / (a - 1.0) / self.Z, 2)
         return mc.hermitize(out)
 
     def fisher(self, drift) -> float:
@@ -179,25 +236,58 @@ class SandwichedState:
         return float(-self.alpha * self.Z / 4.0 * pairing)
 
 
-def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> SandwichedState:
-    """Form rs from sigma's decomposition and decompose it with one `eigh`.
+def _per_state(x, trailing: int):
+    """x, when it has one entry per state, with `trailing` unit axes to
+    scale each state's eigenvalues (1) or matrix (2); a scalar as it is."""
+    return x[(...,) + (None,) * trailing] if isinstance(x, np.ndarray) else x
 
-    `rho` is one (n, n) state with a scalar order, or a (T, n, n) stack
-    with an order per state; orders within ALPHA_ONE_WINDOW of 1 are taken
-    as 1.  Every order must be positive and finite.  The states are
-    trusted: callers validate rho, and sigma through the decomposition
-    passed in.
-    """
+
+def _sandwich(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked orders, with those within ALPHA_ONE_WINDOW of 1 taken as
+    1, s = sigma^((1-alpha)/(2 alpha)) and rs = s rho s: the one place the
+    sandwiched state is formed.  At order 1, rs is rho itself: s = sigma^0
+    is the identity up to rounding, which would only add noise."""
     a = np.asarray(alpha, dtype=float)
     if not np.all((a > 0.0) & np.isfinite(a)):
         raise DomainError(f"order alpha={alpha} must be positive and finite")
     a = np.where(np.abs(a - 1.0) <= ALPHA_ONE_WINDOW, 1.0, a)
     outer = sigma_dec.power((1.0 - a) / a / 2.0)
-    # s = sigma^0 is the identity up to rounding, which would only add noise
-    rs = rho if a.ndim == 0 and a == 1.0 else mc.hermitize(outer @ rho @ outer)
+    if a.ndim == 0:
+        return a, outer, rho if a == 1.0 else mc.hermitize(outer @ rho @ outer)
+    one = a == 1.0
+    if not one.any():
+        return a, outer, mc.hermitize(outer @ rho @ outer)
+    if one.all():
+        return a, outer, np.broadcast_to(rho, np.broadcast_shapes(outer.shape, rho.shape))
+    return a, outer, np.where(one[..., None, None], rho, mc.hermitize(outer @ rho @ outer))
+
+
+def _trace_power(values: np.ndarray, a: np.ndarray):
+    """Z = tr rs^alpha over the spectrum clamped at zero, per state."""
+    return np.sum(np.maximum(values, 0.0) ** a[..., None], axis=-1)
+
+
+def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> SandwichedState:
+    """Form rs from sigma's decomposition and decompose it with one `eigh`.
+
+    `rho` is one (n, n) state or a (T, n, n) stack, and `alpha` one order
+    or an array of them, broadcast against the states: a stack at one
+    order, one state at several orders, or a stack with an order per
+    state.  Orders within ALPHA_ONE_WINDOW of 1 are taken as 1.  Every
+    order must be positive and finite.  The states are trusted: callers
+    validate rho, and sigma through the decomposition passed in.
+    """
+    a, outer, rs = _sandwich(rho, sigma_dec, alpha)
     dec = mc.SpectralDecomposition(*np.linalg.eigh(rs))
-    Z = np.sum(np.maximum(dec.values, 0.0) ** a[..., None], axis=-1)
-    return SandwichedState(alpha=a if a.ndim else float(a), outer=outer, dec=dec, sigma_dec=sigma_dec, Z=Z)
+    return SandwichedState(alpha=a if a.ndim else float(a), outer=outer, dec=dec, sigma_dec=sigma_dec,
+                           Z=_trace_power(dec.values, a))
+
+
+def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndarray:
+    """Z = tr rs^alpha of `sandwiched_state`, from the spectrum values of one
+    `eigvalsh` (no eigenvectors); the same arguments and broadcasting."""
+    a, _, rs = _sandwich(rho, sigma_dec, alpha)
+    return _trace_power(np.linalg.eigvalsh(rs), a)
 
 
 @dataclass(frozen=True)
@@ -295,15 +385,12 @@ def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: flo
     it reduces to the twisted multiplier of rho itself; at alpha = 2 it is
     (Z/2) times two-sided multiplication by sigma^(1/2).
     """
-    omega = np.asarray(omega, dtype=float)
     state = sandwiched_state(rho, sigma_dec, alpha)
     alpha, lam = state.alpha, state.positive_values()
-    m_num = _log_mean_kernel(lam, omega / alpha)
-    m_den = _log_mean_kernel(lam ** (alpha - 1.0), (alpha - 1.0) * omega / alpha)
     return RenyiMultiplier(
         state=state,
         outer_inv=sigma_dec.power((alpha - 1.0) / alpha / 2.0),
-        kernel_op=KernelOperator(lam, state.dec.vectors, m_num / m_den),
+        kernel_op=KernelOperator(lam, state.dec.vectors, _renyi_kernel(lam, np.asarray(omega, dtype=float), alpha)),
     )
 
 

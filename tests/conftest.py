@@ -3,6 +3,7 @@ import pytest
 
 from renyiflow import balance_check as bc
 from renyiflow import generator as gen
+from renyiflow import matcore as mc
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +47,27 @@ def eigensolves(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+
+    def count(fn) -> int:
+        calls.clear()
+        fn()
+        return len(calls)
+
+    return count
+
+
+@pytest.fixture()
+def validations(monkeypatch):
+    """Count state validations: `validations(fn)` calls fn and returns how
+    many `mc.require_density` calls it made."""
+    calls = []
+    real = mc.require_density
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "require_density", counting)
 
     def count(fn) -> int:
         calls.clear()

@@ -5,6 +5,7 @@ import pytest
 
 import renyiflow.cli as cli
 import renyiflow.matcore as mc
+import renyiflow.noncomm_ops as nco
 from renyiflow.cli import main, parse_alphas
 from renyiflow.errors import DomainError
 from renyiflow.generator import JumpTerms, qubit_xz_generator, random_gns_generator
@@ -231,6 +232,36 @@ class TestCommands:
             assert len(out.strip().splitlines()) == 4, argv
 
 
+class TestEntropyLadder:
+    """`compare --rho0 auto` scores its whole ladder toward sigma at once."""
+
+    @staticmethod
+    def sequential(G, eps, seed):
+        # the rung-by-rung search, each rung validated and decomposed on its own
+        w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
+        delta = 0.5
+        for k in range(60):
+            rho = mc.require_density((1.0 - delta) * G.sigma + delta * w, name="rho")
+            if nco.sandwiched_state(rho, G.sigma_dec, 1.0).divergence() <= 0.8 * eps:
+                return k, rho
+            delta *= 0.7
+        return None, None
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-6, 1e-10])
+    def test_picks_the_rung_of_the_sequential_search(self, eps, eigensolves, validations):
+        G = qubit_xz_generator()
+        k, want = self.sequential(G, eps, 5)
+        assert k is not None
+        assert np.array_equal(cli._shrink_to_entropy(G, eps, 5), want)
+        # one decomposition of the ladder checks and scores every rung
+        assert eigensolves(lambda: cli._shrink_to_entropy(G, eps, 5)) == 1
+        assert validations(lambda: cli._shrink_to_entropy(G, eps, 5)) == 0
+
+    def test_rung_index_varies_with_eps(self):
+        G = qubit_xz_generator()
+        assert len({self.sequential(G, eps, 5)[0] for eps in (0.1, 1e-3, 1e-6, 1e-10)}) == 4
+
+
 class TestConfigValues:
     """A config value passes through its option's own conversion, as if
     given on the command line; a bad value, or a key that names no option
@@ -368,6 +399,14 @@ class TestMalformedInputs:
             "negative-samples", "negative-starts"])
     def test_non_finite_or_negative_number(self, argv, capsys):
         self.assert_validation_exit(argv, capsys)
+
+    @pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf", "0.2"])
+    def test_compare_eps_outside_its_interval(self, eps, capsys):
+        # checked before the initial-state ladder: qubit-xz has smin^2/2 = 0.125
+        code, _, err = run(["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2", "--alpha1", "3",
+                            "--eps", eps], capsys)
+        assert code == 1
+        assert json.loads(err)["detail"] == f"eps={float(eps)} outside (0, 0.125)"
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_validate_non_finite_rate(self, rate, capsys):

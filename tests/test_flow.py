@@ -755,6 +755,31 @@ class TestComparisonSingleIntegration:
         rep = flow.comparison_check(G, rho0, 2.0, 3.0)
         assert calls == [rep.T]
 
+    def test_validates_and_decomposes_each_state_once(self, case, eigensolves, validations):
+        G, rho0 = case
+        G.gap  # the guaranteed K reads the cached gap
+        run = lambda: flow.comparison_check(G, rho0, 2.0, 4.0)  # noqa: E731
+        # integrate validates rho0 and takes the stored states' smallest
+        # eigenvalues; one stacked state of rho0 gives D0 and D_start; the
+        # monitor reads spectrum values; the final state is validated and
+        # decomposed for D_end
+        assert validations(run) == 2
+        assert eigensolves(run) == 6
+
+    def test_start_divergence_is_that_of_rho0(self, case):
+        G, rho0 = case
+        rep = flow.comparison_check(G, rho0, 2.0, 4.0)
+        assert rep.D_start == pytest.approx(dv.sandwiched_renyi(rho0, G.sigma, 2.0).value, rel=1e-13)
+
+    def test_entropy_ball_is_checked_after_integration(self, qubit_xz, monkeypatch):
+        far = np.diag([0.9, 0.1]).astype(complex)
+        calls = []
+        real = flow.integrate
+        monkeypatch.setattr(flow, "integrate", lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+        with pytest.raises(ValidationError, match="relative entropy"):
+            flow.comparison_check(qubit_xz, far, 2.0, 4.0)
+        assert len(calls) == 1
+
     def test_batched_functional_matches_per_state(self, rng):
         G = random_gns_generator(rng, 4, min_sigma_eig=0.3)
         rho0 = mc.random_density(rng, 4, floor=0.05)

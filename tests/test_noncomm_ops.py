@@ -5,6 +5,7 @@ import renyiflow.divergence as dv
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
 from renyiflow.errors import DomainError, SingularityError
+from renyiflow.generator import random_gns_generator
 
 from .oracles import (
     chain_rule_residual,
@@ -273,6 +274,99 @@ class TestSandwichedState:
         assert eigensolves(lambda: nco.sandwiched_state(rho, sigma_dec, 2.5)) == 1
         stack = np.array([rho, sigma, rho])
         assert eigensolves(lambda: nco.sandwiched_state(stack, sigma_dec, np.array([1.5, 2.0, 3.0]))) == 1
+
+    @staticmethod
+    def states(rho, count):
+        r = np.random.default_rng(rho.shape[0] + 40)
+        return np.array([mc.hermitize(0.7 * rho + 0.3 * mc.random_density(r, rho.shape[0])) for _ in range(count)])
+
+    @staticmethod
+    def assert_matches_per_state(stacked, states, sigma_dec, orders):
+        ref = [nco.sandwiched_state(s, sigma_dec, a) for s, a in zip(states, orders)]
+        D, dD = stacked.divergence(), stacked.derivative()
+        assert D.shape == (len(states),) and dD.shape == states.shape
+        np.testing.assert_allclose(D, [r.divergence() for r in ref], rtol=1e-13, atol=0.0)
+        for row, r in zip(dD, ref):
+            assert np.linalg.norm(row - r.derivative()) <= 1e-13 * np.linalg.norm(r.derivative())
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_stack_at_one_order_matches_per_state(self, pair, alpha):
+        rho, sigma = pair
+        sigma_dec, states = mc.density_spectrum(sigma), self.states(rho, 4)
+        stacked = nco.sandwiched_state(states, sigma_dec, alpha)
+        self.assert_matches_per_state(stacked, states, sigma_dec, [alpha] * len(states))
+
+    @pytest.mark.parametrize("alpha0", [1.5, 2.0, 4.0])
+    def test_mixed_order_stack_matches_per_state(self, pair, alpha0):
+        rho, sigma = pair
+        sigma_dec, states = mc.density_spectrum(sigma), self.states(rho, 4)
+        # 1 + 5e-7 lies inside ALPHA_ONE_WINDOW: the order-1 branch
+        orders = np.array([1.0, alpha0, 1.0 + 5e-7, alpha0])
+        stacked = nco.sandwiched_state(states, sigma_dec, orders)
+        assert stacked.alpha.tolist() == [1.0, alpha0, 1.0, alpha0]
+        self.assert_matches_per_state(stacked, states, sigma_dec, orders)
+
+    def test_one_state_at_several_orders(self, pair):
+        rho, sigma = pair
+        sigma_dec = mc.density_spectrum(sigma)
+        D = nco.sandwiched_state(rho, sigma_dec, [1.0, 2.5]).divergence()
+        ref = [nco.sandwiched_state(rho, sigma_dec, a).divergence() for a in (1.0, 2.5)]
+        np.testing.assert_allclose(D, ref, rtol=1e-13, atol=0.0)
+        # all orders at 1: rho itself, repeated
+        assert np.array_equal(nco.sandwiched_state(rho, sigma_dec, [1.0, 1.0]).divergence(), [ref[0]] * 2)
+
+    def test_trace_reads_the_values_only(self, pair, eigensolves, monkeypatch):
+        rho, sigma = pair
+        sigma_dec = mc.density_spectrum(sigma)
+        states, beta = self.states(rho, 5), np.array([1.5, 2.0, 2.5, 3.0, 7.0])
+        Z = nco.sandwiched_trace(states, sigma_dec, beta)
+        np.testing.assert_allclose(Z, nco.sandwiched_state(states, sigma_dec, beta).Z, rtol=1e-13, atol=0.0)
+        assert eigensolves(lambda: nco.sandwiched_trace(states, sigma_dec, beta)) == 1
+        monkeypatch.setattr(np.linalg, "eigh", None)  # no eigenvectors
+        nco.sandwiched_trace(states, sigma_dec, beta)
+
+
+class TestRenyiKernel:
+    """The closed-form multiplier kernel against the quotient of the two
+    logarithmic-mean kernels it replaced."""
+
+    @staticmethod
+    def two_kernel_quotient(lam, omega, alpha):
+        num = nco._log_mean_kernel(lam, omega / alpha)
+        return num / nco._log_mean_kernel(lam ** (alpha - 1.0), (alpha - 1.0) * omega / alpha)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.0, 6.0])
+    def test_matches_two_kernel_quotient(self, n, alpha):
+        r = np.random.default_rng(900 + n)
+        G = random_gns_generator(r, n, min_sigma_eig=0.1 / n)
+        rho = mc.random_density(r, n, floor=0.05)
+        M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
+        ref = self.two_kernel_quotient(M.state.positive_values(), G.omegas, alpha)
+        assert M.kernel_op.kernel.shape == ref.shape == (len(G.omegas), n, n)
+        assert np.max(np.abs(M.kernel_op.kernel / ref - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 2.0, 3.0, 6.0])
+    def test_degenerate_entries_are_the_power_of_the_mean(self, alpha):
+        lam = np.array([0.2, 0.2, 0.6])
+        k = nco._renyi_kernel(lam, 0.0, alpha)
+        np.testing.assert_allclose(np.diag(k), lam ** (2.0 - alpha), rtol=1e-15)
+        assert k[0, 1] == k[0, 0]
+
+    def test_tends_to_the_log_mean_at_order_one(self):
+        lam, omega = np.array([0.1, 0.3, 0.6]), np.array([-1.2, 0.0, 0.7])
+        near = nco._renyi_kernel(lam, omega, 1.0 + 1e-7)
+        np.testing.assert_allclose(near, nco._log_mean_kernel(lam, omega), rtol=1e-6)
+        assert np.array_equal(nco._renyi_kernel(lam, omega, 1.0), nco._log_mean_kernel(lam, omega))
+
+    def test_large_frequency_does_not_overflow(self):
+        # u = 1600: sinh(u/2) overflows, so the two-kernel quotient is inf
+        lam, alpha = np.array([0.5, 0.5]), 0.5
+        with np.errstate(over="ignore"):
+            assert np.isinf(self.two_kernel_quotient(lam, np.array(800.0), alpha)[0, 0])
+        k = nco._renyi_kernel(lam, 800.0, alpha)
+        # 0.5^1.5 * 0.5 sinh(800)/sinh(400), with sinh(t) = e^t/2 to double precision
+        assert k[0, 0] == pytest.approx(0.5**1.5 * 0.5 * np.exp(400.0), rel=1e-13)
 
 
 class TestMultiplierStack:
