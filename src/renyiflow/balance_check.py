@@ -32,9 +32,9 @@ def check_gns(G: Generator) -> float:
 def check_kms(G: Generator) -> float:
     """Relative Frobenius defect of conjugating the state-space generator
     by the half-power weighting back onto the observable-side generator;
-    the weighting is the kernel sqrt(lam_k lam_l) in sigma's eigenbasis."""
-    lam = G.sigma_dec.values
-    g = mc.vec(np.sqrt(np.outer(lam, lam)))
+    the weighting is the order-2 weight kernel sqrt(lam_k lam_l) in sigma's
+    eigenbasis."""
+    g = mc.vec(nco.weight_operator(G.sigma_dec, 2.0).kernel)
     resid = G.L_eig.conj().T * g / g[:, None] - G.L_eig
     return float(np.linalg.norm(resid) / max(np.linalg.norm(G.L_super), 1e-300))
 

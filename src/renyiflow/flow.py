@@ -495,8 +495,7 @@ def lsi_constants(
     # (unguarded) objectives are safe here: the states are controlled.
     raw = _lsi_objectives(G, denom_floor=1e-13)
     nu = gap_eigen_direction(G)
-    sig = G.sigma_dec
-    nu = nco.KernelOperator(sig.values, sig.vectors, nco._log_mean_kernel(sig.values, 0.0)).apply(nu)
+    nu = nco.weight_operator(G.sigma_dec, 1.0).apply(nu)
     nu = mc.hermitize(nu - (np.trace(nu) / G.n) * np.eye(G.n))
     nu /= np.linalg.norm(nu)
     eps = 1e-3 * smin
@@ -632,9 +631,10 @@ def hypercontractivity_monitor(
     numerical violation.  The flow is integrated once, over the whole
     window, and `integrate` is the one validation of rho0; its final state
     is returned with the samples.  The order-1 divergence D0 <= eps is then
-    checked, and D0 and the order-alpha0 divergence D_start of rho0 come
-    from one stacked sandwiched state.  The functional reads only the
-    spectrum values of the sandwiched states along the trajectory.
+    checked; D0 and the order-alpha0 divergence D_start of rho0 come from
+    two sandwiched states, each at a scalar order.  The functional reads
+    only the spectrum values of the sandwiched states along the
+    trajectory, stacked with an order per state.
     """
     if not 1.0 < alpha0 <= alpha1 < np.inf:
         raise DomainError(f"need 1 < alpha0 <= alpha1 < inf, got ({alpha0}, {alpha1})")
@@ -648,7 +648,7 @@ def hypercontractivity_monitor(
     dt = suggested_dt(G)
     store = max(1, int(np.ceil(T / dt / n_samples)))
     traj = integrate(G, rho0, T, dt, store_every=store)
-    D0, D_start = nco.sandwiched_state(traj.states[0], G.sigma_dec, [1.0, alpha0]).divergence()
+    D0, D_start = (nco.sandwiched_state(traj.states[0], G.sigma_dec, a).divergence() for a in (1.0, alpha0))
     if D0 > eps:
         raise ValidationError(f"initial relative entropy {D0:.3e} exceeds the required bound eps={eps:.3e}")
     beta = 1.0 + (alpha0 - 1.0) * np.exp(2.0 * K * eta * traj.times)

@@ -30,14 +30,12 @@ import numpy as np
 from . import matcore as mc
 from .errors import DomainError, SingularityError
 
-# relative spacing below which two eigenvalues count as one degenerate level
-DEGENERACY_RTOL = 1e-10
-
 # floor inside logarithms for rank-deficient (but PSD-valid) states
 LOG_FLOOR = 1e-14
 
-# orders inside this window of 1 are taken as 1 (the relative-entropy
-# branch); the 1/(alpha-1) prefactor loses precision closer in
+# a scalar order inside this window of 1 is taken as 1 (the relative-entropy
+# branch), and an array of orders must stay outside it; the 1/(alpha-1)
+# prefactor loses precision closer in
 ALPHA_ONE_WINDOW = 1e-6
 
 
@@ -110,23 +108,28 @@ def _log_ratio(lam: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray]:
     return u, np.sqrt(lam[:, None] * lam[None, :])
 
 
+def _sinh_ratio(x: np.ndarray, alpha: float) -> np.ndarray:
+    """c sinh(x) / sinh(c x) with c = alpha - 1 != 0, and 1 at x = 0: the one
+    closed form of the multiplier and weight kernels.  Evaluated as
+    |c| e^((1-|c|) |x|) expm1(-2|x|) / expm1(-2|c| |x|), with 1 - |c| =
+    min(alpha, 2 - alpha) formed without cancellation: nothing overflows,
+    small x keeps full precision, and alpha = 2 gives exactly 1."""
+    x, c = np.abs(x), abs(alpha - 1.0)
+    num = c * np.exp(min(alpha, 2.0 - alpha) * x) * np.expm1(-2.0 * x)
+    return np.divide(num, np.expm1(-2.0 * c * x), out=np.ones_like(x), where=x != 0.0)
+
+
 def _renyi_kernel(lam: np.ndarray, omega, alpha: float) -> np.ndarray:
     """Kernel of the order-alpha multiplication operator in the sandwiched
     state's eigenbasis: the quotient of the log-mean kernels of lam at
     omega/alpha and of lam^(alpha-1) at (alpha-1) omega/alpha, in closed
     form geo^(2-alpha) (alpha-1) sinh(u/2) / sinh((alpha-1) u/2) with
-    u = omega/alpha + log lam_k - log lam_l.  With x = |u|/2 and
-    y = |alpha-1| x it is evaluated as |alpha-1| e^(x-y) expm1(-2x) /
-    expm1(-2y): nothing overflows (e^(x-y) <= e^(|omega|/2)
-    (lam_max/lam_min)^(1/2)), small x keeps full precision, and u = 0
-    gives 1.  At order 1 it is the log-mean kernel of lam at omega."""
+    u = omega/alpha + log lam_k - log lam_l (`_sinh_ratio`).  At order 1
+    it is the log-mean kernel of lam at omega."""
     if alpha == 1.0:
         return _log_mean_kernel(lam, omega)
     u, geo = _log_ratio(lam, np.asarray(omega) / alpha)
-    x = 0.5 * np.abs(u)
-    y = abs(alpha - 1.0) * x
-    num = abs(alpha - 1.0) * np.exp(x - y) * np.expm1(-2.0 * x)
-    return geo ** (2.0 - alpha) * np.divide(num, np.expm1(-2.0 * y), out=np.ones_like(u), where=x != 0.0)
+    return geo ** (2.0 - alpha) * _sinh_ratio(0.5 * u, alpha)
 
 
 def log_mean_multiplier(X, omega: float = 0.0) -> KernelOperator:
@@ -153,8 +156,9 @@ class SandwichedState:
     the multiplication operator's kernels.  The eigenvectors carry LAPACK's
     arbitrary phases, so every consumer is phase-invariant.  A (T, n, n)
     stack gives T-leading fields, at one order or at an order per state;
-    `divergence` and `derivative` then return one value per state, on the
-    order-1 branch for the states whose order is 1.
+    `divergence` and `derivative` then return one value per state.  Only a
+    scalar order takes the order-1 branch: an array of orders stays clear
+    of 1.
     """
 
     alpha: float | np.ndarray
@@ -166,32 +170,12 @@ class SandwichedState:
     def positive_values(self) -> np.ndarray:
         return _require_positive(self.dec.values, "sandwiched state")
 
-    def _order_one(self) -> bool | None:
-        """Whether the states take the order-1 branch; None for a stack
-        that mixes order 1 with other orders."""
-        if isinstance(self.alpha, float):
-            return self.alpha == 1.0
-        one = self.alpha == 1.0
-        return bool(one[0]) if (one == one[0]).all() else None
-
-    def _by_branch(self, fn) -> np.ndarray:
-        """`fn` of the order-1 states and of the others of a mixed stack,
-        merged in stack order."""
-        one = self.alpha == 1.0
-        parts = [fn(SandwichedState(self.alpha[rows], self.outer[rows],
-                                    mc.SpectralDecomposition(self.dec.values[rows], self.dec.vectors[rows]),
-                                    self.sigma_dec, self.Z[rows]))
-                 for rows in (one, ~one)]
-        out = np.empty(one.shape + parts[0].shape[1:], dtype=parts[0].dtype)
-        out[one], out[~one] = parts
-        return out
+    def _order_one(self) -> bool:
+        return isinstance(self.alpha, float) and self.alpha == 1.0
 
     def divergence(self) -> float | np.ndarray:
         """D_alpha = log Z / (alpha-1); tr rho (log rho - log sigma) at alpha = 1."""
-        one = self._order_one()
-        if one is None:
-            return self._by_branch(SandwichedState.divergence)
-        if not one:
+        if not self._order_one():
             D = np.log(self.Z) / (self.alpha - 1.0)
         else:
             lam = np.maximum(self.dec.values, 0.0)
@@ -206,11 +190,8 @@ class SandwichedState:
         """Functional derivative of D_alpha in rho: alpha/(alpha-1) s
         rs^(alpha-1) s / Z, and log rho - log sigma at alpha = 1."""
         lam = self.positive_values()
-        one = self._order_one()
-        if one is None:
-            return self._by_branch(SandwichedState.derivative)
         a = self.alpha
-        if one:
+        if self._order_one():
             sig = self.sigma_dec
             out = self.dec.reconstruct(np.log(lam)) - sig.reconstruct(np.log(sig.values))
         else:
@@ -243,23 +224,18 @@ def _per_state(x, trailing: int):
 
 
 def _sandwich(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checked orders, with those within ALPHA_ONE_WINDOW of 1 taken as
-    1, s = sigma^((1-alpha)/(2 alpha)) and rs = s rho s: the one place the
-    sandwiched state is formed.  At order 1, rs is rho itself: s = sigma^0
-    is the identity up to rounding, which would only add noise."""
+    """The checked orders, s = sigma^((1-alpha)/(2 alpha)) and rs = s rho s:
+    the one place the sandwiched state is formed.  A scalar order within
+    ALPHA_ONE_WINDOW of 1 is taken as 1, and rs is then rho itself: s =
+    sigma^0 is the identity up to rounding, which would only add noise.
+    An array of orders is taken as it is."""
     a = np.asarray(alpha, dtype=float)
     if not np.all((a > 0.0) & np.isfinite(a)):
         raise DomainError(f"order alpha={alpha} must be positive and finite")
-    a = np.where(np.abs(a - 1.0) <= ALPHA_ONE_WINDOW, 1.0, a)
+    if a.ndim == 0 and abs(a - 1.0) <= ALPHA_ONE_WINDOW:
+        return np.asarray(1.0), sigma_dec.power(0.0), rho
     outer = sigma_dec.power((1.0 - a) / a / 2.0)
-    if a.ndim == 0:
-        return a, outer, rho if a == 1.0 else mc.hermitize(outer @ rho @ outer)
-    one = a == 1.0
-    if not one.any():
-        return a, outer, mc.hermitize(outer @ rho @ outer)
-    if one.all():
-        return a, outer, np.broadcast_to(rho, np.broadcast_shapes(outer.shape, rho.shape))
-    return a, outer, np.where(one[..., None, None], rho, mc.hermitize(outer @ rho @ outer))
+    return a, outer, mc.hermitize(outer @ rho @ outer)
 
 
 def _trace_power(values: np.ndarray, a: np.ndarray):
@@ -273,11 +249,15 @@ def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> Sandwic
     `rho` is one (n, n) state or a (T, n, n) stack, and `alpha` one order
     or an array of them, broadcast against the states: a stack at one
     order, one state at several orders, or a stack with an order per
-    state.  Orders within ALPHA_ONE_WINDOW of 1 are taken as 1.  Every
-    order must be positive and finite.  The states are trusted: callers
-    validate rho, and sigma through the decomposition passed in.
+    state.  Every order must be positive and finite.  A scalar order
+    within ALPHA_ONE_WINDOW of 1 is taken as 1; an array of orders must
+    stay outside that window, where the 1/(alpha-1) prefactor loses
+    precision (DomainError).  The states are trusted: callers validate
+    rho, and sigma through the decomposition passed in.
     """
     a, outer, rs = _sandwich(rho, sigma_dec, alpha)
+    if a.ndim and np.any(np.abs(a - 1.0) <= ALPHA_ONE_WINDOW):
+        raise DomainError(f"orders {alpha} reach within {ALPHA_ONE_WINDOW} of 1; take order 1 as a scalar")
     dec = mc.SpectralDecomposition(*np.linalg.eigh(rs))
     return SandwichedState(alpha=a if a.ndim else float(a), outer=outer, dec=dec, sigma_dec=sigma_dec,
                            Z=_trace_power(dec.values, a))
@@ -285,7 +265,8 @@ def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> Sandwic
 
 def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndarray:
     """Z = tr rs^alpha of `sandwiched_state`, from the spectrum values of one
-    `eigvalsh` (no eigenvectors); the same arguments and broadcasting."""
+    `eigvalsh` (no eigenvectors); the same arguments and broadcasting.  Z
+    has no 1/(alpha-1) factor, so an array of orders may come near 1."""
     a, _, rs = _sandwich(rho, sigma_dec, alpha)
     return _trace_power(np.linalg.eigvalsh(rs), a)
 
@@ -398,53 +379,19 @@ def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: flo
 
 
 def _weight_kernel(lam: np.ndarray, alpha: float) -> np.ndarray:
-    """Closed-form weight coefficients in the eigenbasis of sigma.
-
-    All orders unify as geo * (a-1) sinh(x) / sinh((a-1) x) with
-    x = (log l_k - log l_j)/(2a); explicit closed forms are kept for the
-    degenerate diagonal, alpha = 1 (logarithmic mean), alpha = 2
-    (geometric mean), alpha = 0 (max) and alpha = infinity.
-    """
-    loglam = np.log(lam)
-    g = loglam[:, None] - loglam[None, :]
-    geo = np.sqrt(lam[:, None] * lam[None, :])
-    degenerate = np.abs(g) <= DEGENERACY_RTOL
-    mean = 0.5 * (lam[:, None] + lam[None, :])
-
+    """Closed-form weight coefficients in the eigenbasis of sigma:
+    geo (alpha-1) sinh(x) / sinh((alpha-1) x) with x = (log lam_k -
+    log lam_l)/(2 alpha) (`_sinh_ratio`), and its limits at alpha = 0 (the
+    max), alpha = 1 (the logarithmic mean) and alpha = infinity
+    (lam_k lam_l over the logarithmic mean)."""
     if alpha == 0.0:
-        f = np.maximum(lam[:, None], lam[None, :])
-        return np.where(degenerate, mean, f)
-    if np.isinf(alpha):
-        half = 0.5 * g
-        f = np.empty_like(g)
-        mask = ~degenerate
-        f[mask] = geo[mask] * half[mask] / np.sinh(half[mask])
-        return np.where(degenerate, mean, f)
+        return np.maximum(lam[:, None], lam[None, :])
     if alpha == 1.0:
-        half = 0.5 * g
-        f = np.empty_like(g)
-        mask = ~degenerate
-        f[mask] = geo[mask] * np.sinh(half[mask]) / half[mask]
-        return np.where(degenerate, mean, f)
-    if alpha == 2.0:
-        return np.where(degenerate, mean, geo)
-
-    # (a-1) sinh(x)/sinh((a-1)x) evaluated through log|sinh| so that tiny
-    # orders (x ~ g/2a huge) cannot overflow; the sign product collapses to
-    # |a-1| since sinh is odd
-    x = g / (2.0 * alpha)
-    y = (alpha - 1.0) * x
-    f = np.empty_like(g)
-    mask = ~degenerate
-
-    def log_sinh_abs(t):
-        t = np.abs(t)
-        return t + np.log1p(-np.exp(-2.0 * t)) - np.log(2.0)
-
-    f[mask] = geo[mask] * np.abs(alpha - 1.0) * np.exp(
-        log_sinh_abs(x[mask]) - log_sinh_abs(y[mask])
-    )
-    return np.where(degenerate, mean, f)
+        return _log_mean_kernel(lam, 0.0)
+    if np.isinf(alpha):
+        return lam[:, None] * lam[None, :] / _log_mean_kernel(lam, 0.0)
+    g, geo = _log_ratio(lam, 0.0)
+    return geo * _sinh_ratio(g / (2.0 * alpha), alpha)
 
 
 def weight_operator(sigma_dec: mc.SpectralDecomposition, alpha: float) -> KernelOperator:

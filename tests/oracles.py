@@ -8,6 +8,7 @@ stacked or closed-form equivalents are kept here in their term-by-term
 form as references.
 """
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -333,6 +334,33 @@ def lindblad_superop_by_term(terms):
         V, Vd, w = t.V, t.V.conj().T, np.exp(-t.omega / 2.0)
         VdV = Vd @ V
         out += w * (2.0 * np.kron(V.T, Vd) - np.kron(eye, VdV) - np.kron(VdV.T, eye))
+    return out
+
+
+# --- the order-alpha weight kernel in high precision ---------------------------
+
+
+def weight_kernel_by_mpmath(lam, alpha, dps=40):
+    """The order-alpha weight kernel of the eigenvalues lam, entry by entry
+    in `dps`-digit arithmetic from the definition: sqrt(l_k l_l) (a-1)
+    sinh(x) / sinh((a-1) x) with x = log(l_k / l_l) / (2a), the logarithmic
+    mean L(l_k, l_l) at a = 1 and l_k l_l / L(l_k, l_l) at a = infinity."""
+    n = len(lam)
+    out = np.empty((n, n))
+    with mpmath.workdps(dps):
+        for k in range(n):
+            for l in range(n):
+                lk, ll = mpmath.mpf(lam[k]), mpmath.mpf(lam[l])
+                logmean = (lk - ll) / (mpmath.log(lk) - mpmath.log(ll)) if lk != ll else lk
+                if alpha == 1.0:
+                    v = logmean
+                elif np.isinf(alpha):
+                    v = lk * ll / logmean
+                else:
+                    a = mpmath.mpf(alpha)
+                    x = mpmath.log(lk / ll) / (2 * a)
+                    v = mpmath.sqrt(lk * ll) * ((a - 1) * mpmath.sinh(x) / mpmath.sinh((a - 1) * x) if x else 1)
+                out[k, l] = float(v)
     return out
 
 

@@ -10,7 +10,7 @@ from renyiflow.cli import main, parse_alphas
 from renyiflow.errors import DomainError
 from renyiflow.generator import JumpTerms, qubit_xz_generator, random_gns_generator
 
-from .oracles import jump_term
+from .oracles import jump_term, norm_functional_by_state
 
 
 def run(argv, capsys):
@@ -170,6 +170,28 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
+
+    def test_compare_start_order_inside_the_order_one_window(self, capsys):
+        # alpha0 = 1 + 1e-7 lies within ALPHA_ONE_WINDOW of 1: D_start is the
+        # relative entropy, and the monitor's order stack beta(t) starts
+        # inside the window
+        code, out, _ = run(["compare", "--generator", "builtin:qubit-xz", "--alpha0", "1.0000001",
+                            "--alpha1", "3"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert doc["D_start"] == 0.01674664943948212
+        assert doc["max_forward_increase"] <= 1e-14
+        # such an order stack has no divergence, which divides by alpha - 1,
+        # but its trace power Z has no such factor
+        G = qubit_xz_generator()
+        rho = mc.hermitize(0.7 * G.sigma + 0.3 * mc.random_density(np.random.default_rng(3), 2))
+        orders = np.array([1.0000001, 2.0, 3.0])
+        with pytest.raises(DomainError):
+            nco.sandwiched_state(rho, G.sigma_dec, orders)
+        F = np.log(nco.sandwiched_trace(rho, G.sigma_dec, orders)) / orders
+        ref = [norm_functional_by_state(rho, G.sigma, b) for b in orders]
+        np.testing.assert_allclose(F, ref, rtol=1e-12, atol=1e-15)
 
     def test_unknown_command_usage_exit(self, capsys):
         assert main(["frobnicate"]) == 64

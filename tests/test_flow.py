@@ -760,11 +760,11 @@ class TestComparisonSingleIntegration:
         G.gap  # the guaranteed K reads the cached gap
         run = lambda: flow.comparison_check(G, rho0, 2.0, 4.0)  # noqa: E731
         # integrate validates rho0 and takes the stored states' smallest
-        # eigenvalues; one stacked state of rho0 gives D0 and D_start; the
-        # monitor reads spectrum values; the final state is validated and
-        # decomposed for D_end
+        # eigenvalues; two states of rho0, one per scalar order, give D0
+        # and D_start; the monitor reads spectrum values; the final state
+        # is validated and decomposed for D_end
         assert validations(run) == 2
-        assert eigensolves(run) == 6
+        assert eigensolves(run) == 7
 
     def test_start_divergence_is_that_of_rho0(self, case):
         G, rho0 = case
