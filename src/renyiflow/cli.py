@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
+MAX_RANGE_ORDERS = 10_000  # orders an alpha range start:stop:step may span
 
 
 def _fmt(x: float) -> str:
@@ -72,8 +73,10 @@ def parse_alphas(spec: str) -> list[float]:
         start, stop, step = (_number(p, "alpha range") for p in parts)
         if not np.all(np.isfinite([start, stop, step])) or step <= 0:
             raise DomainError(f"range needs finite bounds and a positive step in {spec!r}")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        vals = [start + k * step for k in range(count)]
+        count = np.floor((stop - start) / step + 1e-9) + 1.0
+        if not count <= MAX_RANGE_ORDERS:  # also an infinite count, before any list is built
+            raise DomainError(f"range {spec!r} spans {count:.3g} orders, above the cap of {MAX_RANGE_ORDERS}")
+        vals = [start + k * step for k in range(int(count))]
     else:
         vals = [_number(p, "alpha") for p in spec.split(",") if p.strip()]
     if not vals:

@@ -60,9 +60,9 @@ def _project(rho: np.ndarray) -> np.ndarray:
 
 def suggested_dt(G: Generator) -> float:
     """Default sampling step: min(0.05, 1.5/s, (1.2e-6)^(1/4) / s^(5/4))
-    with s the spectral norm of the state-space superoperator, so faster
-    generators are sampled more finely."""
-    nrm = float(np.linalg.norm(G.Ldag_super, 2))
+    with s the spectral norm of the state-space superoperator (the largest
+    singular value in `G.L_svd`), so faster generators are sampled more finely."""
+    nrm = float(G.L_svd[0][0])
     if nrm == 0.0:
         return 0.05
     dt = (120.0 * 1e-8) ** 0.25 / nrm**1.25
@@ -73,20 +73,17 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
     """Evolve a state to t_end and store it on a fixed sampling grid.
 
     The grid has steps of dt, shortened at the end to reach t_end; every
-    `store_every`-th grid point and t_end are stored.  The flow is linear
-    and autonomous, so the stored states on the uniform part of the grid
-    are the powers P^k vec(rho0) of one interval propagator
-    P = expm(store_every dt Ldag_super), formed by doubling: the last m
-    filled states, propagated by P^m, give the next m, and P^m becomes
-    P^2m.  P^m is squared only while the squaring (n^2 matvecs) costs no
-    more than one matvec per block product still to come (m n^2 <= the
-    states left), so for T stored states the squarings cost at most T
-    matvecs; at T = 201 the loop runs 9 times at n = 2, 51 at n = 8 and
-    once per state at n = 16.  The last, shorter interval is its own
-    expm.  Each state is then projected to Hermitian unit trace in one
-    stacked step; `states[0]` is the validated rho0 itself.  One stacked
-    eigensolve gives each stored state's smallest eigenvalue, kept on the
-    trajectory; one below -POSITIVITY_TOL raises IntegrationError.
+    `store_every`-th grid point and t_end are stored.  In the modes V, Lam
+    of `G.spectrum` (-L after the kernel q = (lam_k lam_l)^(1/4) in sigma's
+    eigenbasis U) the flow is diagonal, vec(U* rho(t) U) =
+    q o V e^(-Lam t) V* (vec(U* rho0 U) / q), so all stored states come
+    from one product with the n^2 x n^2 matrix whose row k holds the
+    state-space mode U unvec(q o V_k) U*; no expm.  A generator without
+    that spectrum (no sigma, or asymmetric beyond TOL_SELFADJOINT) takes
+    one expm(t Ldag_super) per stored time.  The states are projected to
+    Hermitian unit trace in one stacked step; `states[0]` is the validated
+    rho0.  One stacked eigensolve gives each state's smallest eigenvalue,
+    kept on the trajectory; one below -POSITIVITY_TOL raises IntegrationError.
     """
     if not 0.0 < dt < np.inf:
         raise DomainError(f"dt={dt} must be positive and finite")
@@ -98,27 +95,21 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
         raise DomainError(f"t_end/dt={t_end / dt:.3g} steps: the step count must be below 2**53")
     rho0 = _validated(G, rho0, name="rho0")
     times = np.array([0.0])
-    W = mc.vec(rho0)[None, :]  # one row vec(rho) per stored state
     if t_end > 0.0:
         n_steps = max(1, int(np.ceil(t_end / dt - 1e-9)))
         # grid points store_every, 2 store_every, ... strictly before the last
         n_full = (n_steps - 1) // store_every
         times = np.concatenate(([0.0], np.arange(1, n_full + 1) * store_every * dt, [t_end]))
-        S = G.Ldag_super
-        W = np.concatenate((W, np.empty((n_full + 1, W.shape[1]), np.result_type(W, S))))
-        if n_full:
-            # rows :k are filled; Q is the transposed interval propagator to the m-th power
-            Q, k, m = expm(store_every * dt * S).T, 1, 1
-            while k <= n_full:
-                r = min(m, n_full + 1 - k)
-                W[k : k + r] = W[k - m : k - m + r] @ Q
-                k += r
-                # square only while that costs no more than one matvec per block product left
-                if m * G.n**2 <= n_full + 1 - k:
-                    Q, m = Q @ Q, 2 * m
-        W[-1] = expm((t_end - times[-2]) * S) @ W[-2]
-
-    states = np.ascontiguousarray(_project(mc.unvec(W.T, G.n)))
+    try:
+        spec, U, lam = G.spectrum, G.sigma_dec.vectors, G.sigma_dec.values
+    except ValidationError:
+        rhos = mc.unvec(np.array([expm(t * G.Ldag_super) @ mc.vec(rho0) for t in times]).T, G.n)
+    else:
+        q = mc.vec(np.outer(lam, lam) ** 0.25)
+        modes = U @ mc.unvec(q[:, None] * spec.vectors, G.n) @ U.conj().T  # mode k as a state-space matrix
+        c = spec.vectors.conj().T @ (mc.vec(U.conj().T @ rho0 @ U) / q)
+        rhos = (np.exp(-np.outer(times, spec.values)) * c) @ modes.reshape(len(modes), -1)
+    states = np.ascontiguousarray(_project(rhos.reshape(-1, G.n, G.n)))
     states[0] = rho0
     wmin = np.linalg.eigvalsh(states)[:, 0]
     bad = np.flatnonzero(wmin < -POSITIVITY_TOL)

@@ -254,9 +254,18 @@ class Generator:
         return out
 
     @cached_property
+    def L_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only descending singular values and right singular vectors (rows of vh) of
+        `L_super`: `check_primitive` reads the kernel, `trace_norm` the sum, `flow.suggested_dt` the largest."""
+        _, s, vh = np.linalg.svd(self.L_super)
+        for arr in (s, vh):
+            arr.setflags(write=False)
+        return s, vh
+
+    @cached_property
     def trace_norm(self) -> float:
         """Schatten-1 norm of L, the scale of the order-alpha residuals."""
-        return mc.trace_norm(self.L_super)
+        return float(self.L_svd[0].sum())
 
     @cached_property
     def spectrum(self) -> mc.SpectralDecomposition:
@@ -388,18 +397,14 @@ def check_primitive(G: Generator) -> PrimitivityReport:
 
     Primitive iff the kernel is one-dimensional and spanned by the
     identity; singular values below 1e-9 of the largest count as zero.
+    A unit kernel element K spans the identity iff |<I / sqrt(n), K>| =
+    |tr K| / sqrt(n) is 1.
     """
-    u, s, vh = np.linalg.svd(G.L_super)
-    scale = max(s[0], 1e-300)
-    null = s <= ZERO_MODE_RTOL * scale
-    kernel = [mc.unvec(vh[k].conj(), G.n) for k in range(s.size) if null[k]]
-    dim = len(kernel)
-    primitive = False
-    if dim == 1:
-        v = mc.vec(kernel[0])
-        overlap = abs(np.vdot(mc.vec(np.eye(G.n)) / np.sqrt(G.n), v / np.linalg.norm(v)))
-        primitive = overlap >= 1.0 - 1e-8
-    return PrimitivityReport(primitive=primitive, kernel_dim=dim, kernel=kernel)
+    s, vh = G.L_svd
+    null = s <= ZERO_MODE_RTOL * max(s[0], 1e-300)
+    kernel = [mc.unvec(v.conj(), G.n) for v in vh[null]]
+    primitive = len(kernel) == 1 and abs(np.trace(kernel[0])) / np.sqrt(G.n) >= 1.0 - 1e-8
+    return PrimitivityReport(primitive=bool(primitive), kernel_dim=len(kernel), kernel=kernel)
 
 
 @dataclass(frozen=True)

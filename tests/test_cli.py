@@ -6,7 +6,7 @@ import pytest
 import renyiflow.cli as cli
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
-from renyiflow.cli import main, parse_alphas
+from renyiflow.cli import MAX_RANGE_ORDERS, main, parse_alphas
 from renyiflow.errors import DomainError
 from renyiflow.generator import JumpTerms, qubit_xz_generator, random_gns_generator
 
@@ -66,6 +66,19 @@ class TestParsing:
     def test_rejects_nan_and_unbounded_ranges(self, spec):
         with pytest.raises(DomainError):
             parse_alphas(spec)
+
+    @pytest.mark.parametrize("spec", ["0.1:1e308:1e-300", "0.1:1e9:1e-6", "-1e308:1e308:1"])
+    def test_rejects_range_beyond_the_order_cap(self, spec):
+        # an infinite or huge count is refused before any list is built
+        with pytest.raises(DomainError, match="above the cap"):
+            parse_alphas(spec)
+
+    def test_range_at_the_order_cap(self):
+        assert len(parse_alphas(f"1:{MAX_RANGE_ORDERS}:1")) == MAX_RANGE_ORDERS
+
+    def test_overflowing_range_exits_one(self, capsys):
+        code, _, err = run(["fig1", "--generator", "builtin:carlen-maas", "--alphas", "0.1:1e308:1e-300"], capsys)
+        assert code == 1 and "above the cap" in json.loads(err)["detail"]
 
     def test_keeps_infinite_order(self):
         # the detailed-balance weight kernel is defined at alpha = infinity

@@ -8,6 +8,7 @@ import renyiflow.noncomm_ops as nco
 from renyiflow.balance_check import carlen_maas_counterexample
 from renyiflow.errors import DomainError, SingularityError, StructuralError, ValidationError
 from renyiflow.generator import (
+    Generator,
     JumpTerms,
     build_gns,
     depolarizing_generator,
@@ -141,8 +142,7 @@ class TestBlockedPropagation:
 
     @pytest.mark.parametrize("n_full", [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17])
     def test_every_stored_state_near_a_power_of_two(self, qubit_xz, n_full):
-        # with n^2 = 4 the squaring stops at m = 1, 2 or 4 (m n^2 > states left), and
-        # blocks of that width, the last one possibly partial, fill the remaining states
+        # interval counts around powers of two, with a shorter last interval
         rho0 = mc.random_density(np.random.default_rng(31), 2, floor=0.05)
         traj = flow.integrate(qubit_xz, rho0, (3 * n_full + 1.5) * 0.02, 0.02, store_every=3)
         assert len(traj.times) == n_full + 2
@@ -151,6 +151,7 @@ class TestBlockedPropagation:
 
     @pytest.mark.parametrize("t_end, store_every", [(0.0, 1), (0.05, 1), (1.0, 10**9), (3.0, 1), (40.0, 1)])
     def test_fixed_work_whatever_the_interval_count(self, qubit_xz, monkeypatch, t_end, store_every):
+        qubit_xz.spectrum  # its first read hermitizes; read it before counting
         expms, projections = [], []
         real_expm, real_hermitize = flow.expm, mc.hermitize
 
@@ -165,9 +166,23 @@ class TestBlockedPropagation:
         monkeypatch.setattr(flow, "expm", counting_expm)
         monkeypatch.setattr(mc, "hermitize", counting_hermitize)
         traj = flow.integrate(qubit_xz, np.eye(2) / 2.0, t_end, 0.01, store_every=store_every)
-        assert len(expms) <= 2
+        # the half-weighted spectrum gives every state: no expm
+        assert expms == []
         # rho0's validation, then one projection of the whole stack
         assert projections == [(2, 2), (len(traj.times), 2, 2)]
+
+    def test_generator_without_spectrum_matches_expm_oracle(self):
+        # no sigma, so no half-weighted spectrum: uniform relaxation toward the
+        # positive tau takes one expm per stored time
+        tau = np.diag([0.2, 0.3, 0.5]).astype(complex)
+        G = Generator(None, np.outer(mc.vec(np.eye(3)), mc.vec(tau).conj()) - np.eye(9))
+        with pytest.raises(ValidationError, match="stationary state"):
+            G.spectrum
+        rho0 = mc.random_density(np.random.default_rng(37), 3, floor=0.05)
+        traj = flow.integrate(G, rho0, 3.05, 0.1, store_every=3)
+        assert len(traj.times) == 12
+        ref = propagate_by_expm(G, rho0, traj.times)
+        assert max(np.linalg.norm(s - r) for s, r in zip(traj.states, ref)) <= 1e-12
 
     def test_states_are_one_stack_starting_at_rho0(self, rng):
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
@@ -179,7 +194,8 @@ class TestBlockedPropagation:
 
     def test_suggested_dt_from_the_spectral_norm(self, rng):
         G = random_gns_generator(rng, 4, min_sigma_eig=0.15)
-        nrm = float(np.linalg.norm(G.Ldag_super, 2))
+        nrm = float(G.L_svd[0][0])  # the largest singular value, of L and of Ldag
+        assert nrm == pytest.approx(np.linalg.norm(G.Ldag_super, 2), rel=1e-14)
         assert flow.suggested_dt(G) == min(0.05, (120.0 * 1e-8) ** 0.25 / nrm**1.25, 1.5 / nrm)
 
 

@@ -6,7 +6,7 @@ import pytest
 import renyiflow.balance_check as bc
 import renyiflow.matcore as mc
 from renyiflow.errors import StructuralError, ValidationError
-from renyiflow.flow import generic_initial_state, poincare_check
+from renyiflow.flow import generic_initial_state, poincare_check, suggested_dt
 from renyiflow.generator import (
     Generator,
     JumpTerms,
@@ -281,6 +281,16 @@ class TestPrimitivity:
     def test_xz_pair_primitive(self, qubit_xz):
         assert check_primitive(qubit_xz).primitive
         assert brute_force_commutant_dim([SX, SZ], 2) == 1
+
+    def test_one_svd_serves_primitivity_trace_norm_and_dt(self, rng, monkeypatch):
+        G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
+        ref = mc.trace_norm(G.L_super)
+        calls, real = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        rep, tn, _ = check_primitive(G), G.trace_norm, suggested_dt(G)
+        check_primitive(G), suggested_dt(G)
+        assert calls == [1]
+        assert rep.primitive and tn == pytest.approx(ref, rel=1e-14)
 
 
 class TestSpectralGap:
