@@ -232,10 +232,8 @@ def cmd_simulate(args) -> int:
     alphas = parse_alphas(args.alphas)
     store = max(1, args.store_every)
     traj = flow.integrate(G, rho0, args.t_end, args.dt, store_every=store)
-    table = flow.divergence_trace(traj, alphas)
-    lines = ["t,alpha,D,I"]
-    lines += [f"{_fmt(t)},{_fmt(a)},{_fmt(D)},{_fmt(I)}" for t, a, D, I in table.rows()]
-    emit(args.out, "\n".join(lines) + "\n")
+    rows = flow.divergence_trace(traj, alphas).rows()
+    emit(args.out, "t,alpha,D,I\n" + ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
     return EXIT_OK
 
 
@@ -283,15 +281,22 @@ _LADDER = np.cumprod(np.r_[0.5, np.full(59, 0.7)])[:, None, None]
 def _shrink_to_entropy(G: Generator, eps: float, seed: int) -> np.ndarray:
     """The first state of the ladder (1 - delta_k) sigma + delta_k w
     (weights `_LADDER`) toward sigma from a random state w whose relative
-    entropy is at most 0.8 eps.  Every rung is checked as a density matrix
-    and scored from one stacked decomposition of the ladder."""
+    entropy is at most 0.8 eps.  Rung k has chi^2 = delta_k^2 chi^2(w), with
+    chi^2(w) = ||sigma^(-1/4) (w - sigma) sigma^(-1/4)||_F^2, and relative
+    entropy at most D_2 = log(1 + chi^2).  So the rungs up to the first whose
+    bound is at most 0.8 eps are checked as density matrices and scored from
+    one stacked decomposition; the rest, only if none of those is chosen."""
     w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
     rungs = mc.hermitize((1.0 - _LADDER) * G.sigma + _LADDER * w)
-    state = nco.sandwiched_state(rungs, G.sigma_dec, 1.0)
-    for rho, wmin, D in zip(rungs, state.dec.values[:, 0], state.divergence()):
-        mc.check_density(rho, wmin, name="rho")
-        if D <= 0.8 * eps:
-            return rho
+    P = G.sigma_dec.power(-0.25)
+    chi2 = np.linalg.norm(P @ (w - G.sigma) @ P) ** 2
+    cleared = np.flatnonzero(np.log1p(_LADDER[:, 0, 0] ** 2 * chi2) <= 0.8 * eps)
+    for part in np.split(rungs, cleared[:1] + 1):
+        state = nco.sandwiched_state(part, G.sigma_dec, 1.0)
+        for rho, wmin, D in zip(part, state.dec.values[:, 0], state.divergence()):
+            mc.check_density(rho, wmin, name="rho")
+            if D <= 0.8 * eps:
+                return rho
     raise ValidationError("could not construct an initial state inside the entropy ball")
 
 

@@ -1,9 +1,9 @@
 """Time evolution and decay analysis.
 
 Exact propagation of the state-space flow on a fixed sampling grid, with
-Hermitian/trace projection and a positivity guard, divergence and Fisher traces,
-tail decay-rate fits, the gradient-flow identity and its metric tensor,
-Poincare / Fisher-bound / log-Sobolev constant estimation, and the
+Hermitian/trace projection and a Cholesky positivity screen, divergence and
+Fisher traces, tail decay-rate fits, the gradient-flow identity and its metric
+tensor, Poincare / Fisher-bound / log-Sobolev constant estimation, and the
 comparison-theorem constants with their hypercontractivity monitor.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,10 +32,17 @@ GAP_CLUSTER_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class Trajectory:
+    """States stored by `integrate` at `times`, none with an eigenvalue below -POSITIVITY_TOL."""
+
     times: np.ndarray
     states: np.ndarray  # C-contiguous (T, n, n) stack, one state per stored time
     generator: Generator
-    min_eigenvalues: np.ndarray  # smallest eigenvalue of each stored state
+
+    @cached_property
+    def min_eigenvalues(self) -> np.ndarray:
+        """Smallest eigenvalue of each stored state, from one stacked
+        `eigvalsh` on first read."""
+        return np.linalg.eigvalsh(self.states)[:, 0]
 
     def final(self) -> np.ndarray:
         return self.states[-1]
@@ -82,8 +90,9 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
     that spectrum (no sigma, or asymmetric beyond TOL_SELFADJOINT) takes
     one expm(t Ldag_super) per stored time.  The states are projected to
     Hermitian unit trace in one stacked step; `states[0]` is the validated
-    rho0.  One stacked eigensolve gives each state's smallest eigenvalue,
-    kept on the trajectory; one below -POSITIVITY_TOL raises IntegrationError.
+    rho0.  One stacked Cholesky factorization of states + POSITIVITY_TOL I
+    screens positivity; only where it fails are the smallest eigenvalues
+    computed, and one below -POSITIVITY_TOL raises IntegrationError.
     """
     if not 0.0 < dt < np.inf:
         raise DomainError(f"dt={dt} must be positive and finite")
@@ -111,12 +120,16 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
         rhos = (np.exp(-np.outer(times, spec.values)) * c) @ modes.reshape(len(modes), -1)
     states = np.ascontiguousarray(_project(rhos.reshape(-1, G.n, G.n)))
     states[0] = rho0
-    wmin = np.linalg.eigvalsh(states)[:, 0]
-    bad = np.flatnonzero(wmin < -POSITIVITY_TOL)
-    if bad.size:
-        k = int(bad[0])
-        raise IntegrationError(f"positivity breach at t={times[k]:.6g}: eigenvalue {wmin[k]:.3e}")
-    return Trajectory(times, states, G, wmin)
+    traj = Trajectory(times, states, G)
+    try:
+        np.linalg.cholesky(states + POSITIVITY_TOL * np.eye(G.n))
+    except np.linalg.LinAlgError:
+        wmin = traj.min_eigenvalues
+        bad = np.flatnonzero(wmin < -POSITIVITY_TOL)
+        if bad.size:
+            k = int(bad[0])
+            raise IntegrationError(f"positivity breach at t={times[k]:.6g}: eigenvalue {wmin[k]:.3e}") from None
+    return traj
 
 
 # --- divergence / Fisher traces ------------------------------------------------
@@ -135,17 +148,18 @@ class TraceTable:
         idx = self.alphas.index(alpha)
         return self.times, self.D[idx], self.I[idx]
 
-    def rows(self):
-        for j, t in enumerate(self.times):
-            for i, a in enumerate(self.alphas):
-                yield (float(t), float(a), float(self.D[i, j]), float(self.I[i, j]))
+    def rows(self) -> np.ndarray:
+        """(t, alpha, D, I) rows, by time and then by order, as one array."""
+        t, a = np.meshgrid(self.times, self.alphas, indexing="ij")
+        return np.stack((t, a, self.D.T, self.I.T), axis=-1).reshape(-1, 4)
 
 
 def divergence_trace(traj: Trajectory, alphas) -> TraceTable:
     """Evaluate divergences and Fisher informations at the stored states.
 
-    States whose smallest eigenvalue (from `integrate`) is below POS_FLOOR
-    are pruned with a warning.
+    States whose smallest eigenvalue (`Trajectory.min_eigenvalues`, one
+    stacked eigensolve on first read) is below POS_FLOOR are pruned with a
+    warning.
     """
     G = traj.generator
     keep = np.flatnonzero(traj.min_eigenvalues >= mc.POS_FLOOR)

@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import renyiflow.cli as cli
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
 from renyiflow.cli import MAX_RANGE_ORDERS, main, parse_alphas
-from renyiflow.errors import DomainError
+from renyiflow.errors import DomainError, ValidationError
 from renyiflow.generator import JumpTerms, qubit_xz_generator, random_gns_generator
 
 from .oracles import jump_term, norm_functional_by_state
@@ -268,7 +269,8 @@ class TestCommands:
 
 
 class TestEntropyLadder:
-    """`compare --rho0 auto` scores its whole ladder toward sigma at once."""
+    """`compare --rho0 auto` scores its ladder toward sigma at once, up to
+    the first rung whose chi-square bound clears."""
 
     @staticmethod
     def sequential(G, eps, seed):
@@ -288,13 +290,92 @@ class TestEntropyLadder:
         k, want = self.sequential(G, eps, 5)
         assert k is not None
         assert np.array_equal(cli._shrink_to_entropy(G, eps, 5), want)
-        # one decomposition of the ladder checks and scores every rung
+        # one decomposition of the ladder checks and scores the rungs up to the cut
         assert eigensolves(lambda: cli._shrink_to_entropy(G, eps, 5)) == 1
         assert validations(lambda: cli._shrink_to_entropy(G, eps, 5)) == 0
 
     def test_rung_index_varies_with_eps(self):
         G = qubit_xz_generator()
         assert len({self.sequential(G, eps, 5)[0] for eps in (0.1, 1e-3, 1e-6, 1e-10)}) == 4
+
+    @staticmethod
+    def whole_ladder(G, eps, seed):
+        # every one of the 60 rungs checked and scored from one decomposition
+        w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
+        rungs = mc.hermitize((1.0 - cli._LADDER) * G.sigma + cli._LADDER * w)
+        state = nco.sandwiched_state(rungs, G.sigma_dec, 1.0)
+        for k, (rho, wmin, D) in enumerate(zip(rungs, state.dec.values[:, 0], state.divergence())):
+            mc.check_density(rho, wmin, name="rho")
+            if D <= 0.8 * eps:
+                return k, rho
+        return None, None
+
+    @staticmethod
+    def last_cleared_rung(G, eps, seed):
+        # k*: the first rung whose bound log(1 + delta_k^2 chi^2(w)) on the
+        # relative entropy is at most 0.8 eps, with chi^2(w) summed in
+        # sigma's eigenbasis; None when no rung's bound clears
+        w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
+        U, lam = G.sigma_dec.vectors, G.sigma_dec.values
+        chi2 = np.sum(np.abs(U.conj().T @ (w - G.sigma) @ U) ** 2 / np.sqrt(np.outer(lam, lam)))
+        cleared = np.flatnonzero(np.log1p(cli._LADDER[:, 0, 0] ** 2 * chi2) <= 0.8 * eps)
+        return int(cleared[0]) if cleared.size else None
+
+    @staticmethod
+    def decomposed_rungs(monkeypatch, fn):
+        # how many matrices each np.linalg.eigh call of fn receives
+        sizes, real = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: sizes.append(len(a)) or real(a, *r, **k))
+        try:
+            fn()
+        finally:
+            monkeypatch.undo()
+        return sizes
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        gen_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+        eps=st.one_of(st.just(1e-300), st.floats(-18.0, -0.3).map(lambda u: 10.0**u)),
+    )
+    def test_cut_ladder_picks_the_rung_of_the_whole_ladder(self, n, gen_seed, seed, eps):
+        G = random_gns_generator(np.random.default_rng(gen_seed), n)
+        k, want = self.whole_ladder(G, eps, seed)
+        if k is None:
+            with pytest.raises(ValidationError, match="entropy ball"):
+                cli._shrink_to_entropy(G, eps, seed)
+        else:
+            assert cli._shrink_to_entropy(G, eps, seed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, gen_seed, seed", [(2, 11, 5), (3, 12, 6), (4, 13, 7)])
+    @pytest.mark.parametrize("eps", [0.3, 1e-2, 1e-5, 1e-9, 1e-12])
+    def test_decomposes_the_rungs_up_to_the_first_cleared_bound(self, monkeypatch, n, gen_seed, seed, eps):
+        G = random_gns_generator(np.random.default_rng(gen_seed), n)
+        k_star = self.last_cleared_rung(G, eps, seed)
+        assert k_star is not None
+        sizes = self.decomposed_rungs(monkeypatch, lambda: cli._shrink_to_entropy(G, eps, seed))
+        assert len(sizes) == 1 and sizes[0] <= k_star + 1
+        assert self.whole_ladder(G, eps, seed)[0] <= k_star
+
+    @pytest.mark.parametrize("eps", [1e-16, 1e-17])
+    def test_rungs_past_the_cut_are_scored_when_none_before_it_is_chosen(self, monkeypatch, eps):
+        # relative entropies near 1e-16 are rounding noise, which may score
+        # every rung up to k* above 0.8 eps although its bound clears (here,
+        # n = 3 at eps = 1e-16: k* = 51, rung 52 chosen); the rest of the
+        # ladder is then decomposed in a second call
+        G = random_gns_generator(np.random.default_rng(0), 3)
+        k_star = self.last_cleared_rung(G, eps, 0)
+        k, want = self.whole_ladder(G, eps, 0)
+        sizes = self.decomposed_rungs(monkeypatch, lambda: cli._shrink_to_entropy(G, eps, 0))
+        assert sizes == [k_star + 1] + ([59 - k_star] if k > k_star else [])
+        assert cli._shrink_to_entropy(G, eps, 0).tobytes() == want.tobytes()
+
+    def test_decomposes_the_whole_ladder_when_no_bound_clears(self, monkeypatch):
+        G = qubit_xz_generator()
+        assert self.last_cleared_rung(G, 1e-300, 5) is None
+        sizes = self.decomposed_rungs(monkeypatch, lambda: cli._shrink_to_entropy(G, 1e-300, 5))
+        assert sizes == [60]
 
 
 class TestConfigValues:

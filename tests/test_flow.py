@@ -775,12 +775,12 @@ class TestComparisonSingleIntegration:
         G, rho0 = case
         G.gap  # the guaranteed K reads the cached gap
         run = lambda: flow.comparison_check(G, rho0, 2.0, 4.0)  # noqa: E731
-        # integrate validates rho0 and takes the stored states' smallest
-        # eigenvalues; two states of rho0, one per scalar order, give D0
-        # and D_start; the monitor reads spectrum values; the final state
-        # is validated and decomposed for D_end
+        # integrate validates rho0 and screens the stored states by one
+        # Cholesky factorization, no eigensolve; two states of rho0, one per
+        # scalar order, give D0 and D_start; the monitor reads spectrum
+        # values; the final state is validated and decomposed for D_end
         assert validations(run) == 2
-        assert eigensolves(run) == 7
+        assert eigensolves(run) == 6
 
     def test_start_divergence_is_that_of_rho0(self, case):
         G, rho0 = case

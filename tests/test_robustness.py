@@ -65,10 +65,12 @@ class TestRankDeficientStates:
     def test_trace_prunes_from_the_recorded_eigenvalues(self, qubit_xz, eigensolves):
         rho0 = mc.hermitize(0.9 * qubit_xz.sigma + 0.1 * np.diag([1.0, 0.0]))
         traj = flow.integrate(qubit_xz, rho0, 0.5, 0.01, store_every=10)
-        marked = traj.min_eigenvalues.copy()
-        marked[2] = 0.0
+        # a copy of the trajectory whose cached smallest eigenvalues mark state 2
+        marked = dataclasses.replace(traj)
+        vars(marked)["min_eigenvalues"] = traj.min_eigenvalues.copy()
+        marked.min_eigenvalues[2] = 0.0
         with pytest.warns(UserWarning, match="pruned 1 "):
-            tab = flow.divergence_trace(dataclasses.replace(traj, min_eigenvalues=marked), [2.0])
+            tab = flow.divergence_trace(marked, [2.0])
         assert tab.times.tolist() == np.delete(traj.times, 2).tolist()
         # three eigensolves per divergence, two per Fisher information, none per state
         assert eigensolves(lambda: flow.divergence_trace(traj, [0.5, 2.0])) == 10 * len(traj.times)
@@ -100,6 +102,24 @@ class TestStepControl:
         G = Generator(None, L)
         with pytest.raises(IntegrationError, match="positivity"):
             flow.integrate(G, np.eye(2) / 2.0, 2.0, 0.1)
+
+    @pytest.mark.parametrize("depth", [0.5, 2.0])
+    def test_screen_admits_eigenvalues_down_to_the_tolerance(self, eigensolves, depth):
+        # uniform relaxation toward tau = diag(1 + x, -x), x = depth *
+        # POSITIVITY_TOL: the state stored at t = 40 has smallest eigenvalue
+        # -x up to e^-40
+        x = depth * flow.POSITIVITY_TOL
+        tau = np.diag([1.0 + x, -x]).astype(complex)
+        G = Generator(None, np.outer(mc.vec(np.eye(2)), mc.vec(tau).conj()) - np.eye(4))
+        trajs = []
+        run = lambda: trajs.append(flow.integrate(G, np.eye(2) / 2.0, 40.0, 40.0))  # noqa: E731
+        if depth > 1.0:
+            with pytest.raises(IntegrationError, match=r"^positivity breach at t=40: eigenvalue -2\.000e-08$"):
+                run()
+        else:
+            # the Cholesky screen passes it: the one eigensolve validates rho0
+            assert eigensolves(run) == 1
+            assert trajs[0].min_eigenvalues[-1] == pytest.approx(-x, rel=1e-6)
 
 
 class TestLargeDimension:
