@@ -10,7 +10,7 @@ comparison-theorem constants with their hypercontractivity monitor.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +25,11 @@ from .generator import Generator
 
 POSITIVITY_TOL = 1e-8
 GAP_CLUSTER_RTOL = 1e-8
+# the comparison check: slack of D_end <= D_start, bound on the monitor's
+# forward increase, and samples of the monitor over the delay window
+COMPARISON_SLACK = 1e-9
+MONITOR_SLACK = 1e-8
+MONITOR_SAMPLES = 200
 
 
 # --- integration --------------------------------------------------------------
@@ -143,10 +148,6 @@ class TraceTable:
     alphas: tuple[float, ...]
     D: np.ndarray  # shape (len(alphas), len(times))
     I: np.ndarray
-
-    def column(self, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        idx = self.alphas.index(alpha)
-        return self.times, self.D[idx], self.I[idx]
 
     def rows(self) -> np.ndarray:
         """(t, alpha, D, I) rows, by time and then by order, as one array."""
@@ -626,7 +627,6 @@ def hypercontractivity_monitor(
     eta: float,
     K: float,
     eps: float | None = None,
-    n_samples: int = 200,
 ) -> HyperTrace:
     """Sample the interpolating norm functional along the flow.
 
@@ -645,13 +645,11 @@ def hypercontractivity_monitor(
         raise DomainError(f"need 1 < alpha0 <= alpha1 < inf, got ({alpha0}, {alpha1})")
     if K <= 0.0 or eta <= 0.0:
         raise DomainError(f"K={K} and eta={eta} must be positive")
-    if n_samples < 1:
-        raise DomainError(f"n_samples={n_samples} must be at least 1")
     smin = float(G.sigma_dec.values[0])
     eps = require_comparison_eps(default_comparison_eps(smin) if eps is None else eps, smin)
     T = _delay_time(alpha0, alpha1, K, eta)
     dt = suggested_dt(G)
-    store = max(1, int(np.ceil(T / dt / n_samples)))
+    store = max(1, int(np.ceil(T / dt / MONITOR_SAMPLES)))
     traj = integrate(G, rho0, T, dt, store_every=store)
     D0, D_start = (nco.sandwiched_state(traj.states[0], G.sigma_dec, a).divergence() for a in (1.0, alpha0))
     if D0 > eps:
@@ -678,10 +676,7 @@ class ComparisonReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "alpha0", "alpha1", "eps", "K", "Lambda", "eta", "T",
-            "D_start", "D_end", "max_forward_increase", "passed",
-        )}
+        return asdict(self)
 
 
 def comparison_check(
@@ -691,9 +686,6 @@ def comparison_check(
     alpha1: float,
     eps: float | None = None,
     K: float | None = None,
-    slack: float = 1e-9,
-    monitor_slack: float = 1e-8,
-    n_samples: int = 200,
 ) -> ComparisonReport:
     """End-to-end comparison-theorem verification for one order pair.
 
@@ -701,19 +693,18 @@ def comparison_check(
     divergence to stay below the initial lower-order one, with the norm
     functional non-increasing along the way.  The monitor's trajectory
     is the only integration and validates rho0: the monitor gives the
-    start divergence, and its final state the end divergence.
+    start divergence, and its final state, screened by `integrate`, the
+    end divergence.
     """
     smin = float(G.sigma_dec.values[0])
     eps = default_comparison_eps(smin) if eps is None else eps
     if K is None:
         K = _guaranteed_lsi(G.gap.value, smin)
     Lam, eta, T = comparison_constants(alpha0, alpha1, eps, G.sigma_dec, G.omegas, K)
-    trace = hypercontractivity_monitor(
-        G, rho0, alpha0, alpha1, eta, K, eps=eps, n_samples=n_samples
-    )
+    trace = hypercontractivity_monitor(G, rho0, alpha0, alpha1, eta, K, eps=eps)
     D_start = trace.D_start
-    D_end = nco.sandwiched_state(_validated(G, trace.final), G.sigma_dec, alpha1).divergence()
-    passed = (D_end <= D_start + slack) and (trace.max_forward_increase <= monitor_slack)
+    D_end = nco.sandwiched_state(trace.final, G.sigma_dec, alpha1).divergence()
+    passed = (D_end <= D_start + COMPARISON_SLACK) and (trace.max_forward_increase <= MONITOR_SLACK)
     return ComparisonReport(
         alpha0=float(alpha0), alpha1=float(alpha1), eps=float(eps), K=float(K),
         Lambda=Lam, eta=eta, T=T, D_start=D_start, D_end=D_end,

@@ -340,24 +340,6 @@ def build_gns(sigma, terms: JumpTerms, label: str = "gns") -> Generator:
     return G
 
 
-def from_schrodinger_map(Ldag_map, n: int, sigma=None, label: str = "raw") -> Generator:
-    """Wrap a state-space map with no assumed jump structure.
-
-    Only trace preservation is enforced; stationarity is checked when a
-    candidate stationary state is supplied.
-    """
-    Ldag_super = mc.superoperator_of_map(Ldag_map, n)
-    scale = max(np.linalg.norm(Ldag_super), 1e-30)
-    tracepres = np.linalg.norm(Ldag_super.conj().T @ mc.vec(np.eye(n)))
-    if tracepres > 1e-10 * scale * n:
-        raise ValidationError(f"map not trace-preserving: residual {tracepres:.3e}")
-    if sigma is not None:
-        stat = np.linalg.norm(Ldag_super @ mc.vec(np.asarray(sigma, dtype=complex)))
-        if stat > 1e-10 * scale:
-            raise ValidationError(f"candidate stationary state fails: residual {stat:.3e}")
-    return Generator(sigma, Ldag_super.conj().T, label=label)
-
-
 def eigen_jump_terms(sigma_dec: mc.SpectralDecomposition, weights=None) -> JumpTerms:
     """Canonical jump-term basis attached to a stationary state, from the
     `mc.density_spectrum` that validated it, made canonical here

@@ -33,9 +33,8 @@ from .errors import DomainError, SingularityError
 # floor inside logarithms for rank-deficient (but PSD-valid) states
 LOG_FLOOR = 1e-14
 
-# a scalar order inside this window of 1 is taken as 1 (the relative-entropy
-# branch), and an array of orders must stay outside it; the 1/(alpha-1)
-# prefactor loses precision closer in
+# an order inside this window of 1 is taken as 1 (the relative-entropy
+# branch); the 1/(alpha-1) prefactor loses precision closer in
 ALPHA_ONE_WINDOW = 1e-6
 
 
@@ -155,13 +154,11 @@ class SandwichedState:
     the Fisher information, the entropy functional, the Dirichlet form and
     the multiplication operator's kernels.  The eigenvectors carry LAPACK's
     arbitrary phases, so every consumer is phase-invariant.  A (T, n, n)
-    stack gives T-leading fields, at one order or at an order per state;
-    `divergence` and `derivative` then return one value per state.  Only a
-    scalar order takes the order-1 branch: an array of orders stays clear
-    of 1.
+    stack at the one order gives T-leading fields; `divergence` and
+    `derivative` then return one value per state.
     """
 
-    alpha: float | np.ndarray
+    alpha: float
     outer: np.ndarray  # s = sigma^((1-alpha)/(2 alpha))
     dec: mc.SpectralDecomposition  # of rs
     sigma_dec: mc.SpectralDecomposition
@@ -170,12 +167,9 @@ class SandwichedState:
     def positive_values(self) -> np.ndarray:
         return _require_positive(self.dec.values, "sandwiched state")
 
-    def _order_one(self) -> bool:
-        return isinstance(self.alpha, float) and self.alpha == 1.0
-
     def divergence(self) -> float | np.ndarray:
         """D_alpha = log Z / (alpha-1); tr rho (log rho - log sigma) at alpha = 1."""
-        if not self._order_one():
+        if self.alpha != 1.0:
             D = np.log(self.Z) / (self.alpha - 1.0)
         else:
             lam = np.maximum(self.dec.values, 0.0)
@@ -191,12 +185,12 @@ class SandwichedState:
         rs^(alpha-1) s / Z, and log rho - log sigma at alpha = 1."""
         lam = self.positive_values()
         a = self.alpha
-        if self._order_one():
+        if a == 1.0:
             sig = self.sigma_dec
             out = self.dec.reconstruct(np.log(lam)) - sig.reconstruct(np.log(sig.values))
         else:
-            out = self.outer @ self.dec.reconstruct(lam ** _per_state(a - 1.0, 1)) @ self.outer
-            out *= _per_state(a / (a - 1.0) / self.Z, 2)
+            out = self.outer @ self.dec.reconstruct(lam ** (a - 1.0)) @ self.outer
+            out *= (a / (a - 1.0) / np.asarray(self.Z))[..., None, None]
         return mc.hermitize(out)
 
     def fisher(self, drift) -> float:
@@ -215,12 +209,6 @@ class SandwichedState:
         sigma^(-1/2)."""
         pairing = np.real(mc.weighted_inner(self.derivative(), LX, self.sigma_dec, 0.5))
         return float(-self.alpha * self.Z / 4.0 * pairing)
-
-
-def _per_state(x, trailing: int):
-    """x, when it has one entry per state, with `trailing` unit axes to
-    scale each state's eigenvalues (1) or matrix (2); a scalar as it is."""
-    return x[(...,) + (None,) * trailing] if isinstance(x, np.ndarray) else x
 
 
 def _sandwich(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,30 +231,28 @@ def _trace_power(values: np.ndarray, a: np.ndarray):
     return np.sum(np.maximum(values, 0.0) ** a[..., None], axis=-1)
 
 
-def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> SandwichedState:
+def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha: float) -> SandwichedState:
     """Form rs from sigma's decomposition and decompose it with one `eigh`.
 
-    `rho` is one (n, n) state or a (T, n, n) stack, and `alpha` one order
-    or an array of them, broadcast against the states: a stack at one
-    order, one state at several orders, or a stack with an order per
-    state.  Every order must be positive and finite.  A scalar order
-    within ALPHA_ONE_WINDOW of 1 is taken as 1; an array of orders must
-    stay outside that window, where the 1/(alpha-1) prefactor loses
-    precision (DomainError).  The states are trusted: callers validate
-    rho, and sigma through the decomposition passed in.
+    `rho` is one (n, n) state or a (T, n, n) stack, and `alpha` one
+    positive, finite order; an order within ALPHA_ONE_WINDOW of 1 is taken
+    as 1.  An array of orders raises DomainError before any work: its
+    trace powers come from `sandwiched_trace`.  The states are trusted:
+    callers validate rho, and sigma through the decomposition passed in.
     """
+    if np.asarray(alpha).ndim:
+        raise DomainError(f"orders {alpha}: one scalar order per sandwiched state; use sandwiched_trace")
     a, outer, rs = _sandwich(rho, sigma_dec, alpha)
-    if a.ndim and np.any(np.abs(a - 1.0) <= ALPHA_ONE_WINDOW):
-        raise DomainError(f"orders {alpha} reach within {ALPHA_ONE_WINDOW} of 1; take order 1 as a scalar")
     dec = mc.SpectralDecomposition(*np.linalg.eigh(rs))
-    return SandwichedState(alpha=a if a.ndim else float(a), outer=outer, dec=dec, sigma_dec=sigma_dec,
-                           Z=_trace_power(dec.values, a))
+    return SandwichedState(alpha=float(a), outer=outer, dec=dec, sigma_dec=sigma_dec, Z=_trace_power(dec.values, a))
 
 
 def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndarray:
     """Z = tr rs^alpha of `sandwiched_state`, from the spectrum values of one
-    `eigvalsh` (no eigenvectors); the same arguments and broadcasting.  Z
-    has no 1/(alpha-1) factor, so an array of orders may come near 1."""
+    `eigvalsh` (no eigenvectors).  `alpha` is one order or an array of
+    them, broadcast against the states: a stack at one order, one state at
+    several orders, or a stack with an order per state.  Z has no
+    1/(alpha-1) factor, so an array of orders may come near 1."""
     a, _, rs = _sandwich(rho, sigma_dec, alpha)
     return _trace_power(np.linalg.eigvalsh(rs), a)
 

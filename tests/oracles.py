@@ -364,6 +364,30 @@ def weight_kernel_by_mpmath(lam, alpha, dps=40):
     return out
 
 
+# --- the stock two-level counterexample ----------------------------------------
+
+
+def carlen_maas_by_composition():
+    """Observable-side superoperator of the Carlen-Maas generator Kt K - I,
+    composed from the channel K(A) = K1* A K1 + K2* A K2 and its
+    half-weighted adjoint Kt(A) = Kt1* A Kt1 + Kt2* A Kt2 with
+    Kt_j = sigma^(1/2) K_j* sigma^(-1/2), sigma = [[2,3],[3,5]]/7."""
+    psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    phi = np.array([1.0, 2.0], dtype=complex) / np.sqrt(5.0)
+    K1, K2 = np.outer(psi, [1.0, 0.0]), np.outer(phi, [0.0, 1.0])
+    sigma = np.array([[2.0, 3.0], [3.0, 5.0]], dtype=complex) / 7.0
+    shalf, sinvh = matrix_power(sigma, 0.5), matrix_power(sigma, -0.5)
+    Kt1, Kt2 = shalf @ K1.conj().T @ sinvh, shalf @ K2.conj().T @ sinvh
+
+    def K_map(A):
+        return K1.conj().T @ A @ K1 + K2.conj().T @ A @ K2
+
+    def Kt_map(A):
+        return Kt1.conj().T @ A @ Kt1 + Kt2.conj().T @ A @ Kt2
+
+    return mc.superoperator_of_map(lambda A: Kt_map(K_map(A)) - A, 2)
+
+
 # --- sigma-weightings as n^2 x n^2 superoperators ------------------------------
 # The package applies each weighting as its entrywise kernel to the generator
 # written in sigma's eigenbasis; these are the standard-basis kron forms.

@@ -196,8 +196,8 @@ class TestCommands:
         assert doc["passed"] is True
         assert doc["D_start"] == 0.01674664943948212
         assert doc["max_forward_increase"] <= 1e-14
-        # such an order stack has no divergence, which divides by alpha - 1,
-        # but its trace power Z has no such factor
+        # such an order stack has no sandwiched state, whose divergence
+        # divides by alpha - 1, but its trace power Z has no such factor
         G = qubit_xz_generator()
         rho = mc.hermitize(0.7 * G.sigma + 0.3 * mc.random_density(np.random.default_rng(3), 2))
         orders = np.array([1.0000001, 2.0, 3.0])

@@ -264,17 +264,27 @@ class TestSandwichedState:
         # at order 1 the functional is log tr rho = 0, with no relative scale
         beta = np.array([b for b in self.ORDERS if b != 1.0])
         states = np.array([mc.hermitize(0.6 * rho + 0.4 * mc.random_density(r, rho.shape[0])) for _ in beta])
-        stacked = nco.sandwiched_state(states, mc.density_spectrum(sigma), beta)
-        assert stacked.Z.shape == beta.shape
+        Z = nco.sandwiched_trace(states, mc.density_spectrum(sigma), beta)
+        assert Z.shape == beta.shape
         ref = [norm_functional_by_state(s, sigma, b) for s, b in zip(states, beta)]
-        np.testing.assert_allclose(np.log(stacked.Z) / beta, ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(np.log(Z) / beta, ref, rtol=1e-12, atol=0.0)
 
     def test_one_eigensolve(self, pair, eigensolves):
         rho, sigma = pair
         sigma_dec = mc.density_spectrum(sigma)
         assert eigensolves(lambda: nco.sandwiched_state(rho, sigma_dec, 2.5)) == 1
         stack = np.array([rho, sigma, rho])
-        assert eigensolves(lambda: nco.sandwiched_state(stack, sigma_dec, np.array([1.5, 2.0, 3.0]))) == 1
+        assert eigensolves(lambda: nco.sandwiched_state(stack, sigma_dec, 2.5)) == 1
+
+    def test_order_array_raises_before_any_eigensolve(self, pair, eigensolves):
+        rho, sigma = pair
+        sigma_dec = mc.density_spectrum(sigma)
+
+        def run():
+            with pytest.raises(DomainError, match="sandwiched_trace"):
+                nco.sandwiched_state(rho, sigma_dec, [0.5, 2.5])
+
+        assert eigensolves(run) == 0
 
     @staticmethod
     def states(rho, count):
@@ -297,19 +307,13 @@ class TestSandwichedState:
         stacked = nco.sandwiched_state(states, sigma_dec, alpha)
         self.assert_matches_per_state(stacked, states, sigma_dec, [alpha] * len(states))
 
-    def test_one_state_at_several_orders(self, pair):
-        rho, sigma = pair
-        sigma_dec = mc.density_spectrum(sigma)
-        D = nco.sandwiched_state(rho, sigma_dec, [0.5, 2.5]).divergence()
-        ref = [nco.sandwiched_state(rho, sigma_dec, a).divergence() for a in (0.5, 2.5)]
-        np.testing.assert_allclose(D, ref, rtol=1e-13, atol=0.0)
-
     def test_trace_reads_the_values_only(self, pair, eigensolves, monkeypatch):
         rho, sigma = pair
         sigma_dec = mc.density_spectrum(sigma)
         states, beta = self.states(rho, 5), np.array([1.5, 2.0, 2.5, 3.0, 7.0])
         Z = nco.sandwiched_trace(states, sigma_dec, beta)
-        np.testing.assert_allclose(Z, nco.sandwiched_state(states, sigma_dec, beta).Z, rtol=1e-13, atol=0.0)
+        ref = [nco.sandwiched_state(s, sigma_dec, b).Z for s, b in zip(states, beta)]
+        np.testing.assert_allclose(Z, ref, rtol=1e-13, atol=0.0)
         assert eigensolves(lambda: nco.sandwiched_trace(states, sigma_dec, beta)) == 1
         monkeypatch.setattr(np.linalg, "eigh", None)  # no eigenvectors
         nco.sandwiched_trace(states, sigma_dec, beta)
