@@ -2,7 +2,8 @@
 
 Loads generators from builtin specs or JSON files, dispatches the
 computations, and writes CSV / JSON reports atomically with fixed
-17-significant-digit formatting so reruns are byte-identical.
+17-significant-digit formatting so reruns are byte-identical.  A non-finite
+result raises NonFiniteError before anything is written.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from . import balance_check as bc
 from . import flow
 from . import matcore as mc
 from . import noncomm_ops as nco
-from .errors import DomainError, IntegrationError, RenyiflowError, SingularityError, StructuralError, ValidationError
+from .errors import (
+    DomainError, IntegrationError, NonFiniteError, RenyiflowError, SingularityError, StructuralError, ValidationError,
+)
 from .generator import Generator, JumpTerms, build_gns, depolarizing_generator, qubit_xz_generator
 
 EXIT_OK = 0
@@ -33,7 +36,19 @@ MAX_RANGE_ORDERS = 10_000  # orders an alpha range start:stop:step may span
 
 
 def _fmt(x: float) -> str:
+    if not np.isfinite(x):
+        raise NonFiniteError(f"non-finite result {x}")
     return f"{x:.17g}"
+
+
+def _json(doc: dict) -> str:
+    """A report as sorted, indented JSON; a non-finite number in it raises
+    NonFiniteError, naming its keys."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        bad = sorted(k for k, v in doc.items() if isinstance(v, float) and not np.isfinite(v))
+        raise NonFiniteError(f"non-finite result in {', '.join(bad) or 'the report'}") from None
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -212,7 +227,7 @@ def cmd_dbcheck(args) -> int:
     G = load_generator(args.generator)
     alphas = parse_alphas(args.alphas)
     report = bc.balance_report(G, alphas)
-    emit(args.out, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+    emit(args.out, _json(report.as_dict()))
     return EXIT_OK
 
 
@@ -221,7 +236,8 @@ def cmd_fig1(args) -> int:
     alphas = parse_alphas(args.alphas)
     rows = bc.fig1_sweep(G, alphas)
     lines = ["alpha,residual"]
-    lines += [f"{_fmt(a)},{_fmt(r)}" for a, r in rows]
+    # the order is echoed as given: inf is an order of the weight kernel
+    lines += [f"{a:.17g},{_fmt(r)}" for a, r in rows]
     emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -233,6 +249,10 @@ def cmd_simulate(args) -> int:
     store = max(1, args.store_every)
     traj = flow.integrate(G, rho0, args.t_end, args.dt, store_every=store)
     rows = flow.divergence_trace(traj, alphas).rows()
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        t, a = rows[bad][0, :2]
+        raise NonFiniteError(f"non-finite divergence or Fisher information at t={t:.6g}, alpha={a:g}")
     emit(args.out, "t,alpha,D,I\n" + ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
     return EXIT_OK
 
@@ -256,7 +276,7 @@ def cmd_gradflow(args) -> int:
 def cmd_constants(args) -> int:
     G = load_generator(args.generator)
     report = flow.lsi_constants(G, n_starts=args.starts, seed=args.seed)
-    emit(args.out, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+    emit(args.out, _json(report.as_dict()))
     return EXIT_OK
 
 
@@ -269,7 +289,7 @@ def cmd_compare(args) -> int:
     else:
         rho0 = load_rho0(args.rho0, G, args.seed)
     report = flow.comparison_check(G, rho0, args.alpha0, args.alpha1, eps=eps)
-    emit(args.out, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+    emit(args.out, _json(report.as_dict()))
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
@@ -406,7 +426,7 @@ def main(argv=None) -> int:
     except (ValidationError, StructuralError, DomainError) as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntegrationError, SingularityError) as exc:
+    except (IntegrationError, SingularityError, NonFiniteError) as exc:
         print(json.dumps({"error": "numerical", "detail": str(exc)}), file=sys.stderr)
         return EXIT_NUMERICAL
 

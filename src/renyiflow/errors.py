@@ -23,3 +23,7 @@ class DomainError(RenyiflowError):
 
 class IntegrationError(RenyiflowError):
     """The propagated flow left the state space (positivity breach)."""
+
+
+class NonFiniteError(RenyiflowError):
+    """A computed result is not a finite number (overflow or 0/0)."""

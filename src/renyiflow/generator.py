@@ -25,6 +25,8 @@ TOL_STATIONARY = 1e-10
 TOL_SELFADJOINT = 1e-10
 TOL_COMMUTE = 1e-8
 ZERO_MODE_RTOL = 1e-9
+# range of the random weights of `random_gns_generator`'s jump terms
+GNS_WEIGHT_RANGE = (0.5, 1.5)
 
 
 @dataclass(frozen=True)
@@ -419,7 +421,7 @@ def spectral_gap(G: Generator) -> SpectralGap:
 # --- stock generators ---------------------------------------------------------
 
 
-def depolarizing_generator(gamma: float, sigma, label: str = "depolarizing") -> Generator:
+def depolarizing_generator(gamma: float, sigma) -> Generator:
     """Uniform relaxation toward sigma at rate gamma (detailed balanced)."""
     if not 0.0 < gamma < np.inf:
         raise ValidationError(f"depolarizing rate must be positive and finite, got {gamma}")
@@ -427,20 +429,19 @@ def depolarizing_generator(gamma: float, sigma, label: str = "depolarizing") -> 
     n = sigma.shape[0]
     # L(A) = gamma (tr(sigma A) I - A), with tr(sigma A) = <vec sigma, vec A>
     L_super = gamma * (np.outer(mc.vec(np.eye(n)), mc.vec(sigma).conj()) - np.eye(n * n))
-    return Generator(sigma, L_super, label=label)
+    return Generator(sigma, L_super, label="depolarizing")
 
 
-def qubit_xz_generator(label: str = "qubit-xz") -> Generator:
+def qubit_xz_generator() -> Generator:
     """Two-level generator with X and Z jumps at the maximally mixed state."""
     sx_sz = [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]]
-    return build_gns(np.eye(2) / 2.0, JumpTerms.of(sx_sz, [0.0, 0.0]), label=label)
+    return build_gns(np.eye(2) / 2.0, JumpTerms.of(sx_sz, [0.0, 0.0]), label="qubit-xz")
 
 
 def random_gns_generator(
     rng: np.random.Generator,
     n: int,
     min_sigma_eig: float = 0.05,
-    weight_range: tuple[float, float] = (0.5, 1.5),
     label: str = "random-gns",
 ) -> Generator:
     """Random primitive detailed-balance generator on the full jump basis.
@@ -453,7 +454,7 @@ def random_gns_generator(
     lam /= lam.sum()
     Q = np.linalg.qr(mc.random_complex(rng, n))[0]
     sigma = mc.hermitize(Q @ np.diag(lam) @ Q.conj().T)
-    lo, hi = weight_range
+    lo, hi = GNS_WEIGHT_RANGE
     # one weight per unordered pair, drawn in (k < l) order, then the ladders
     pair_w = np.zeros((n, n))
     pair_w[np.triu_indices(n, 1)] = rng.uniform(lo, hi, size=n * (n - 1) // 2)

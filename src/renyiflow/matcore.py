@@ -207,8 +207,8 @@ def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return hermitize(random_complex(rng, n)) * scale
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    return hermitize(random_complex(rng, n))
 
 
 def traceless_diagonals(n: int) -> np.ndarray:
@@ -236,10 +236,11 @@ def random_density(rng: np.random.Generator, n: int, floor: float = 0.0) -> np.n
 # --- CSV matrix blocks -------------------------------------------------------
 
 
-def matrix_to_csv_block(name: str, A: np.ndarray, digits: int = 17) -> str:
-    """Serialize: header `matrix,<name>,<n>`, then n rows of interleaved re,im."""
+def matrix_to_csv_block(name: str, A: np.ndarray) -> str:
+    """Serialize: header `matrix,<name>,<n>`, then n rows of interleaved re,im
+    at 17 significant digits."""
     rows = matrix_to_rows(as_matrix(A, name))
-    lines = [f"matrix,{name},{len(rows)}"] + [",".join(f"{x:.{digits}g}" for x in row) for row in rows]
+    lines = [f"matrix,{name},{len(rows)}"] + [",".join(f"{x:.17g}" for x in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

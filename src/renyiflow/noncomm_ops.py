@@ -4,7 +4,7 @@ Spectral-kernel realizations of the operators that drive the gradient-flow
 and detailed-balance machinery: two-sided weighting by powers of a state,
 twisted logarithmic-mean multiplication and its inverse, the sandwiched
 state with the order-alpha functionals read from it (divergence,
-derivative, Fisher information, entropy, Dirichlet form), the Renyi-order
+derivative, Fisher information, entropy), the Renyi-order
 multiplication operator built on it with its flux over a jump stack, and
 the detailed-balance weight kernel.  The sandwiched state is formed in
 exactly one function, `_sandwich`; `sandwiched_state` decomposes it, and
@@ -111,11 +111,12 @@ def _sinh_ratio(x: np.ndarray, alpha: float) -> np.ndarray:
     """c sinh(x) / sinh(c x) with c = alpha - 1 != 0, and 1 at x = 0: the one
     closed form of the multiplier and weight kernels.  Evaluated as
     |c| e^((1-|c|) |x|) expm1(-2|x|) / expm1(-2|c| |x|), with 1 - |c| =
-    min(alpha, 2 - alpha) formed without cancellation: nothing overflows,
-    small x keeps full precision, and alpha = 2 gives exactly 1."""
+    min(alpha, 2 - alpha) formed without cancellation and 2 |c| |x| as
+    2 (|c| |x|): nothing overflows, even at c near the largest float, small x
+    keeps full precision, and alpha = 2 gives exactly 1."""
     x, c = np.abs(x), abs(alpha - 1.0)
     num = c * np.exp(min(alpha, 2.0 - alpha) * x) * np.expm1(-2.0 * x)
-    return np.divide(num, np.expm1(-2.0 * c * x), out=np.ones_like(x), where=x != 0.0)
+    return np.divide(num, np.expm1(-2.0 * (c * x)), out=np.ones_like(x), where=x != 0.0)
 
 
 def _renyi_kernel(lam: np.ndarray, omega, alpha: float) -> np.ndarray:
@@ -151,8 +152,8 @@ class SandwichedState:
 
     Every order-alpha quantity reads from it: Z = tr rs^alpha (over the
     spectrum clamped at zero), the divergence, its functional derivative,
-    the Fisher information, the entropy functional, the Dirichlet form and
-    the multiplication operator's kernels.  The eigenvectors carry LAPACK's
+    the Fisher information, the entropy functional and the multiplication
+    operator's kernels.  The eigenvectors carry LAPACK's
     arbitrary phases, so every consumer is phase-invariant.  A (T, n, n)
     stack at the one order gives T-leading fields; `divergence` and
     `derivative` then return one value per state.
@@ -202,13 +203,6 @@ class SandwichedState:
         w = self.positive_values() ** self.alpha
         cross = np.real(np.trace(self.dec.reconstruct(w) @ self.sigma_dec.log()))
         return float(np.sum(w * np.log(w)) - cross - self.Z * np.log(self.Z))
-
-    def dirichlet(self, LX) -> float:
-        """Order-alpha Dirichlet form (alpha Z/4) Re<derivative, -L(X)> in the
-        half-weighted inner product, given L(X) for X = sigma^(-1/2) rho
-        sigma^(-1/2)."""
-        pairing = np.real(mc.weighted_inner(self.derivative(), LX, self.sigma_dec, 0.5))
-        return float(-self.alpha * self.Z / 4.0 * pairing)
 
 
 def _sandwich(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,8 +257,8 @@ class RenyiMultiplier:
 
     apply() realizes the strictly positive map whose inverse carries the
     gradient of the order-alpha divergence onto jump-operator commutators;
-    flux() carries one potential through gradient, multiplier and
-    divergence over the jump stack, and flux_gram() pairs jump commutators
+    flux() carries the state's own derivative through gradient, multiplier
+    and divergence over the jump stack, and flux_gram() pairs jump commutators
     of many directions through it at once.  Composition structure:
     a scalar Z/alpha, outer two-sided sigma powers, and a single entrywise
     kernel in the eigenbasis of the sandwiched state.  A family over m
@@ -294,20 +288,27 @@ class RenyiMultiplier:
         Vh = (Qinv @ R[:, :, 1].transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n)
         return Q, Vt.swapaxes(0, 1), Vh.swapaxes(0, 1)
 
-    def flux(self, V, D) -> np.ndarray:
-        """The flux div(M grad D) = sum_j [M_j [V_j, D], V_j*] of a potential D
-        over the (m, n, n) jump stack V.  In the frame (`_frame`), with
-        Y_j = k_j . (Vt_j D' - D' Vh_j), it is (Z/alpha) Q (sum_j Y_j Vh_j* -
-        Vt_j* Y_j) Q*; on the layout [p, j, q] each product, the sums over j
-        included, is one GEMM."""
+    def flux(self, V) -> np.ndarray:
+        """The flux div(M grad D) = sum_j [M_j [V_j, D], V_j*] of the state's
+        own derivative D over the (m, n, n) jump stack V.  In the frame
+        (`_frame`) D' = Q* D Q is read from the state without forming D:
+        (alpha/((alpha-1) Z)) diag(lam^(alpha-1)), and diag(log lam) -
+        U* log sigma U at order 1.  With Y_j = k_j . (Vt_j D' - D' Vh_j), the
+        flux is (Z/alpha) Q (sum_j Y_j Vh_j* - Vt_j* Y_j) Q*; on the layout
+        [p, j, q] each product, the sums over j included, is one GEMM."""
         Q, Vt, Vh = self._frame(V)
         Vt, Vh = Vt.swapaxes(0, 1), Vh.swapaxes(0, 1)
         n, m = Vt.shape[:2]
-        Dp = Q.conj().T @ np.asarray(D, dtype=complex) @ Q
+        state, U = self.state, self.kernel_op.basis
+        lam = state.positive_values()
+        if state.alpha == 1.0:
+            Dp = np.diag(np.log(lam)) - U.conj().T @ state.sigma_dec.log() @ U
+        else:
+            Dp = np.diag(state.alpha / ((state.alpha - 1.0) * state.Z) * lam ** (state.alpha - 1.0))
         Y = (Vt.reshape(n * m, n) @ Dp).reshape(n, m, n) - (Dp @ Vh.reshape(n, m * n)).reshape(n, m, n)
         Y = (Y * self.kernel_op.kernel.swapaxes(0, 1)).reshape(n, m * n)
         S = Y @ Vh.reshape(n, m * n).conj().T - Vt.reshape(n * m, n).conj().T @ Y.reshape(n * m, n)
-        return (self.state.Z / self.state.alpha) * (Q @ S @ Q.conj().T)
+        return (state.Z / state.alpha) * (Q @ S @ Q.conj().T)
 
     def flux_gram(self, V, B) -> np.ndarray:
         """Gram matrix Re sum_j <[V_j, B_a], M_j [V_j, B_b]> of a family over
@@ -367,9 +368,10 @@ def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: flo
 def _weight_kernel(lam: np.ndarray, alpha: float) -> np.ndarray:
     """Closed-form weight coefficients in the eigenbasis of sigma:
     geo (alpha-1) sinh(x) / sinh((alpha-1) x) with x = (log lam_k -
-    log lam_l)/(2 alpha) (`_sinh_ratio`), and its limits at alpha = 0 (the
-    max), alpha = 1 (the logarithmic mean) and alpha = infinity
-    (lam_k lam_l over the logarithmic mean)."""
+    log lam_l)/(2 alpha) (`_sinh_ratio`), formed as g/alpha/2 so that 2 alpha
+    cannot overflow, and its limits at alpha = 0 (the max), alpha = 1 (the
+    logarithmic mean) and alpha = infinity (lam_k lam_l over the logarithmic
+    mean)."""
     if alpha == 0.0:
         return np.maximum(lam[:, None], lam[None, :])
     if alpha == 1.0:
@@ -377,7 +379,7 @@ def _weight_kernel(lam: np.ndarray, alpha: float) -> np.ndarray:
     if np.isinf(alpha):
         return lam[:, None] * lam[None, :] / _log_mean_kernel(lam, 0.0)
     g, geo = _log_ratio(lam, 0.0)
-    return geo * _sinh_ratio(g / (2.0 * alpha), alpha)
+    return geo * _sinh_ratio(g / alpha / 2.0, alpha)
 
 
 def weight_operator(sigma_dec: mc.SpectralDecomposition, alpha: float) -> KernelOperator:

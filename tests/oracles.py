@@ -276,7 +276,8 @@ def norm_functional_by_state(rho, sigma, beta):
 # --- weighted L_alpha functionals of X = sigma^(-1/2) rho sigma^(-1/2) ---------
 # The X-parameterized form of the entropy functional and Dirichlet form, each
 # forming and decomposing the weighted argument itself: the reference for
-# `SandwichedState.entropy` and `.dirichlet`.
+# `SandwichedState.entropy` and for the Dirichlet form (alpha Z/4) I_alpha
+# that the log-Sobolev ratios read from the Fisher pairing.
 
 
 def power_op(sigma_dec: mc.SpectralDecomposition, beta: float, alpha: float, A) -> np.ndarray:
@@ -472,6 +473,52 @@ def nc_divergence(G, fields) -> np.ndarray:
     if len(fields) != len(Vd):
         raise DomainError(f"vector field has {len(fields)} components, generator has {len(Vd)}")
     return np.sum(fields @ Vd - Vd @ fields, axis=0)
+
+
+def flux_by_mpmath(rho, sigma, omegas, V, alpha, dps=40) -> np.ndarray:
+    """sum_j [M_j [V_j, D], V_j*] for the state's own derivative D and any
+    (m, n, n) jump stack V, one step at a time in `dps`-digit arithmetic:
+    sigma and the sandwiched state rs = s rho s, s = sigma^((1-alpha)/(2 alpha)),
+    decomposed afresh, D formed in the standard basis (log rho - log sigma at
+    order 1), and M_j(X) = (Z/alpha) P U (k_j . (U* P X P U)) U* P with
+    P = s^-1 and k_j the quotient of the twisted logarithmic means of lam at
+    omega_j/alpha and of lam^(alpha-1) at (alpha-1) omega_j/alpha."""
+    n = len(rho)
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+
+        def mat(A):
+            return mpmath.matrix(np.asarray(A, dtype=complex).tolist())
+
+        def function(A, f):
+            E, Q = mpmath.eigh(A)
+            return Q * mpmath.diag([f(e) for e in E]) * Q.H
+
+        def logmean(x, y):
+            return x if x == y else (x - y) / (mpmath.log(x) - mpmath.log(y))
+
+        S, R = mat(sigma), mat(rho)
+        s = function(S, lambda e: e ** ((1 - a) / (2 * a)))
+        P = function(S, lambda e: e ** ((a - 1) / (2 * a)))
+        rs = s * R * s
+        lam, U = mpmath.eigh((rs + rs.H) / 2)
+        Z = sum(e**a for e in lam)
+        if alpha == 1.0:
+            D = function(R, mpmath.log) - function(S, mpmath.log)
+        else:
+            D = a / (a - 1) / Z * s * U * mpmath.diag([e ** (a - 1) for e in lam]) * U.H * s
+        out = mpmath.zeros(n, n)
+        for omega, Vj in zip(omegas, V):
+            Vj, t = mat(Vj), mpmath.mpf(omega) / (2 * a)
+            B = U.H * P * (Vj * D - D * Vj) * P * U
+            for p in range(n):
+                for q in range(n):
+                    num = logmean(lam[p] * mpmath.exp(t), lam[q] * mpmath.exp(-t))
+                    den = logmean((lam[p] * mpmath.exp(t)) ** (a - 1), (lam[q] * mpmath.exp(-t)) ** (a - 1))
+                    B[p, q] *= num / den
+            F = Z / a * P * U * B * U.H * P
+            out += F * Vj.H - Vj.H * F
+        return np.array(out.tolist(), dtype=complex)
 
 
 # --- jump terms one at a time ----------------------------------------------------

@@ -8,7 +8,7 @@ import renyiflow.cli as cli
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
 from renyiflow.cli import MAX_RANGE_ORDERS, main, parse_alphas
-from renyiflow.errors import DomainError, ValidationError
+from renyiflow.errors import DomainError, NonFiniteError, ValidationError
 from renyiflow.generator import JumpTerms, qubit_xz_generator, random_gns_generator
 
 from .oracles import jump_term, norm_functional_by_state
@@ -539,6 +539,62 @@ class TestMalformedInputs:
         doc = json.loads(err)
         assert doc["error"] == "validation"
         assert "has no jump-term decomposition" in doc["detail"]
+
+
+class TestNonFiniteResults:
+    """A result that overflows or is undefined exits 2 with JSON detail
+    before anything is written; no artifact holds NaN or an infinity."""
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["simulate", "--generator", "builtin:qubit-xz", "--t-end", "0.2", "--dt", "0.1", "--alphas", "2000"],
+         "non-finite divergence or Fisher information at t=0, alpha=2000"),
+        (["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2", "--alpha1", "1e300"],
+         "non-finite result in D_end, max_forward_increase"),
+    ], ids=["simulate-order-2000", "compare-order-1e300"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_exits_numerical_without_an_artifact(self, argv, detail, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        code, stdout, err = run([*argv, "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert json.loads(err) == {"error": "numerical", "detail": detail}
+        assert not out.exists()
+
+    def test_fmt_refuses_non_finite(self):
+        for x in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NonFiniteError):
+                cli._fmt(x)
+
+    def test_fig1_echoes_an_infinite_order(self, capsys):
+        code, out, _ = run(["fig1", "--generator", "builtin:carlen-maas", "--alphas", "2,inf"], capsys)
+        assert code == 0
+        assert out.splitlines()[2].startswith("inf,")
+
+    @pytest.mark.parametrize("alpha", ["1e307", "1e308", "inf"])
+    def test_dbcheck_at_the_largest_orders(self, alpha, capsys):
+        # 2 alpha overflows from about 9e307 on; the weight kernel must still
+        # approach its alpha = inf limit, where carlen-maas is not balanced
+        code, out, _ = run(["dbcheck", "--generator", "builtin:carlen-maas", "--alphas", alpha], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["srd_residuals"][f"{float(alpha):g}"] == pytest.approx(0.0102328, rel=1e-5)
+        assert doc["verdicts"]["srd"] is False
+
+
+class TestComparePinskerBound:
+    def test_eps_below_the_bound_exits_validation(self, capsys):
+        # the ladder's last rung has a computed D1 of 0.0, but
+        # ||rho0 - sigma||_F^2 / 2 = 9.5e-17 bounds it from below
+        code, out, err = run(["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2", "--alpha1", "3",
+                              "--eps", "1e-300"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["detail"].startswith("initial relative entropy 9.5")
+
+    def test_eps_above_the_bound_passes(self, capsys):
+        code, out, _ = run(["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2", "--alpha1", "3",
+                            "--eps", "1e-16"], capsys)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
 
 class TestGeneratorFile:

@@ -270,11 +270,30 @@ class TestDecayFit:
 
 
 class TestGradientFlowIdentity:
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0, 20.0, 50.0, 100.0])
     def test_qubit_xz_ensemble(self, qubit_xz, rng, alpha):
         for _ in range(20):
             rho = mc.random_density(rng, 2, floor=0.1)
             assert flow.gradient_flow_residual(qubit_xz, rho, alpha) <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [8.0, 10.0, 20.0])
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_random_gns_at_high_order(self, n, alpha):
+        # the derivative is read in the multiplier's frame, never formed in
+        # the standard basis and mapped back, so high orders keep rounding level
+        G = random_gns_generator(np.random.default_rng(n), n, min_sigma_eig=0.15)
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            rho = mc.random_density(rng, n, floor=0.1)
+            assert flow.gradient_flow_residual(G, rho, alpha) <= 1e-8
+
+    def test_reads_no_standard_basis_derivative(self, qubit_xz, rng, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("derivative formed in the standard basis")
+
+        monkeypatch.setattr(nco.SandwichedState, "derivative", forbidden)
+        for alpha in (0.5, 1.0, 3.0):
+            assert flow.gradient_flow_residual(qubit_xz, mc.random_density(rng, 2, floor=0.1), alpha) <= 1e-8
 
     def test_relative_entropy_flow(self, rng):
         # order one: the drift matches the entropy-gradient flux
@@ -542,7 +561,7 @@ class TestLsiConstants:
         assert report.K_lower <= report.K_est <= report.K_upper + 1e-6
         assert report.K2_est >= report.K2_lower - 1e-6
         assert report.kappa1_est >= report.kappa2_est - 1e-6
-        assert abs(report.kappa1_est - report.K_est / 2.0) <= 1e-4
+        assert report.kappa1_est == report.K_est / 2.0
 
     def test_t2_bound_formula(self, report):
         lam, smin = report.lambda_L, 0.5
@@ -569,7 +588,7 @@ class TestLsiConstants:
         def objectives(G, denom_floor=1e-8):
             def broken(rho):
                 raise TypeError("bug in an objective")
-            return {"K": broken, "K2": broken, "kappa1": broken, "kappa2": broken}
+            return {"K": broken, "K2": broken, "kappa2": broken}
 
         monkeypatch.setattr(flow, "_lsi_objectives", objectives)
         with pytest.raises(TypeError, match="bug in an objective"):
@@ -608,12 +627,12 @@ class TestLsiObjectiveCost:
     def test_objectives_read_sigma_from_the_generator(self, rng, eigensolves, monkeypatch):
         # every ratio: rho's strict validation and one sandwiched state,
         # whose one decomposition gives both numerator and denominator
-        # (K = I/2D, kappa = E/Ent)
+        # (K = I/2D, kappa = (alpha Z/4) I/Ent)
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
         rho = mc.random_density(rng, 3, floor=0.1)
         objectives = flow._lsi_objectives(G)
         counts = {name: eigensolves(lambda: fn(rho)) for name, fn in objectives.items()}
-        assert counts == {"K": 2, "K2": 2, "kappa1": 2, "kappa2": 2}
+        assert counts == {"K": 2, "K2": 2, "kappa2": 2}
         states = []
         real = nco.sandwiched_state
         monkeypatch.setattr(nco, "sandwiched_state", lambda *args: states.append(args) or real(*args))
@@ -621,6 +640,16 @@ class TestLsiObjectiveCost:
             states.clear()
             fn(rho)
             assert len(states) == 1, name
+
+    def test_one_descent_per_start_for_three_ratios(self, qubit_xz, monkeypatch):
+        # K, K2 and kappa2 are descended from n_starts + 3 starts each;
+        # kappa1 = K/2 is read off K
+        calls = []
+        real = flow.minimize
+        monkeypatch.setattr(flow, "minimize", lambda *a, **k: calls.append(1) or real(*a, **k))
+        rep = flow.lsi_constants(qubit_xz, n_starts=1, maxiter=5)
+        assert len(calls) == 3 * (1 + 3)
+        assert rep.kappa1_est == rep.K_est / 2.0
 
 
 class TestComparisonConstants:
@@ -730,6 +759,15 @@ class TestComparisonFlow:
         assert rep.passed
         assert rep.max_forward_increase <= 1e-8
         assert rep.D_end <= rep.D_start + 1e-9
+
+    def test_pinsker_bound_enforced_where_the_divergence_rounds_to_zero(self, qubit_xz):
+        # ||rho0 - sigma||_F^2 / 2 bounds D0 from below without a
+        # decomposition; at this distance the computed D0 is rounding noise
+        rho0 = qubit_xz.sigma + 1e-9 * np.diag([1.0, -1.0])
+        assert nco.sandwiched_state(rho0, qubit_xz.sigma_dec, 1.0).divergence() <= 1e-30
+        with pytest.raises(ValidationError, match="initial relative entropy 1.000e-18 exceeds"):
+            flow.comparison_check(qubit_xz, rho0, 2.0, 3.0, eps=1e-19)
+        assert flow.comparison_check(qubit_xz, rho0, 2.0, 3.0, eps=1e-17).passed
 
     def test_entropy_ball_enforced(self, qubit_xz, rng):
         far = mc.random_density(rng, 2)

@@ -11,6 +11,7 @@ from .oracles import (
     chain_rule_residual,
     dirichlet_form,
     ent_fun,
+    flux_by_mpmath,
     functional_derivative_by_matrix_powers,
     matrix_power,
     mop_inverse_quadrature,
@@ -157,9 +158,8 @@ class TestFlux:
         G = random_gns_generator(rng, n, min_sigma_eig=0.15)
         rho = mc.random_density(rng, n, floor=0.1)
         M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
-        D = M.state.derivative()
-        ref = nc_divergence(G, M.apply(nc_gradient(G, D)))
-        assert np.linalg.norm(M.flux(G.jump_stacks[0], D) - ref) <= 1e-12 * np.linalg.norm(ref)
+        ref = nc_divergence(G, M.apply(nc_gradient(G, M.state.derivative())))
+        assert np.linalg.norm(M.flux(G.jump_stacks[0]) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestGradientDivergence:
@@ -427,17 +427,16 @@ class TestMultiplierStack:
         ref = np.real(np.einsum("ajkl,bjkl->ab", grads.conj(), images))
         assert np.abs(M.flux_gram(V, B) - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.5, 6.0])
-    def test_flux_matches_unfused_chain_on_any_stack(self, family_inputs, alpha, rng):
-        # sum_j [M_j [V_j, D], V_j*] for jump operators and a potential
-        # without any symmetry
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.5, 6.0, 10.0])
+    def test_flux_matches_unfused_chain_on_any_stack(self, family_inputs, alpha):
+        # sum_j [M_j [V_j, D], V_j*] of the state's own derivative, for jump
+        # operators without any symmetry, against the unfused chain at 40
+        # digits; in double precision the unfused chain itself loses digits
+        # from alpha of about 6 on
         rho, sigma, omegas, V = family_inputs
         M = nco.renyi_multiplier(rho, mc.density_spectrum(sigma, strict=True), omegas, alpha)
-        D = mc.random_complex(rng, rho.shape[0])
-        F = M.apply(V @ D - D @ V)
-        Vd = V.conj().swapaxes(-1, -2)
-        ref = np.sum(F @ Vd - Vd @ F, axis=0)
-        assert np.linalg.norm(M.flux(V, D) - ref) <= 1e-12 * np.linalg.norm(ref)
+        ref = flux_by_mpmath(rho, sigma, omegas, V, alpha)
+        assert np.linalg.norm(M.flux(V) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
     def test_adjoint_relation_row_by_row(self, family_inputs, alpha):
@@ -571,7 +570,9 @@ class TestWeightOperator:
             assert np.allclose(K, K.T, atol=1e-12)
             assert np.all(K > 0)
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0, 20.0, 50.0, np.inf])
+    # 1e308 and the largest float: 2 alpha and 2 (alpha - 1) overflow there
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0, 20.0, 50.0, np.inf,
+                                       1e308, np.finfo(float).max])
     def test_against_high_precision_oracle(self, rng, alpha):
         for n in range(2, 9):
             dec = mc.density_spectrum(mc.random_density(rng, n, floor=0.05), strict=True)
@@ -584,12 +585,13 @@ class TestWeightOperator:
 
 
 def _state_functionals(G, rho, alpha):
-    """Entropy and Dirichlet form of rho from its sandwiched state, and the
-    X-form argument X = sigma^(-1/2) rho sigma^(-1/2) of the references."""
+    """Entropy and Dirichlet form E = (alpha Z/4) I of rho from its sandwiched
+    state, as the log-Sobolev ratios read them, and the X-form argument
+    X = sigma^(-1/2) rho sigma^(-1/2) of the references."""
     si = G.sigma_dec.power(-0.5)
     X = mc.hermitize(si @ rho @ si)
     state = nco.sandwiched_state(rho, G.sigma_dec, alpha)
-    return state.entropy(), state.dirichlet(G.apply_L(X)), X
+    return state.entropy(), state.alpha * state.Z / 4.0 * state.fisher(G.apply_Ldag(rho)), X
 
 
 class TestWeightedFunctionals:
@@ -621,12 +623,13 @@ class TestWeightedFunctionals:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
     def test_dirichlet_matches_fisher(self, rng, alpha):
-        from renyiflow.generator import random_gns_generator
-
+        # the X-form Dirichlet form against the divergence module's Fisher
+        # information: the identity E = (alpha Z/4) I the log-Sobolev ratios read
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
+        si = G.sigma_dec.power(-0.5)
         for _ in range(5):
             rho = mc.random_density(rng, 3, floor=0.1)
-            E = _state_functionals(G, rho, alpha)[1]
+            E = dirichlet_form(G, alpha, mc.hermitize(si @ rho @ si))
             Z = dv.sandwiched_renyi(rho, G.sigma, alpha).Z
             Ia = dv.fisher_information(rho, alpha, G)
             assert E / Z == pytest.approx(alpha / 4.0 * Ia, abs=1e-8 * max(1.0, abs(Ia)))
@@ -667,10 +670,11 @@ def _functional_generators():
 
 
 class TestStateFunctionalsMatchXForm:
-    """`SandwichedState.entropy` and `.dirichlet` against the X-form
-    references, which weight X = sigma^(-1/2) rho sigma^(-1/2) and decompose
-    it themselves; no detailed-balance identity is used, so KMS-only
-    carlen-maas is covered too."""
+    """`SandwichedState.entropy` and the Dirichlet form (alpha Z/4) I read
+    from the Fisher pairing against the X-form references, which weight
+    X = sigma^(-1/2) rho sigma^(-1/2) and decompose it themselves.  The
+    identity needs only the KMS symmetry, so KMS-only carlen-maas is
+    covered too."""
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("name", list(_functional_generators()))
