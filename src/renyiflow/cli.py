@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from urllib.parse import parse_qs
 
 import numpy as np
@@ -52,16 +53,24 @@ def _json(doc: dict) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".renyiflow-")
+    """Write text in place to an existing non-regular file (a FIFO), else through a temporary
+    file that replaces the file the path's symlinks resolve to; OSError raises ValidationError."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".renyiflow-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def emit(path: str | None, text: str) -> None:
@@ -246,8 +255,7 @@ def cmd_simulate(args) -> int:
     G = load_generator(args.generator)
     rho0 = load_rho0(args.rho0, G, args.seed)
     alphas = parse_alphas(args.alphas)
-    store = max(1, args.store_every)
-    traj = flow.integrate(G, rho0, args.t_end, args.dt, store_every=store)
+    traj = flow.integrate(G, rho0, args.t_end, args.dt, store_every=args.store_every)
     rows = flow.divergence_trace(traj, alphas).rows()
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
@@ -415,20 +423,29 @@ def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run one command; its warnings join a failure's JSON document on stderr, or are emitted again."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        args = _apply_config(args, argv)
-        return args.fn(args)
-    except (ValidationError, StructuralError, DomainError) as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_VALIDATION
-    except (IntegrationError, SingularityError, NonFiniteError) as exc:
-        print(json.dumps({"error": "numerical", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_NUMERICAL
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = _apply_config(args, argv)
+            code = args.fn(args)
+        except (ValidationError, StructuralError, DomainError) as exc:
+            code, error = EXIT_VALIDATION, {"error": "validation", "detail": str(exc)}
+        except (IntegrationError, SingularityError, NonFiniteError) as exc:
+            code, error = EXIT_NUMERICAL, {"error": "numerical", "detail": str(exc)}
+    if error is None:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+        return code
+    if caught:
+        error["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+    print(json.dumps(error), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -240,35 +240,17 @@ def _require_traceless_hermitian(nu, n: int, name: str) -> np.ndarray:
 
 
 def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
-    """Transport metric pairing of two tangent directions at rho.
-
-    Each direction is lifted to a potential by inverting the strictly
-    positive flux operator B -> -div M grad B on the traceless Hermitian
-    subspace (pseudo-inverse cutoff 1e-10), and the lifted gradients are
-    paired through the order-alpha multiplication operator: with T the flux
-    operator's Gram matrix, the lifts x = T+ c of coordinates c pair to
-    x1' T x2 = c1' T+ c2.  T_ab = Re sum_j <[V_j, B_a], M_j [V_j, B_b]> on
-    the n^2 - 1 basis elements comes from one contraction of the family's
-    kernels with the jump operators (`RenyiMultiplier.flux_gram`), O(m n^4)
-    for m jump terms; no basis element is imaged on its own.
-    """
+    """Transport metric pairing of two tangent directions at rho: each is
+    lifted to the potential B that the flux operator B -> -div M grad B maps
+    to it, and the lifts pair as <B1, nu2>, in one solve in the order-alpha
+    family's frame (`RenyiMultiplier.metric`), with no basis and no cutoff."""
     if not G.primitivity.primitive:
         raise ValidationError("metric tensor needs a primitive generator")
-    n = G.n
     rho = _validated(G, rho, strict=True)
-    nu1 = _require_traceless_hermitian(nu1, n, "nu1")
-    nu2 = _require_traceless_hermitian(nu2, n, "nu2")
+    nu1 = _require_traceless_hermitian(nu1, G.n, "nu1")
+    nu2 = _require_traceless_hermitian(nu2, G.n, "nu2")
     M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
-    basis = nco.traceless_hermitian_basis(n)
-    flat = basis.reshape(len(basis), -1).conj()
-
-    T = M.flux_gram(G.jump_stacks[0], basis)
-    T = 0.5 * (T + T.T)
-    w, Q = np.linalg.eigh(T)
-    cutoff = 1e-10 * max(abs(w[-1]), 1e-300)
-    winv = np.where(np.abs(w) > cutoff, 1.0 / w, 0.0)
-    a1, a2 = np.real(np.array([nu1.ravel(), nu2.ravel()]) @ flat.T) @ Q
-    return float(a1 @ (winv * a2))
+    return M.metric(G.jump_stacks[0], nu1, nu2)
 
 
 # --- inequality checks ----------------------------------------------------------

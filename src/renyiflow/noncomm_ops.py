@@ -258,8 +258,8 @@ class RenyiMultiplier:
     apply() realizes the strictly positive map whose inverse carries the
     gradient of the order-alpha divergence onto jump-operator commutators;
     flux() carries the state's own derivative through gradient, multiplier
-    and divergence over the jump stack, and flux_gram() pairs jump commutators
-    of many directions through it at once.  Composition structure:
+    and divergence over the jump stack, and metric() pairs two tangent
+    directions through the flux operator's inverse.  Composition structure:
     a scalar Z/alpha, outer two-sided sigma powers, and a single entrywise
     kernel in the eigenbasis of the sandwiched state.  A family over m
     frequencies has an (m, n, n) kernel and acts on (m, n, n) stacks.
@@ -310,17 +310,13 @@ class RenyiMultiplier:
         S = Y @ Vh.reshape(n, m * n).conj().T - Vt.reshape(n * m, n).conj().T @ Y.reshape(n * m, n)
         return (state.Z / state.alpha) * (Q @ S @ Q.conj().T)
 
-    def flux_gram(self, V, B) -> np.ndarray:
-        """Gram matrix Re sum_j <[V_j, B_a], M_j [V_j, B_b]> of a family over
-        the (m, n, n) jump stack V, for a (d, n, n) stack of directions B.
-
-        In the frame (`_frame`) it is one Hermitian n^2 x n^2 form H in the
-        entries of B', O(m n^4): the Vt-Vt and Vh-Vh parts are diagonal in one
-        index of B', each n weighted Gram matrices A* diag(w) A over the m n
-        rows of the stack, and the cross part is one product over j per row
-        index.  The d directions then cost two products with H.
-        """
-        Q, Vt, Vh = self._frame(V)
+    def _flux_form(self, V) -> np.ndarray:
+        """The Hermitian n^2 x n^2 form H with (Z/alpha) conj(B')^T H B' =
+        sum_j <[V_j, B], M_j [V_j, B]> in the entries of B' = Q* B Q (`_frame`),
+        O(m n^4) over the (m, n, n) stack V (Z/alpha times the kernels would
+        overflow at orders of a few hundred): the Vt-Vt and Vh-Vh parts are n
+        weighted Gram matrices each, the cross part one product per row index."""
+        _, Vt, Vh = self._frame(V)
         k = self.kernel_op.kernel
         m, n = k.shape[0], k.shape[-1]
         eye = np.eye(n)
@@ -338,9 +334,21 @@ class RenyiMultiplier:
         W = k.transpose(1, 0, 2)[:, :, :, None] * Vh.transpose(0, 2, 1)[None, :, :, :]
         cross = (Vt.conj().transpose(1, 2, 0) @ W.reshape(n, m, n * n)).reshape(n, n, n, n)
         cross = cross.transpose(1, 2, 0, 3).reshape(n * n, n * n)
-        H = H.reshape(n * n, n * n) - cross - cross.conj().T
-        Bp = (Q.conj().T @ np.asarray(B, dtype=complex) @ Q).reshape(len(B), n * n)
-        return (self.state.Z / self.state.alpha) * np.real(Bp.conj() @ H @ Bp.T)
+        return H.reshape(n * n, n * n) - cross - cross.conj().T
+
+    def metric(self, V, nu1, nu2) -> float:
+        """<B1, nu2> for traceless nu1, nu2, where B -> sum_j [V_j*, M_j [V_j, B]]
+        maps B1 to nu1: one solve with H (`_flux_form`) scaled by diag(H)^(-1/2),
+        c' = Q^-1 nu Q^-* paired with B', and the null direction B' = Q* Q
+        filled by a rank-one term, which tr nu = 0 makes exact."""
+        H = self._flux_form(V)
+        U = self.kernel_op.basis
+        Q, Qinv = self.outer_inv @ U, U.conj().T @ self.state.outer
+        c = (Qinv @ np.array([nu1, nu2], dtype=complex) @ Qinv.conj().T).reshape(2, -1)
+        d = np.diag(H).real ** -0.5
+        z = (Q.conj().T @ Q).ravel() / d
+        y = np.linalg.solve(d[:, None] * H * d + np.outer(z, z.conj()) / np.vdot(z, z).real, d * c[1])
+        return float(np.real(np.vdot(c[0], d * y)) / (self.state.Z / self.state.alpha))
 
 
 def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: float) -> RenyiMultiplier:

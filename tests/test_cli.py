@@ -1,4 +1,9 @@
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,9 @@ from renyiflow.errors import DomainError, NonFiniteError, ValidationError
 from renyiflow.generator import JumpTerms, qubit_xz_generator, random_gns_generator
 
 from .oracles import jump_term, norm_functional_by_state
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -510,9 +518,11 @@ class TestMalformedInputs:
         ["simulate", "--generator", "builtin:qubit-xz", "--t-end", "1", "--dt", "1e-300"],
         ["gradflow", "--generator", "builtin:qubit-xz", "--samples", "-2"],
         ["constants", "--generator", "builtin:qubit-xz", "--starts", "-1"],
+        ["simulate", "--generator", "builtin:qubit-xz", "--t-end", "0.1", "--dt", "0.01", "--store-every", "0"],
+        ["simulate", "--generator", "builtin:qubit-xz", "--t-end", "0.1", "--dt", "0.01", "--store-every", "-3"],
     ], ids=["simulate-inf-order", "gradflow-inf-order", "dbcheck-nan-order", "nan-t-end",
             "negative-t-end", "nan-dt", "compare-inf-order", "nan-rate", "inf-rate", "tiny-dt",
-            "negative-samples", "negative-starts"])
+            "negative-samples", "negative-starts", "zero-store-every", "negative-store-every"])
     def test_non_finite_or_negative_number(self, argv, capsys):
         self.assert_validation_exit(argv, capsys)
 
@@ -541,16 +551,19 @@ class TestMalformedInputs:
         assert "has no jump-term decomposition" in doc["detail"]
 
 
+NON_FINITE = pytest.mark.parametrize("argv, detail", [
+    (["simulate", "--generator", "builtin:qubit-xz", "--t-end", "0.2", "--dt", "0.1", "--alphas", "2000"],
+     "non-finite divergence or Fisher information at t=0, alpha=2000"),
+    (["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2", "--alpha1", "1e300"],
+     "non-finite result in D_end, max_forward_increase"),
+], ids=["simulate-order-2000", "compare-order-1e300"])
+
+
 class TestNonFiniteResults:
     """A result that overflows or is undefined exits 2 with JSON detail
     before anything is written; no artifact holds NaN or an infinity."""
 
-    @pytest.mark.parametrize("argv, detail", [
-        (["simulate", "--generator", "builtin:qubit-xz", "--t-end", "0.2", "--dt", "0.1", "--alphas", "2000"],
-         "non-finite divergence or Fisher information at t=0, alpha=2000"),
-        (["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2", "--alpha1", "1e300"],
-         "non-finite result in D_end, max_forward_increase"),
-    ], ids=["simulate-order-2000", "compare-order-1e300"])
+    @NON_FINITE
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_exits_numerical_without_an_artifact(self, argv, detail, tmp_path, capsys):
@@ -559,6 +572,20 @@ class TestNonFiniteResults:
         assert (code, stdout) == (2, "")
         assert json.loads(err) == {"error": "numerical", "detail": detail}
         assert not out.exists()
+
+    @NON_FINITE
+    def test_stderr_is_one_json_document_with_warnings_shown(self, argv, detail):
+        # a fresh interpreter whose filters show every warning: the warnings
+        # the failing command raised go into its error document, not before it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "default", "-c",
+                               "import sys; from renyiflow import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        doc = json.loads(proc.stderr)
+        assert (doc["error"], doc["detail"]) == ("numerical", detail)
+        assert all(w.startswith("RuntimeWarning: ") for w in doc["warnings"])
 
     def test_fmt_refuses_non_finite(self):
         for x in (np.inf, -np.inf, np.nan):
@@ -579,6 +606,58 @@ class TestNonFiniteResults:
         doc = json.loads(out)
         assert doc["srd_residuals"][f"{float(alpha):g}"] == pytest.approx(0.0102328, rel=1e-5)
         assert doc["verdicts"]["srd"] is False
+
+
+def test_success_emits_the_commands_warnings_again(tmp_path, capsys):
+    # the pure initial state is pruned from the trace with a warning, which
+    # cli.main records while the command runs and emits again on exit 0
+    path = tmp_path / "pure.csv"
+    path.write_text(mc.matrix_to_csv_block("rho0", np.diag([1.0, 0.0]).astype(complex)))
+    with pytest.warns(UserWarning, match="pruned 1 "):
+        code, _, err = run(["simulate", "--generator", "builtin:qubit-xz", "--rho0", str(path),
+                            "--alphas", "2", "--t-end", "0.1", "--dt", "0.01"], capsys)
+    assert (code, err) == (0, "")
+
+
+class TestOutPath:
+    """--out writes through the path it names: a symlink keeps pointing at
+    the artifact, a FIFO stays a FIFO, and an unwritable path exits 1."""
+
+    FIG1 = ["fig1", "--generator", "builtin:carlen-maas", "--alphas", "1,2"]
+
+    def artifact(self, capsys) -> str:
+        code, out, _ = run(self.FIG1, capsys)
+        assert code == 0
+        return out
+
+    def test_symlink_stays_a_link(self, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        assert run([*self.FIG1, "--out", str(link)], capsys)[0] == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == self.artifact(capsys)
+
+    def test_fifo_receives_the_artifact(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run([*self.FIG1, "--out", str(fifo)], capsys)[0] == 0
+            received = os.read(fd, 1 << 16).decode()
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == self.artifact(capsys)
+
+    def test_missing_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        code, stdout, err = run([*self.FIG1, "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "validation"
+        assert doc["detail"].startswith(f"cannot write {out}")
+        assert not out.parent.exists()
 
 
 class TestComparePinskerBound:

@@ -321,14 +321,18 @@ class TestMetricTensor:
         g21 = flow.metric_tensor(qubit_xz, rho, 2.0, nu2, nu1)
         assert g12 == pytest.approx(g21, abs=1e-10 * max(1.0, abs(g12)))
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 3.0, 8.0, 12.0, 20.0, 50.0])
     def test_energy_identity(self, rng, alpha):
-        G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
-        rho = mc.random_density(rng, 3, floor=0.1)
-        drift = G.apply_Ldag(rho)
-        g = flow.metric_tensor(G, rho, alpha, drift, drift)
-        Ia = dv.fisher_information(rho, alpha, G)
-        assert g == pytest.approx(Ia, abs=1e-8 * max(1.0, Ia))
+        # the drift paired with itself is the Fisher information, to rounding
+        # at every order: the solve in the multiplier's frame has no cutoff
+        # to drop the directions that carry it
+        for n in (2, 3, 4, 6, 8):
+            G = random_gns_generator(rng, n, min_sigma_eig=0.15)
+            rho = mc.random_density(rng, n, floor=0.1)
+            drift = G.apply_Ldag(rho)
+            g = flow.metric_tensor(G, rho, alpha, drift, drift)
+            Ia = dv.fisher_information(rho, alpha, G)
+            assert g == pytest.approx(Ia, rel=1e-12), f"n={n}"
 
     def test_requires_traceless(self, qubit_xz, rng):
         rho = mc.random_density(rng, 2, floor=0.1)
@@ -368,12 +372,11 @@ class TestMultiplierFamily:
                 eigensolves(lambda: flow.metric_tensor(G, rho, alpha, nu, nu)),
             ])
         assert counts[0] == counts[1]
-        assert counts[0][0] == 2
-        assert max(counts[0]) <= 6
+        assert counts[0] == [2, 2]
 
     def test_metric_contracts_the_kernel_without_imaging_directions(self, monkeypatch):
-        # the flux Gram matrix comes from one contraction over the jump
-        # terms, not from the gradient and multiplier applied per direction
+        # the flux form comes from one contraction over the jump terms, not
+        # from the gradient and multiplier applied per direction
         G = named_generator("gns-4")
         rng = np.random.default_rng(4)
         rho = mc.random_density(rng, 4, floor=0.1)

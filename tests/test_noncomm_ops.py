@@ -417,15 +417,20 @@ class TestMultiplierStack:
 
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.5, 6.0])
     def test_flux_gram_matches_imaged_directions(self, family_inputs, alpha, rng):
-        # Re sum_j <[V_j, B_a], M_j [V_j, B_b]> from the stacked multiplier,
-        # for jump operators and directions without any symmetry
+        # the Gram matrix Re sum_j <[V_j, B_a], M_j [V_j, B_b]> from the
+        # stacked multiplier's form in the entries of B' = Q* B Q, for jump
+        # operators and directions without any symmetry
         rho, sigma, omegas, V = family_inputs
+        n = rho.shape[0]
         M = nco.renyi_multiplier(rho, mc.density_spectrum(sigma, strict=True), omegas, alpha)
-        B = np.array([mc.random_complex(rng, rho.shape[0]) for _ in range(4)])
+        B = np.array([mc.random_complex(rng, n) for _ in range(4)])
         grads = V[None] @ B[:, None] - B[:, None] @ V[None]
         images = np.array([M.apply(g) for g in grads])
         ref = np.real(np.einsum("ajkl,bjkl->ab", grads.conj(), images))
-        assert np.abs(M.flux_gram(V, B) - ref).max() <= 1e-12 * np.abs(ref).max()
+        Q = M._frame(V)[0]
+        Bp = (Q.conj().T @ B @ Q).reshape(len(B), n * n)
+        gram = (M.state.Z / M.state.alpha) * np.real(Bp.conj() @ M._flux_form(V) @ Bp.T)
+        assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.5, 6.0, 10.0])
     def test_flux_matches_unfused_chain_on_any_stack(self, family_inputs, alpha):
