@@ -13,6 +13,7 @@ import contextlib
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 import warnings
@@ -54,15 +55,24 @@ def _json(doc: dict) -> str:
 
 def write_atomic(path: str, text: str) -> None:
     """Write text in place to an existing non-regular file (a FIFO), else through a temporary
-    file that replaces the file the path's symlinks resolve to; OSError raises ValidationError."""
+    file that replaces the file the path's symlinks resolve to.  The file keeps the mode of the
+    file it replaces; a new one gets 0666 less the umask, as `open` would give it.  OSError
+    raises ValidationError."""
     try:
         if os.path.exists(path) and not os.path.isfile(path):
             with open(path, "w") as fh:
                 fh.write(text)
             return
         target = os.path.realpath(path)
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".renyiflow-")
         try:
+            os.fchmod(fd, mode)
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
             os.replace(tmp, target)
@@ -220,7 +230,8 @@ def cmd_validate(args) -> int:
     except RenyiflowError as exc:
         print(json.dumps({"valid": False, "failures": [str(exc)]}, indent=2))
         return EXIT_VALIDATION
-    report = bc.balance_report(G)
+    # only the GNS, KMS and BKM verdicts are printed: BKM is the one order of the grid
+    report = bc.balance_report(G, alphas=(1.0,))
     verdicts = report.verdicts
     lines = [f"generator: {G.label} (n={G.n})"]
     for key in ("gns", "kms", "bkm"):

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from . import divergence as dv
 from . import matcore as mc
 from . import noncomm_ops as nco
 from .errors import DomainError, IntegrationError, RenyiflowError, StructuralError, ValidationError
@@ -169,7 +168,9 @@ def divergence_trace(traj: Trajectory, alphas) -> TraceTable:
 
     States whose smallest eigenvalue (`Trajectory.min_eigenvalues`, one
     stacked eigensolve on first read) is below POS_FLOOR are pruned with a
-    warning.
+    warning.  Each kept (state, order) pair is one strict validation and
+    one sandwiched state over the generator's `sigma_dec`, and D and I are
+    both read from it: two eigensolves per pair.
     """
     G = traj.generator
     keep = np.flatnonzero(traj.min_eigenvalues >= mc.POS_FLOOR)
@@ -180,8 +181,10 @@ def divergence_trace(traj: Trajectory, alphas) -> TraceTable:
     I = np.zeros_like(D)
     for i, a in enumerate(alphas):
         for j, k in enumerate(keep):
-            D[i, j] = dv.sandwiched_renyi(traj.states[k], G.sigma, a).value
-            I[i, j] = dv.fisher_information(traj.states[k], a, G)
+            rho = _validated(G, traj.states[k], strict=True)
+            st = nco.sandwiched_state(rho, G.sigma_dec, a)
+            D[i, j] = st.divergence()
+            I[i, j] = st.fisher(G.apply_Ldag(rho))
     return TraceTable(traj.times[keep], alphas, D, I)
 
 

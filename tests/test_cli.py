@@ -621,7 +621,8 @@ def test_success_emits_the_commands_warnings_again(tmp_path, capsys):
 
 class TestOutPath:
     """--out writes through the path it names: a symlink keeps pointing at
-    the artifact, a FIFO stays a FIFO, and an unwritable path exits 1."""
+    the artifact, a FIFO stays a FIFO, a replaced file keeps its mode, a new
+    one gets the umask's, and an unwritable path exits 1."""
 
     FIG1 = ["fig1", "--generator", "builtin:carlen-maas", "--alphas", "1,2"]
 
@@ -637,6 +638,36 @@ class TestOutPath:
         assert run([*self.FIG1, "--out", str(link)], capsys)[0] == 0
         assert link.is_symlink() and os.readlink(link) == target.name
         assert target.read_text() == self.artifact(capsys)
+
+    @pytest.fixture()
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path, capsys, umask_022):
+        out = tmp_path / "new.csv"
+        assert run([*self.FIG1, "--out", str(out)], capsys)[0] == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, capsys, umask_022):
+        out = tmp_path / "old.csv"
+        out.write_text("old\n")
+        os.chmod(out, 0o640)
+        assert run([*self.FIG1, "--out", str(out)], capsys)[0] == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+        os.chmod(out, 0o644)
+        assert run([*self.FIG1, "--out", str(out)], capsys)[0] == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
+        assert out.read_text() == self.artifact(capsys)
+
+    def test_symlink_target_keeps_its_mode(self, tmp_path, capsys, umask_022):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        os.chmod(target, 0o644)
+        link.symlink_to(target.name)
+        assert run([*self.FIG1, "--out", str(link)], capsys)[0] == 0
+        assert link.is_symlink() and stat.S_IMODE(os.stat(target).st_mode) == 0o644
 
     def test_fifo_receives_the_artifact(self, tmp_path, capsys):
         fifo = tmp_path / "fifo"
@@ -747,6 +778,13 @@ class TestSigmaContext:
         codes = []
         assert eigensolves(lambda: codes.append(main([argv[0], "--generator", gns8_file, *argv[1:]]))) == 1
         assert codes == [0]
+
+    def test_validate_takes_only_the_bkm_residual(self, gns8_file, monkeypatch, capsys):
+        orders = []
+        real = cli.bc.srd_residual
+        monkeypatch.setattr(cli.bc, "srd_residual", lambda G, a: orders.append(a) or real(G, a))
+        assert main(["validate", "--generator", gns8_file]) == 0
+        assert orders == [1.0]
 
 
 class TestDeterminism:

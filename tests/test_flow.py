@@ -200,6 +200,32 @@ class TestBlockedPropagation:
 
 
 class TestDivergenceTrace:
+    @pytest.mark.parametrize("name", ["qubit-xz", "gns-2", "gns-3", "gns-4"])
+    def test_equals_the_public_functionals_exactly(self, name):
+        # 1 + 1e-7 lies in nco.ALPHA_ONE_WINDOW: the relative-entropy branch
+        alphas = [0.5, 1.0, 1.0 + 1e-7, 2.0, 4.0]
+        G = named_generator(name)
+        rho0 = mc.random_density(np.random.default_rng(7 + G.n), G.n, floor=0.1)
+        traj = flow.integrate(G, rho0, 2.0 / G.gap.value, flow.suggested_dt(G), store_every=25)
+        tab = flow.divergence_trace(traj, alphas)
+        for i, a in enumerate(alphas):
+            assert tab.D[i].tolist() == [dv.sandwiched_renyi(s, G.sigma, a).value for s in traj.states]
+            assert tab.I[i].tolist() == [dv.fisher_information(s, a, G) for s in traj.states]
+
+    def test_one_validation_per_pair(self, qubit_xz, rng, validations):
+        traj = flow.integrate(qubit_xz, mc.random_density(rng, 2, floor=0.1), 0.5, 0.01, store_every=10)
+        assert validations(lambda: flow.divergence_trace(traj, [0.5, 1.0, 2.0])) == 3 * len(traj.times)
+
+    def test_reads_no_bare_matrix_functional(self):
+        # the trace works from the generator's sigma_dec, not through divergence
+        assert dv not in vars(flow).values()
+
+    def test_generator_of_another_size_raises(self, qubit_xz, rng):
+        traj = flow.integrate(qubit_xz, mc.random_density(rng, 2, floor=0.1), 0.5, 0.01, store_every=10)
+        other = flow.Trajectory(traj.times, traj.states, named_generator("gns-3"))
+        with pytest.raises(StructuralError):
+            flow.divergence_trace(other, [2.0])
+
     def test_order_one_equals_relative_entropy(self, depol, rng):
         rho0 = mc.random_density(rng, 2, floor=0.1)
         traj = flow.integrate(depol, rho0, 1.0, 0.01, store_every=10)
