@@ -62,7 +62,8 @@ class Trajectory:
 
 
 def _require_dim(A: np.ndarray, n: int, name: str) -> np.ndarray:
-    if A.shape != (n, n):
+    """A, or each matrix of a stack, checked to be n x n."""
+    if A.shape[-2:] != (n, n):
         raise StructuralError(f"{name}: shape {A.shape} does not match the generator's ({n}, {n})")
     return A
 
@@ -166,25 +167,31 @@ class TraceTable:
 def divergence_trace(traj: Trajectory, alphas) -> TraceTable:
     """Evaluate divergences and Fisher informations at the stored states.
 
-    States whose smallest eigenvalue (`Trajectory.min_eigenvalues`, one
-    stacked eigensolve on first read) is below POS_FLOOR are pruned with a
-    warning.  Each kept (state, order) pair is one strict validation and
-    one sandwiched state over the generator's `sigma_dec`, and D and I are
-    both read from it: two eigensolves per pair.
+    The state stack is validated once: its shape against the generator,
+    finiteness and hermiticity, then the kept states' unit trace.  States
+    whose smallest eigenvalue (`Trajectory.min_eigenvalues`, one stacked
+    eigensolve on first read) is below POS_FLOOR are pruned with a warning.
+    Each kept state's drift L^dagger rho is formed once; each kept
+    (state, order) pair is one sandwiched state over the generator's
+    `sigma_dec`, and D and I are both read from it: one eigensolve per pair.
     """
     G = traj.generator
-    keep = np.flatnonzero(traj.min_eigenvalues >= mc.POS_FLOOR)
+    states = _require_dim(mc.require_hermitian(traj.states, name="states", stack=True), G.n, "states")
+    wmin = traj.min_eigenvalues
+    keep = np.flatnonzero(wmin >= mc.POS_FLOOR)
     if keep.size < traj.times.size:
         warnings.warn(f"pruned {traj.times.size - keep.size} non-strictly-positive states from the trace")
+    states = states[keep]
+    mc.check_density(states, wmin[keep], strict=True, name="states")
     alphas = tuple(float(a) for a in alphas)
     D = np.zeros((len(alphas), keep.size))
     I = np.zeros_like(D)
-    for i, a in enumerate(alphas):
-        for j, k in enumerate(keep):
-            rho = _validated(G, traj.states[k], strict=True)
+    for j, rho in enumerate(states):
+        drift = G.apply_Ldag(rho)
+        for i, a in enumerate(alphas):
             st = nco.sandwiched_state(rho, G.sigma_dec, a)
             D[i, j] = st.divergence()
-            I[i, j] = st.fisher(G.apply_Ldag(rho))
+            I[i, j] = st.fisher(drift)
     return TraceTable(traj.times[keep], alphas, D, I)
 
 

@@ -19,7 +19,7 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -52,18 +52,21 @@ def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def as_matrix(A, name: str = "matrix") -> np.ndarray:
+def as_matrix(A, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """A as a finite complex square matrix; `stack` takes a (T, n, n) stack of them."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-        raise StructuralError(f"{name}: expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 + stack or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
+        raise StructuralError(f"{name}: expected a square matrix{' stack' * stack}, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise StructuralError(f"{name}: non-finite entries")
     return A
 
 
-def require_hermitian(A, tol: float = TOL_HERM, name: str = "matrix") -> np.ndarray:
-    A = as_matrix(A, name)
-    dev = np.max(np.abs(A - A.conj().T))
+def require_hermitian(A, tol: float = TOL_HERM, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """A checked Hermitian within tol, and returned as its Hermitian part;
+    `stack` checks a (T, n, n) stack in one pass."""
+    A = as_matrix(A, name, stack)
+    dev = np.max(np.abs(A - A.conj().swapaxes(-1, -2)), initial=0.0)
     if dev > tol:
         raise StructuralError(f"{name}: not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
     return hermitize(A)
@@ -71,8 +74,17 @@ def require_hermitian(A, tol: float = TOL_HERM, name: str = "matrix") -> np.ndar
 
 def check_density(A, wmin: float, strict: bool = False, name: str = "state") -> None:
     """Check a Hermitian matrix whose smallest eigenvalue is wmin as a
-    density matrix, as `require_density` does."""
-    tr = np.trace(A).real
+    density matrix, as `require_density` does.  A (T, n, n) stack with its
+    T smallest eigenvalues is checked in one pass, and the first state that
+    fails is reported as `name[k]`."""
+    tr = np.trace(A, axis1=-2, axis2=-1).real
+    if np.ndim(tr):
+        wmin = np.asarray(wmin, dtype=float)
+        bad = (np.abs(tr - 1.0) > TOL_TRACE) | (wmin < (POS_FLOOR if strict else -TOL_PSD))
+        if bad.any():
+            k = int(np.argmax(bad))
+            check_density(A[k], float(wmin[k]), strict, f"{name}[{k}]")
+        return
     if abs(tr - 1.0) > TOL_TRACE:
         raise StructuralError(f"{name}: trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
     if wmin < -TOL_PSD:
@@ -97,6 +109,8 @@ class SpectralDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
+    # `power`'s memo: scalar exponent -> read-only power; not compared or shown
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def reconstruct(self, fvals: np.ndarray | None = None) -> np.ndarray:
         """U diag(f) U*; a stack of value rows over one basis gives the
@@ -112,8 +126,18 @@ class SpectralDecomposition:
     # read from this one decomposition, never from a fresh eigensolve.
 
     def power(self, p) -> np.ndarray:
-        """A^p; an array of exponents gives the stack of powers."""
-        return self._real_function(np.power(self.values, np.asarray(p, dtype=float)[..., None]))
+        """A^p; an array of exponents gives the stack of powers.  The power
+        at a scalar exponent is formed once per decomposition, and returned
+        read-only from then on; an array of exponents is formed each call."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim:
+            return self._real_function(np.power(self.values, p[..., None]))
+        key = float(p)
+        out = self._powers.get(key)
+        if out is None:
+            out = self._powers[key] = self._real_function(np.power(self.values, p[..., None]))
+            out.flags.writeable = False
+        return out
 
     def log(self) -> np.ndarray:
         return self._real_function(np.log(self.values))

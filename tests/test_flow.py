@@ -212,9 +212,39 @@ class TestDivergenceTrace:
             assert tab.D[i].tolist() == [dv.sandwiched_renyi(s, G.sigma, a).value for s in traj.states]
             assert tab.I[i].tolist() == [dv.fisher_information(s, a, G) for s in traj.states]
 
-    def test_one_validation_per_pair(self, qubit_xz, rng, validations):
+    def test_one_validation_per_trajectory(self, qubit_xz, rng, validations, monkeypatch):
+        # the state stack is checked once, however many orders and states
+        checks = []
+        real = mc.require_hermitian
+        monkeypatch.setattr(mc, "require_hermitian", lambda *a, **k: checks.append(1) or real(*a, **k))
+        rho0 = mc.random_density(rng, 2, floor=0.1)
+        counts = []
+        for t_end, alphas in ((0.1, [2.0]), (0.5, [0.5, 1.0, 2.0])):
+            traj = flow.integrate(qubit_xz, rho0, t_end, 0.01, store_every=10)
+            checks.clear()
+            counts.append(validations(lambda: flow.divergence_trace(traj, alphas)) + len(checks))
+        assert counts == [1, 1]
+
+    def test_one_drift_per_state(self, qubit_xz, rng, monkeypatch):
         traj = flow.integrate(qubit_xz, mc.random_density(rng, 2, floor=0.1), 0.5, 0.01, store_every=10)
-        assert validations(lambda: flow.divergence_trace(traj, [0.5, 1.0, 2.0])) == 3 * len(traj.times)
+        calls = []
+        real = type(qubit_xz).apply_Ldag
+        monkeypatch.setattr(type(qubit_xz), "apply_Ldag", lambda self, A: calls.append(1) or real(self, A))
+        flow.divergence_trace(traj, [0.5, 1.0, 2.0, 4.0])
+        assert len(calls) == len(traj.times)
+
+    @pytest.mark.parametrize("defect", ["non-hermitian", "trace", "nan"])
+    def test_a_malformed_state_raises(self, qubit_xz, rng, defect):
+        traj = flow.integrate(qubit_xz, mc.random_density(rng, 2, floor=0.1), 0.5, 0.01, store_every=10)
+        states = traj.states.copy()
+        if defect == "non-hermitian":
+            states[2, 0, 1] += 1e-6
+        elif defect == "trace":
+            states[2] *= 1.0 + 1e-6
+        else:
+            states[2, 0, 1] = np.nan
+        with pytest.raises(StructuralError):
+            flow.divergence_trace(flow.Trajectory(traj.times, states, qubit_xz), [2.0])
 
     def test_reads_no_bare_matrix_functional(self):
         # the trace works from the generator's sigma_dec, not through divergence

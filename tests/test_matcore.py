@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,63 @@ class TestSpectralCalculus:
             assert np.array_equal(stack[k], dec.power(p[k]))
 
 
+class TestPowerMemo:
+    @pytest.fixture()
+    def reconstructs(self, monkeypatch):
+        """Count `SpectralDecomposition.reconstruct` calls: `reconstructs(fn)`
+        calls fn and returns the count."""
+        calls = []
+        real = mc.SpectralDecomposition.reconstruct
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(mc.SpectralDecomposition, "reconstruct", counting)
+
+        def count(fn) -> int:
+            calls.clear()
+            fn()
+            return len(calls)
+
+        return count
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_bit_identical_to_the_formed_power(self, rng, n):
+        dec = mc.density_spectrum(mc.random_density(rng, n, floor=0.05), strict=True)
+        for p in (0.5, -0.5, 0.25, -0.25, 1.0 / 3.0, 0.0, 2.0, -0.375):
+            for _ in range(2):  # the first call forms the power, the second reads the memo
+                assert np.array_equal(dec.power(p), dec._real_function(dec.values**p))
+
+    def test_read_only(self, rng):
+        P = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True).power(0.5)
+        with pytest.raises(ValueError):
+            P[0, 0] = 0.0
+
+    def test_repeated_exponent_reconstructs_once(self, rng, reconstructs):
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
+        assert reconstructs(lambda: dec.power(-0.25)) == 1
+        # the same exponent, as a float, a numpy scalar or a 0-d array
+        assert reconstructs(lambda: (dec.power(-0.25), dec.power(np.float64(-0.25)), dec.power(np.asarray(-0.25)))) == 0
+        assert reconstructs(lambda: dec.power(0.25)) == 1
+
+    def test_array_exponent_is_not_cached(self, rng, reconstructs):
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
+        p = np.array([0.5, -0.25])
+        assert reconstructs(lambda: (dec.power(p), dec.power(p))) == 2
+        stack = dec.power(p)
+        stack[0, 0, 0] = 0.0  # a fresh array each call, writable
+        assert reconstructs(lambda: dec.power(0.5)) == 1
+
+    def test_equality_and_repr_ignore_the_memo(self, rng):
+        sigma = mc.random_density(rng, 3, floor=0.1)
+        used, fresh = (mc.density_spectrum(sigma, strict=True) for _ in range(2))
+        before = repr(used)
+        used.power(0.5)
+        assert repr(used) == before == repr(fresh)
+        assert [f.name for f in dataclasses.fields(used) if f.compare] == ["values", "vectors"]
+
+
 class TestWeightedInner:
     def test_identity_pair(self, rng):
         sigma = mc.random_density(rng, 3, floor=0.1)
@@ -208,6 +267,34 @@ class TestValidation:
     def test_strict_rank(self):
         with pytest.raises(SingularityError):
             mc.require_density(np.diag([1.0, 0.0]), strict=True)
+
+    def test_a_stack_only_where_asked(self):
+        with pytest.raises(StructuralError, match="square matrix,"):
+            mc.require_hermitian(np.stack([np.eye(2)] * 3))
+        with pytest.raises(StructuralError, match="square matrix stack"):
+            mc.require_hermitian(np.eye(2), stack=True)
+
+    def test_hermitian_stack(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 1e-13j], [0.0, 1.0]])])
+        out = mc.require_hermitian(stack, stack=True)
+        assert np.array_equal(out[1], mc.require_hermitian(stack[1]))
+        stack[1, 0, 1] = 1e-6
+        with pytest.raises(StructuralError, match="not Hermitian"):
+            mc.require_hermitian(stack, stack=True)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(StructuralError, match="non-finite"):
+            mc.require_hermitian(stack, stack=True)
+
+    def test_density_stack_names_the_first_failing_state(self):
+        stack = np.stack([np.diag([0.5, 0.5]), np.diag([0.6, 0.6]), np.diag([1.2, -0.2])])
+        wmin = np.linalg.eigvalsh(stack)[:, 0]
+        with pytest.raises(StructuralError, match=r"s\[1\]: trace"):
+            mc.check_density(stack, wmin, name="s")
+        with pytest.raises(StructuralError, match=r"s\[1\]: negative"):
+            mc.check_density(stack[[0, 2]], wmin[[0, 2]], name="s")
+        with pytest.raises(SingularityError, match=r"s\[1\]"):
+            mc.check_density(np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])]), [0.5, 0.0], strict=True, name="s")
+        mc.check_density(stack[:1], wmin[:1], strict=True)
 
 
 class TestCsvBlocks:
