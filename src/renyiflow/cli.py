@@ -35,6 +35,9 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 MAX_RANGE_ORDERS = 10_000  # orders an alpha range start:stop:step may span
+MAX_BUILTIN_DIM = 16  # the dimensions matcore is written for
+# each builtin generator and the query parameters it takes
+BUILTIN_PARAMS = {"carlen-maas": (), "qubit-xz": (), "depolarizing": ("gamma", "n", "sigma")}
 
 
 def _fmt(x: float) -> str:
@@ -121,28 +124,49 @@ def parse_alphas(spec: str) -> list[float]:
 
 
 def _parse_diag(entries: str) -> np.ndarray:
-    lam = np.array([_number(x, "sigma entry") for x in entries.split(",")], dtype=float)
+    cells = entries.split(",")
+    if len(cells) > MAX_BUILTIN_DIM:
+        raise ValidationError(f"sigma: {len(cells)} entries, above {MAX_BUILTIN_DIM}")
+    lam = np.array([_number(x, "sigma entry") for x in cells], dtype=float)
     return np.diag(lam).astype(complex)
+
+
+def _builtin_spec(spec: str) -> tuple[str, dict[str, str]]:
+    """The name and query parameters of `builtin:<name>?<key>=<value>&...`:
+    each key one the generator takes, given once with a value, and n not
+    with sigma."""
+    name, _, query = spec[len("builtin:"):].partition("?")
+    if name not in BUILTIN_PARAMS:
+        raise ValidationError(f"unknown builtin generator {name!r}")
+    params = parse_qs(query, keep_blank_values=True)
+    for key, values in params.items():
+        if key not in BUILTIN_PARAMS[name]:
+            raise ValidationError(f"{spec}: builtin:{name} takes no parameter {key!r}")
+        if len(values) > 1:
+            raise ValidationError(f"{spec}: parameter {key!r} is given {len(values)} times")
+        if not values[0].strip():
+            raise ValidationError(f"{spec}: parameter {key!r} has no value")
+    if "n" in params and "sigma" in params:
+        raise ValidationError(f"{spec}: give n or sigma, not both")
+    return name, {key: values[0] for key, values in params.items()}
 
 
 def load_generator(spec: str) -> Generator:
     if spec.startswith("builtin:"):
-        body = spec[len("builtin:"):]
-        name, _, query = body.partition("?")
-        params = {k: v[-1] for k, v in parse_qs(query).items()}
+        name, params = _builtin_spec(spec)
         if name == "carlen-maas":
             return bc.carlen_maas_counterexample()
         if name == "qubit-xz":
             return qubit_xz_generator()
-        if name == "depolarizing":
-            gamma = _number(params.get("gamma", "1.0"), "gamma")
-            if "sigma" in params:
-                sigma = _parse_diag(params["sigma"])
-            else:
-                n = _number(params.get("n", "2"), "n", int)
-                sigma = np.eye(n, dtype=complex) / n
-            return depolarizing_generator(gamma, sigma)
-        raise ValidationError(f"unknown builtin generator {name!r}")
+        gamma = _number(params.get("gamma", "1.0"), "gamma")
+        if "sigma" in params:
+            sigma = _parse_diag(params["sigma"])
+        else:
+            n = _number(params.get("n", "2"), "n", int)
+            if not 1 <= n <= MAX_BUILTIN_DIM:
+                raise ValidationError(f"{spec}: n={n} is outside 1..{MAX_BUILTIN_DIM}")
+            sigma = np.eye(n, dtype=complex) / n
+        return depolarizing_generator(gamma, sigma)
     if not os.path.exists(spec):
         raise ValidationError(f"generator file not found: {spec}")
     doc = _load_json(spec)

@@ -415,6 +415,8 @@ def spectral_gap(G: Generator) -> SpectralGap:
     n_zero = w.size - positive.size
     if n_zero != 1:
         raise ValidationError(f"expected a single zero mode, found {n_zero}")
+    if not positive.size:
+        raise ValidationError(f"generator {G.label!r} has no nonzero mode, so no spectral gap (n = {G.n})")
     return SpectralGap(value=float(positive[0]), spectrum=w)
 
 

@@ -109,8 +109,9 @@ class SpectralDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-    # `power`'s memo: scalar exponent -> read-only power; not compared or shown
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # memo of `power` (scalar exponent -> power) and `reconstruct_log`
+    # ("log" -> log); read-only arrays, not compared or shown
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def reconstruct(self, fvals: np.ndarray | None = None) -> np.ndarray:
         """U diag(f) U*; a stack of value rows over one basis gives the
@@ -132,15 +133,23 @@ class SpectralDecomposition:
         p = np.asarray(p, dtype=float)
         if p.ndim:
             return self._real_function(np.power(self.values, p[..., None]))
-        key = float(p)
-        out = self._powers.get(key)
-        if out is None:
-            out = self._powers[key] = self._real_function(np.power(self.values, p[..., None]))
-            out.flags.writeable = False
-        return out
+        return self._memoized(float(p), lambda: self._real_function(np.power(self.values, p[..., None])))
 
     def log(self) -> np.ndarray:
         return self._real_function(np.log(self.values))
+
+    def reconstruct_log(self) -> np.ndarray:
+        """`reconstruct(log values)`, not hermitized (`log` is): the log of
+        the order-1 functionals, formed once per decomposition and returned
+        read-only."""
+        return self._memoized("log", lambda: self.reconstruct(np.log(self.values)))
+
+    def _memoized(self, key, form: Callable[[], np.ndarray]) -> np.ndarray:
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = form()
+            out.flags.writeable = False
+        return out
 
     def _real_function(self, fw: np.ndarray) -> np.ndarray:
         return hermitize(self.reconstruct(fw.astype(complex)))
@@ -199,7 +208,7 @@ def weighted_inner(A, B, sigma_dec: SpectralDecomposition, s: float) -> complex:
 
 def hs_inner(A, B) -> complex:
     """Hilbert-Schmidt inner product tr(A* B)."""
-    return complex(np.trace(np.asarray(A).conj().T @ np.asarray(B)))
+    return complex((np.asarray(A).conj().T @ np.asarray(B)).trace())
 
 
 def trace_norm(A) -> float:

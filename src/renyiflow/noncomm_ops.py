@@ -9,6 +9,11 @@ multiplication operator built on it with its flux over a jump stack, and
 the detailed-balance weight kernel.  The sandwiched state is formed in
 exactly one function, `_sandwich`; `sandwiched_state` decomposes it, and
 `sandwiched_trace` reads its trace power from the spectrum values alone.
+A scalar order (a Python or numpy scalar, or a 0-d array) is checked with
+float comparisons and carried as a float through the sandwiched state, its
+trace power and the derivative's scale, with the bits of the same order
+given as a one-element array; only `sandwiched_trace` takes an array of
+orders, which broadcasts against the states.
 Functions of a reference state sigma take the `mc.density_spectrum` that
 validated it (a generator's `sigma_dec`) and never decompose sigma
 themselves.  Every decomposition here is a plain `eigh` (`eigvalsh` for
@@ -23,6 +28,7 @@ product.  Quadrature is used only as an independent oracle in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,10 +180,9 @@ class SandwichedState:
             D = np.log(self.Z) / (self.alpha - 1.0)
         else:
             lam = np.maximum(self.dec.values, 0.0)
-            sig = self.sigma_dec
             # eigenvalues at or below LOG_FLOOR add exactly zero
             plogp = (lam * np.log(np.where(lam > LOG_FLOOR, lam, 1.0))).sum(axis=-1)
-            cross = self.dec.reconstruct(lam) @ sig.reconstruct(np.log(sig.values))
+            cross = self.dec.reconstruct(lam) @ self.sigma_dec.reconstruct_log()
             D = plogp - cross.trace(axis1=-2, axis2=-1).real
         return D if isinstance(D, np.ndarray) else float(D)
 
@@ -187,16 +192,16 @@ class SandwichedState:
         lam = self.positive_values()
         a = self.alpha
         if a == 1.0:
-            sig = self.sigma_dec
-            out = self.dec.reconstruct(np.log(lam)) - sig.reconstruct(np.log(sig.values))
+            out = self.dec.reconstruct(np.log(lam)) - self.sigma_dec.reconstruct_log()
         else:
+            Z = self.Z
             out = self.outer @ self.dec.reconstruct(lam ** (a - 1.0)) @ self.outer
-            out *= (a / (a - 1.0) / np.asarray(self.Z))[..., None, None]
+            out *= a / (a - 1.0) / (Z[..., None, None] if isinstance(Z, np.ndarray) else Z)
         return mc.hermitize(out)
 
     def fisher(self, drift) -> float:
         """Minus the pairing of the derivative with the flow's drift at rho."""
-        return float(-np.real(mc.hs_inner(self.derivative(), drift)))
+        return -mc.hs_inner(self.derivative(), drift).real
 
     def entropy(self) -> float:
         """Ent_alpha = sum lam^alpha log lam^alpha - tr(rs^alpha log sigma) - Z log Z."""
@@ -205,24 +210,32 @@ class SandwichedState:
         return float(np.sum(w * np.log(w)) - cross - self.Z * np.log(self.Z))
 
 
-def _sandwich(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checked orders, s = sigma^((1-alpha)/(2 alpha)) and rs = s rho s:
-    the one place the sandwiched state is formed.  A scalar order within
-    ALPHA_ONE_WINDOW of 1 is taken as 1, and rs is then rho itself: s =
-    sigma^0 is the identity up to rounding, which would only add noise.
-    An array of orders is taken as it is."""
-    a = np.asarray(alpha, dtype=float)
-    if not np.all((a > 0.0) & np.isfinite(a)):
+def _sandwich(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """The checked order, s = sigma^((1-alpha)/(2 alpha)) and rs = s rho s:
+    the one place the sandwiched state is formed.  A scalar order (a
+    Python or numpy scalar, or a 0-d array) is checked and carried as a
+    float; one within ALPHA_ONE_WINDOW of 1 is taken as 1, and rs is then
+    rho itself: s = sigma^0 is the identity up to rounding, which would
+    only add noise.  An array of orders is taken as it is."""
+    if np.ndim(alpha):
+        a = np.asarray(alpha, dtype=float)
+        valid = np.all((a > 0.0) & np.isfinite(a))
+    else:
+        a = float(alpha)
+        valid = 0.0 < a < math.inf
+    if not valid:
         raise DomainError(f"order alpha={alpha} must be positive and finite")
-    if a.ndim == 0 and abs(a - 1.0) <= ALPHA_ONE_WINDOW:
-        return np.asarray(1.0), sigma_dec.power(0.0), rho
+    if isinstance(a, float) and abs(a - 1.0) <= ALPHA_ONE_WINDOW:
+        return 1.0, sigma_dec.power(0.0), rho
     outer = sigma_dec.power((1.0 - a) / a / 2.0)
     return a, outer, mc.hermitize(outer @ rho @ outer)
 
 
-def _trace_power(values: np.ndarray, a: np.ndarray):
-    """Z = tr rs^alpha over the spectrum clamped at zero, per state."""
-    return np.sum(np.maximum(values, 0.0) ** a[..., None], axis=-1)
+def _trace_power(values: np.ndarray, a: float | np.ndarray):
+    """Z = tr rs^alpha over the spectrum clamped at zero, per state; an
+    array of orders broadcasts against the leading axes.  `np.power`, not
+    `**`, whose shortcuts at some scalar exponents could round otherwise."""
+    return np.power(np.maximum(values, 0.0), a if isinstance(a, float) else a[..., None]).sum(-1)
 
 
 def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha: float) -> SandwichedState:
@@ -234,11 +247,11 @@ def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha: float) -> 
     trace powers come from `sandwiched_trace`.  The states are trusted:
     callers validate rho, and sigma through the decomposition passed in.
     """
-    if np.asarray(alpha).ndim:
+    if np.ndim(alpha):
         raise DomainError(f"orders {alpha}: one scalar order per sandwiched state; use sandwiched_trace")
     a, outer, rs = _sandwich(rho, sigma_dec, alpha)
     dec = mc.SpectralDecomposition(*np.linalg.eigh(rs))
-    return SandwichedState(alpha=float(a), outer=outer, dec=dec, sigma_dec=sigma_dec, Z=_trace_power(dec.values, a))
+    return SandwichedState(alpha=a, outer=outer, dec=dec, sigma_dec=sigma_dec, Z=_trace_power(dec.values, a))
 
 
 def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndarray:

@@ -458,6 +458,41 @@ class TestMalformedInputs:
     def test_non_numeric_parameter(self, argv, capsys):
         self.assert_validation_exit(argv, capsys)
 
+    @pytest.mark.parametrize("command", [
+        ["compare", "--alpha0", "2", "--alpha1", "3"],
+        ["constants", "--starts", "1"],
+    ])
+    def test_one_level_generator_has_no_gap(self, command, capsys):
+        code, _, err = run([command[0], "--generator", "builtin:depolarizing?n=1", *command[1:]], capsys)
+        assert code == 1
+        assert "nonzero mode" in json.loads(err)["detail"]
+
+    @pytest.mark.parametrize("spec, detail", [
+        ("builtin:depolarizing?n=-2", "n=-2"),
+        ("builtin:depolarizing?n=0", "n=0"),
+        ("builtin:depolarizing?n=17", "n=17"),
+        ("builtin:depolarizing?n=100000", "n=100000"),
+        ("builtin:depolarizing?sigma=" + ",".join(["0.0625"] * 17), "17 entries"),
+        ("builtin:qubit-xz?n=3", "'n'"),
+        ("builtin:depolarizing?gamma=1&size=3", "'size'"),
+        ("builtin:depolarizing?sigma=", "'sigma'"),
+        ("builtin:depolarizing?n", "'n'"),
+        ("builtin:depolarizing?n=3&sigma=0.5,0.5", "both"),
+        ("builtin:depolarizing?n=2&n=3", "2 times"),
+    ], ids=["negative-n", "zero-n", "n-above-16", "huge-n", "sigma-above-16", "key-of-no-parameter", "unknown-key",
+            "blank-sigma", "blank-n", "n-and-sigma", "repeated-n"])
+    def test_builtin_parameters_checked_before_anything_is_built(self, spec, detail, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix was allocated before the spec was checked")
+
+        monkeypatch.setattr(np, "eye", refuse)
+        monkeypatch.setattr(cli, "depolarizing_generator", refuse)
+        monkeypatch.setattr(cli, "qubit_xz_generator", refuse)
+        code, _, err = run(["dbcheck", "--generator", spec], capsys)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "validation" and detail in doc["detail"]
+
     def test_jump_operator_larger_than_sigma(self, generator_file, tmp_path, capsys):
         doc = json.loads(open(generator_file).read())
         doc["terms"][0]["V"] = mc.matrix_to_rows(np.diag([1.0, -1.0, 0.0]))

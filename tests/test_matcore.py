@@ -141,6 +141,16 @@ class TestPowerMemo:
         with pytest.raises(ValueError):
             P[0, 0] = 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_log_is_the_formed_log_read_only_and_formed_once(self, rng, n, reconstructs):
+        dec = mc.density_spectrum(mc.random_density(rng, n, floor=0.05), strict=True)
+        formed = dec.reconstruct(np.log(dec.values))
+        logs = []
+        assert reconstructs(lambda: logs.extend(dec.reconstruct_log() for _ in range(3))) == 1
+        assert all(np.array_equal(L, formed) for L in logs)
+        with pytest.raises(ValueError):
+            dec.reconstruct_log()[0, 0] = 0.0
+
     def test_repeated_exponent_reconstructs_once(self, rng, reconstructs):
         dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
         assert reconstructs(lambda: dec.power(-0.25)) == 1

@@ -319,6 +319,49 @@ class TestSandwichedState:
         nco.sandwiched_trace(states, sigma_dec, beta)
 
 
+class TestScalarOrderPath:
+    """A scalar order is carried as a float; it must give the bits of the
+    same order given as an array."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_trace_power_at_a_float_equals_the_array_order(self, n):
+        r = np.random.default_rng(900 + n)
+        spectra = [np.sort(r.uniform(0.0, 2.0, n)), np.sort(r.dirichlet(np.ones(n)))]
+        spectra.append(np.r_[-1e-17, spectra[1][1:]])  # clamped at zero
+        for values in spectra + [np.array(spectra)]:
+            for a in (0.25, 0.5, 1.0, 2.0, 3.7, 4.0, 1e3):
+                Z = np.atleast_1d(nco._trace_power(values, a))
+                assert np.array_equal(Z, nco._trace_power(values, np.array([a])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("kind", [float, np.float64, np.asarray], ids=["float", "numpy-scalar", "0-d"])
+    def test_bad_scalar_order_raises_before_any_eigensolve(self, bad, kind, eigensolves):
+        r = np.random.default_rng(5)
+        rho, sigma_dec = mc.random_density(r, 3, floor=0.1), mc.density_spectrum(mc.random_density(r, 3, floor=0.1))
+
+        def run():
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                nco.sandwiched_state(rho, sigma_dec, kind(bad))
+
+        assert eigensolves(run) == 0
+
+    def test_order_one_rebuilds_log_sigma_once(self, monkeypatch):
+        r = np.random.default_rng(6)
+        rho, sigma_dec = mc.random_density(r, 4, floor=0.1), mc.density_spectrum(mc.random_density(r, 4, floor=0.1))
+        calls = []
+        real = mc.SpectralDecomposition.reconstruct
+
+        def counting(self, *args, **kwargs):
+            calls.append(self is sigma_dec)
+            return real(self, *args, **kwargs)
+
+        states = [nco.sandwiched_state(rho, sigma_dec, 1.0) for _ in range(3)]
+        monkeypatch.setattr(mc.SpectralDecomposition, "reconstruct", counting)
+        for state in states:
+            state.divergence(), state.derivative()
+        assert sum(calls) == 1
+
+
 class TestRenyiKernel:
     """The closed-form multiplier kernel against the quotient of the two
     logarithmic-mean kernels it replaced."""
