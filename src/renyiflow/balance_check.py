@@ -70,17 +70,15 @@ class BalanceReport:
     kms_residual: float
     bkm_residual: float
     srd_residuals: dict[float, float] = field(repr=False)
-    threshold: float = VERDICT_THRESHOLD
 
     @property
     def verdicts(self) -> dict[str, bool]:
-        v = {
-            "gns": self.gns_residual <= self.threshold,
-            "kms": self.kms_residual <= self.threshold,
-            "bkm": self.bkm_residual <= self.threshold,
-            "srd": all(r <= self.threshold for r in self.srd_residuals.values()),
+        return {
+            "gns": self.gns_residual <= VERDICT_THRESHOLD,
+            "kms": self.kms_residual <= VERDICT_THRESHOLD,
+            "bkm": self.bkm_residual <= VERDICT_THRESHOLD,
+            "srd": all(r <= VERDICT_THRESHOLD for r in self.srd_residuals.values()),
         }
-        return v
 
     def as_dict(self) -> dict:
         return {
@@ -90,7 +88,7 @@ class BalanceReport:
             "bkm_residual": self.bkm_residual,
             "srd_residuals": {f"{a:g}": r for a, r in sorted(self.srd_residuals.items())},
             "verdicts": self.verdicts,
-            "threshold": self.threshold,
+            "threshold": VERDICT_THRESHOLD,
         }
 
 

@@ -231,9 +231,11 @@ def load_rho0(spec: str, G: Generator, seed: int) -> np.ndarray:
         return G.sigma
     if spec == "random":
         return mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
-    if spec.startswith("near-sigma"):
-        _, _, d = spec.partition(":")
-        delta = _number(d, "near-sigma mixing weight") if d else 0.05
+    name, colon, d = spec.partition(":")
+    if name == "near-sigma":
+        delta = _number(d, "near-sigma mixing weight") if colon else 0.05
+        if not 0.0 <= delta <= 1.0:
+            raise DomainError(f"near-sigma mixing weight {delta} outside [0, 1]")
         w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
         return mc.hermitize((1.0 - delta) * G.sigma + delta * w)
     if os.path.exists(spec):

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from . import matcore as mc
@@ -38,6 +37,8 @@ INITIAL_MARGIN = 0.8
 INITIAL_MIX = 0.3
 # tolerance of the brackets and orderings `ConstantsReport.violations` checks
 VIOLATION_TOL = 1e-6
+# iteration cap of each Nelder-Mead descent in `lsi_constants`
+LSI_MAXITER = 200
 
 
 # --- integration --------------------------------------------------------------
@@ -101,12 +102,13 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
     q o V e^(-Lam t) V* (vec(U* rho0 U) / q), so all stored states come
     from one product with the n^2 x n^2 matrix whose row k holds the
     state-space mode U unvec(q o V_k) U*; no expm.  A generator without
-    that spectrum (no sigma, or asymmetric beyond TOL_SELFADJOINT) takes
-    one expm(t Ldag_super) per stored time.  The states are projected to
-    Hermitian unit trace in one stacked step; `states[0]` is the validated
-    rho0.  One stacked Cholesky factorization of states + POSITIVITY_TOL I
-    screens positivity; only where it fails are the smallest eigenvalues
-    computed, and one below -POSITIVITY_TOL raises IntegrationError.
+    that spectrum (asymmetric beyond TOL_SELFADJOINT) raises its
+    ValidationError.  The states are projected to Hermitian unit trace in
+    one stacked step; `states[0]` is the validated rho0.  One stacked
+    Cholesky factorization of states + POSITIVITY_TOL I screens positivity
+    (a growing mode leaves the state space); only where it fails are the
+    smallest eigenvalues computed, and one below -POSITIVITY_TOL raises
+    IntegrationError.
     """
     if not 0.0 < dt < np.inf:
         raise DomainError(f"dt={dt} must be positive and finite")
@@ -123,15 +125,11 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
         # grid points store_every, 2 store_every, ... strictly before the last
         n_full = (n_steps - 1) // store_every
         times = np.concatenate(([0.0], np.arange(1, n_full + 1) * store_every * dt, [t_end]))
-    try:
-        spec, U, lam = G.spectrum, G.sigma_dec.vectors, G.sigma_dec.values
-    except ValidationError:
-        rhos = mc.unvec(np.array([expm(t * G.Ldag_super) @ mc.vec(rho0) for t in times]).T, G.n)
-    else:
-        q = mc.vec(np.outer(lam, lam) ** 0.25)
-        modes = U @ mc.unvec(q[:, None] * spec.vectors, G.n) @ U.conj().T  # mode k as a state-space matrix
-        c = spec.vectors.conj().T @ (mc.vec(U.conj().T @ rho0 @ U) / q)
-        rhos = (np.exp(-np.outer(times, spec.values)) * c) @ modes.reshape(len(modes), -1)
+    spec, U, lam = G.spectrum, G.sigma_dec.vectors, G.sigma_dec.values
+    q = mc.vec(np.outer(lam, lam) ** 0.25)
+    modes = U @ mc.unvec(q[:, None] * spec.vectors, G.n) @ U.conj().T  # mode k as a state-space matrix
+    c = spec.vectors.conj().T @ (mc.vec(U.conj().T @ rho0 @ U) / q)
+    rhos = (np.exp(-np.outer(times, spec.values)) * c) @ modes.reshape(len(modes), -1)
     states = np.ascontiguousarray(_project(rhos.reshape(-1, G.n, G.n)))
     states[0] = rho0
     traj = Trajectory(times, states, G)
@@ -419,7 +417,6 @@ def lsi_constants(
     G: Generator,
     n_starts: int = 10,
     seed: int = 0,
-    maxiter: int = 200,
 ) -> ConstantsReport:
     """Spectral-gap brackets and sampled infima of the log-Sobolev ratios.
 
@@ -477,7 +474,7 @@ def lsi_constants(
                 lambda x: safe(fn, to_rho(x)),
                 x0,
                 method="Nelder-Mead",
-                options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-12},
+                options={"maxiter": LSI_MAXITER, "xatol": 1e-9, "fatol": 1e-12},
             )
             candidates.append(to_rho(res.x))
 
@@ -573,19 +570,17 @@ class EnvelopeConstants:
     tau: float
 
 
-def decay_envelope_constants(G: Generator, alpha: float, eps: float, rho0, K: float | None = None) -> EnvelopeConstants:
+def decay_envelope_constants(G: Generator, alpha: float, eps: float, rho0) -> EnvelopeConstants:
     """Prefactor and onset time of the sharp-rate exponential envelope.
 
-    Uses order-2 inside the spectral-ratio factor; K defaults to the
-    guaranteed lower bracket of the log-Sobolev constant.
+    Uses order-2 inside the spectral-ratio factor; K is the guaranteed
+    lower bracket of the log-Sobolev constant.
     """
     if alpha <= 0.0:
         raise DomainError(f"order alpha={alpha} must be positive")
     lam = G.gap.value
     w = G.sigma_dec.values
-    smin = float(w[0])
-    if K is None:
-        K = _guaranteed_lsi(lam, smin)
+    K = _guaranteed_lsi(lam, float(w[0]))
     Lam, eta = _lambda_eta(2.0, eps, w, G.omegas)
     T = max(0.0, np.log(alpha - 1.0) / (2.0 * K * eta)) if alpha > 1.0 else 0.0
     rho0 = _validated(G, rho0)
@@ -679,7 +674,6 @@ def comparison_check(
     alpha0: float,
     alpha1: float,
     eps: float | None = None,
-    K: float | None = None,
 ) -> ComparisonReport:
     """End-to-end comparison-theorem verification for one order pair.
 
@@ -688,12 +682,11 @@ def comparison_check(
     functional non-increasing along the way.  The monitor's trajectory
     is the only integration and validates rho0: the monitor gives the
     start divergence, and its final state, screened by `integrate`, the
-    end divergence.
+    end divergence.  K is the guaranteed lower log-Sobolev bracket.
     """
     smin = float(G.sigma_dec.values[0])
     eps = default_comparison_eps(smin) if eps is None else eps
-    if K is None:
-        K = _guaranteed_lsi(G.gap.value, smin)
+    K = _guaranteed_lsi(G.gap.value, smin)
     Lam, eta, T = comparison_constants(alpha0, alpha1, eps, G.sigma_dec, G.omegas, K)
     trace = hypercontractivity_monitor(G, rho0, alpha0, alpha1, eta, K, eps=eps)
     D_start = trace.D_start

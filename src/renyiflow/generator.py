@@ -166,21 +166,22 @@ def modular_commutator_residual(G: Generator) -> float:
 
 
 class Generator:
-    """A Lindblad generator in both pictures.
+    """A Lindblad generator in both pictures, with its stationary state.
 
     Built from the observable-side superoperator `L_super`; the state-space
     `Ldag_super` is its conjugate transpose, so the two are Hilbert-Schmidt
     adjoints by construction.  Immutable after construction; superoperator
     matrices use the package's column-stacking convention.  `terms` is
     present only for generators built from validated jump operators.
-    sigma is validated and decomposed here, once: `sigma_dec` is the
-    decomposition every function of sigma reads.  Reading `sigma` or
-    `sigma_dec` of a generator built without one raises ValidationError.
+    sigma is required: it is validated (a full-rank n x n density matrix,
+    with L n^2 x n^2) and decomposed here, once, into the read-only
+    attributes `sigma` and `sigma_dec`, the decomposition every function of
+    sigma reads.
     """
 
     def __init__(
         self,
-        sigma: np.ndarray | None,
+        sigma: np.ndarray,
         L_super: np.ndarray,
         terms: JumpTerms | None = None,
         label: str = "",
@@ -190,28 +191,13 @@ class Generator:
         self.Ldag_super = np.ascontiguousarray(self.L_super.conj().T)
         self.terms = terms
         self.label = label
-        frozen = [self.L_super, self.Ldag_super]
-        self._sigma = None
-        if sigma is not None:
-            dec = mc.density_spectrum(sigma, strict=True, name="sigma")
-            # the Hermitian part that density_spectrum validated and decomposed
-            self._sigma = (mc.hermitize(np.asarray(sigma, dtype=complex)), dec)
-            frozen += [self._sigma[0], dec.values, dec.vectors]
-        for arr in frozen:
+        self.sigma_dec = mc.density_spectrum(sigma, strict=True, name="sigma")
+        # the Hermitian part that density_spectrum validated and decomposed
+        self.sigma = mc.hermitize(np.asarray(sigma, dtype=complex))
+        if self.L_super.shape != (self.n**2, self.n**2) or self.sigma.shape != (self.n, self.n):
+            raise ValidationError(f"L_super {self.L_super.shape}, sigma {self.sigma.shape}: want n^2 x n^2 and n x n")
+        for arr in (self.L_super, self.Ldag_super, self.sigma, self.sigma_dec.values, self.sigma_dec.vectors):
             arr.setflags(write=False)
-
-    def _stationary(self) -> tuple[np.ndarray, mc.SpectralDecomposition]:
-        if self._sigma is None:
-            raise ValidationError(f"generator {self.label!r} needs a stationary state")
-        return self._sigma
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self._stationary()[0]
-
-    @property
-    def sigma_dec(self) -> mc.SpectralDecomposition:
-        return self._stationary()[1]
 
     def apply_L(self, A) -> np.ndarray:
         return mc.apply_superop(self.L_super, A)

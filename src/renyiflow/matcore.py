@@ -62,13 +62,13 @@ def as_matrix(A, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return A
 
 
-def require_hermitian(A, tol: float = TOL_HERM, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """A checked Hermitian within tol, and returned as its Hermitian part;
-    `stack` checks a (T, n, n) stack in one pass."""
+def require_hermitian(A, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """A checked Hermitian within TOL_HERM, and returned as its Hermitian
+    part; `stack` checks a (T, n, n) stack in one pass."""
     A = as_matrix(A, name, stack)
     dev = np.max(np.abs(A - A.conj().swapaxes(-1, -2)), initial=0.0)
-    if dev > tol:
-        raise StructuralError(f"{name}: not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
+    if dev > TOL_HERM:
+        raise StructuralError(f"{name}: not Hermitian (max deviation {dev:.3e} > {TOL_HERM:.1e})")
     return hermitize(A)
 
 
@@ -109,8 +109,8 @@ class SpectralDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-    # memo of `power` (scalar exponent -> power) and `reconstruct_log`
-    # ("log" -> log); read-only arrays, not compared or shown
+    # memo of `power` (scalar exponent -> power) and `log` ("log" -> log);
+    # read-only arrays, not compared or shown
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def reconstruct(self, fvals: np.ndarray | None = None) -> np.ndarray:
@@ -136,13 +136,9 @@ class SpectralDecomposition:
         return self._memoized(float(p), lambda: self._real_function(np.power(self.values, p[..., None])))
 
     def log(self) -> np.ndarray:
-        return self._real_function(np.log(self.values))
-
-    def reconstruct_log(self) -> np.ndarray:
-        """`reconstruct(log values)`, not hermitized (`log` is): the log of
-        the order-1 functionals, formed once per decomposition and returned
-        read-only."""
-        return self._memoized("log", lambda: self.reconstruct(np.log(self.values)))
+        """log A, hermitized as every real function is; formed once per
+        decomposition and returned read-only from then on."""
+        return self._memoized("log", lambda: self._real_function(np.log(self.values)))
 
     def _memoized(self, key, form: Callable[[], np.ndarray]) -> np.ndarray:
         out = self._memo.get(key)
@@ -179,10 +175,10 @@ class SpectralDecomposition:
         return SpectralDecomposition(values=w[order].copy(), vectors=U[:, order].copy())
 
 
-def eig_hermitian(A, tol: float = TOL_HERM) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with deterministic phases
-    and tie order (`SpectralDecomposition.canonical`)."""
-    return SpectralDecomposition(*np.linalg.eigh(require_hermitian(A, tol=tol))).canonical()
+def eig_hermitian(A) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix (within TOL_HERM) with
+    deterministic phases and tie order (`SpectralDecomposition.canonical`)."""
+    return SpectralDecomposition(*np.linalg.eigh(require_hermitian(A))).canonical()
 
 
 def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDecomposition:
@@ -196,14 +192,12 @@ def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDe
 
 def weighted_inner(A, B, sigma_dec: SpectralDecomposition, s: float) -> complex:
     """sigma-weighted inner product tr(sigma^s A* sigma^(1-s) B), s in [0, 1],
-    from the `density_spectrum` that validated sigma."""
+    read from the power memo of sigma's validated `density_spectrum`."""
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"weighting exponent s={s} outside [0, 1]")
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
-    ss = sigma_dec.reconstruct(np.power(sigma_dec.values, s))
-    s1 = sigma_dec.reconstruct(np.power(sigma_dec.values, 1.0 - s))
-    return complex(np.trace(ss @ A.conj().T @ s1 @ B))
+    return complex(np.trace(sigma_dec.power(s) @ A.conj().T @ sigma_dec.power(1.0 - s) @ B))
 
 
 def hs_inner(A, B) -> complex:

@@ -182,7 +182,7 @@ class SandwichedState:
             lam = np.maximum(self.dec.values, 0.0)
             # eigenvalues at or below LOG_FLOOR add exactly zero
             plogp = (lam * np.log(np.where(lam > LOG_FLOOR, lam, 1.0))).sum(axis=-1)
-            cross = self.dec.reconstruct(lam) @ self.sigma_dec.reconstruct_log()
+            cross = self.dec.reconstruct(lam) @ self.sigma_dec.log()
             D = plogp - cross.trace(axis1=-2, axis2=-1).real
         return D if isinstance(D, np.ndarray) else float(D)
 
@@ -192,7 +192,7 @@ class SandwichedState:
         lam = self.positive_values()
         a = self.alpha
         if a == 1.0:
-            out = self.dec.reconstruct(np.log(lam)) - self.sigma_dec.reconstruct_log()
+            out = self.dec.reconstruct(np.log(lam)) - self.sigma_dec.log()
         else:
             Z = self.Z
             out = self.outer @ self.dec.reconstruct(lam ** (a - 1.0)) @ self.outer

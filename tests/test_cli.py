@@ -159,6 +159,17 @@ class TestCommands:
         for a, Ds in by_alpha.items():
             assert all(d2 <= d1 + 1e-9 for d1, d2 in zip(Ds, Ds[1:]))
 
+    def test_rho0_file_named_like_near_sigma_is_read(self, tmp_path, monkeypatch, capsys):
+        rho = mc.random_density(np.random.default_rng(5), 2, floor=0.2)
+        (tmp_path / "near-sigma-state.csv").write_text(mc.matrix_to_csv_block("rho0", rho))
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(["simulate", "--generator", "builtin:qubit-xz", "--rho0", "near-sigma-state.csv",
+                          "--alphas", "2", "--t-end", "0.1", "--dt", "0.1", "--out", "o.csv"], capsys)
+        assert code == 0
+        D0 = float((tmp_path / "o.csv").read_text().splitlines()[1].split(",")[2])
+        ref = nco.sandwiched_state(mc.require_density(rho), qubit_xz_generator().sigma_dec, 2.0).divergence()
+        assert D0 == pytest.approx(ref, rel=1e-12)
+
     def test_gradflow_residuals_small(self, tmp_path, capsys):
         out_path = tmp_path / "gf.csv"
         code, _, _ = run(
@@ -427,6 +438,18 @@ class TestMalformedInputs:
         path = tmp_path / "nosigma.json"
         path.write_text(json.dumps(doc))
         self.assert_validation_exit(["dbcheck", "--generator", str(path)], capsys)
+
+    @pytest.mark.parametrize("spec, detail", [
+        ("near-sigmaTYPO", "unrecognized rho0 spec 'near-sigmaTYPO'"),
+        ("near-sigma:", "near-sigma mixing weight: '' is not a number"),
+        ("near-sigma:-0.5", "near-sigma mixing weight -0.5 outside [0, 1]"),
+        ("near-sigma:2", "near-sigma mixing weight 2.0 outside [0, 1]"),
+    ], ids=["typo", "blank-weight", "negative-weight", "weight-above-one"])
+    def test_near_sigma_spec_is_the_name_or_the_name_and_a_weight(self, spec, detail, capsys):
+        code, _, err = run(["simulate", "--generator", "builtin:qubit-xz", "--rho0", spec,
+                            "--t-end", "0.1", "--dt", "0.01"], capsys)
+        assert code == 1
+        assert json.loads(err)["detail"] == detail
 
     def test_generator_matrix_file_missing(self, generator_file, tmp_path, capsys):
         doc = json.loads(open(generator_file).read())

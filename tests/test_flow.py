@@ -152,37 +152,28 @@ class TestBlockedPropagation:
     @pytest.mark.parametrize("t_end, store_every", [(0.0, 1), (0.05, 1), (1.0, 10**9), (3.0, 1), (40.0, 1)])
     def test_fixed_work_whatever_the_interval_count(self, qubit_xz, monkeypatch, t_end, store_every):
         qubit_xz.spectrum  # its first read hermitizes; read it before counting
-        expms, projections = [], []
-        real_expm, real_hermitize = flow.expm, mc.hermitize
-
-        def counting_expm(A):
-            expms.append(A.shape)
-            return real_expm(A)
+        projections = []
+        real_hermitize = mc.hermitize
 
         def counting_hermitize(A):
             projections.append(A.shape)
             return real_hermitize(A)
 
-        monkeypatch.setattr(flow, "expm", counting_expm)
         monkeypatch.setattr(mc, "hermitize", counting_hermitize)
         traj = flow.integrate(qubit_xz, np.eye(2) / 2.0, t_end, 0.01, store_every=store_every)
-        # the half-weighted spectrum gives every state: no expm
-        assert expms == []
         # rho0's validation, then one projection of the whole stack
         assert projections == [(2, 2), (len(traj.times), 2, 2)]
 
-    def test_generator_without_spectrum_matches_expm_oracle(self):
-        # no sigma, so no half-weighted spectrum: uniform relaxation toward the
-        # positive tau takes one expm per stored time
-        tau = np.diag([0.2, 0.3, 0.5]).astype(complex)
-        G = Generator(None, np.outer(mc.vec(np.eye(3)), mc.vec(tau).conj()) - np.eye(9))
-        with pytest.raises(ValidationError, match="stationary state"):
-            G.spectrum
-        rho0 = mc.random_density(np.random.default_rng(37), 3, floor=0.05)
-        traj = flow.integrate(G, rho0, 3.05, 0.1, store_every=3)
-        assert len(traj.times) == 12
-        ref = propagate_by_expm(G, rho0, traj.times)
-        assert max(np.linalg.norm(s - r) for s, r in zip(traj.states, ref)) <= 1e-12
+    def test_generator_without_spectrum_is_refused(self):
+        # stationary and primitive, but the Hamiltonian part makes -L
+        # non-normal in the half-weighted inner product: the modes of
+        # `G.spectrum` are the only propagation path, and there is no expm
+        assert not hasattr(flow, "expm")
+        sigma, sz = np.diag([0.3, 0.7]).astype(complex), np.diag([1.0, -1.0])
+        ham = 0.8j * (np.kron(np.eye(2), sz) - np.kron(sz.T, np.eye(2)))
+        G = Generator(sigma, depolarizing_generator(1.0, sigma).L_super + ham)
+        with pytest.raises(ValidationError, match="not self-adjoint"):
+            flow.integrate(G, sigma, 1.0, 0.1)
 
     def test_states_are_one_stack_starting_at_rho0(self, rng):
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
@@ -650,8 +641,9 @@ class TestLsiConstants:
             return {"K": broken, "K2": broken, "kappa2": broken}
 
         monkeypatch.setattr(flow, "_lsi_objectives", objectives)
+        monkeypatch.setattr(flow, "LSI_MAXITER", 5)
         with pytest.raises(TypeError, match="bug in an objective"):
-            flow.lsi_constants(qubit_xz, n_starts=1, maxiter=5)
+            flow.lsi_constants(qubit_xz, n_starts=1)
 
     def test_caught_failures_are_counted(self, qubit_xz, monkeypatch):
         real = flow._lsi_objectives
@@ -664,7 +656,8 @@ class TestLsiConstants:
             return {**fns, "kappa2": singular}
 
         monkeypatch.setattr(flow, "_lsi_objectives", objectives)
-        rep = flow.lsi_constants(qubit_xz, n_starts=1, maxiter=5)
+        monkeypatch.setattr(flow, "LSI_MAXITER", 5)
+        rep = flow.lsi_constants(qubit_xz, n_starts=1)
         assert 0 < rep.n_failed_evaluations < rep.n_evaluations
         assert rep.kappa2_est == np.inf
         assert "n_failed_evaluations" not in rep.as_dict()
@@ -706,7 +699,8 @@ class TestLsiObjectiveCost:
         calls = []
         real = flow.minimize
         monkeypatch.setattr(flow, "minimize", lambda *a, **k: calls.append(1) or real(*a, **k))
-        rep = flow.lsi_constants(qubit_xz, n_starts=1, maxiter=5)
+        monkeypatch.setattr(flow, "LSI_MAXITER", 5)
+        rep = flow.lsi_constants(qubit_xz, n_starts=1)
         assert len(calls) == 3 * (1 + 3)
         assert rep.kappa1_est == rep.K_est / 2.0
 

@@ -381,9 +381,17 @@ class TestSigmaContext:
     ], ids=["check_gns", "check_kms", "srd_residual", "poincare_check", "generic_initial_state",
             "spectral_gap"])
     def test_missing_stationary_state_fails_the_same_way(self, depol, call):
-        G = Generator(None, depol.L_super, label="no-sigma")
-        with pytest.raises(ValidationError, match="'no-sigma' needs a stationary state"):
-            call(G)
+        """A generator needs sigma to be built at all, so every function of it
+        meets a missing stationary state as one construction error."""
+        with pytest.raises(StructuralError, match="sigma: expected a square matrix"):
+            call(Generator(None, depol.L_super, label="no-sigma"))
+
+    @pytest.mark.parametrize("sigma, L", [(np.eye(3) / 3.0, np.eye(4)), (np.eye(2) / 2.0, np.eye(5)),
+                                          (np.eye(2) / 2.0, np.eye(4)[:, :3])],
+                             ids=["sigma-of-another-size", "L-not-n2-square", "L-not-square"])
+    def test_sizes_of_sigma_and_L_must_agree(self, sigma, L):
+        with pytest.raises(ValidationError, match="want n\\^2 x n\\^2 and n x n"):
+            Generator(sigma, L)
 
 
 class TestJumpTermSemantics:

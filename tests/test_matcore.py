@@ -143,13 +143,22 @@ class TestPowerMemo:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_log_is_the_formed_log_read_only_and_formed_once(self, rng, n, reconstructs):
-        dec = mc.density_spectrum(mc.random_density(rng, n, floor=0.05), strict=True)
-        formed = dec.reconstruct(np.log(dec.values))
+        sigma = mc.random_density(rng, n, floor=0.05)
+        dec = mc.density_spectrum(sigma, strict=True)
+        formed = matrix_log(sigma)
         logs = []
-        assert reconstructs(lambda: logs.extend(dec.reconstruct_log() for _ in range(3))) == 1
+        assert reconstructs(lambda: logs.extend(dec.log() for _ in range(3))) == 1
         assert all(np.array_equal(L, formed) for L in logs)
         with pytest.raises(ValueError):
-            dec.reconstruct_log()[0, 0] = 0.0
+            dec.log()[0, 0] = 0.0
+
+    @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 1.0])
+    def test_weighted_inner_reads_the_power_memo(self, rng, s, reconstructs):
+        dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)
+        A, B = mc.random_complex(rng, 3), mc.random_complex(rng, 3)
+        ref = complex(np.trace(dec.power(s) @ A.conj().T @ dec.power(1.0 - s) @ B))
+        assert reconstructs(lambda: mc.weighted_inner(A, B, dec, s)) == 0
+        assert mc.weighted_inner(A, B, dec, s) == ref
 
     def test_repeated_exponent_reconstructs_once(self, rng, reconstructs):
         dec = mc.density_spectrum(mc.random_density(rng, 3, floor=0.1), strict=True)

@@ -361,6 +361,23 @@ class TestScalarOrderPath:
             state.divergence(), state.derivative()
         assert sum(calls) == 1
 
+    def test_entropy_and_order_one_flux_form_log_sigma_once(self, monkeypatch):
+        r = np.random.default_rng(7)
+        G, rho = random_gns_generator(r, 3, min_sigma_eig=0.15), mc.random_density(r, 3, floor=0.1)
+        states = [nco.sandwiched_state(rho, G.sigma_dec, a) for a in (0.5, 1.0, 2.0)]
+        M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, 1.0)
+        calls = []
+        real = mc.SpectralDecomposition.reconstruct
+
+        def counting(self, *args, **kwargs):
+            calls.append(self is G.sigma_dec)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(mc.SpectralDecomposition, "reconstruct", counting)
+        for _ in range(2):
+            [state.entropy() for state in states], M.flux(G.jump_stacks[0])
+        assert sum(calls) == 1
+
 
 class TestRenyiKernel:
     """The closed-form multiplier kernel against the quotient of the two

@@ -13,7 +13,7 @@ import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
 from renyiflow.cli import main
 from renyiflow.errors import IntegrationError
-from renyiflow.generator import Generator, build_gns, eigen_jump_terms, random_gns_generator
+from renyiflow.generator import Generator, build_gns, depolarizing_generator, eigen_jump_terms, random_gns_generator
 
 
 class TestDegenerateSigma:
@@ -95,27 +95,32 @@ class TestStepControl:
             assert np.linalg.eigvalsh(s)[0] >= -1e-8
             assert abs(np.trace(s).real - 1.0) <= 1e-12
 
+    @staticmethod
+    def growing_generator() -> Generator:
+        # minus uniform relaxation toward I/2: self-adjoint in the
+        # half-weighted inner product, so it has `G.spectrum`, but its mode
+        # grows, rho(t) = I/2 + e^t (rho0 - I/2), and leaves the state space
+        half = np.eye(2) / 2.0
+        return Generator(half, -depolarizing_generator(1.0, half).L_super)
+
     def test_positivity_breach_raises(self):
-        # uniform relaxation toward the non-positive tau = diag(1.5, -0.5):
-        # the exact flow leaves the state space after t = log 2
-        tau = np.diag([1.5, -0.5]).astype(complex)
-        L = np.outer(mc.vec(np.eye(2)), mc.vec(tau).conj()) - np.eye(4)
-        G = Generator(None, L)
+        # from diag(3/4, 1/4) the exact flow leaves the state space after t = log 2
+        G = self.growing_generator()
         with pytest.raises(IntegrationError, match="positivity"):
-            flow.integrate(G, np.eye(2) / 2.0, 2.0, 0.1)
+            flow.integrate(G, np.diag([0.75, 0.25]), 2.0, 0.1)
 
     @pytest.mark.parametrize("depth", [0.5, 2.0])
     def test_screen_admits_eigenvalues_down_to_the_tolerance(self, eigensolves, depth):
-        # uniform relaxation toward tau = diag(1 + x, -x), x = depth *
-        # POSITIVITY_TOL: the state stored at t = 40 has smallest eigenvalue
-        # -x up to e^-40
+        # rho0 = diag(1/2 + d, 1/2 - d) with d = (1/2 + x)/e, x = depth *
+        # POSITIVITY_TOL: the state stored at t = 1 is diag(1 + x, -x)
         x = depth * flow.POSITIVITY_TOL
-        tau = np.diag([1.0 + x, -x]).astype(complex)
-        G = Generator(None, np.outer(mc.vec(np.eye(2)), mc.vec(tau).conj()) - np.eye(4))
+        d = (0.5 + x) / np.e
+        G = self.growing_generator()
+        G.spectrum  # its one eigensolve, before counting
         trajs = []
-        run = lambda: trajs.append(flow.integrate(G, np.eye(2) / 2.0, 40.0, 40.0))  # noqa: E731
+        run = lambda: trajs.append(flow.integrate(G, np.diag([0.5 + d, 0.5 - d]), 1.0, 1.0))  # noqa: E731
         if depth > 1.0:
-            with pytest.raises(IntegrationError, match=r"^positivity breach at t=40: eigenvalue -2\.000e-08$"):
+            with pytest.raises(IntegrationError, match=r"^positivity breach at t=1: eigenvalue -2\.000e-08$"):
                 run()
         else:
             # the Cholesky screen passes it: the one eigensolve validates rho0
