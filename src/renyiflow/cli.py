@@ -35,7 +35,7 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 MAX_RANGE_ORDERS = 10_000  # orders an alpha range start:stop:step may span
-MAX_BUILTIN_DIM = 16  # the dimensions matcore is written for
+MAX_BUILTIN_DIM = 16  # the largest n of a builtin or file generator: the dimensions matcore is written for
 # each builtin generator and the query parameters it takes
 BUILTIN_PARAMS = {"carlen-maas": (), "qubit-xz": (), "depolarizing": ("gamma", "n", "sigma")}
 
@@ -174,6 +174,8 @@ def load_generator(spec: str) -> Generator:
         raise ValidationError(f"{spec}: a generator file needs a 'sigma' entry")
     base = os.path.dirname(os.path.abspath(spec))
     sigma = _load_matrix_field(doc["sigma"], base)
+    if len(sigma) > MAX_BUILTIN_DIM:
+        raise ValidationError(f"{spec}: sigma is {len(sigma)} x {len(sigma)}, above n = {MAX_BUILTIN_DIM}")
     entries = doc.get("terms")
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"{spec}: no jump terms given")

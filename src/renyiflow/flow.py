@@ -22,6 +22,8 @@ from .errors import DomainError, IntegrationError, RenyiflowError, StructuralErr
 from .generator import Generator
 
 POSITIVITY_TOL = 1e-8
+# bytes of the T n^2 complex states `integrate` may store; it holds about three such arrays
+MAX_STORED_BYTES = 2**28
 GAP_CLUSTER_RTOL = 1e-8
 # the comparison check: slack of D_end <= D_start, bound on the monitor's
 # forward increase, and samples of the monitor over the delay window
@@ -96,7 +98,9 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
     """Evolve a state to t_end and store it on a fixed sampling grid.
 
     The grid has steps of dt, shortened at the end to reach t_end; every
-    `store_every`-th grid point and t_end are stored.  In the modes V, Lam
+    `store_every`-th grid point and t_end are stored; a grid whose states
+    would take more than MAX_STORED_BYTES raises DomainError before anything
+    is allocated.  In the modes V, Lam
     of `G.spectrum` (-L after the kernel q = (lam_k lam_l)^(1/4) in sigma's
     eigenbasis U) the flow is diagonal, vec(U* rho(t) U) =
     q o V e^(-Lam t) V* (vec(U* rho0 U) / q), so all stored states come
@@ -118,12 +122,14 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
         raise DomainError(f"store_every={store_every} must be at least 1")
     if t_end / dt >= 2.0**53:
         raise DomainError(f"t_end/dt={t_end / dt:.3g} steps: the step count must be below 2**53")
+    # grid points store_every, 2 store_every, ... strictly before the last; rho0 alone at t_end = 0
+    n_full = (max(1, int(np.ceil(t_end / dt - 1e-9))) - 1) // store_every if t_end > 0.0 else -1
+    size = (n_full + 2) * G.n**2 * 16
+    if size > MAX_STORED_BYTES:
+        raise DomainError(f"{n_full + 2} states of {G.n} x {G.n} take {size:.3g} B, above budget {MAX_STORED_BYTES}")
     rho0 = _validated(G, rho0, name="rho0")
     times = np.array([0.0])
     if t_end > 0.0:
-        n_steps = max(1, int(np.ceil(t_end / dt - 1e-9)))
-        # grid points store_every, 2 store_every, ... strictly before the last
-        n_full = (n_steps - 1) // store_every
         times = np.concatenate(([0.0], np.arange(1, n_full + 1) * store_every * dt, [t_end]))
     spec, U, lam = G.spectrum, G.sigma_dec.vectors, G.sigma_dec.values
     q = mc.vec(np.outer(lam, lam) ** 0.25)
@@ -233,7 +239,7 @@ def gradient_flow_residual(G: Generator, rho, alpha: float) -> float:
     generators, contracted to stay below 1e-8 at any order."""
     rho = _validated(G, rho, strict=True)
     M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
-    flux = M.flux(G.jump_stacks[0])
+    flux = M.flux(G.jump_frame)
     target = G.apply_Ldag(rho)
     den = float(np.linalg.norm(target))
     num = float(np.linalg.norm(flux - target))
@@ -258,7 +264,7 @@ def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
     nu1 = _require_traceless_hermitian(nu1, G.n, "nu1")
     nu2 = _require_traceless_hermitian(nu2, G.n, "nu2")
     M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
-    return M.metric(G.jump_stacks[0], nu1, nu2)
+    return M.metric(G.jump_frame, nu1, nu2)
 
 
 # --- inequality checks ----------------------------------------------------------

@@ -105,16 +105,13 @@ def _modular_kernel(dec: mc.SpectralDecomposition) -> np.ndarray:
 
 def _validate_terms(G: Generator) -> None:
     """Structure conditions (i)-(iv) on the stacked jump operators."""
-    (V, Vd), U = G.jump_stacks, G.sigma_dec.vectors
+    V, Vd = G.jump_stacks
     omega, weights = G.terms.omega, G.terms.weight
-    m, n = V.shape[:2]
+    m = len(V)
     X, Xd = V.reshape(m, -1), Vd.reshape(m, -1)
     norms = np.linalg.norm(X, axis=1)
     tr = np.abs(np.trace(V, axis1=1, axis2=2))
-    # U* V_j U laid out [p, j, q]: one product on the stack's rows, one on its columns
-    R = (V.reshape(m * n, n) @ U).reshape(m, n, n).transpose(1, 0, 2).reshape(n, m * n)
-    R = (U.conj().T @ R).reshape(n, m, n)
-    res = np.linalg.norm((_modular_kernel(G.sigma_dec)[:, None, :] - np.exp(-omega)[:, None]) * R, axis=(0, 2))
+    res = np.linalg.norm((_modular_kernel(G.sigma_dec) - np.exp(-omega)[:, None, None]) * G.jump_frame, axis=(1, 2))
     _raise_first(
         (tr > TOL_TRACELESS * np.maximum(1.0, norms),
          lambda j: f"condition (i) violated at term {j}: |tr V| = {tr[j]:.3e}"),
@@ -221,6 +218,15 @@ class Generator:
         Vd = np.ascontiguousarray(V.conj().swapaxes(-1, -2))
         Vd.setflags(write=False)
         return V, Vd
+
+    @cached_property
+    def jump_frame(self) -> np.ndarray:
+        """Read-only (m, n, n) stack of the U* V_j U, the jump operators in the
+        matrix units of sigma's eigenbasis U (sigma's frame), in term order."""
+        U = self.sigma_dec.vectors
+        out = U.conj().T @ self._require_terms().V @ U
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def primitivity(self) -> "PrimitivityReport":

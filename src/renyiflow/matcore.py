@@ -10,7 +10,8 @@ Conventions fixed once for the whole package:
   basis element ``E_kl`` occupies vec index ``k + n*l``.  A weighting
   ``A -> sigma^a A sigma^b`` is never formed as such a matrix: in the
   matrix units of sigma's eigenbasis it is the entrywise kernel
-  ``lam_k^a lam_l^b`` (see ``Generator.L_eig``).
+  ``lam_k^a lam_l^b`` (see ``Generator.L_eig``), and the sandwich
+  ``sigma^g A sigma^g`` is ``p . A' . p`` with ``p = lam^g`` (``noncomm_ops``).
 * Eigenvalues ascend.  Eigenvector phases and tie order are fixed in one
   place, ``SpectralDecomposition.canonical`` (behind ``eig_hermitian``), for
   eigenvectors that are serialized; ``density_spectrum`` and every other
@@ -19,7 +20,7 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -109,9 +110,6 @@ class SpectralDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-    # memo of `power` (scalar exponent -> power) and `log` ("log" -> log);
-    # read-only arrays, not compared or shown
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def reconstruct(self, fvals: np.ndarray | None = None) -> np.ndarray:
         """U diag(f) U*; a stack of value rows over one basis gives the
@@ -123,32 +121,11 @@ class SpectralDecomposition:
             return ((U * w[..., None, :]).reshape(-1, n) @ U.conj().T).reshape(w.shape[:-1] + (n, n))
         return (U * w[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
-    # Spectral calculus of a strictly positive matrix: each function of it is
-    # read from this one decomposition, never from a fresh eigensolve.
-
     def power(self, p) -> np.ndarray:
-        """A^p; an array of exponents gives the stack of powers.  The power
-        at a scalar exponent is formed once per decomposition, and returned
-        read-only from then on; an array of exponents is formed each call."""
+        """A^p of a strictly positive A, read from this decomposition and
+        hermitized; an array of exponents gives the stack of powers."""
         p = np.asarray(p, dtype=float)
-        if p.ndim:
-            return self._real_function(np.power(self.values, p[..., None]))
-        return self._memoized(float(p), lambda: self._real_function(np.power(self.values, p[..., None])))
-
-    def log(self) -> np.ndarray:
-        """log A, hermitized as every real function is; formed once per
-        decomposition and returned read-only from then on."""
-        return self._memoized("log", lambda: self._real_function(np.log(self.values)))
-
-    def _memoized(self, key, form: Callable[[], np.ndarray]) -> np.ndarray:
-        out = self._memo.get(key)
-        if out is None:
-            out = self._memo[key] = form()
-            out.flags.writeable = False
-        return out
-
-    def _real_function(self, fw: np.ndarray) -> np.ndarray:
-        return hermitize(self.reconstruct(fw.astype(complex)))
+        return hermitize(self.reconstruct(np.power(self.values, p[..., None]).astype(complex)))
 
     def canonical(self) -> "SpectralDecomposition":
         """The same eigensystem with each eigenvector's first significant
@@ -192,7 +169,7 @@ def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDe
 
 def weighted_inner(A, B, sigma_dec: SpectralDecomposition, s: float) -> complex:
     """sigma-weighted inner product tr(sigma^s A* sigma^(1-s) B), s in [0, 1],
-    read from the power memo of sigma's validated `density_spectrum`."""
+    with the powers read from sigma's validated `density_spectrum`."""
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"weighting exponent s={s} outside [0, 1]")
     A = as_matrix(A, "A")

@@ -7,8 +7,9 @@ state with the order-alpha functionals read from it (divergence,
 derivative, Fisher information, entropy), the Renyi-order
 multiplication operator built on it with its flux over a jump stack, and
 the detailed-balance weight kernel.  The sandwiched state is formed in
-exactly one function, `_sandwich`; `sandwiched_state` decomposes it, and
-`sandwiched_trace` reads its trace power from the spectrum values alone.
+exactly one function, `_sandwich`, entrywise in sigma's eigenbasis (sigma's
+frame); `sandwiched_state` decomposes it, and `sandwiched_trace` reads its
+trace power from the spectrum values alone.
 A scalar order (a Python or numpy scalar, or a 0-d array) is checked with
 float comparisons and carried as a float through the sandwiched state, its
 trace power and the derivative's scale, with the bits of the same order
@@ -154,25 +155,30 @@ def log_mean_multiplier(X, omega: float = 0.0) -> KernelOperator:
 @dataclass(frozen=True)
 class SandwichedState:
     """The sandwiched state rs = s rho s, s = sigma^((1-alpha)/(2 alpha)),
-    decomposed once.
+    decomposed once in sigma's eigenbasis U, where it is rs' = U* rs U =
+    p . (U* rho U) . p with p = lam^((1-alpha)/(2 alpha)) and log sigma is diag(log lam).
 
     Every order-alpha quantity reads from it: Z = tr rs^alpha (over the
     spectrum clamped at zero), the divergence, its functional derivative,
     the Fisher information, the entropy functional and the multiplication
-    operator's kernels.  The eigenvectors carry LAPACK's
+    operator's kernels.  The eigenvectors W of rs' carry LAPACK's
     arbitrary phases, so every consumer is phase-invariant.  A (T, n, n)
     stack at the one order gives T-leading fields; `divergence` and
     `derivative` then return one value per state.
     """
 
     alpha: float
-    outer: np.ndarray  # s = sigma^((1-alpha)/(2 alpha))
-    dec: mc.SpectralDecomposition  # of rs
+    p: np.ndarray  # lam^((1-alpha)/(2 alpha)), s in sigma's frame
+    dec: mc.SpectralDecomposition  # of rs', in sigma's frame
     sigma_dec: mc.SpectralDecomposition
     Z: float | np.ndarray
 
     def positive_values(self) -> np.ndarray:
         return _require_positive(self.dec.values, "sandwiched state")
+
+    def _log_sigma_pairing(self, w: np.ndarray):
+        """tr(W diag(w) W* diag(log lam)) = sum_k log lam_k sum_j |W_kj|^2 w_j, per state."""
+        return (np.abs(self.dec.vectors) ** 2 @ w[..., None])[..., 0] @ np.log(self.sigma_dec.values)
 
     def divergence(self) -> float | np.ndarray:
         """D_alpha = log Z / (alpha-1); tr rho (log rho - log sigma) at alpha = 1."""
@@ -182,41 +188,37 @@ class SandwichedState:
             lam = np.maximum(self.dec.values, 0.0)
             # eigenvalues at or below LOG_FLOOR add exactly zero
             plogp = (lam * np.log(np.where(lam > LOG_FLOOR, lam, 1.0))).sum(axis=-1)
-            cross = self.dec.reconstruct(lam) @ self.sigma_dec.log()
-            D = plogp - cross.trace(axis1=-2, axis2=-1).real
+            D = plogp - self._log_sigma_pairing(lam)
         return D if isinstance(D, np.ndarray) else float(D)
 
     def derivative(self) -> np.ndarray:
         """Functional derivative of D_alpha in rho: alpha/(alpha-1) s
-        rs^(alpha-1) s / Z, and log rho - log sigma at alpha = 1."""
-        lam = self.positive_values()
-        a = self.alpha
+        rs^(alpha-1) s / Z, and log rho - log sigma at alpha = 1, formed in sigma's frame."""
+        lam, a, U = self.positive_values(), self.alpha, self.sigma_dec.vectors
         if a == 1.0:
-            out = self.dec.reconstruct(np.log(lam)) - self.sigma_dec.log()
+            out = self.dec.reconstruct(np.log(lam)) - np.diag(np.log(self.sigma_dec.values))
         else:
-            Z = self.Z
-            out = self.outer @ self.dec.reconstruct(lam ** (a - 1.0)) @ self.outer
-            out *= a / (a - 1.0) / (Z[..., None, None] if isinstance(Z, np.ndarray) else Z)
-        return mc.hermitize(out)
+            Z = self.Z[..., None] if isinstance(self.Z, np.ndarray) else self.Z
+            out, U = self.dec.reconstruct(lam ** (a - 1.0) * (a / (a - 1.0) / Z)), U * self.p
+        return mc.hermitize(U @ out @ U.conj().T)
 
     def fisher(self, drift) -> float:
-        """Minus the pairing of the derivative with the flow's drift at rho."""
-        return -mc.hs_inner(self.derivative(), drift).real
+        """Minus the pairing tr(derivative* drift) of the derivative with the flow's drift at rho."""
+        return float(-np.vdot(self.derivative(), drift).real)
 
     def entropy(self) -> float:
         """Ent_alpha = sum lam^alpha log lam^alpha - tr(rs^alpha log sigma) - Z log Z."""
         w = self.positive_values() ** self.alpha
-        cross = np.real(np.trace(self.dec.reconstruct(w) @ self.sigma_dec.log()))
-        return float(np.sum(w * np.log(w)) - cross - self.Z * np.log(self.Z))
+        return float(np.sum(w * np.log(w)) - self._log_sigma_pairing(w) - self.Z * np.log(self.Z))
 
 
 def _sandwich(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """The checked order, s = sigma^((1-alpha)/(2 alpha)) and rs = s rho s:
-    the one place the sandwiched state is formed.  A scalar order (a
-    Python or numpy scalar, or a 0-d array) is checked and carried as a
-    float; one within ALPHA_ONE_WINDOW of 1 is taken as 1, and rs is then
-    rho itself: s = sigma^0 is the identity up to rounding, which would
-    only add noise.  An array of orders is taken as it is."""
+    """The checked order, p = lam^((1-alpha)/(2 alpha)) and rs' = p . (U* rho U) . p:
+    the one place the sandwiched state is formed, entrywise, so that no
+    small eigenvalue of sigma meets the rounding of a dense power.  A scalar
+    order (a Python or numpy scalar, or a 0-d array) is checked and carried
+    as a float; one within ALPHA_ONE_WINDOW of 1 is taken as 1, where p is
+    exactly 1.  An array of orders is taken as it is, one row of p each."""
     if np.ndim(alpha):
         a = np.asarray(alpha, dtype=float)
         valid = np.all((a > 0.0) & np.isfinite(a))
@@ -226,9 +228,11 @@ def _sandwich(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[float | 
     if not valid:
         raise DomainError(f"order alpha={alpha} must be positive and finite")
     if isinstance(a, float) and abs(a - 1.0) <= ALPHA_ONE_WINDOW:
-        return 1.0, sigma_dec.power(0.0), rho
-    outer = sigma_dec.power((1.0 - a) / a / 2.0)
-    return a, outer, mc.hermitize(outer @ rho @ outer)
+        a = 1.0
+    g = (1.0 - a) / a / 2.0
+    p = np.power(sigma_dec.values, g if isinstance(a, float) else g[..., None])
+    U = sigma_dec.vectors
+    return a, p, mc.hermitize(p[..., :, None] * (U.conj().T @ rho @ U) * p[..., None, :])
 
 
 def _trace_power(values: np.ndarray, a: float | np.ndarray):
@@ -239,7 +243,7 @@ def _trace_power(values: np.ndarray, a: float | np.ndarray):
 
 
 def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha: float) -> SandwichedState:
-    """Form rs from sigma's decomposition and decompose it with one `eigh`.
+    """Form rs' from sigma's decomposition and decompose it with one `eigh`.
 
     `rho` is one (n, n) state or a (T, n, n) stack, and `alpha` one
     positive, finite order; an order within ALPHA_ONE_WINDOW of 1 is taken
@@ -249,9 +253,11 @@ def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha: float) -> 
     """
     if np.ndim(alpha):
         raise DomainError(f"orders {alpha}: one scalar order per sandwiched state; use sandwiched_trace")
-    a, outer, rs = _sandwich(rho, sigma_dec, alpha)
-    dec = mc.SpectralDecomposition(*np.linalg.eigh(rs))
-    return SandwichedState(alpha=a, outer=outer, dec=dec, sigma_dec=sigma_dec, Z=_trace_power(dec.values, a))
+    a, p, rs = _sandwich(rho, sigma_dec, alpha)
+    # rs' is graded by p, which ascends below order 1: the Householder reduction keeps
+    # small eigenvalues only from the large end, the bottom right ("U") or top left ("L")
+    dec = mc.SpectralDecomposition(*np.linalg.eigh(rs, UPLO="U" if a < 1.0 else "L"))
+    return SandwichedState(alpha=a, p=p, dec=dec, sigma_dec=sigma_dec, Z=_trace_power(dec.values, a))
 
 
 def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndarray:
@@ -261,7 +267,8 @@ def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndar
     several orders, or a stack with an order per state.  Z has no
     1/(alpha-1) factor, so an array of orders may come near 1."""
     a, _, rs = _sandwich(rho, sigma_dec, alpha)
-    return _trace_power(np.linalg.eigvalsh(rs), a)
+    # below order 1, reversed index order (a permutation) puts the large end top left (`sandwiched_state`)
+    return _trace_power(np.linalg.eigvalsh(np.where(np.less(a, 1.0)[..., None, None], rs[..., ::-1, ::-1], rs)), a)
 
 
 @dataclass(frozen=True)
@@ -273,55 +280,52 @@ class RenyiMultiplier:
     flux() carries the state's own derivative through gradient, multiplier
     and divergence over the jump stack, and metric() pairs two tangent
     directions through the flux operator's inverse.  Composition structure:
-    a scalar Z/alpha, outer two-sided sigma powers, and a single entrywise
-    kernel in the eigenbasis of the sandwiched state.  A family over m
-    frequencies has an (m, n, n) kernel and acts on (m, n, n) stacks.
+    a scalar Z/alpha and a single entrywise kernel k in the basis Q,
+    M(X) = (Z/alpha) Q (k . (Q* X Q)) Q*.  A family over m frequencies has
+    an (m, n, n) kernel and acts on (m, n, n) stacks.  flux() and metric()
+    take the jump stack in sigma's frame (`Generator.jump_frame`).
     """
 
     state: SandwichedState
-    outer_inv: np.ndarray  # sigma^((alpha-1)/(2 alpha)), the inverse of state.outer
-    kernel_op: KernelOperator
+    Q: np.ndarray  # U diag(1/p) W = s^-1 U W, with U sigma's eigenvectors
+    kernel_op: KernelOperator  # in sigma's frame: the eigenvectors W of rs'
 
     def apply(self, A) -> np.ndarray:
-        P = self.outer_inv
-        B = self.kernel_op.apply(P @ np.asarray(A, dtype=complex) @ P)
-        return (self.state.Z / self.state.alpha) * (P @ B @ P)
+        B = self.kernel_op.kernel * (self.Q.conj().T @ np.asarray(A, dtype=complex) @ self.Q)
+        return (self.state.Z / self.state.alpha) * (self.Q @ B @ self.Q.conj().T)
 
-    def _frame(self, V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Q = P U (P = outer_inv, U the sandwiched state's eigenvectors) and
-        the (m, n, n) jump stack V in its frame, Vt_j = Q* V_j Q^-* and
-        Vh_j = Q^-1 V_j Q (Q^-1 = U* outer: nothing is inverted), so that
-        M_j(X) = (Z/alpha) Q (k_j . (Q* X Q)) Q* and Q* [V_j, B] Q =
-        Vt_j B' - B' Vh_j with B' = Q* B Q.  One GEMM per side over the stack."""
-        U = self.kernel_op.basis
-        Q, Qinv = self.outer_inv @ U, U.conj().T @ self.state.outer
+    def _frame(self, V) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, n, n) jump stack V (in sigma's frame) in Q's frame,
+        Vt_j = Q* V_j Q^-* = W* (V_j / r) W and Vh_j = Q^-1 V_j Q = W* (V_j . r) W
+        with r_kl = p_k / p_l, so that Q* [V_j, B] Q = Vt_j B' - B' Vh_j with
+        B' = Q* B Q.  One GEMM per side over both stacks."""
+        W, p = self.kernel_op.basis, self.state.p
         m, n = V.shape[:2]
-        R = (V.reshape(m * n, n) @ np.hstack((Qinv.conj().T, Q))).reshape(m, n, 2, n)
-        Vt = (Q.conj().T @ R[:, :, 0].transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n)
-        Vh = (Qinv @ R[:, :, 1].transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n)
-        return Q, Vt.swapaxes(0, 1), Vh.swapaxes(0, 1)
+        r = p[:, None] / p
+        R = (np.concatenate((V / r, V * r)).reshape(2 * m * n, n) @ W).reshape(2 * m, n, n)
+        R = (W.conj().T @ R.transpose(1, 0, 2).reshape(n, 2 * m * n)).reshape(n, 2 * m, n).swapaxes(0, 1)
+        return R[:m], R[m:]
 
     def flux(self, V) -> np.ndarray:
         """The flux div(M grad D) = sum_j [M_j [V_j, D], V_j*] of the state's
         own derivative D over the (m, n, n) jump stack V.  In the frame
         (`_frame`) D' = Q* D Q is read from the state without forming D:
         (alpha/((alpha-1) Z)) diag(lam^(alpha-1)), and diag(log lam) -
-        U* log sigma U at order 1.  With Y_j = k_j . (Vt_j D' - D' Vh_j), the
+        W* log sigma' W at order 1.  With Y_j = k_j . (Vt_j D' - D' Vh_j), the
         flux is (Z/alpha) Q (sum_j Y_j Vh_j* - Vt_j* Y_j) Q*; on the layout
         [p, j, q] each product, the sums over j included, is one GEMM."""
-        Q, Vt, Vh = self._frame(V)
-        Vt, Vh = Vt.swapaxes(0, 1), Vh.swapaxes(0, 1)
+        Vt, Vh = (X.swapaxes(0, 1) for X in self._frame(V))
         n, m = Vt.shape[:2]
-        state, U = self.state, self.kernel_op.basis
+        state, W = self.state, self.kernel_op.basis
         lam = state.positive_values()
         if state.alpha == 1.0:
-            Dp = np.diag(np.log(lam)) - U.conj().T @ state.sigma_dec.log() @ U
+            Dp = np.diag(np.log(lam)) - (W.conj().T * np.log(state.sigma_dec.values)) @ W
         else:
             Dp = np.diag(state.alpha / ((state.alpha - 1.0) * state.Z) * lam ** (state.alpha - 1.0))
         Y = (Vt.reshape(n * m, n) @ Dp).reshape(n, m, n) - (Dp @ Vh.reshape(n, m * n)).reshape(n, m, n)
         Y = (Y * self.kernel_op.kernel.swapaxes(0, 1)).reshape(n, m * n)
         S = Y @ Vh.reshape(n, m * n).conj().T - Vt.reshape(n * m, n).conj().T @ Y.reshape(n * m, n)
-        return (state.Z / state.alpha) * (Q @ S @ Q.conj().T)
+        return (state.Z / state.alpha) * (self.Q @ S @ self.Q.conj().T)
 
     def _flux_form(self, V) -> np.ndarray:
         """The Hermitian n^2 x n^2 form H with (Z/alpha) conj(B')^T H B' =
@@ -329,7 +333,7 @@ class RenyiMultiplier:
         O(m n^4) over the (m, n, n) stack V (Z/alpha times the kernels would
         overflow at orders of a few hundred): the Vt-Vt and Vh-Vh parts are n
         weighted Gram matrices each, the cross part one product per row index."""
-        _, Vt, Vh = self._frame(V)
+        Vt, Vh = self._frame(V)
         k = self.kernel_op.kernel
         m, n = k.shape[0], k.shape[-1]
         eye = np.eye(n)
@@ -352,14 +356,14 @@ class RenyiMultiplier:
     def metric(self, V, nu1, nu2) -> float:
         """<B1, nu2> for traceless nu1, nu2, where B -> sum_j [V_j*, M_j [V_j, B]]
         maps B1 to nu1: one solve with H (`_flux_form`) scaled by diag(H)^(-1/2),
-        c' = Q^-1 nu Q^-* paired with B', and the null direction B' = Q* Q
-        filled by a rank-one term, which tr nu = 0 makes exact."""
+        c' = Q^-1 nu Q^-* = W* (p . U* nu U . p) W paired with B', and the null
+        direction B' = Q* Q filled by a rank-one term, which tr nu = 0 makes exact."""
         H = self._flux_form(V)
-        U = self.kernel_op.basis
-        Q, Qinv = self.outer_inv @ U, U.conj().T @ self.state.outer
-        c = (Qinv @ np.array([nu1, nu2], dtype=complex) @ Qinv.conj().T).reshape(2, -1)
+        W, p, U = self.kernel_op.basis, self.state.p, self.state.sigma_dec.vectors
+        nus = U.conj().T @ np.array([nu1, nu2], dtype=complex) @ U
+        c = (W.conj().T @ (p[:, None] * nus * p) @ W).reshape(2, -1)
         d = np.diag(H).real ** -0.5
-        z = (Q.conj().T @ Q).ravel() / d
+        z = (self.Q.conj().T @ self.Q).ravel() / d
         y = np.linalg.solve(d[:, None] * H * d + np.outer(z, z.conj()) / np.vdot(z, z).real, d * c[1])
         return float(np.real(np.vdot(c[0], d * y)) / (self.state.Z / self.state.alpha))
 
@@ -378,7 +382,7 @@ def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: flo
     alpha, lam = state.alpha, state.positive_values()
     return RenyiMultiplier(
         state=state,
-        outer_inv=sigma_dec.power((alpha - 1.0) / alpha / 2.0),
+        Q=sigma_dec.vectors @ (state.dec.vectors / state.p[:, None]),
         kernel_op=KernelOperator(lam, state.dec.vectors, _renyi_kernel(lam, np.asarray(omega, dtype=float), alpha)),
     )
 

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from renyiflow import balance_check as bc
 from renyiflow import generator as gen
 from renyiflow import matcore as mc
+
+# property tests draw the same examples on every run and keep no example
+# database, so a run neither depends on nor writes earlier runs' state
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,8 @@ from renyiflow.generator import JumpTerm
 
 # --- generic spectral calculus ------------------------------------------------
 # A fresh decomposition per call, with its own domain floor and an optional
-# lenient clamp: the reference that `SpectralDecomposition.power` and `.log`
-# reproduce bit for bit on the decomposition that validated the matrix.
+# lenient clamp: the reference that `SpectralDecomposition.power` reproduces
+# bit for bit on the decomposition that validated the matrix.
 
 
 def matrix_function(A, f, min_eigenvalue=None, lenient=False):
@@ -81,17 +81,15 @@ def simpson_weights(npts: int, length: float = 1.0) -> np.ndarray:
 
 
 def mop_quadrature(X, omega, A, npts=2001):
-    """Simpson evaluation of the twisted-multiplier integral on matrices."""
+    """Simpson evaluation of the twisted-multiplier integral on matrices,
+    with the integrand of every node formed in one stacked product."""
     dec = mc.eig_hermitian(X)
     U, lam = dec.vectors, dec.values
     s = np.linspace(0.0, 1.0, npts)
-    w = simpson_weights(npts)
-    out = np.zeros_like(np.asarray(A, dtype=complex))
-    for si, wi in zip(s, w):
-        Xs = (U * lam**si) @ U.conj().T
-        X1s = (U * lam ** (1.0 - si)) @ U.conj().T
-        out += wi * np.exp(omega * (si - 0.5)) * (Xs @ A @ X1s)
-    return out
+    w = simpson_weights(npts) * np.exp(omega * (s - 0.5))
+    Xs = (U * lam ** s[:, None, None]) @ U.conj().T
+    X1s = (U * lam ** (1.0 - s)[:, None, None]) @ U.conj().T
+    return np.tensordot(w, Xs @ np.asarray(A, dtype=complex) @ X1s, axes=1)
 
 
 def mop_inverse_quadrature(X, omega, A, npts=2001, pad=25.0):
@@ -100,6 +98,7 @@ def mop_inverse_quadrature(X, omega, A, npts=2001, pad=25.0):
     Integrates (t + a X)^-1 A (t + c X)^-1 dt over t in (0, inf) after the
     substitution t = e^u, which makes the integrand uniformly smooth; the
     integration window pads the spectral range of X by `pad` e-foldings.
+    The resolvents of every node are inverted as one stack.
     """
     n = X.shape[0]
     eye = np.eye(n)
@@ -108,14 +107,11 @@ def mop_inverse_quadrature(X, omega, A, npts=2001, pad=25.0):
     u_lo = np.log(min(a, c) * lam[0]) - pad
     u_hi = np.log(max(a, c) * lam[-1]) + pad
     u = np.linspace(u_lo, u_hi, npts)
-    w = simpson_weights(npts, length=u_hi - u_lo)
-    out = np.zeros_like(np.asarray(A, dtype=complex))
-    for ui, wi in zip(u, w):
-        t = np.exp(ui)
-        M1 = np.linalg.inv(t * eye + a * X)
-        M2 = np.linalg.inv(t * eye + c * X)
-        out += (wi * t) * (M1 @ A @ M2)
-    return out
+    t = np.exp(u)[:, None, None]
+    w = simpson_weights(npts, length=u_hi - u_lo) * np.exp(u)
+    M1 = np.linalg.inv(t * eye + a * X)
+    M2 = np.linalg.inv(t * eye + c * X)
+    return np.tensordot(w, M1 @ np.asarray(A, dtype=complex) @ M2, axes=1)
 
 
 def classical_renyi(p, q, alpha):
@@ -267,10 +263,36 @@ def functional_derivative_by_matrix_powers(rho, sigma, alpha):
 
 def norm_functional_by_state(rho, sigma, beta):
     """The hypercontractivity monitor's log tr[(s rho s)^b] / b,
-    s = sigma^((1-b)/2b), for one state."""
-    rs = mc.hermitize(_sandwich_pow(sigma, (1.0 - beta) / beta, rho))
+    s = sigma^((1-b)/2b), for one state, with the sandwich formed entrywise
+    in the eigenbasis U of a fresh decomposition of sigma, p . (U* rho U) . p
+    with p = lam^((1-b)/2b): near sigma log Z carries rounding of about
+    1e-16 in absolute terms, so only this arithmetic pins the functional
+    there to rounding (`sandwiched_renyi_by_mpmath` checks the arithmetic)."""
+    lam, U = np.linalg.eigh(mc.require_hermitian(sigma))
+    p = lam ** ((1.0 - beta) / beta / 2.0)
+    rs = mc.hermitize(p[:, None] * (U.conj().T @ rho @ U) * p)
     w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
     return float(np.log(np.sum(w**beta)) / beta)
+
+
+def sandwiched_renyi_by_mpmath(rho, sigma, alpha, dps=40):
+    """D_alpha in `dps`-digit arithmetic from the definition: sigma and the
+    sandwiched state s rho s, s = sigma^((1-alpha)/(2 alpha)), decomposed
+    afresh, log tr (s rho s)^alpha / (alpha - 1) over its spectrum clamped
+    at zero."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        E, Q = mpmath.eigh(mpmath.matrix(np.asarray(sigma, dtype=complex).tolist()))
+        s = Q * mpmath.diag([e ** ((1 - a) / (2 * a)) for e in E]) * Q.H
+        rs = s * mpmath.matrix(np.asarray(rho, dtype=complex).tolist()) * s
+        lam = mpmath.eigh((rs + rs.H) / 2, eigvals_only=True)
+        return float(mpmath.log(sum(max(e, 0) ** a for e in lam)) / (a - 1))
+
+
+def log_of(dec: mc.SpectralDecomposition) -> np.ndarray:
+    """log A from the decomposition of A, hermitized: the bits of `matrix_log`
+    on the decomposition that validated A."""
+    return mc.hermitize(dec.reconstruct(np.log(dec.values).astype(complex)))
 
 
 # --- weighted L_alpha functionals of X = sigma^(-1/2) rho sigma^(-1/2) ---------
@@ -295,7 +317,7 @@ def ent_fun(sigma_dec: mc.SpectralDecomposition, alpha: float, X) -> float:
     dec = nco._positive_spectrum(B, "weighted argument")
     w = dec.values**alpha
     Balpha = dec.reconstruct(w)
-    log_sigma = sigma_dec.log()
+    log_sigma = log_of(sigma_dec)
     t1 = float(np.sum(w * np.log(w)))
     t2 = float(np.real(np.trace(Balpha @ log_sigma)))
     nrm = float(np.sum(w))
@@ -317,7 +339,7 @@ def dirichlet_form(G, alpha: float, X) -> float:
             raise SingularityError(
                 f"weighted argument: smallest eigenvalue {dec.values[0]:.3e} below {mc.POS_FLOOR:.1e}"
             )
-        arg = dec.log() - sig.log()
+        arg = log_of(dec) - log_of(sig)
         return 0.25 * float(np.real(mc.weighted_inner(arg, minus_LX, sig, 0.5)))
     at = alpha / (alpha - 1.0)
     P = power_op(sig, at, alpha, X)

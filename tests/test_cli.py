@@ -213,7 +213,7 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert doc["D_start"] == 0.01674664943948212
+        assert doc["D_start"] == 0.01674664943948201  # 0.0167466494394820306 to 20 digits
         assert doc["max_forward_increase"] <= 1e-14
         # such an order stack has no sandwiched state, whose divergence
         # divides by alpha - 1, but its trace power Z has no such factor
@@ -381,9 +381,9 @@ class TestEntropyLadder:
     def test_rungs_past_the_cut_are_scored_when_none_before_it_is_chosen(self, monkeypatch, eps):
         # relative entropies near 1e-16 are rounding noise, which may score
         # every rung up to k* above 0.8 eps although its bound clears (here,
-        # n = 3 at eps = 1e-16: k* = 51, rung 52 chosen); the rest of the
+        # n = 4 at eps = 1e-16: k* = 50, rung 56 chosen); the rest of the
         # ladder is then decomposed in a second call
-        G = random_gns_generator(np.random.default_rng(0), 3)
+        G = random_gns_generator(np.random.default_rng(39), 4)
         k_star = self.last_cleared_rung(G, eps, 0)
         k, want = self.whole_ladder(G, eps, 0)
         sizes = self.decomposed_rungs(monkeypatch, lambda: cli._shrink_to_entropy(G, eps, 0))
@@ -515,6 +515,38 @@ class TestMalformedInputs:
         assert code == 1
         doc = json.loads(err)
         assert doc["error"] == "validation" and detail in doc["detail"]
+
+    def test_simulate_grid_above_the_byte_budget(self, monkeypatch, capsys):
+        real = np.arange
+
+        def arange(*args, **kwargs):
+            if len(range(*(int(a) for a in args))) > 10**6:
+                raise AssertionError("a grid was allocated before its size was checked")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", arange)
+        code, _, err = run(["simulate", "--generator", "builtin:qubit-xz", "--t-end", "1e9", "--dt", "1e-6",
+                            "--alphas", "2"], capsys)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "validation" and "budget" in doc["detail"]
+
+    @pytest.mark.parametrize("n", [17, 64])
+    def test_generator_file_above_the_largest_dimension(self, n, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the terms were converted before sigma's size was checked")
+
+        for name in ("_jump_stack", "build_gns"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli.JumpTerms, "of", refuse)
+        monkeypatch.setattr(mc, "matrix_to_rows", refuse)
+        sigma = [[1.0 / n if 2 * j == k else 0.0 for k in range(2 * n)] for j in range(n)]
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"sigma": sigma, "terms": [{"V": sigma}, {"V": "V.csv"}]}))
+        code, _, err = run(["dbcheck", "--generator", str(path)], capsys)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "validation" and f"sigma is {n} x {n}, above n = 16" in doc["detail"]
 
     def test_jump_operator_larger_than_sigma(self, generator_file, tmp_path, capsys):
         doc = json.loads(open(generator_file).read())

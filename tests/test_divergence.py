@@ -7,7 +7,7 @@ import renyiflow.matcore as mc
 from renyiflow.errors import DomainError, SingularityError, StructuralError
 from renyiflow.generator import random_gns_generator
 
-from .oracles import classical_chi2, classical_renyi, matrix_power
+from .oracles import classical_chi2, classical_renyi, matrix_power, sandwiched_renyi_by_mpmath
 
 
 class TestSandwichedRenyi:
@@ -90,6 +90,23 @@ class TestSandwichedRenyi:
         lo = dv.sandwiched_renyi(rho, sigma, alpha).value
         hi = dv.sandwiched_renyi(rho, sigma, alpha + gap).value
         assert hi >= lo - 1e-10
+
+
+class TestSmallOrders:
+    """At small orders s = sigma^((1-alpha)/(2 alpha)) is a high power of sigma
+    (sigma^4.5 at alpha = 0.1): the sandwich is formed entrywise in sigma's
+    frame and decomposed from its large end, so D keeps absolute rounding
+    level against a 40-digit evaluation, near sigma and far from it."""
+
+    @pytest.mark.parametrize("n, seed", [(2, 1), (3, 56), (4, 2), (8, 34)])
+    def test_matches_mpmath(self, n, seed):
+        G = random_gns_generator(np.random.default_rng(seed), n, min_sigma_eig=0.15)
+        far = mc.random_density(np.random.default_rng(seed), n, floor=0.1)
+        for w in (1.0, 1e-3, 1e-6):
+            rho = mc.hermitize((1.0 - w) * G.sigma + w * far)
+            for alpha in (0.1, 0.25):
+                D = dv.sandwiched_renyi(rho, G.sigma, alpha).value
+                assert abs(D - sandwiched_renyi_by_mpmath(rho, G.sigma, alpha)) <= 1e-13, (w, alpha)
 
 
 class TestRelativeEntropy:

@@ -55,6 +55,26 @@ class TestIntegrate:
         with pytest.raises(StructuralError, match="does not match"):
             flow.integrate(qubit_xz, np.eye(3) / 3.0, 1.0, 0.1)
 
+    def test_rejects_a_grid_above_the_byte_budget_before_allocating(self, qubit_xz, monkeypatch):
+        # 1e15 steps: an arange of 7.11 PiB, and 1e15 + 1 stored 2 x 2 states
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was allocated before the grid was checked")
+
+        for name in ("arange", "concatenate", "array", "exp", "zeros", "empty"):
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(DomainError, match="budget"):
+            flow.integrate(qubit_xz, qubit_xz.sigma, 1e9, 1e-6)
+
+    def test_byte_budget_counts_every_stored_state(self, qubit_xz, monkeypatch):
+        # t_end/dt = 10 steps, every 3rd stored: rho0, t = 0.3, 0.6, 0.9 and t_end
+        monkeypatch.setattr(flow, "MAX_STORED_BYTES", 5 * 4 * 16)
+        assert len(flow.integrate(qubit_xz, qubit_xz.sigma, 1.0, 0.1, store_every=3).times) == 5
+        monkeypatch.setattr(flow, "MAX_STORED_BYTES", 5 * 4 * 16 - 1)
+        with pytest.raises(DomainError, match="^5 states of 2 x 2 take 320 B"):
+            flow.integrate(qubit_xz, qubit_xz.sigma, 1.0, 0.1, store_every=3)
+        monkeypatch.setattr(flow, "MAX_STORED_BYTES", 4 * 16)
+        assert len(flow.integrate(qubit_xz, qubit_xz.sigma, 0.0, 0.1).times) == 1
+
     def test_depolarizing_closed_form(self, depol, rng):
         rho0 = mc.random_density(rng, 2, floor=0.1)
         dt = flow.suggested_dt(depol)

@@ -159,7 +159,7 @@ class TestFlux:
         rho = mc.random_density(rng, n, floor=0.1)
         M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
         ref = nc_divergence(G, M.apply(nc_gradient(G, M.state.derivative())))
-        assert np.linalg.norm(M.flux(G.jump_stacks[0]) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(M.flux(G.jump_frame) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestGradientDivergence:
@@ -345,27 +345,12 @@ class TestScalarOrderPath:
 
         assert eigensolves(run) == 0
 
-    def test_order_one_rebuilds_log_sigma_once(self, monkeypatch):
-        r = np.random.default_rng(6)
-        rho, sigma_dec = mc.random_density(r, 4, floor=0.1), mc.density_spectrum(mc.random_density(r, 4, floor=0.1))
-        calls = []
-        real = mc.SpectralDecomposition.reconstruct
-
-        def counting(self, *args, **kwargs):
-            calls.append(self is sigma_dec)
-            return real(self, *args, **kwargs)
-
-        states = [nco.sandwiched_state(rho, sigma_dec, 1.0) for _ in range(3)]
-        monkeypatch.setattr(mc.SpectralDecomposition, "reconstruct", counting)
-        for state in states:
-            state.divergence(), state.derivative()
-        assert sum(calls) == 1
-
-    def test_entropy_and_order_one_flux_form_log_sigma_once(self, monkeypatch):
+    def test_no_power_or_log_of_sigma_is_formed(self, monkeypatch):
+        # in sigma's frame the sandwich is p . rho' . p and log sigma is
+        # diag(log lam): nothing reconstructs a matrix function of sigma
         r = np.random.default_rng(7)
         G, rho = random_gns_generator(r, 3, min_sigma_eig=0.15), mc.random_density(r, 3, floor=0.1)
-        states = [nco.sandwiched_state(rho, G.sigma_dec, a) for a in (0.5, 1.0, 2.0)]
-        M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, 1.0)
+        nu = mc.random_traceless_hermitian(r, 3)
         calls = []
         real = mc.SpectralDecomposition.reconstruct
 
@@ -374,9 +359,13 @@ class TestScalarOrderPath:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(mc.SpectralDecomposition, "reconstruct", counting)
-        for _ in range(2):
-            [state.entropy() for state in states], M.flux(G.jump_stacks[0])
-        assert sum(calls) == 1
+        for a in (0.1, 0.5, 1.0, 2.0):
+            state = nco.sandwiched_state(np.array([rho, G.sigma]), G.sigma_dec, a)
+            state.divergence(), state.derivative(), nco.sandwiched_state(rho, G.sigma_dec, a).entropy()
+            nco.sandwiched_trace(np.array([rho, G.sigma]), G.sigma_dec, np.array([a, 2.0]))
+            M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, a)
+            M.flux(G.jump_frame), M.apply(G.jump_stacks[0]), M.metric(G.jump_frame, nu, nu)
+        assert calls and sum(calls) == 0
 
 
 class TestRenyiKernel:
@@ -487,9 +476,11 @@ class TestMultiplierStack:
         grads = V[None] @ B[:, None] - B[:, None] @ V[None]
         images = np.array([M.apply(g) for g in grads])
         ref = np.real(np.einsum("ajkl,bjkl->ab", grads.conj(), images))
-        Q = M._frame(V)[0]
+        U = M.state.sigma_dec.vectors
+        Vf = U.conj().T @ V @ U  # the stack in sigma's frame
+        Q = M.Q
         Bp = (Q.conj().T @ B @ Q).reshape(len(B), n * n)
-        gram = (M.state.Z / M.state.alpha) * np.real(Bp.conj() @ M._flux_form(V) @ Bp.T)
+        gram = (M.state.Z / M.state.alpha) * np.real(Bp.conj() @ M._flux_form(Vf) @ Bp.T)
         assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.5, 6.0, 10.0])
@@ -501,7 +492,8 @@ class TestMultiplierStack:
         rho, sigma, omegas, V = family_inputs
         M = nco.renyi_multiplier(rho, mc.density_spectrum(sigma, strict=True), omegas, alpha)
         ref = flux_by_mpmath(rho, sigma, omegas, V, alpha)
-        assert np.linalg.norm(M.flux(V) - ref) <= 1e-12 * np.linalg.norm(ref)
+        U = M.state.sigma_dec.vectors
+        assert np.linalg.norm(M.flux(U.conj().T @ V @ U) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
     def test_adjoint_relation_row_by_row(self, family_inputs, alpha):
