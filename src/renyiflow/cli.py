@@ -36,6 +36,8 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 MAX_RANGE_ORDERS = 10_000  # orders an alpha range start:stop:step may span
 MAX_BUILTIN_DIM = 16  # the largest n of a builtin or file generator: the dimensions matcore is written for
+MAX_SAMPLES = 10_000  # random states `gradflow --samples` may draw
+MAX_STARTS = 1_000  # seeded starts `constants --starts` may descend from
 # each builtin generator and the query parameters it takes
 BUILTIN_PARAMS = {"carlen-maas": (), "qubit-xz": (), "depolarizing": ("gamma", "n", "sigma")}
 
@@ -121,6 +123,13 @@ def parse_alphas(spec: str) -> list[float]:
     if not all(a > 0.0 for a in vals):
         raise DomainError(f"alpha values must be positive numbers in {spec!r}")
     return vals
+
+
+def _count(value: int, cap: int, option: str) -> int:
+    """A count option, checked inside 0..cap before anything is built."""
+    if not 0 <= value <= cap:
+        raise DomainError(f"{option} {value} outside 0..{cap}")
+    return value
 
 
 def _parse_diag(entries: str) -> np.ndarray:
@@ -305,13 +314,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gradflow(args) -> int:
+    samples = _count(args.samples, MAX_SAMPLES, "--samples")
     G = load_generator(args.generator)
     alphas = parse_alphas(args.alphas)
-    if args.samples < 0:
-        raise DomainError(f"--samples {args.samples} must be non-negative")
     rng = np.random.default_rng(args.seed)
     lines = ["sample,alpha,residual"]
-    for s in range(args.samples):
+    for s in range(samples):
         rho = mc.random_density(rng, G.n, floor=0.1)
         for a in alphas:
             r = flow.gradient_flow_residual(G, rho, a)
@@ -321,8 +329,9 @@ def cmd_gradflow(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    starts = _count(args.starts, MAX_STARTS, "--starts")
     G = load_generator(args.generator)
-    report = flow.lsi_constants(G, n_starts=args.starts, seed=args.seed)
+    report = flow.lsi_constants(G, n_starts=starts, seed=args.seed)
     emit(args.out, _json(report.as_dict()))
     return EXIT_OK
 
@@ -462,7 +471,8 @@ def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    """Run one command; its warnings join a failure's JSON document on stderr, or are emitted again."""
+    """Run one command; its warnings join a failure's JSON document on stderr, or are emitted again.
+    An input too large for memory (a MemoryError) exits 1, naming the command."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -477,6 +487,9 @@ def main(argv=None) -> int:
             code, error = EXIT_VALIDATION, {"error": "validation", "detail": str(exc)}
         except (IntegrationError, SingularityError, NonFiniteError) as exc:
             code, error = EXIT_NUMERICAL, {"error": "numerical", "detail": str(exc)}
+        except MemoryError as exc:
+            code = EXIT_VALIDATION
+            error = {"error": "validation", "command": args.command, "detail": f"out of memory: {exc}"}
     if error is None:
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)

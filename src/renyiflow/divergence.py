@@ -1,9 +1,8 @@
 """Entropy-like functionals between quantum states.
 
 Sandwiched Renyi divergence of any positive order, quantum relative
-entropy, Petz-Renyi divergence, chi-square divergence, the functional
-derivative of the sandwiched divergence, and the relative Fisher
-information of a state under a detailed-balance generator.
+entropy, the functional derivative of the sandwiched divergence, and the
+relative Fisher information of a state under a detailed-balance generator.
 
 All quantities are reported in nats.  The reference state sigma must be
 strictly positive, which makes every divergence finite.  Each public
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import matcore as mc
 from . import noncomm_ops as nco
-from .errors import DomainError, StructuralError
+from .errors import StructuralError
 
 
 @dataclass(frozen=True)
@@ -64,32 +63,6 @@ def sandwiched_renyi(rho, sigma, alpha: float) -> DivergenceValue:
     return DivergenceValue(alpha=alpha, value=rs.divergence(), Z=1.0 if rs.alpha == 1.0 else float(rs.Z))
 
 
-def petz_renyi(rho, sigma, alpha: float) -> float:
-    """Petz-Renyi divergence log tr(rho^a sigma^(1-a)) / (a-1).
-
-    Coincides with the sandwiched divergence for commuting states.
-    """
-    if not 0.0 < alpha < np.inf or alpha == 1.0:
-        raise DomainError(f"Petz order alpha={alpha} must lie in (0,1) or (1,inf)")
-    rho, sigma_dec = _states(rho, sigma, strict=alpha > 1.0)
-    w, U = np.linalg.eigh(rho)
-    # rho's rounding-level negative eigenvalues, which the validation admits, count as 0
-    ra = mc.SpectralDecomposition(np.maximum(w, 0.0), U).power(alpha)
-    val = float(np.real(np.trace(ra @ sigma_dec.power(1.0 - alpha))))
-    return float(np.log(val) / (alpha - 1.0))
-
-
-def chi2_divergence(rho, sigma) -> float:
-    """Quantum chi-square divergence of the half-weighted inverse weighting.
-
-    Satisfies exp(D_2) = 1 + chi2 exactly.
-    """
-    rho, sigma_dec = _states(rho, sigma)
-    delta = rho - mc.hermitize(np.asarray(sigma, dtype=complex))  # the validated sigma
-    si = sigma_dec.power(-0.5)
-    return float(np.real(np.trace(delta @ si @ delta @ si)))
-
-
 def functional_derivative(rho, sigma, alpha: float) -> np.ndarray:
     """Functional derivative of the order-alpha divergence in the state.
 
@@ -111,4 +84,5 @@ def fisher_information(rho, alpha: float, G) -> float:
     rho = mc.require_density(rho, strict=True, name="rho")
     if rho.shape != (G.n, G.n):
         raise StructuralError(f"rho has shape {rho.shape}, the generator's sigma {(G.n, G.n)}")
-    return nco.sandwiched_state(rho, G.sigma_dec, alpha).fisher(G.apply_Ldag(rho))
+    drift = G.sigma_dec.to_frame(G.apply_Ldag(rho))  # rotated into sigma's frame once
+    return nco.sandwiched_state(rho, G.sigma_dec, alpha).fisher(drift)

@@ -48,17 +48,27 @@ LSI_MAXITER = 200
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States stored by `integrate` at `times`, none with an eigenvalue below -POSITIVITY_TOL."""
+    """States stored by `integrate` at `times`, none with an eigenvalue below
+    -POSITIVITY_TOL, held in sigma's frame: `frame[k]` is U* rho(t_k) U with
+    U the eigenvectors of the generator's `sigma_dec`."""
 
     times: np.ndarray
-    states: np.ndarray  # C-contiguous (T, n, n) stack, one state per stored time
+    frame: np.ndarray  # read-only C-contiguous (T, n, n) stack, one state per stored time
     generator: Generator
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Read-only C-contiguous (T, n, n) stack of the stored states in the
+        standard basis, U frame U* hermitized, formed on first read."""
+        out = np.ascontiguousarray(mc.hermitize(self.generator.sigma_dec.from_frame(self.frame)))
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def min_eigenvalues(self) -> np.ndarray:
         """Smallest eigenvalue of each stored state, from one stacked
-        `eigvalsh` on first read."""
-        return np.linalg.eigvalsh(self.states)[:, 0]
+        `eigvalsh` of the frame on first read."""
+        return np.linalg.eigvalsh(self.frame)[:, 0]
 
     def final(self) -> np.ndarray:
         return self.states[-1]
@@ -100,19 +110,19 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
     The grid has steps of dt, shortened at the end to reach t_end; every
     `store_every`-th grid point and t_end are stored; a grid whose states
     would take more than MAX_STORED_BYTES raises DomainError before anything
-    is allocated.  In the modes V, Lam
-    of `G.spectrum` (-L after the kernel q = (lam_k lam_l)^(1/4) in sigma's
-    eigenbasis U) the flow is diagonal, vec(U* rho(t) U) =
-    q o V e^(-Lam t) V* (vec(U* rho0 U) / q), so all stored states come
-    from one product with the n^2 x n^2 matrix whose row k holds the
-    state-space mode U unvec(q o V_k) U*; no expm.  A generator without
-    that spectrum (asymmetric beyond TOL_SELFADJOINT) raises its
-    ValidationError.  The states are projected to Hermitian unit trace in
-    one stacked step; `states[0]` is the validated rho0.  One stacked
-    Cholesky factorization of states + POSITIVITY_TOL I screens positivity
-    (a growing mode leaves the state space); only where it fails are the
-    smallest eigenvalues computed, and one below -POSITIVITY_TOL raises
-    IntegrationError.
+    is allocated.  The states are stored in sigma's frame (`Trajectory`),
+    X(t) = U* rho(t) U with U sigma's eigenvectors.  In the modes V, Lam
+    of `G.spectrum` (-L after the kernel q = (lam_k lam_l)^(1/4) in that
+    frame) the flow is diagonal, vec(X(t)) = q o V e^(-Lam t) V* (vec(X(0)) / q),
+    so all stored states come from one product with the n^2 x n^2 matrix
+    whose row k holds the mode unvec(q o V_k); no expm and no rotation
+    but rho0's.  A generator without that spectrum (asymmetric beyond
+    TOL_SELFADJOINT) raises its ValidationError.  The states are projected
+    to Hermitian unit trace in one stacked step; `frame[0]` is U* rho0 U of
+    the validated rho0.  One stacked Cholesky factorization of
+    frame + POSITIVITY_TOL I screens positivity (a growing mode leaves the
+    state space); only where it fails are the smallest eigenvalues
+    computed, and one below -POSITIVITY_TOL raises IntegrationError.
     """
     if not 0.0 < dt < np.inf:
         raise DomainError(f"dt={dt} must be positive and finite")
@@ -131,16 +141,18 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
     times = np.array([0.0])
     if t_end > 0.0:
         times = np.concatenate(([0.0], np.arange(1, n_full + 1) * store_every * dt, [t_end]))
-    spec, U, lam = G.spectrum, G.sigma_dec.vectors, G.sigma_dec.values
+    spec, lam = G.spectrum, G.sigma_dec.values
     q = mc.vec(np.outer(lam, lam) ** 0.25)
-    modes = U @ mc.unvec(q[:, None] * spec.vectors, G.n) @ U.conj().T  # mode k as a state-space matrix
-    c = spec.vectors.conj().T @ (mc.vec(U.conj().T @ rho0 @ U) / q)
-    rhos = (np.exp(-np.outer(times, spec.values)) * c) @ modes.reshape(len(modes), -1)
-    states = np.ascontiguousarray(_project(rhos.reshape(-1, G.n, G.n)))
-    states[0] = rho0
-    traj = Trajectory(times, states, G)
+    modes = mc.unvec(q[:, None] * spec.vectors, G.n)  # mode k in sigma's frame
+    X0 = G.sigma_dec.to_frame(rho0)
+    c = spec.vectors.conj().T @ (mc.vec(X0) / q)
+    xs = (np.exp(-np.outer(times, spec.values)) * c) @ modes.reshape(len(modes), -1)
+    frame = np.ascontiguousarray(_project(xs.reshape(-1, G.n, G.n)))
+    frame[0] = X0
+    frame.setflags(write=False)
+    traj = Trajectory(times, frame, G)
     try:
-        np.linalg.cholesky(states + POSITIVITY_TOL * np.eye(G.n))
+        np.linalg.cholesky(frame + POSITIVITY_TOL * np.eye(G.n))
     except np.linalg.LinAlgError:
         wmin = traj.min_eigenvalues
         bad = np.flatnonzero(wmin < -POSITIVITY_TOL)
@@ -171,29 +183,33 @@ class TraceTable:
 def divergence_trace(traj: Trajectory, alphas) -> TraceTable:
     """Evaluate divergences and Fisher informations at the stored states.
 
-    The state stack is validated once: its shape against the generator,
+    Everything is read in sigma's frame, where `traj.frame` holds the
+    states.  The stack is validated once: its shape against the generator,
     finiteness and hermiticity, then the kept states' unit trace.  States
     whose smallest eigenvalue (`Trajectory.min_eigenvalues`, one stacked
     eigensolve on first read) is below POS_FLOOR are pruned with a warning.
-    Each kept state's drift L^dagger rho is formed once; each kept
+    The kept states' drifts U* (L^dagger rho) U come from one product with
+    the frame's state-side generator, the adjoint of `G.L_eig`; each kept
     (state, order) pair is one sandwiched state over the generator's
     `sigma_dec`, and D and I are both read from it: one eigensolve per pair.
     """
     G = traj.generator
-    states = _require_dim(mc.require_hermitian(traj.states, name="states", stack=True), G.n, "states")
+    frame = _require_dim(mc.require_hermitian(traj.frame, name="states", stack=True), G.n, "states")
     wmin = traj.min_eigenvalues
     keep = np.flatnonzero(wmin >= mc.POS_FLOOR)
     if keep.size < traj.times.size:
         warnings.warn(f"pruned {traj.times.size - keep.size} non-strictly-positive states from the trace")
-    states = states[keep]
-    mc.check_density(states, wmin[keep], strict=True, name="states")
+    frame = frame[keep]
+    mc.check_density(frame, wmin[keep], strict=True, name="states")
+    # vec(X) of each state as a row, times the transpose of L_eig^H; unvec back
+    vecs = frame.swapaxes(-1, -2).reshape(keep.size, G.n**2)
+    drifts = (vecs @ G.L_eig.conj()).reshape(frame.shape).swapaxes(-1, -2)
     alphas = tuple(float(a) for a in alphas)
     D = np.zeros((len(alphas), keep.size))
     I = np.zeros_like(D)
-    for j, rho in enumerate(states):
-        drift = G.apply_Ldag(rho)
+    for j, (X, drift) in enumerate(zip(frame, drifts)):
         for i, a in enumerate(alphas):
-            st = nco.sandwiched_state(rho, G.sigma_dec, a)
+            st = nco.frame_sandwiched_state(X, G.sigma_dec, a)
             D[i, j] = st.divergence()
             I[i, j] = st.fisher(drift)
     return TraceTable(traj.times[keep], alphas, D, I)
@@ -302,9 +318,9 @@ def gap_eigen_direction(G: Generator) -> np.ndarray:
     It is formed in sigma's eigenbasis, the basis of `G.spectrum`."""
     spec, lam, sig = G.spectrum, G.gap.value, G.sigma_dec
     C = spec.vectors[:, np.abs(spec.values - lam) <= GAP_CLUSTER_RTOL * lam]
-    U, q = sig.vectors, np.outer(sig.values, sig.values) ** 0.25
-    probe = q * (U.conj().T @ mc.random_traceless_hermitian(np.random.default_rng(0), G.n) @ U)
-    nu = mc.hermitize(U @ (mc.unvec(C @ (C.conj().T @ mc.vec(probe)), G.n) / q) @ U.conj().T)
+    q = np.outer(sig.values, sig.values) ** 0.25
+    probe = q * sig.to_frame(mc.random_traceless_hermitian(np.random.default_rng(0), G.n))
+    nu = mc.hermitize(sig.from_frame(mc.unvec(C @ (C.conj().T @ mc.vec(probe)), G.n) / q))
     return nu / np.linalg.norm(nu)
 
 
@@ -332,7 +348,7 @@ def fisher2_bound_check(G: Generator, rho) -> InequalityCheck:
     I2 and D2 are read from one sandwiched state."""
     rho = _validated(G, rho, strict=True)
     state = nco.sandwiched_state(rho, G.sigma_dec, 2.0)
-    I2, D2 = state.fisher(G.apply_Ldag(rho)), state.divergence()
+    I2, D2 = state.fisher(G.sigma_dec.to_frame(G.apply_Ldag(rho))), state.divergence()
     bound = 2.0 * G.gap.value * (1.0 - np.exp(-D2))
     return InequalityCheck(lhs=I2, rhs=float(bound), passed=I2 >= bound - FISHER2_SLACK)
 
@@ -403,7 +419,7 @@ def _lsi_objectives(G: Generator, denom_floor: float = 1e-8):
         den = state.entropy() if kappa else state.divergence()
         if den <= denom_floor:
             return np.inf
-        I = state.fisher(G.apply_Ldag(rho))
+        I = state.fisher(sig.to_frame(G.apply_Ldag(rho)))
         return alpha * state.Z * I / (4.0 * den) if kappa else I / (2.0 * den)
 
     return {
@@ -606,7 +622,7 @@ class HyperTrace:
     beta: np.ndarray
     F: np.ndarray
     max_forward_increase: float
-    final: np.ndarray  # the flowed state at the end of the delay window
+    final: np.ndarray  # the flowed state at the end of the delay window, in sigma's frame
     D_start: float  # the order-alpha0 divergence of the validated rho0
 
 
@@ -625,13 +641,14 @@ def hypercontractivity_monitor(
     the functional is non-increasing when eta respects the comparison
     bound, and the reported maximum forward difference quantifies any
     numerical violation.  The flow is integrated once, over the whole
-    window, and `integrate` is the one validation of rho0; its final state
-    is returned with the samples.  The order-1 divergence D0 <= eps is then
-    checked, and so is its Pinsker bound ||rho0 - sigma||_F^2 / 2 <= eps;
-    D0 and the order-alpha0 divergence D_start of rho0 come from two
-    sandwiched states, each at a scalar order.  The functional reads
-    only the spectrum values of the sandwiched states along the
-    trajectory, stacked with an order per state.
+    window, and `integrate` is the one validation of rho0; its final state,
+    in sigma's frame, is returned with the samples.  Everything is read
+    from the trajectory's frame stack.  The order-1 divergence D0 <= eps is
+    then checked, and so is its Pinsker bound ||rho0 - sigma||_F^2 / 2 =
+    ||X0 - diag(lam)||_F^2 / 2 <= eps; D0 and the order-alpha0 divergence
+    D_start of rho0 come from two sandwiched states, each at a scalar order.
+    The functional reads only the spectrum values of the sandwiched states
+    along the trajectory, stacked with an order per state.
     """
     if not 1.0 < alpha0 <= alpha1 < np.inf:
         raise DomainError(f"need 1 < alpha0 <= alpha1 < inf, got ({alpha0}, {alpha1})")
@@ -643,17 +660,18 @@ def hypercontractivity_monitor(
     dt = suggested_dt(G)
     store = max(1, int(np.ceil(T / dt / MONITOR_SAMPLES)))
     traj = integrate(G, rho0, T, dt, store_every=store)
-    D0, D_start = (nco.sandwiched_state(traj.states[0], G.sigma_dec, a).divergence() for a in (1.0, alpha0))
+    X0 = traj.frame[0]
+    D0, D_start = (nco.frame_sandwiched_state(X0, G.sigma_dec, a).divergence() for a in (1.0, alpha0))
     # Pinsker with the Frobenius norm below the trace norm: a lower bound on
     # D0 that needs no decomposition, so rounding near sigma cannot hide it
-    D0 = max(D0, 0.5 * float(np.linalg.norm(traj.states[0] - G.sigma)) ** 2)
+    D0 = max(D0, 0.5 * float(np.linalg.norm(X0 - np.diag(G.sigma_dec.values))) ** 2)
     if D0 > eps:
         raise ValidationError(f"initial relative entropy {D0:.3e} exceeds the required bound eps={eps:.3e}")
     beta = 1.0 + (alpha0 - 1.0) * np.exp(2.0 * K * eta * traj.times)
     # log tr[(s rho s)^b] / b with s = sigma^((1-b)/2b), for all states at once
-    F = np.log(nco.sandwiched_trace(traj.states, G.sigma_dec, beta)) / beta
+    F = np.log(nco.frame_sandwiched_trace(traj.frame, G.sigma_dec, beta)) / beta
     fw = np.diff(F)
-    return HyperTrace(traj.times, beta, F, float(fw.max(initial=0.0)), traj.final(), float(D_start))
+    return HyperTrace(traj.times, beta, F, float(fw.max(initial=0.0)), traj.frame[-1], float(D_start))
 
 
 @dataclass(frozen=True)
@@ -696,7 +714,7 @@ def comparison_check(
     Lam, eta, T = comparison_constants(alpha0, alpha1, eps, G.sigma_dec, G.omegas, K)
     trace = hypercontractivity_monitor(G, rho0, alpha0, alpha1, eta, K, eps=eps)
     D_start = trace.D_start
-    D_end = nco.sandwiched_state(trace.final, G.sigma_dec, alpha1).divergence()
+    D_end = nco.frame_sandwiched_state(trace.final, G.sigma_dec, alpha1).divergence()
     passed = (D_end <= D_start + COMPARISON_SLACK) and (trace.max_forward_increase <= MONITOR_SLACK)
     return ComparisonReport(
         alpha0=float(alpha0), alpha1=float(alpha1), eps=float(eps), K=float(K),

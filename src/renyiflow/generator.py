@@ -223,8 +223,7 @@ class Generator:
     def jump_frame(self) -> np.ndarray:
         """Read-only (m, n, n) stack of the U* V_j U, the jump operators in the
         matrix units of sigma's eigenbasis U (sigma's frame), in term order."""
-        U = self.sigma_dec.vectors
-        out = U.conj().T @ self._require_terms().V @ U
+        out = self.sigma_dec.to_frame(self._require_terms().V)
         out.setflags(write=False)
         return out
 

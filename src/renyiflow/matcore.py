@@ -121,6 +121,15 @@ class SpectralDecomposition:
             return ((U * w[..., None, :]).reshape(-1, n) @ U.conj().T).reshape(w.shape[:-1] + (n, n))
         return (U * w[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
+    def to_frame(self, A) -> np.ndarray:
+        """U* A U, A in the matrix units of this eigenbasis U (its frame);
+        of each matrix, for a stack (..., n, n).  One decomposition, not a stack."""
+        return self.vectors.conj().T @ A @ self.vectors
+
+    def from_frame(self, X) -> np.ndarray:
+        """U X U*, the inverse of `to_frame`."""
+        return self.vectors @ X @ self.vectors.conj().T
+
     def power(self, p) -> np.ndarray:
         """A^p of a strictly positive A, read from this decomposition and
         hermitized; an array of exponents gives the stack of powers."""

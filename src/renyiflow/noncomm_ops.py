@@ -8,13 +8,16 @@ derivative, Fisher information, entropy), the Renyi-order
 multiplication operator built on it with its flux over a jump stack, and
 the detailed-balance weight kernel.  The sandwiched state is formed in
 exactly one function, `_sandwich`, entrywise in sigma's eigenbasis (sigma's
-frame); `sandwiched_state` decomposes it, and `sandwiched_trace` reads its
-trace power from the spectrum values alone.
+frame), from a state given in that frame; `frame_sandwiched_state`
+decomposes it, and `frame_sandwiched_trace` reads its trace power from the
+spectrum values alone.  `sandwiched_state` and `sandwiched_trace` are the
+same for a state in the standard basis, rotated into the frame once.
 A scalar order (a Python or numpy scalar, or a 0-d array) is checked with
 float comparisons and carried as a float through the sandwiched state, its
 trace power and the derivative's scale, with the bits of the same order
-given as a one-element array; only `sandwiched_trace` takes an array of
-orders, which broadcasts against the states.
+given as a one-element array; only the trace power (`sandwiched_trace`,
+`frame_sandwiched_trace`) takes an array of orders, which broadcasts
+against the states.
 Functions of a reference state sigma take the `mc.density_spectrum` that
 validated it (a generator's `sigma_dec`) and never decompose sigma
 themselves.  Every decomposition here is a plain `eigh` (`eigvalsh` for
@@ -191,20 +194,25 @@ class SandwichedState:
             D = plogp - self._log_sigma_pairing(lam)
         return D if isinstance(D, np.ndarray) else float(D)
 
+    def frame_derivative(self) -> np.ndarray:
+        """The functional derivative in sigma's frame, U* derivative U:
+        p . (alpha/(alpha-1) rs'^(alpha-1) / Z) . p, and log rs' - diag(log lam) at alpha = 1."""
+        lam, a = self.positive_values(), self.alpha
+        if a == 1.0:
+            return self.dec.reconstruct(np.log(lam)) - np.diag(np.log(self.sigma_dec.values))
+        Z = self.Z[..., None] if isinstance(self.Z, np.ndarray) else self.Z
+        return self.p[:, None] * self.dec.reconstruct(lam ** (a - 1.0) * (a / (a - 1.0) / Z)) * self.p
+
     def derivative(self) -> np.ndarray:
         """Functional derivative of D_alpha in rho: alpha/(alpha-1) s
-        rs^(alpha-1) s / Z, and log rho - log sigma at alpha = 1, formed in sigma's frame."""
-        lam, a, U = self.positive_values(), self.alpha, self.sigma_dec.vectors
-        if a == 1.0:
-            out = self.dec.reconstruct(np.log(lam)) - np.diag(np.log(self.sigma_dec.values))
-        else:
-            Z = self.Z[..., None] if isinstance(self.Z, np.ndarray) else self.Z
-            out, U = self.dec.reconstruct(lam ** (a - 1.0) * (a / (a - 1.0) / Z)), U * self.p
-        return mc.hermitize(U @ out @ U.conj().T)
+        rs^(alpha-1) s / Z, and log rho - log sigma at alpha = 1, formed in
+        sigma's frame (`frame_derivative`) and rotated back once."""
+        return mc.hermitize(self.sigma_dec.from_frame(self.frame_derivative()))
 
     def fisher(self, drift) -> float:
-        """Minus the pairing tr(derivative* drift) of the derivative with the flow's drift at rho."""
-        return float(-np.vdot(self.derivative(), drift).real)
+        """Minus the pairing tr(derivative* drift) of the derivative with the
+        flow's drift at rho, both in sigma's frame: `drift` is U* (L^dagger rho) U."""
+        return float(-np.vdot(self.frame_derivative(), drift).real)
 
     def entropy(self) -> float:
         """Ent_alpha = sum lam^alpha log lam^alpha - tr(rs^alpha log sigma) - Z log Z."""
@@ -212,13 +220,14 @@ class SandwichedState:
         return float(np.sum(w * np.log(w)) - self._log_sigma_pairing(w) - self.Z * np.log(self.Z))
 
 
-def _sandwich(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """The checked order, p = lam^((1-alpha)/(2 alpha)) and rs' = p . (U* rho U) . p:
-    the one place the sandwiched state is formed, entrywise, so that no
-    small eigenvalue of sigma meets the rounding of a dense power.  A scalar
-    order (a Python or numpy scalar, or a 0-d array) is checked and carried
-    as a float; one within ALPHA_ONE_WINDOW of 1 is taken as 1, where p is
-    exactly 1.  An array of orders is taken as it is, one row of p each."""
+def _sandwich(X, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """The checked order, p = lam^((1-alpha)/(2 alpha)) and rs' = p . X . p
+    for X = U* rho U in sigma's frame: the one place the sandwiched state is
+    formed, entrywise, so that no small eigenvalue of sigma meets the
+    rounding of a dense power.  A scalar order (a Python or numpy scalar, or
+    a 0-d array) is checked and carried as a float; one within
+    ALPHA_ONE_WINDOW of 1 is taken as 1, where p is exactly 1.  An array of
+    orders is taken as it is, one row of p each."""
     if np.ndim(alpha):
         a = np.asarray(alpha, dtype=float)
         valid = np.all((a > 0.0) & np.isfinite(a))
@@ -231,8 +240,7 @@ def _sandwich(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> tuple[float | 
         a = 1.0
     g = (1.0 - a) / a / 2.0
     p = np.power(sigma_dec.values, g if isinstance(a, float) else g[..., None])
-    U = sigma_dec.vectors
-    return a, p, mc.hermitize(p[..., :, None] * (U.conj().T @ rho @ U) * p[..., None, :])
+    return a, p, mc.hermitize(p[..., :, None] * X * p[..., None, :])
 
 
 def _trace_power(values: np.ndarray, a: float | np.ndarray):
@@ -243,17 +251,25 @@ def _trace_power(values: np.ndarray, a: float | np.ndarray):
 
 
 def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha: float) -> SandwichedState:
-    """Form rs' from sigma's decomposition and decompose it with one `eigh`.
+    """The sandwiched state of rho: rho rotated into sigma's frame once,
+    then `frame_sandwiched_state`.
 
     `rho` is one (n, n) state or a (T, n, n) stack, and `alpha` one
     positive, finite order; an order within ALPHA_ONE_WINDOW of 1 is taken
-    as 1.  An array of orders raises DomainError before any work: its
-    trace powers come from `sandwiched_trace`.  The states are trusted:
+    as 1.  An array of orders raises DomainError before any eigensolve:
+    its trace powers come from `sandwiched_trace`.  The states are trusted:
     callers validate rho, and sigma through the decomposition passed in.
     """
+    return frame_sandwiched_state(sigma_dec.to_frame(rho), sigma_dec, alpha)
+
+
+def frame_sandwiched_state(X, sigma_dec: mc.SpectralDecomposition, alpha: float) -> SandwichedState:
+    """Form rs' from X = U* rho U, one state or a (T, n, n) stack in sigma's
+    frame, and decompose it with one `eigh`; as `sandwiched_state`, with no
+    rotation."""
     if np.ndim(alpha):
         raise DomainError(f"orders {alpha}: one scalar order per sandwiched state; use sandwiched_trace")
-    a, p, rs = _sandwich(rho, sigma_dec, alpha)
+    a, p, rs = _sandwich(X, sigma_dec, alpha)
     # rs' is graded by p, which ascends below order 1: the Householder reduction keeps
     # small eigenvalues only from the large end, the bottom right ("U") or top left ("L")
     dec = mc.SpectralDecomposition(*np.linalg.eigh(rs, UPLO="U" if a < 1.0 else "L"))
@@ -265,9 +281,15 @@ def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndar
     `eigvalsh` (no eigenvectors).  `alpha` is one order or an array of
     them, broadcast against the states: a stack at one order, one state at
     several orders, or a stack with an order per state.  Z has no
-    1/(alpha-1) factor, so an array of orders may come near 1."""
-    a, _, rs = _sandwich(rho, sigma_dec, alpha)
-    # below order 1, reversed index order (a permutation) puts the large end top left (`sandwiched_state`)
+    1/(alpha-1) factor, so an array of orders may come near 1.  rho is
+    rotated into sigma's frame once, then `frame_sandwiched_trace`."""
+    return frame_sandwiched_trace(sigma_dec.to_frame(rho), sigma_dec, alpha)
+
+
+def frame_sandwiched_trace(X, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndarray:
+    """`sandwiched_trace` of X = U* rho U, states in sigma's frame, with no rotation."""
+    a, _, rs = _sandwich(X, sigma_dec, alpha)
+    # below order 1, reversed index order (a permutation) puts the large end top left (`frame_sandwiched_state`)
     return _trace_power(np.linalg.eigvalsh(np.where(np.less(a, 1.0)[..., None, None], rs[..., ::-1, ::-1], rs)), a)
 
 
@@ -359,8 +381,8 @@ class RenyiMultiplier:
         c' = Q^-1 nu Q^-* = W* (p . U* nu U . p) W paired with B', and the null
         direction B' = Q* Q filled by a rank-one term, which tr nu = 0 makes exact."""
         H = self._flux_form(V)
-        W, p, U = self.kernel_op.basis, self.state.p, self.state.sigma_dec.vectors
-        nus = U.conj().T @ np.array([nu1, nu2], dtype=complex) @ U
+        W, p = self.kernel_op.basis, self.state.p
+        nus = self.state.sigma_dec.to_frame(np.array([nu1, nu2], dtype=complex))
         c = (W.conj().T @ (p[:, None] * nus * p) @ W).reshape(2, -1)
         d = np.diag(H).real ** -0.5
         z = (self.Q.conj().T @ self.Q).ravel() / d

@@ -1,6 +1,11 @@
+import atexit
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from renyiflow import balance_check as bc
 from renyiflow import generator as gen
@@ -10,6 +15,11 @@ from renyiflow import matcore as mc
 # database, so a run neither depends on nor writes earlier runs' state
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+# hypothesis still caches the literals of the test sources under its home
+# directory; a temporary one, removed at exit, keeps the run out of the checkout
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="hypothesis-home-")
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 
 
 @pytest.fixture(scope="session")

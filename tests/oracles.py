@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
-from renyiflow.errors import DomainError, SingularityError
+from renyiflow.errors import DomainError, SingularityError, StructuralError
 from renyiflow.generator import JumpTerm
 
 
@@ -127,6 +127,45 @@ def classical_chi2(p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return float(np.sum((p - q) ** 2 / q))
+
+
+# --- divergences with no package caller -----------------------------------------
+# Validated like the package's public functionals, so they take the same
+# malformed inputs.
+
+
+def _density_pair(rho, sigma, strict=False):
+    rho = mc.require_density(rho, strict=strict, name="rho")
+    sigma_dec = mc.density_spectrum(sigma, strict=True, name="sigma")
+    if rho.shape != sigma_dec.vectors.shape:
+        raise StructuralError(f"rho has shape {rho.shape}, sigma {sigma_dec.vectors.shape}")
+    return rho, sigma_dec
+
+
+def petz_renyi(rho, sigma, alpha: float) -> float:
+    """Petz-Renyi divergence log tr(rho^a sigma^(1-a)) / (a-1).
+
+    Coincides with the sandwiched divergence for commuting states.
+    """
+    if not 0.0 < alpha < np.inf or alpha == 1.0:
+        raise DomainError(f"Petz order alpha={alpha} must lie in (0,1) or (1,inf)")
+    rho, sigma_dec = _density_pair(rho, sigma, strict=alpha > 1.0)
+    w, U = np.linalg.eigh(rho)
+    # rho's rounding-level negative eigenvalues, which the validation admits, count as 0
+    ra = mc.SpectralDecomposition(np.maximum(w, 0.0), U).power(alpha)
+    val = float(np.real(np.trace(ra @ sigma_dec.power(1.0 - alpha))))
+    return float(np.log(val) / (alpha - 1.0))
+
+
+def chi2_divergence(rho, sigma) -> float:
+    """Quantum chi-square divergence of the half-weighted inverse weighting.
+
+    Satisfies exp(D_2) = 1 + chi2 exactly.
+    """
+    rho, sigma_dec = _density_pair(rho, sigma)
+    delta = rho - mc.hermitize(np.asarray(sigma, dtype=complex))  # the validated sigma
+    si = sigma_dec.power(-0.5)
+    return float(np.real(np.trace(delta @ si @ delta @ si)))
 
 
 def brute_force_commutant_dim(ops, n, tol=1e-9):
@@ -263,14 +302,21 @@ def functional_derivative_by_matrix_powers(rho, sigma, alpha):
 
 def norm_functional_by_state(rho, sigma, beta):
     """The hypercontractivity monitor's log tr[(s rho s)^b] / b,
-    s = sigma^((1-b)/2b), for one state, with the sandwich formed entrywise
-    in the eigenbasis U of a fresh decomposition of sigma, p . (U* rho U) . p
-    with p = lam^((1-b)/2b): near sigma log Z carries rounding of about
-    1e-16 in absolute terms, so only this arithmetic pins the functional
-    there to rounding (`sandwiched_renyi_by_mpmath` checks the arithmetic)."""
+    s = sigma^((1-b)/2b), for one state, with rho rotated into the
+    eigenbasis U of a fresh decomposition of sigma (`norm_functional_in_frame`)."""
     lam, U = np.linalg.eigh(mc.require_hermitian(sigma))
+    return norm_functional_in_frame(U.conj().T @ rho @ U, lam, beta)
+
+
+def norm_functional_in_frame(X, lam, beta):
+    """log tr[(s rho s)^b] / b of X = U* rho U, a state in the eigenbasis of
+    sigma (eigenvalues lam), with the sandwich formed entrywise,
+    p . X . p with p = lam^((1-b)/2b): near sigma log Z carries rounding of
+    about 1e-16 in absolute terms, so only the monitor's arithmetic pins the
+    functional there to rounding (`sandwiched_renyi_by_mpmath` checks the
+    arithmetic)."""
     p = lam ** ((1.0 - beta) / beta / 2.0)
-    rs = mc.hermitize(p[:, None] * (U.conj().T @ rho @ U) * p)
+    rs = mc.hermitize(p[:, None] * X * p)
     w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
     return float(np.log(np.sum(w**beta)) / beta)
 

@@ -531,6 +531,38 @@ class TestMalformedInputs:
         doc = json.loads(err)
         assert doc["error"] == "validation" and "budget" in doc["detail"]
 
+    @pytest.mark.parametrize("command, option, cap", [
+        ("gradflow", "--samples", cli.MAX_SAMPLES), ("constants", "--starts", cli.MAX_STARTS),
+    ])
+    @pytest.mark.parametrize("excess", [1, 10**12])
+    def test_count_above_its_cap_checked_before_anything_is_built(
+            self, command, option, cap, excess, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"work began before {option} was checked")
+
+        monkeypatch.setattr(cli, "load_generator", refuse)
+        monkeypatch.setattr(mc, "random_density", refuse)
+        monkeypatch.setattr(cli.flow, "lsi_constants", refuse)
+        code, _, err = run([command, "--generator", "builtin:qubit-xz", option, str(cap + excess)], capsys)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc == {"error": "validation", "detail": f"{option} {cap + excess} outside 0..{cap}"}
+
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--generator", "builtin:qubit-xz", "--t-end", "1", "--dt", "0.1"], "integrate"),
+        (["gradflow", "--generator", "builtin:qubit-xz", "--samples", "1"], "gradient_flow_residual"),
+        (["constants", "--generator", "builtin:qubit-xz", "--starts", "1"], "lsi_constants"),
+    ], ids=["simulate", "gradflow", "constants"])
+    def test_out_of_memory_exits_validation_naming_the_command(self, argv, name, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        monkeypatch.setattr(cli.flow, name, exhausted)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "validation", "command": argv[0],
+                                   "detail": "out of memory: Unable to allocate 7.11 PiB"}
+
     @pytest.mark.parametrize("n", [17, 64])
     def test_generator_file_above_the_largest_dimension(self, n, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -17,10 +17,12 @@ from renyiflow.generator import (
 )
 
 from .oracles import (
+    chi2_divergence,
     gap_direction_by_kron,
     metric_tensor_by_term,
     nc_gradient,
     norm_functional_by_state,
+    norm_functional_in_frame,
     propagate_by_expm,
     trapezoid_integral,
 )
@@ -142,10 +144,10 @@ class TestIntegrate:
         delta = 0.5 * smin * X / float(np.max(np.abs(np.linalg.eigvalsh(X))))
         rho0 = mc.hermitize(G.sigma + delta)
         traj = flow.integrate(G, rho0, 3.0 / lam, flow.suggested_dt(G), store_every=10)
-        chi0 = dv.chi2_divergence(rho0, G.sigma)
+        chi0 = chi2_divergence(rho0, G.sigma)
         for t, s in zip(traj.times, traj.states):
             assert np.linalg.norm(s - G.sigma - np.exp(-lam * t) * delta) <= 1e-12
-            assert dv.chi2_divergence(s, G.sigma) == pytest.approx(np.exp(-2.0 * lam * t) * chi0, rel=1e-9)
+            assert chi2_divergence(s, G.sigma) == pytest.approx(np.exp(-2.0 * lam * t) * chi0, rel=1e-9)
 
 
 class TestBlockedPropagation:
@@ -199,9 +201,23 @@ class TestBlockedPropagation:
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
         rho0 = mc.random_density(rng, 3, floor=0.05) + 1e-13j * mc.random_hermitian(rng, 3)
         traj = flow.integrate(G, rho0, 1.0, 0.01, store_every=7)
-        assert isinstance(traj.states, np.ndarray) and traj.states.flags.c_contiguous
-        assert traj.states.shape == (len(traj.times), 3, 3)
-        assert np.array_equal(traj.states[0], mc.require_density(rho0))
+        for stack in (traj.frame, traj.states):
+            assert isinstance(stack, np.ndarray) and stack.flags.c_contiguous and not stack.flags.writeable
+            assert stack.shape == (len(traj.times), 3, 3)
+        # the frame starts at U* rho0 U of the validated rho0, and states[0] returns to it
+        assert np.array_equal(traj.frame[0], G.sigma_dec.to_frame(mc.require_density(rho0)))
+        assert np.max(np.abs(traj.states[0] - mc.require_density(rho0))) <= 1e-15
+
+    def test_states_are_the_frame_rotated_back(self, rng):
+        G = random_gns_generator(rng, 4, min_sigma_eig=0.15)
+        traj = flow.integrate(G, mc.random_density(rng, 4, floor=0.05), 2.0, 0.01, store_every=20)
+        U = G.sigma_dec.vectors
+        back = np.array([U @ X @ U.conj().T for X in traj.frame])
+        assert np.max(np.abs(traj.states - back)) <= 1e-15
+        assert np.array_equal(traj.states, mc.hermitize(traj.states))
+        assert traj.states is traj.states  # formed once, on first read
+        with pytest.raises(ValueError, match="read-only"):
+            traj.frame[0, 0, 0] = 1.0
 
     def test_suggested_dt_from_the_spectral_norm(self, rng):
         G = random_gns_generator(rng, 4, min_sigma_eig=0.15)
@@ -212,16 +228,28 @@ class TestBlockedPropagation:
 
 class TestDivergenceTrace:
     @pytest.mark.parametrize("name", ["qubit-xz", "gns-2", "gns-3", "gns-4"])
-    def test_equals_the_public_functionals_exactly(self, name):
+    def test_equals_the_public_functionals_exactly(self, name, monkeypatch):
         # 1 + 1e-7 lies in nco.ALPHA_ONE_WINDOW: the relative-entropy branch
         alphas = [0.5, 1.0, 1.0 + 1e-7, 2.0, 4.0]
         G = named_generator(name)
         rho0 = mc.random_density(np.random.default_rng(7 + G.n), G.n, floor=0.1)
         traj = flow.integrate(G, rho0, 2.0 / G.gap.value, flow.suggested_dt(G), store_every=25)
+        drifts = []
+        real = nco.SandwichedState.fisher
+        monkeypatch.setattr(nco.SandwichedState, "fisher", lambda st, d: drifts.append(d) or real(st, d))
         tab = flow.divergence_trace(traj, alphas)
+        drifts = drifts[::len(alphas)]  # one drift per state, shared by its orders
+        frame = mc.require_hermitian(traj.frame, stack=True)  # the trace's one validation
         for i, a in enumerate(alphas):
-            assert tab.D[i].tolist() == [dv.sandwiched_renyi(s, G.sigma, a).value for s in traj.states]
-            assert tab.I[i].tolist() == [dv.fisher_information(s, a, G) for s in traj.states]
+            # the frame's sandwiched state and the drift the trace formed for each state, bit for bit
+            states = [nco.frame_sandwiched_state(X, G.sigma_dec, a) for X in frame]
+            assert tab.D[i].tolist() == [st.divergence() for st in states]
+            assert tab.I[i].tolist() == [real(st, d) for st, d in zip(states, drifts)]
+            # the bare-matrix functionals on the states in the standard basis, to rounding
+            np.testing.assert_allclose(
+                tab.D[i], [dv.sandwiched_renyi(s, G.sigma, a).value for s in traj.states], rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(
+                tab.I[i], [dv.fisher_information(s, a, G) for s in traj.states], rtol=1e-13, atol=1e-14)
 
     def test_one_validation_per_trajectory(self, qubit_xz, rng, validations, monkeypatch):
         # the state stack is checked once, however many orders and states
@@ -237,17 +265,51 @@ class TestDivergenceTrace:
         assert counts == [1, 1]
 
     def test_one_drift_per_state(self, qubit_xz, rng, monkeypatch):
+        # all drifts come from one stacked product in sigma's frame, none from apply_Ldag
         traj = flow.integrate(qubit_xz, mc.random_density(rng, 2, floor=0.1), 0.5, 0.01, store_every=10)
-        calls = []
+        calls, drifts = [], []
         real = type(qubit_xz).apply_Ldag
         monkeypatch.setattr(type(qubit_xz), "apply_Ldag", lambda self, A: calls.append(1) or real(self, A))
+        fisher = nco.SandwichedState.fisher
+        monkeypatch.setattr(nco.SandwichedState, "fisher", lambda st, d: drifts.append(d) or fisher(st, d))
         flow.divergence_trace(traj, [0.5, 1.0, 2.0, 4.0])
-        assert len(calls) == len(traj.times)
+        assert len(calls) == 0
+        assert len({id(d) for d in drifts}) == len(traj.times)
+
+    @pytest.mark.parametrize("name", ["qubit-xz", "gns-4"])
+    def test_one_eigh_per_pair_and_one_stacked_eigvalsh(self, name, monkeypatch):
+        G = named_generator(name)
+        rho0 = mc.random_density(np.random.default_rng(5), G.n, floor=0.1)
+        traj = flow.integrate(G, rho0, 1.0 / G.gap.value, flow.suggested_dt(G), store_every=10)
+        fresh = flow.Trajectory(traj.times, traj.frame, G)  # no smallest eigenvalues read yet
+        calls = []
+        for fn in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, fn)
+            monkeypatch.setattr(np.linalg, fn,
+                                lambda A, *a, _f=fn, _r=real, **k: calls.append((_f, np.ndim(A))) or _r(A, *a, **k))
+        alphas = [0.5, 1.0, 2.0]
+        flow.divergence_trace(fresh, alphas)
+        assert sorted(set(calls)) == [("eigh", 2), ("eigvalsh", 3)]
+        assert calls.count(("eigvalsh", 3)) == 1
+        assert calls.count(("eigh", 2)) == len(alphas) * len(traj.times)
+
+    @pytest.mark.parametrize("name", ["qubit-xz", "gns-3", "gns-4"])
+    def test_stacked_frame_drift_is_the_rotated_drift(self, name, monkeypatch):
+        G = named_generator(name)
+        rho0 = mc.random_density(np.random.default_rng(11), G.n, floor=0.1)
+        traj = flow.integrate(G, rho0, 1.0 / G.gap.value, flow.suggested_dt(G), store_every=10)
+        drifts = []
+        fisher = nco.SandwichedState.fisher
+        monkeypatch.setattr(nco.SandwichedState, "fisher", lambda st, d: drifts.append(d) or fisher(st, d))
+        flow.divergence_trace(traj, [2.0])
+        ref = [G.sigma_dec.to_frame(G.apply_Ldag(s)) for s in traj.states]
+        assert len(drifts) == len(ref) == len(traj.times)
+        assert max(np.max(np.abs(d - r)) for d, r in zip(drifts, ref)) <= 1e-14
 
     @pytest.mark.parametrize("defect", ["non-hermitian", "trace", "nan"])
     def test_a_malformed_state_raises(self, qubit_xz, rng, defect):
         traj = flow.integrate(qubit_xz, mc.random_density(rng, 2, floor=0.1), 0.5, 0.01, store_every=10)
-        states = traj.states.copy()
+        states = traj.frame.copy()
         if defect == "non-hermitian":
             states[2, 0, 1] += 1e-6
         elif defect == "trace":
@@ -263,7 +325,7 @@ class TestDivergenceTrace:
 
     def test_generator_of_another_size_raises(self, qubit_xz, rng):
         traj = flow.integrate(qubit_xz, mc.random_density(rng, 2, floor=0.1), 0.5, 0.01, store_every=10)
-        other = flow.Trajectory(traj.times, traj.states, named_generator("gns-3"))
+        other = flow.Trajectory(traj.times, traj.frame, named_generator("gns-3"))
         with pytest.raises(StructuralError):
             flow.divergence_trace(other, [2.0])
 
@@ -862,8 +924,9 @@ class TestComparisonSingleIntegration:
         dt = flow.suggested_dt(G)
         # the grid of the monitor
         store = max(1, int(np.ceil(rep.T / dt / flow.MONITOR_SAMPLES)))
-        final = flow.integrate(G, rho0, rep.T, dt, store_every=store).final()
-        assert rep.D_end == dv.sandwiched_renyi(final, G.sigma, 4.0).value
+        traj = flow.integrate(G, rho0, rep.T, dt, store_every=store)
+        assert rep.D_end == nco.frame_sandwiched_state(traj.frame[-1], G.sigma_dec, 4.0).divergence()
+        assert rep.D_end == pytest.approx(dv.sandwiched_renyi(traj.final(), G.sigma, 4.0).value, rel=1e-12)
 
     def test_integrates_once(self, case, monkeypatch):
         G, rho0 = case
@@ -908,10 +971,12 @@ class TestComparisonSingleIntegration:
         rho0 = mc.random_density(rng, 4, floor=0.05)
         traj = flow.integrate(G, rho0, 0.5, flow.suggested_dt(G), store_every=10)
         beta = 1.5 + 2.5 * traj.times / traj.times[-1]
-        Z = [nco.sandwiched_state(s, G.sigma_dec, b).Z for s, b in zip(traj.states, beta)]
+        # the monitor's arithmetic: each state in sigma's frame, from a fresh decomposition of sigma
+        lam = np.linalg.eigh(G.sigma)[0]
+        Z = [nco.frame_sandwiched_state(X, G.sigma_dec, b).Z for X, b in zip(traj.frame, beta)]
         F = np.log(Z) / beta
-        ref = np.array([norm_functional_by_state(s, G.sigma, b) for s, b in zip(traj.states, beta)])
-        assert len(F) == len(traj.states) > 5
+        ref = np.array([norm_functional_in_frame(X, lam, b) for X, b in zip(traj.frame, beta)])
+        assert len(F) == len(traj.frame) > 5
         np.testing.assert_allclose(F, ref, rtol=1e-13, atol=0.0)
 
     def test_equal_orders_give_one_sample(self, case):
@@ -922,7 +987,7 @@ class TestComparisonSingleIntegration:
         assert trace.times.tolist() == [0.0] and trace.beta.tolist() == [2.5]
         assert trace.F[0] == pytest.approx(norm_functional_by_state(rho0, G.sigma, 2.5), rel=1e-13)
         assert trace.max_forward_increase == 0.0
-        assert np.array_equal(trace.final, mc.hermitize(rho0))
+        assert np.array_equal(trace.final, G.sigma_dec.to_frame(mc.hermitize(rho0)))
 
 
 class TestEnvelopeConstants:

@@ -648,7 +648,7 @@ def _state_functionals(G, rho, alpha):
     si = G.sigma_dec.power(-0.5)
     X = mc.hermitize(si @ rho @ si)
     state = nco.sandwiched_state(rho, G.sigma_dec, alpha)
-    return state.entropy(), state.alpha * state.Z / 4.0 * state.fisher(G.apply_Ldag(rho)), X
+    return state.entropy(), state.alpha * state.Z / 4.0 * state.fisher(G.sigma_dec.to_frame(G.apply_Ldag(rho))), X
 
 
 class TestWeightedFunctionals:

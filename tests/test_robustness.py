@@ -48,6 +48,13 @@ class TestRankDeficientStates:
             assert np.linalg.eigvalsh(s)[0] >= -1e-8
         assert np.linalg.norm(traj.final() - qubit_xz.sigma) <= 1e-4
 
+    def test_trace_of_only_pruned_states_is_empty(self, qubit_xz):
+        pure = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        traj = flow.integrate(qubit_xz, pure, 0.0, 0.1)  # rho0 alone
+        with pytest.warns(UserWarning, match="pruned 1 "):
+            tab = flow.divergence_trace(traj, [0.5, 2.0])
+        assert tab.times.size == 0 and tab.D.shape == tab.I.shape == (2, 0)
+
     def test_trace_prunes_singular_leading_state(self, qubit_xz):
         pure = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         traj = flow.integrate(qubit_xz, pure, 0.5, 0.002, store_every=25)
