@@ -13,6 +13,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -20,6 +21,7 @@ import warnings
 from urllib.parse import parse_qs
 
 import numpy as np
+import orjson
 
 from . import balance_check as bc
 from . import flow
@@ -40,6 +42,12 @@ MAX_SAMPLES = 10_000  # random states `gradflow --samples` may draw
 MAX_STARTS = 1_000  # seeded starts `constants --starts` may descend from
 # each builtin generator and the query parameters it takes
 BUILTIN_PARAMS = {"carlen-maas": (), "qubit-xz": (), "depolarizing": ("gamma", "n", "sigma")}
+# the deepest generator file orjson decodes: orjson 3.8 has no nesting limit and overflows the
+# C stack at about 100 000 levels, and the stdlib decodes every document up to this depth
+_ORJSON_DEPTH = 512
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))  # every byte but brackets and quotes
+_BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as int8
+_STRING = re.compile(rb'"[^"]*"')
 
 
 def _fmt(x: float) -> str:
@@ -178,11 +186,11 @@ def load_generator(spec: str) -> Generator:
         return depolarizing_generator(gamma, sigma)
     if not os.path.exists(spec):
         raise ValidationError(f"generator file not found: {spec}")
-    doc = _load_json(spec)
+    doc = _load_generator_json(spec)
     if not isinstance(doc, dict) or "sigma" not in doc:
         raise ValidationError(f"{spec}: a generator file needs a 'sigma' entry")
     base = os.path.dirname(os.path.abspath(spec))
-    sigma = _load_matrix_field(doc["sigma"], base)
+    sigma = _load_matrix_field(doc["sigma"], base, "sigma")
     if len(sigma) > MAX_BUILTIN_DIM:
         raise ValidationError(f"{spec}: sigma is {len(sigma)} x {len(sigma)}, above n = {MAX_BUILTIN_DIM}")
     entries = doc.get("terms")
@@ -192,7 +200,7 @@ def load_generator(spec: str) -> Generator:
         if not isinstance(entry, dict) or "V" not in entry:
             raise ValidationError(f"{spec}: term {j} needs a 'V' entry")
     # a V given as a CSV path joins the inline rows in their (n, 2n) layout
-    rows = [mc.matrix_to_rows(_load_matrix_field(e["V"], base)) if isinstance(e["V"], str) else e["V"]
+    rows = [mc.matrix_to_rows(_load_matrix_field(e["V"], base, "V")) if isinstance(e["V"], str) else e["V"]
             for e in entries]
     weights = [e.get("weight") for e in entries]
     try:
@@ -207,34 +215,82 @@ def _jump_stack(rows: list, n: int) -> np.ndarray:
     """The terms' V from their rows of 2n interleaved reals, converted at
     once to an (m, n, n) stack; if that fails, the first term at fault is named."""
     arr = None
-    with contextlib.suppress(TypeError, ValueError):
-        arr = np.array(rows, dtype=float)
+    with contextlib.suppress(StructuralError):
+        arr = _reals(rows, "V")
     if arr is None or arr.shape[1:] != (n, 2 * n):
         for j, r in enumerate(rows):
-            shape = mc.rows_to_matrix(r, f"term {j}: V").shape
+            shape = _inline_matrix(r, f"term {j}: V").shape
             if shape != (n, n):
                 raise ValidationError(f"term {j}: V has shape {shape}, sigma has shape ({n}, {n})")
     return arr[..., 0::2] + 1j * arr[..., 1::2]
 
 
+def _reals(rows, name: str) -> np.ndarray:
+    """A file's nested lists of numbers as one float array, converted in one
+    step.  A text cell among numbers makes the whole array text, and one of
+    only true/false makes it boolean: both are refused, not coerced."""
+    with contextlib.suppress(TypeError, ValueError):
+        arr = np.asarray(rows)
+        if arr.dtype.kind not in "Ub":
+            return arr.astype(float, copy=False)
+    raise StructuralError(f"{name}: rows must be equal-length lists of reals")
+
+
+def _inline_matrix(rows, name: str) -> np.ndarray:
+    return mc.rows_to_matrix(_reals(rows, name), name)
+
+
 def _load_json(path: str):
+    """A JSON file decoded by the stdlib; a document it cannot read, or nested
+    past its recursion limit, raises ValidationError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _load_matrix_field(value, base: str) -> np.ndarray:
+def _load_generator_json(path: str):
+    """A generator file decoded by orjson, to the stdlib's object.  Three
+    kinds of document go to `_load_json` instead: one orjson refuses (NaN
+    and Infinity literals, numbers out of range, lone surrogates, a BOM,
+    text that is not JSON), one nested deeper than `_ORJSON_DEPTH`, and one
+    whose label is not a string (orjson reads an integer beyond 64 bits as
+    a float)."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    if _nesting_depth(raw) <= _ORJSON_DEPTH:
+        with contextlib.suppress(orjson.JSONDecodeError):
+            doc = orjson.loads(raw)
+            if not isinstance(doc, dict) or isinstance(doc.get("label", ""), str):
+                return doc
+    return _load_json(path)
+
+
+def _nesting_depth(raw: bytes) -> int:
+    """The bracket depth of the JSON text raw, outside its strings: exact
+    for valid JSON.  Escaped backslashes and quotes go first, so that every
+    quote left opens or closes a string.  Text that is not JSON may read
+    shallower, but orjson refuses it before it builds any object."""
+    if b"\\" in raw:
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = _STRING.sub(b"", raw.translate(None, _NOT_STRUCTURE))
+    return int(np.frombuffer(brackets.translate(_BRACKET_STEPS), np.int8).cumsum().max(initial=0))
+
+
+def _load_matrix_field(value, base: str, name: str) -> np.ndarray:
     if isinstance(value, str):
         path = value if os.path.isabs(value) else os.path.join(base, value)
         if not os.path.exists(path):
             raise ValidationError(f"matrix file not found: {path}")
         with open(path) as fh:
             return mc.matrix_from_csv_block(fh.read())[1]
-    return mc.rows_to_matrix(value)
+    return _inline_matrix(value, name)
 
 
 def load_rho0(spec: str, G: Generator, seed: int) -> np.ndarray:

@@ -82,8 +82,9 @@ class JumpTerms:
 
 
 def _term_reals(values, m: int, what: str) -> np.ndarray:
-    """(m,) floats, one per term; the first that is not a finite real raises."""
-    arr = np.array([x if isinstance(x, numbers.Real) else np.nan for x in values], dtype=float)
+    """(m,) floats, one per term; the first that is not a finite real raises (true and false are not reals)."""
+    arr = np.array([x if isinstance(x, numbers.Real) and not isinstance(x, bool) else np.nan for x in values],
+                   dtype=float)
     if arr.shape != (m,):
         raise ValidationError(f"{what}: expected {m} values, one per term")
     _raise_first((~np.isfinite(arr), lambda j: f"term {j}: {what} {values[j]!r} is not a finite real"))

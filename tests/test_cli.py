@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import renyiflow.cli as cli
 import renyiflow.matcore as mc
@@ -463,6 +463,32 @@ class TestMalformedInputs:
         path.write_text('{"label": "x", "sigma": [[0.5, 0.0')
         self.assert_validation_exit(["dbcheck", "--generator", str(path)], capsys)
 
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "0" + "}" * 100_000],
+                             ids=["arrays", "objects"])
+    @pytest.mark.parametrize("argv", [["dbcheck", "--generator", "PATH"],
+                                      ["--config", "PATH", "validate", "--generator", "builtin:qubit-xz"]],
+                             ids=["generator", "config"])
+    def test_deeply_nested_json(self, text, argv, tmp_path, capsys):
+        # 100 000 levels: past the stdlib decoder's recursion limit, and deep
+        # enough that a decoder without one would overflow the C stack
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, _, err = run([str(path) if a == "PATH" else a for a in argv], capsys)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "validation"
+        assert doc["detail"].startswith(f"{path}: not valid JSON (maximum recursion depth exceeded")
+
+    def test_sigma_text_cell(self, tmp_path, capsys):
+        # a number written as text is refused, not read as the number
+        doc = generator_doc(qubit_xz_generator())
+        doc["sigma"][0][0] = "0.5"
+        path = tmp_path / "text.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["dbcheck", "--generator", str(path)], capsys)
+        assert code == 1
+        assert json.loads(err)["detail"] == "sigma: rows must be equal-length lists of reals"
+
     def test_rho0_non_numeric_cell(self, tmp_path, capsys):
         path = tmp_path / "rho0.csv"
         path.write_text("matrix,rho0,2\n0.5,0,x,0\n0,0,0.5,0\n")
@@ -588,8 +614,8 @@ class TestMalformedInputs:
         self.assert_validation_exit(["dbcheck", "--generator", str(path)], capsys)
 
     @pytest.mark.parametrize("key, value", [("weight", "abc"), ("omega", float("nan")),
-                                            ("weight", float("inf"))],
-                             ids=["text-weight", "nan-omega", "inf-weight"])
+                                            ("weight", float("inf")), ("weight", True), ("omega", False)],
+                             ids=["text-weight", "nan-omega", "inf-weight", "boolean-weight", "boolean-omega"])
     @pytest.mark.parametrize("command", ["dbcheck", "validate"])
     def test_term_number_not_a_finite_real(self, key, value, command, tmp_path, capsys):
         # qubit-xz written to a file, one term number broken
@@ -606,7 +632,8 @@ class TestMalformedInputs:
         (np.diag([1.0, -1.0, 0.0]), "term 1: V has shape (3, 3), sigma has shape (2, 2)"),
         ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0]], "term 1: V: rows"),
         ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, "x", 0.0]], "term 1: V: rows"),
-    ], ids=["larger-operator", "ragged-rows", "non-numeric-cell"])
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, "-1.0", 0.0]], "term 1: V: rows"),
+    ], ids=["larger-operator", "ragged-rows", "non-numeric-cell", "numeric-text-cell"])
     def test_ragged_jump_operators_name_the_term(self, V, message, tmp_path, capsys):
         doc = generator_doc(qubit_xz_generator())
         doc["terms"][1]["V"] = mc.matrix_to_rows(V) if isinstance(V, np.ndarray) else V
@@ -827,6 +854,63 @@ class TestComparePinskerBound:
                             "--eps", "1e-16"], capsys)
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+
+def decoded(read, path) -> str:
+    """What a reader makes of a file: its object's repr (exact for every
+    double, and telling an int from a float), or its error message."""
+    try:
+        return repr(read(str(path)))
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@pytest.fixture(scope="class")
+def decoder_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("decoder")
+
+
+class TestGeneratorDecoder:
+    """A generator file decodes to the stdlib's object, or fails with the
+    stdlib's message, whichever decoder reads it."""
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16))
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-5])
+    def test_doubles_decode_to_the_stdlib_bits(self, values, decoder_dir):
+        path = decoder_dir / "doubles.json"
+        for text in (json.dumps(values), "[" + ",".join("%.17g" % v for v in values) + "]"):
+            doc = f'{{"label": "doubles", "values": {text}}}'
+            path.write_text(doc)
+            assert decoded(cli._load_generator_json, path) == repr(json.loads(doc))
+
+    @pytest.mark.parametrize("raw, stdlib_object", [
+        (b'{"label": "x", "omega": NaN}', True),
+        (b'{"label": "x", "omega": [Infinity, -Infinity]}', True),
+        (b'{"label": "x", "omega": 1e400}', True),
+        (b'{"label": 18446744073709551616}', True),
+        (b'{"label": "\\ud800"}', True),
+        (b'\xef\xbb\xbf{"label": "x"}', False),
+        (b'{"label": "a", "label": "b"}', True),
+        (b'{"label": "x", "deep": ' + b"[" * 600 + b"]" * 600 + b"}", True),
+        (b'{"label": "x", "deep": ' + b"[" * 1025 + b"]" * 1025 + b"}", False),
+        # closing brackets inside a string, after an escaped backslash and quote, hide no depth
+        (b'{"label": "\\\\\\"' + b"]" * 2000 + b'", "deep": ' + b"[" * 1025 + b"]" * 1025 + b"}", False),
+    ], ids=["nan", "infinity", "1e400", "label-2**64", "lone-surrogate", "utf8-bom", "duplicate-keys",
+            "nesting-600", "nesting-1025", "brackets-in-a-string"])
+    def test_fenced_document_gives_the_stdlib_outcome(self, raw, stdlib_object, tmp_path):
+        path = tmp_path / "fenced.json"
+        path.write_bytes(raw)
+        stdlib = decoded(cli._load_json, path)
+        assert decoded(cli._load_generator_json, path) == stdlib
+        assert stdlib.startswith("ValidationError: ") != stdlib_object
+
+    def test_benchmark_layout_is_not_decoded_by_the_stdlib(self, monkeypatch, tmp_path):
+        G = random_gns_generator(np.random.default_rng(4008), 8, min_sigma_eig=0.15)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(generator_doc(G)))
+        monkeypatch.setattr(cli, "_load_json", lambda p: pytest.fail(f"stdlib decoded {p}"))
+        assert np.array_equal(cli.load_generator(str(path)).L_super, G.L_super)
 
 
 class TestGeneratorFile:
