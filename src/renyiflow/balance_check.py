@@ -113,17 +113,16 @@ def carlen_maas_counterexample() -> Generator:
     K1 = |psi><0|, K2 = |phi><1|, psi = (|0>+|1>)/sqrt2,
     phi = (|0>+2|1>)/sqrt5, its half-weighted adjoint Kt, and the
     generator Kt K - I, given by its state-space map.  The unique
-    stationary state is sigma = [[2,3],[3,5]]/7.
+    stationary state is sigma = [[2,3],[3,5]]/7.  Kt_j = sigma^(1/2) K_j*
+    sigma^(-1/2) is the kernel (lam_k / lam_l)^(1/2) in sigma's frame.
     """
     psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     phi = np.array([1.0, 2.0], dtype=complex) / np.sqrt(5.0)
     K1 = np.outer(psi, [1.0, 0.0])
     K2 = np.outer(phi, [0.0, 1.0])
     sigma = np.array([[2.0, 3.0], [3.0, 5.0]], dtype=complex) / 7.0
-    sigma_dec = mc.density_spectrum(sigma, strict=True)
-    shalf, sinvh = sigma_dec.power(0.5), sigma_dec.power(-0.5)
-    Kt1 = shalf @ K1.conj().T @ sinvh
-    Kt2 = shalf @ K2.conj().T @ sinvh
+    sig = mc.density_spectrum(sigma, strict=True)
+    Kt1, Kt2 = sig.from_frame(sig.kernel(0.5, -0.5) * sig.to_frame(np.array([K1.conj().T, K2.conj().T])))
 
     def Ldag_map(A):
         # adjoint of Kt K - I: first the adjoint of Kt, then of K

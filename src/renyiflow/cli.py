@@ -186,11 +186,11 @@ def load_generator(spec: str) -> Generator:
         return depolarizing_generator(gamma, sigma)
     if not os.path.exists(spec):
         raise ValidationError(f"generator file not found: {spec}")
-    doc = _load_generator_json(spec)
+    doc, booleans = _load_generator_json(spec)
     if not isinstance(doc, dict) or "sigma" not in doc:
         raise ValidationError(f"{spec}: a generator file needs a 'sigma' entry")
     base = os.path.dirname(os.path.abspath(spec))
-    sigma = _load_matrix_field(doc["sigma"], base, "sigma")
+    sigma = _load_matrix_field(doc["sigma"], base, "sigma", booleans)
     if len(sigma) > MAX_BUILTIN_DIM:
         raise ValidationError(f"{spec}: sigma is {len(sigma)} x {len(sigma)}, above n = {MAX_BUILTIN_DIM}")
     entries = doc.get("terms")
@@ -200,44 +200,49 @@ def load_generator(spec: str) -> Generator:
         if not isinstance(entry, dict) or "V" not in entry:
             raise ValidationError(f"{spec}: term {j} needs a 'V' entry")
     # a V given as a CSV path joins the inline rows in their (n, 2n) layout
-    rows = [mc.matrix_to_rows(_load_matrix_field(e["V"], base, "V")) if isinstance(e["V"], str) else e["V"]
+    rows = [mc.matrix_to_rows(_load_matrix_field(e["V"], base, "V", booleans)) if isinstance(e["V"], str) else e["V"]
             for e in entries]
     weights = [e.get("weight") for e in entries]
     try:
-        terms = JumpTerms.of(_jump_stack(rows, len(sigma)), [e.get("omega", 0.0) for e in entries],
+        terms = JumpTerms.of(_jump_stack(rows, len(sigma), booleans), [e.get("omega", 0.0) for e in entries],
                              None if all(w is None for w in weights) else weights)
     except (ValidationError, StructuralError) as exc:
         raise ValidationError(f"{spec}: {exc}") from None
     return build_gns(sigma, terms, label=doc.get("label", os.path.basename(spec)))
 
 
-def _jump_stack(rows: list, n: int) -> np.ndarray:
+def _jump_stack(rows: list, n: int, booleans: bool) -> np.ndarray:
     """The terms' V from their rows of 2n interleaved reals, converted at
     once to an (m, n, n) stack; if that fails, the first term at fault is named."""
     arr = None
     with contextlib.suppress(StructuralError):
-        arr = _reals(rows, "V")
+        arr = _reals(rows, "V", booleans)
     if arr is None or arr.shape[1:] != (n, 2 * n):
         for j, r in enumerate(rows):
-            shape = _inline_matrix(r, f"term {j}: V").shape
+            shape = _inline_matrix(r, f"term {j}: V", booleans).shape
             if shape != (n, n):
                 raise ValidationError(f"term {j}: V has shape {shape}, sigma has shape ({n}, {n})")
     return arr[..., 0::2] + 1j * arr[..., 1::2]
 
 
-def _reals(rows, name: str) -> np.ndarray:
+def _reals(rows, name: str, booleans: bool) -> np.ndarray:
     """A file's nested lists of numbers as one float array, converted in one
-    step.  A text cell among numbers makes the whole array text, and one of
-    only true/false makes it boolean: both are refused, not coerced."""
+    step.  A text cell among numbers makes the whole array text, and a
+    true/false cell is refused too; numbers upcast one among them, so if the
+    file holds `booleans` (the text true or false) the cells are checked one by one."""
     with contextlib.suppress(TypeError, ValueError):
         arr = np.asarray(rows)
-        if arr.dtype.kind not in "Ub":
+        if arr.dtype.kind not in "Ub" and not (booleans and _has_bool(rows)):
             return arr.astype(float, copy=False)
     raise StructuralError(f"{name}: rows must be equal-length lists of reals")
 
 
-def _inline_matrix(rows, name: str) -> np.ndarray:
-    return mc.rows_to_matrix(_reals(rows, name), name)
+def _has_bool(x) -> bool:
+    return isinstance(x, bool) or isinstance(x, list) and any(map(_has_bool, x))
+
+
+def _inline_matrix(rows, name: str, booleans: bool) -> np.ndarray:
+    return mc.rows_to_matrix(_reals(rows, name, booleans), name)
 
 
 def _load_json(path: str):
@@ -252,24 +257,25 @@ def _load_json(path: str):
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _load_generator_json(path: str):
-    """A generator file decoded by orjson, to the stdlib's object.  Three
-    kinds of document go to `_load_json` instead: one orjson refuses (NaN
-    and Infinity literals, numbers out of range, lone surrogates, a BOM,
-    text that is not JSON), one nested deeper than `_ORJSON_DEPTH`, and one
-    whose label is not a string (orjson reads an integer beyond 64 bits as
-    a float)."""
+def _load_generator_json(path: str) -> tuple[object, bool]:
+    """A generator file decoded by orjson, to the stdlib's object, and
+    whether its bytes hold the text true or false.  Three kinds of document
+    go to `_load_json` instead: one orjson refuses (NaN and Infinity
+    literals, numbers out of range, lone surrogates, a BOM, text that is
+    not JSON), one nested deeper than `_ORJSON_DEPTH`, and one whose label
+    is not a string (orjson reads an integer beyond 64 bits as a float)."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    booleans = b"true" in raw or b"false" in raw
     if _nesting_depth(raw) <= _ORJSON_DEPTH:
         with contextlib.suppress(orjson.JSONDecodeError):
             doc = orjson.loads(raw)
             if not isinstance(doc, dict) or isinstance(doc.get("label", ""), str):
-                return doc
-    return _load_json(path)
+                return doc, booleans
+    return _load_json(path), booleans
 
 
 def _nesting_depth(raw: bytes) -> int:
@@ -283,14 +289,22 @@ def _nesting_depth(raw: bytes) -> int:
     return int(np.frombuffer(brackets.translate(_BRACKET_STEPS), np.int8).cumsum().max(initial=0))
 
 
-def _load_matrix_field(value, base: str, name: str) -> np.ndarray:
+def _load_matrix_field(value, base: str, name: str, booleans: bool) -> np.ndarray:
     if isinstance(value, str):
         path = value if os.path.isabs(value) else os.path.join(base, value)
         if not os.path.exists(path):
             raise ValidationError(f"matrix file not found: {path}")
+        return _read_matrix_csv(path)
+    return _inline_matrix(value, name, booleans)
+
+
+def _read_matrix_csv(path: str) -> np.ndarray:
+    """The matrix of a CSV block file; one that cannot be read as text raises ValidationError."""
+    try:
         with open(path) as fh:
             return mc.matrix_from_csv_block(fh.read())[1]
-    return _inline_matrix(value, name)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def load_rho0(spec: str, G: Generator, seed: int) -> np.ndarray:
@@ -306,8 +320,7 @@ def load_rho0(spec: str, G: Generator, seed: int) -> np.ndarray:
         w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
         return mc.hermitize((1.0 - delta) * G.sigma + delta * w)
     if os.path.exists(spec):
-        with open(spec) as fh:
-            rho = mc.require_density(mc.matrix_from_csv_block(fh.read())[1], name=spec)
+        rho = mc.require_density(_read_matrix_csv(spec), name=spec)
         if rho.shape != (G.n, G.n):
             raise ValidationError(f"{spec}: shape {rho.shape} does not match the generator's ({G.n}, {G.n})")
         return rho
@@ -414,17 +427,18 @@ def _shrink_to_entropy(G: Generator, eps: float, seed: int) -> np.ndarray:
     """The first state of the ladder (1 - delta_k) sigma + delta_k w
     (weights `_LADDER`) toward sigma from a random state w whose relative
     entropy is at most 0.8 eps.  Rung k has chi^2 = delta_k^2 chi^2(w), with
-    chi^2(w) = ||sigma^(-1/4) (w - sigma) sigma^(-1/4)||_F^2, and relative
+    chi^2(w) = ||sigma^(-1/4) (w - sigma) sigma^(-1/4)||_F^2 (in sigma's frame,
+    w' - diag(lam) divided by the kernel (lam_k lam_l)^(1/4)), and relative
     entropy at most D_2 = log(1 + chi^2).  So the rungs up to the first whose
     bound is at most 0.8 eps are checked as density matrices and scored from
     one stacked decomposition; the rest, only if none of those is chosen."""
     w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
     rungs = mc.hermitize((1.0 - _LADDER) * G.sigma + _LADDER * w)
-    P = G.sigma_dec.power(-0.25)
-    chi2 = np.linalg.norm(P @ (w - G.sigma) @ P) ** 2
+    sig = G.sigma_dec
+    chi2 = np.linalg.norm((sig.to_frame(w) - np.diag(sig.values)) / sig.kernel(0.25, 0.25)) ** 2
     cleared = np.flatnonzero(np.log1p(_LADDER[:, 0, 0] ** 2 * chi2) <= 0.8 * eps)
     for part in np.split(rungs, cleared[:1] + 1):
-        state = nco.sandwiched_state(part, G.sigma_dec, 1.0)
+        state = nco.frame_sandwiched_state(sig.to_frame(part), sig, 1.0)
         for rho, wmin, D in zip(part, state.dec.values[:, 0], state.divergence()):
             mc.check_density(rho, wmin, name="rho")
             if D <= 0.8 * eps:

@@ -6,9 +6,10 @@ relative Fisher information of a state under a detailed-balance generator.
 
 All quantities are reported in nats.  The reference state sigma must be
 strictly positive, which makes every divergence finite.  Each public
-function validates its states once; the sandwiched divergence, the
-relative entropy and the functional derivative are then read from one
-`noncomm_ops.sandwiched_state`.  The Fisher information takes no sigma:
+function validates its states once and rotates rho into sigma's frame
+once; the sandwiched divergence, the relative entropy and the functional
+derivative are then read from one `noncomm_ops.frame_sandwiched_state`, and
+the derivative is rotated back.  The Fisher information takes no sigma:
 it reads sigma's decomposition from its generator.
 """
 
@@ -32,19 +33,15 @@ class DivergenceValue:
     Z: float
 
 
-def _states(rho, sigma, strict: bool = False) -> tuple[np.ndarray, mc.SpectralDecomposition]:
-    """Validate rho, and sigma by the decomposition that supplies its
-    powers; the two must have one size."""
+def _sandwiched(rho, sigma, alpha: float, strict: bool = False) -> nco.SandwichedState:
+    """Validate rho, and sigma by the decomposition that supplies its frame
+    (the two must have one size), then form their sandwiched state (which
+    checks the order)."""
     rho = mc.require_density(rho, strict=strict, name="rho")
     sigma_dec = mc.density_spectrum(sigma, strict=True, name="sigma")
     if rho.shape != sigma_dec.vectors.shape:
         raise StructuralError(f"rho has shape {rho.shape}, sigma {sigma_dec.vectors.shape}")
-    return rho, sigma_dec
-
-
-def _sandwiched(rho, sigma, alpha: float, strict: bool = False) -> nco.SandwichedState:
-    """Validate both states, then form their sandwiched state (which checks the order)."""
-    return nco.sandwiched_state(*_states(rho, sigma, strict), alpha)
+    return nco.frame_sandwiched_state(sigma_dec.to_frame(rho), sigma_dec, alpha)
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -70,7 +67,8 @@ def functional_derivative(rho, sigma, alpha: float) -> np.ndarray:
     state over its trace normalization; the order-1 branch is
     log rho - log sigma.
     """
-    return _sandwiched(rho, sigma, alpha, strict=True).derivative()
+    state = _sandwiched(rho, sigma, alpha, strict=True)
+    return mc.hermitize(state.sigma_dec.from_frame(state.frame_derivative()))
 
 
 def fisher_information(rho, alpha: float, G) -> float:
@@ -84,5 +82,5 @@ def fisher_information(rho, alpha: float, G) -> float:
     rho = mc.require_density(rho, strict=True, name="rho")
     if rho.shape != (G.n, G.n):
         raise StructuralError(f"rho has shape {rho.shape}, the generator's sigma {(G.n, G.n)}")
-    drift = G.sigma_dec.to_frame(G.apply_Ldag(rho))  # rotated into sigma's frame once
-    return nco.sandwiched_state(rho, G.sigma_dec, alpha).fisher(drift)
+    X = G.sigma_dec.to_frame(rho)
+    return nco.frame_sandwiched_state(X, G.sigma_dec, alpha).fisher(G.frame_drift(X))

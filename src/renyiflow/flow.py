@@ -141,8 +141,8 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
     times = np.array([0.0])
     if t_end > 0.0:
         times = np.concatenate(([0.0], np.arange(1, n_full + 1) * store_every * dt, [t_end]))
-    spec, lam = G.spectrum, G.sigma_dec.values
-    q = mc.vec(np.outer(lam, lam) ** 0.25)
+    spec = G.spectrum
+    q = mc.vec(G.sigma_dec.kernel(0.25, 0.25))
     modes = mc.unvec(q[:, None] * spec.vectors, G.n)  # mode k in sigma's frame
     X0 = G.sigma_dec.to_frame(rho0)
     c = spec.vectors.conj().T @ (mc.vec(X0) / q)
@@ -188,8 +188,7 @@ def divergence_trace(traj: Trajectory, alphas) -> TraceTable:
     finiteness and hermiticity, then the kept states' unit trace.  States
     whose smallest eigenvalue (`Trajectory.min_eigenvalues`, one stacked
     eigensolve on first read) is below POS_FLOOR are pruned with a warning.
-    The kept states' drifts U* (L^dagger rho) U come from one product with
-    the frame's state-side generator, the adjoint of `G.L_eig`; each kept
+    The kept states' drifts come from one `G.frame_drift` product; each kept
     (state, order) pair is one sandwiched state over the generator's
     `sigma_dec`, and D and I are both read from it: one eigensolve per pair.
     """
@@ -201,9 +200,7 @@ def divergence_trace(traj: Trajectory, alphas) -> TraceTable:
         warnings.warn(f"pruned {traj.times.size - keep.size} non-strictly-positive states from the trace")
     frame = frame[keep]
     mc.check_density(frame, wmin[keep], strict=True, name="states")
-    # vec(X) of each state as a row, times the transpose of L_eig^H; unvec back
-    vecs = frame.swapaxes(-1, -2).reshape(keep.size, G.n**2)
-    drifts = (vecs @ G.L_eig.conj()).reshape(frame.shape).swapaxes(-1, -2)
+    drifts = G.frame_drift(frame)
     alphas = tuple(float(a) for a in alphas)
     D = np.zeros((len(alphas), keep.size))
     I = np.zeros_like(D)
@@ -297,15 +294,18 @@ def poincare_check(G: Generator, A) -> InequalityCheck:
     """Energy-versus-variance inequality at the spectral gap.
 
     The argument must be mean-zero against sigma; violations are projected
-    out with a warning.  Equality holds on the gap eigenvector.
+    out with a warning.  Equality holds on the gap eigenvector.  Both sides
+    pair A' = U* A U through the half-weighting kernel in sigma's frame, -L as `G.L_eig`.
     """
     A = mc.as_matrix(A, "A")
     mean = complex(np.trace(G.sigma @ A))
     if abs(mean) > 1e-10 * max(1.0, float(np.linalg.norm(A))):
         warnings.warn(f"projecting out nonzero sigma-mean {mean!r}")
         A = A - mean * np.eye(G.n)
-    lhs = float(np.real(mc.weighted_inner(A, -G.apply_L(A), G.sigma_dec, 0.5)))
-    rhs = G.gap.value * float(np.real(mc.weighted_inner(A, A, G.sigma_dec, 0.5)))
+    a = mc.vec(G.sigma_dec.to_frame(A))
+    wa = mc.vec(G.sigma_dec.kernel(0.5, 0.5)) * a
+    lhs = -float(np.vdot(wa, G.L_eig @ a).real)
+    rhs = G.gap.value * float(np.vdot(wa, a).real)
     return InequalityCheck(lhs=lhs, rhs=rhs, passed=lhs >= rhs - POINCARE_SLACK)
 
 
@@ -318,7 +318,7 @@ def gap_eigen_direction(G: Generator) -> np.ndarray:
     It is formed in sigma's eigenbasis, the basis of `G.spectrum`."""
     spec, lam, sig = G.spectrum, G.gap.value, G.sigma_dec
     C = spec.vectors[:, np.abs(spec.values - lam) <= GAP_CLUSTER_RTOL * lam]
-    q = np.outer(sig.values, sig.values) ** 0.25
+    q = sig.kernel(0.25, 0.25)
     probe = q * sig.to_frame(mc.random_traceless_hermitian(np.random.default_rng(0), G.n))
     nu = mc.hermitize(sig.from_frame(mc.unvec(C @ (C.conj().T @ mc.vec(probe)), G.n) / q))
     return nu / np.linalg.norm(nu)
@@ -332,8 +332,8 @@ def generic_initial_state(G: Generator, rng: np.random.Generator) -> np.ndarray:
     (plus a random traceless part of relative size INITIAL_MIX) keeps the
     crossover time bounded for any draw.
     """
-    nu = gap_eigen_direction(G)
-    X = mc.hermitize(nco.sandwich_pow(G.sigma_dec, 1.0, nu))
+    sig = G.sigma_dec
+    X = mc.hermitize(sig.from_frame(sig.kernel(0.5, 0.5) * sig.to_frame(gap_eigen_direction(G))))
     X -= (np.trace(X).real / G.n) * np.eye(G.n)
     X /= np.linalg.norm(X)
     W = mc.random_traceless_hermitian(rng, G.n)
@@ -346,9 +346,9 @@ def generic_initial_state(G: Generator, rng: np.random.Generator) -> np.ndarray:
 def fisher2_bound_check(G: Generator, rho) -> InequalityCheck:
     """Uniform lower bound on the order-2 Fisher information by the gap;
     I2 and D2 are read from one sandwiched state."""
-    rho = _validated(G, rho, strict=True)
-    state = nco.sandwiched_state(rho, G.sigma_dec, 2.0)
-    I2, D2 = state.fisher(G.sigma_dec.to_frame(G.apply_Ldag(rho))), state.divergence()
+    X = G.sigma_dec.to_frame(_validated(G, rho, strict=True))
+    state = nco.frame_sandwiched_state(X, G.sigma_dec, 2.0)
+    I2, D2 = state.fisher(G.frame_drift(X)), state.divergence()
     bound = 2.0 * G.gap.value * (1.0 - np.exp(-D2))
     return InequalityCheck(lhs=I2, rhs=float(bound), passed=I2 >= bound - FISHER2_SLACK)
 
@@ -415,11 +415,12 @@ def _lsi_objectives(G: Generator, denom_floor: float = 1e-8):
     sig = G.sigma_dec
 
     def ratio(rho, alpha, kappa):
-        state = nco.sandwiched_state(_validated(G, rho, strict=True), sig, alpha)
+        X = sig.to_frame(_validated(G, rho, strict=True))
+        state = nco.frame_sandwiched_state(X, sig, alpha)
         den = state.entropy() if kappa else state.divergence()
         if den <= denom_floor:
             return np.inf
-        I = state.fisher(sig.to_frame(G.apply_Ldag(rho)))
+        I = state.fisher(G.frame_drift(X))
         return alpha * state.Z * I / (4.0 * den) if kappa else I / (2.0 * den)
 
     return {
@@ -605,8 +606,8 @@ def decay_envelope_constants(G: Generator, alpha: float, eps: float, rho0) -> En
     K = _guaranteed_lsi(lam, float(w[0]))
     Lam, eta = _lambda_eta(2.0, eps, w, G.omegas)
     T = max(0.0, np.log(alpha - 1.0) / (2.0 * K * eta)) if alpha > 1.0 else 0.0
-    rho0 = _validated(G, rho0)
-    D2_0, Da_0, D1_0 = (nco.sandwiched_state(rho0, G.sigma_dec, a).divergence() for a in (2.0, alpha, 1.0))
+    X0 = G.sigma_dec.to_frame(_validated(G, rho0))
+    D2_0, Da_0, D1_0 = (nco.frame_sandwiched_state(X0, G.sigma_dec, a).divergence() for a in (2.0, alpha, 1.0))
     heaviside = 1.0 if alpha > 2.0 else 0.0
     C = (np.expm1(D2_0) / Da_0) * np.exp(heaviside * 2.0 * lam * T)
     tau = 0.0 if alpha <= 2.0 else T + max(0.0, np.log(D1_0 / eps) / (2.0 * K))

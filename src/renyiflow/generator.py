@@ -3,8 +3,9 @@
 Builds and validates jump-operator generators whose stationary state
 enters through modular (Bohr-frequency) eigenvector conditions, decides
 primitivity, and computes the spectral gap of the symmetrized generator.
-Every sigma-weighting of L is an entrywise kernel on `Generator.L_eig`, L
-written in the matrix units of sigma's eigenbasis.
+Every sigma-weighting of L is an entrywise kernel
+(`SpectralDecomposition.kernel`) on `Generator.L_eig`, L written in the
+matrix units of sigma's eigenbasis.
 """
 
 from __future__ import annotations
@@ -99,11 +100,6 @@ def _raise_first(*conditions) -> None:
         raise ValidationError(conditions[c][1](int(j)))
 
 
-def _modular_kernel(dec: mc.SpectralDecomposition) -> np.ndarray:
-    """lam_k / lam_l, the kernel of A -> sigma A sigma^-1 in sigma's eigenbasis."""
-    return np.outer(dec.values, 1.0 / dec.values)
-
-
 def _validate_terms(G: Generator) -> None:
     """Structure conditions (i)-(iv) on the stacked jump operators."""
     V, Vd = G.jump_stacks
@@ -112,7 +108,7 @@ def _validate_terms(G: Generator) -> None:
     X, Xd = V.reshape(m, -1), Vd.reshape(m, -1)
     norms = np.linalg.norm(X, axis=1)
     tr = np.abs(np.trace(V, axis1=1, axis2=2))
-    res = np.linalg.norm((_modular_kernel(G.sigma_dec) - np.exp(-omega)[:, None, None]) * G.jump_frame, axis=(1, 2))
+    res = np.linalg.norm((G.sigma_dec.kernel(1.0, -1.0) - np.exp(-omega)[:, None, None]) * G.jump_frame, axis=(1, 2))
     _raise_first(
         (tr > TOL_TRACELESS * np.maximum(1.0, norms),
          lambda j: f"condition (i) violated at term {j}: |tr V| = {tr[j]:.3e}"),
@@ -152,14 +148,14 @@ def gns_selfadjoint_residual(G: Generator) -> float:
     the weighted generator's own size.  The weighting A -> A sigma scales
     the rows of `G.L_eig` by its kernel lam_l.
     """
-    K = np.repeat(G.sigma_dec.values, G.n)[:, None] * G.L_eig
+    K = mc.vec(G.sigma_dec.kernel(0.0, 1.0))[:, None] * G.L_eig
     return float(np.linalg.norm(K - K.conj().T) / max(np.linalg.norm(K), 1e-300))
 
 
 def modular_commutator_residual(G: Generator) -> float:
     """Frobenius norm of [L, A -> sigma A sigma^-1] relative to L's; the
-    modular kernel scales the rows and columns of `G.L_eig`."""
-    mod = mc.vec(_modular_kernel(G.sigma_dec))
+    modular kernel lam_k / lam_l scales the rows and columns of `G.L_eig`."""
+    mod = mc.vec(G.sigma_dec.kernel(1.0, -1.0))
     return float(np.linalg.norm(G.L_eig * (mod - mod[:, None])) / max(np.linalg.norm(G.L_super), 1e-30))
 
 
@@ -196,9 +192,6 @@ class Generator:
             raise ValidationError(f"L_super {self.L_super.shape}, sigma {self.sigma.shape}: want n^2 x n^2 and n x n")
         for arr in (self.L_super, self.Ldag_super, self.sigma, self.sigma_dec.values, self.sigma_dec.vectors):
             arr.setflags(write=False)
-
-    def apply_L(self, A) -> np.ndarray:
-        return mc.apply_superop(self.L_super, A)
 
     def apply_Ldag(self, A) -> np.ndarray:
         return mc.apply_superop(self.Ldag_super, A)
@@ -247,6 +240,13 @@ class Generator:
         out.setflags(write=False)
         return out
 
+    def frame_drift(self, X) -> np.ndarray:
+        """The drift U* L^dagger(rho) U of X = U* rho U in sigma's frame, one
+        state or a (T, n, n) stack: vec(X) -> `L_eig`^H vec(X), as one product
+        with each vec(X) a row."""
+        vecs = X.swapaxes(-1, -2).reshape(X.shape[:-2] + (self.n**2,))
+        return (vecs @ self.L_eig.conj()).reshape(X.shape).swapaxes(-1, -2)
+
     @cached_property
     def L_svd(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only descending singular values and right singular vectors (rows of vh) of
@@ -268,8 +268,7 @@ class Generator:
         inner product to the Hilbert-Schmidt one, so an eigenvector u pulls
         back to the eigenvector U (unvec(u) / k) U* of -L.  A relative
         asymmetry above TOL_SELFADJOINT raises."""
-        lam = self.sigma_dec.values
-        q = mc.vec(np.outer(lam, lam) ** 0.25)
+        q = mc.vec(self.sigma_dec.kernel(0.25, 0.25))
         S = q[:, None] * -self.L_eig / q
         asym = np.linalg.norm(S - S.conj().T) / max(np.linalg.norm(S), 1e-300)
         if asym > TOL_SELFADJOINT:

@@ -1,17 +1,16 @@
 """Dense complex Hermitian linear algebra substrate.
 
-Spectral calculus of one decomposition per matrix, sigma-weighted inner
-products and superoperator algebra for Hilbert-space dimensions n <= 16.
+Spectral calculus of one decomposition per matrix and superoperator
+algebra for Hilbert-space dimensions n <= 16.
 
 Conventions fixed once for the whole package:
 
 * Vectorization is column-stacking (Fortran order).  Under it the map
   ``A -> X A Y`` has the matrix ``kron(Y.T, X)``, and the matrix-unit
   basis element ``E_kl`` occupies vec index ``k + n*l``.  A weighting
-  ``A -> sigma^a A sigma^b`` is never formed as such a matrix: in the
-  matrix units of sigma's eigenbasis it is the entrywise kernel
-  ``lam_k^a lam_l^b`` (see ``Generator.L_eig``), and the sandwich
-  ``sigma^g A sigma^g`` is ``p . A' . p`` with ``p = lam^g`` (``noncomm_ops``).
+  ``A -> sigma^a A sigma^b`` is never formed as such a matrix, nor are
+  sigma's powers: in the matrix units of sigma's eigenbasis (its frame) it
+  is the entrywise kernel ``SpectralDecomposition.kernel(a, b)``.
 * Eigenvalues ascend.  Eigenvector phases and tie order are fixed in one
   place, ``SpectralDecomposition.canonical`` (behind ``eig_hermitian``), for
   eigenvectors that are serialized; ``density_spectrum`` and every other
@@ -25,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, StructuralError
+from .errors import SingularityError, StructuralError
 
 TOL_HERM = 1e-12
 TOL_TRACE = 1e-10
@@ -112,14 +111,9 @@ class SpectralDecomposition:
     vectors: np.ndarray
 
     def reconstruct(self, fvals: np.ndarray | None = None) -> np.ndarray:
-        """U diag(f) U*; a stack of value rows over one basis gives the
-        stack of matrices, formed as one product over all of its rows."""
+        """U diag(f) U*, of each matrix for a stack."""
         w = self.values if fvals is None else np.asarray(fvals)
-        U = self.vectors
-        if U.ndim == 2 and w.ndim > 1:
-            n = U.shape[-1]
-            return ((U * w[..., None, :]).reshape(-1, n) @ U.conj().T).reshape(w.shape[:-1] + (n, n))
-        return (U * w[..., None, :]) @ U.conj().swapaxes(-1, -2)
+        return (self.vectors * w[..., None, :]) @ self.vectors.conj().swapaxes(-1, -2)
 
     def to_frame(self, A) -> np.ndarray:
         """U* A U, A in the matrix units of this eigenbasis U (its frame);
@@ -130,11 +124,10 @@ class SpectralDecomposition:
         """U X U*, the inverse of `to_frame`."""
         return self.vectors @ X @ self.vectors.conj().T
 
-    def power(self, p) -> np.ndarray:
-        """A^p of a strictly positive A, read from this decomposition and
-        hermitized; an array of exponents gives the stack of powers."""
-        p = np.asarray(p, dtype=float)
-        return hermitize(self.reconstruct(np.power(self.values, p[..., None]).astype(complex)))
+    def kernel(self, a: float, b: float) -> np.ndarray:
+        """lam_k^a lam_l^b, the entrywise kernel in this frame of A -> S^a A S^b
+        for the decomposed S (strictly positive where an exponent is negative)."""
+        return np.power(self.values, a)[:, None] * np.power(self.values, b)
 
     def canonical(self) -> "SpectralDecomposition":
         """The same eigensystem with each eigenvector's first significant
@@ -174,21 +167,6 @@ def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDe
     dec = SpectralDecomposition(*np.linalg.eigh(A))
     check_density(A, float(dec.values[0]), strict, name)
     return dec
-
-
-def weighted_inner(A, B, sigma_dec: SpectralDecomposition, s: float) -> complex:
-    """sigma-weighted inner product tr(sigma^s A* sigma^(1-s) B), s in [0, 1],
-    with the powers read from sigma's validated `density_spectrum`."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"weighting exponent s={s} outside [0, 1]")
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    return complex(np.trace(sigma_dec.power(s) @ A.conj().T @ sigma_dec.power(1.0 - s) @ B))
-
-
-def hs_inner(A, B) -> complex:
-    """Hilbert-Schmidt inner product tr(A* B)."""
-    return complex((np.asarray(A).conj().T @ np.asarray(B)).trace())
 
 
 def trace_norm(A) -> float:
@@ -259,6 +237,8 @@ def matrix_to_csv_block(name: str, A: np.ndarray) -> str:
 
 def matrix_from_csv_block(text: str) -> tuple[str, np.ndarray]:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise StructuralError("empty matrix block")
     head = lines[0].split(",")
     if len(head) != 3 or head[0] != "matrix":
         raise StructuralError(f"bad matrix block header: {lines[0]!r}")

@@ -1,22 +1,21 @@
 """Noncommutative operator toolbox.
 
 Spectral-kernel realizations of the operators that drive the gradient-flow
-and detailed-balance machinery: two-sided weighting by powers of a state,
-twisted logarithmic-mean multiplication and its inverse, the sandwiched
-state with the order-alpha functionals read from it (divergence,
-derivative, Fisher information, entropy), the Renyi-order
-multiplication operator built on it with its flux over a jump stack, and
-the detailed-balance weight kernel.  The sandwiched state is formed in
-exactly one function, `_sandwich`, entrywise in sigma's eigenbasis (sigma's
-frame), from a state given in that frame; `frame_sandwiched_state`
-decomposes it, and `frame_sandwiched_trace` reads its trace power from the
-spectrum values alone.  `sandwiched_state` and `sandwiched_trace` are the
-same for a state in the standard basis, rotated into the frame once.
+and detailed-balance machinery: twisted logarithmic-mean multiplication
+and its inverse, the sandwiched state with the order-alpha functionals read
+from it (divergence, derivative, Fisher information, entropy), the
+Renyi-order multiplication operator built on it with its flux over a jump
+stack, and the detailed-balance weight kernel.  The sandwiched state is
+formed in exactly one function, `_sandwich`, entrywise in sigma's
+eigenbasis (sigma's frame), from a state given in that frame (a caller
+rotates a standard-basis state once with `SpectralDecomposition.to_frame`);
+`frame_sandwiched_state` decomposes it, and `frame_sandwiched_trace` reads
+its trace power from the spectrum values alone.
 A scalar order (a Python or numpy scalar, or a 0-d array) is checked with
 float comparisons and carried as a float through the sandwiched state, its
 trace power and the derivative's scale, with the bits of the same order
-given as a one-element array; only the trace power (`sandwiched_trace`,
-`frame_sandwiched_trace`) takes an array of orders, which broadcasts
+given as a one-element array; only the trace power
+(`frame_sandwiched_trace`) takes an array of orders, which broadcasts
 against the states.
 Functions of a reference state sigma take the `mc.density_spectrum` that
 validated it (a generator's `sigma_dec`) and never decompose sigma
@@ -85,14 +84,6 @@ def _positive_spectrum(X, name: str = "X") -> mc.SpectralDecomposition:
     dec = mc.SpectralDecomposition(*np.linalg.eigh(mc.require_hermitian(X)))
     _require_positive(dec.values, name)
     return dec
-
-
-def sandwich_pow(sigma_dec: mc.SpectralDecomposition, gamma: float, A) -> np.ndarray:
-    """Two-sided weighting sigma^(gamma/2) A sigma^(gamma/2)."""
-    if gamma == 0.0:
-        return np.asarray(A, dtype=complex).copy()
-    P = sigma_dec.power(gamma / 2.0)
-    return P @ np.asarray(A, dtype=complex) @ P
 
 
 def _log_mean_kernel(lam: np.ndarray, omega) -> np.ndarray:
@@ -167,7 +158,7 @@ class SandwichedState:
     operator's kernels.  The eigenvectors W of rs' carry LAPACK's
     arbitrary phases, so every consumer is phase-invariant.  A (T, n, n)
     stack at the one order gives T-leading fields; `divergence` and
-    `derivative` then return one value per state.
+    `frame_derivative` then return one value per state.
     """
 
     alpha: float
@@ -195,7 +186,7 @@ class SandwichedState:
         return D if isinstance(D, np.ndarray) else float(D)
 
     def frame_derivative(self) -> np.ndarray:
-        """The functional derivative in sigma's frame, U* derivative U:
+        """The functional derivative of D_alpha in rho, in sigma's frame:
         p . (alpha/(alpha-1) rs'^(alpha-1) / Z) . p, and log rs' - diag(log lam) at alpha = 1."""
         lam, a = self.positive_values(), self.alpha
         if a == 1.0:
@@ -203,15 +194,9 @@ class SandwichedState:
         Z = self.Z[..., None] if isinstance(self.Z, np.ndarray) else self.Z
         return self.p[:, None] * self.dec.reconstruct(lam ** (a - 1.0) * (a / (a - 1.0) / Z)) * self.p
 
-    def derivative(self) -> np.ndarray:
-        """Functional derivative of D_alpha in rho: alpha/(alpha-1) s
-        rs^(alpha-1) s / Z, and log rho - log sigma at alpha = 1, formed in
-        sigma's frame (`frame_derivative`) and rotated back once."""
-        return mc.hermitize(self.sigma_dec.from_frame(self.frame_derivative()))
-
     def fisher(self, drift) -> float:
         """Minus the pairing tr(derivative* drift) of the derivative with the
-        flow's drift at rho, both in sigma's frame: `drift` is U* (L^dagger rho) U."""
+        flow's drift at rho, both in sigma's frame (`Generator.frame_drift`)."""
         return float(-np.vdot(self.frame_derivative(), drift).real)
 
     def entropy(self) -> float:
@@ -250,25 +235,18 @@ def _trace_power(values: np.ndarray, a: float | np.ndarray):
     return np.power(np.maximum(values, 0.0), a if isinstance(a, float) else a[..., None]).sum(-1)
 
 
-def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha: float) -> SandwichedState:
-    """The sandwiched state of rho: rho rotated into sigma's frame once,
-    then `frame_sandwiched_state`.
-
-    `rho` is one (n, n) state or a (T, n, n) stack, and `alpha` one
-    positive, finite order; an order within ALPHA_ONE_WINDOW of 1 is taken
-    as 1.  An array of orders raises DomainError before any eigensolve:
-    its trace powers come from `sandwiched_trace`.  The states are trusted:
-    callers validate rho, and sigma through the decomposition passed in.
-    """
-    return frame_sandwiched_state(sigma_dec.to_frame(rho), sigma_dec, alpha)
-
-
 def frame_sandwiched_state(X, sigma_dec: mc.SpectralDecomposition, alpha: float) -> SandwichedState:
-    """Form rs' from X = U* rho U, one state or a (T, n, n) stack in sigma's
-    frame, and decompose it with one `eigh`; as `sandwiched_state`, with no
-    rotation."""
+    """The sandwiched state of rho: rs' formed from X = U* rho U, one state
+    or a (T, n, n) stack in sigma's frame, and decomposed with one `eigh`.
+
+    `alpha` is one positive, finite order; an order within ALPHA_ONE_WINDOW
+    of 1 is taken as 1.  An array of orders raises DomainError before any
+    eigensolve: its trace powers come from `frame_sandwiched_trace`.  The
+    states are trusted: callers validate rho, and sigma through the
+    decomposition passed in.
+    """
     if np.ndim(alpha):
-        raise DomainError(f"orders {alpha}: one scalar order per sandwiched state; use sandwiched_trace")
+        raise DomainError(f"orders {alpha}: one scalar order per sandwiched state; use frame_sandwiched_trace")
     a, p, rs = _sandwich(X, sigma_dec, alpha)
     # rs' is graded by p, which ascends below order 1: the Householder reduction keeps
     # small eigenvalues only from the large end, the bottom right ("U") or top left ("L")
@@ -276,18 +254,12 @@ def frame_sandwiched_state(X, sigma_dec: mc.SpectralDecomposition, alpha: float)
     return SandwichedState(alpha=a, p=p, dec=dec, sigma_dec=sigma_dec, Z=_trace_power(dec.values, a))
 
 
-def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndarray:
-    """Z = tr rs^alpha of `sandwiched_state`, from the spectrum values of one
-    `eigvalsh` (no eigenvectors).  `alpha` is one order or an array of
-    them, broadcast against the states: a stack at one order, one state at
-    several orders, or a stack with an order per state.  Z has no
-    1/(alpha-1) factor, so an array of orders may come near 1.  rho is
-    rotated into sigma's frame once, then `frame_sandwiched_trace`."""
-    return frame_sandwiched_trace(sigma_dec.to_frame(rho), sigma_dec, alpha)
-
-
 def frame_sandwiched_trace(X, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndarray:
-    """`sandwiched_trace` of X = U* rho U, states in sigma's frame, with no rotation."""
+    """Z = tr rs^alpha of `frame_sandwiched_state` of X = U* rho U, from the
+    spectrum values of one `eigvalsh` (no eigenvectors).  `alpha` is one
+    order or an array of them, broadcast against the states: a stack at one
+    order, one state at several orders, or a stack with an order per state.
+    Z has no 1/(alpha-1) factor, so an array of orders may come near 1."""
     a, _, rs = _sandwich(X, sigma_dec, alpha)
     # below order 1, reversed index order (a permutation) puts the large end top left (`frame_sandwiched_state`)
     return _trace_power(np.linalg.eigvalsh(np.where(np.less(a, 1.0)[..., None, None], rs[..., ::-1, ::-1], rs)), a)
@@ -400,7 +372,7 @@ def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: flo
     it reduces to the twisted multiplier of rho itself; at alpha = 2 it is
     (Z/2) times two-sided multiplication by sigma^(1/2).
     """
-    state = sandwiched_state(rho, sigma_dec, alpha)
+    state = frame_sandwiched_state(sigma_dec.to_frame(rho), sigma_dec, alpha)
     alpha, lam = state.alpha, state.positive_values()
     return RenyiMultiplier(
         state=state,

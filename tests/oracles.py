@@ -20,8 +20,8 @@ from renyiflow.generator import JumpTerm
 
 # --- generic spectral calculus ------------------------------------------------
 # A fresh decomposition per call, with its own domain floor and an optional
-# lenient clamp: the reference that `SpectralDecomposition.power` reproduces
-# bit for bit on the decomposition that validated the matrix.
+# lenient clamp.  The package forms no matrix power of sigma: each weighting
+# is the entrywise kernel `SpectralDecomposition.kernel` in sigma's frame.
 
 
 def matrix_function(A, f, min_eigenvalue=None, lenient=False):
@@ -62,6 +62,22 @@ def matrix_power(A, p, lenient=False):
 
 def matrix_log(A, lenient=False):
     return matrix_function(A, np.log, min_eigenvalue=mc.POS_FLOOR, lenient=lenient)
+
+
+def sandwich_pow(sigma, gamma, A):
+    """sigma^(gamma/2) A sigma^(gamma/2) from a fresh matrix power of sigma."""
+    P = matrix_power(sigma, gamma / 2.0)
+    return P @ A @ P
+
+
+def weighted_inner(A, B, sigma, s):
+    """sigma-weighted inner product tr(sigma^s A* sigma^(1-s) B), from fresh matrix powers."""
+    return complex(np.trace(matrix_power(sigma, s) @ np.conj(A).T @ matrix_power(sigma, 1.0 - s) @ B))
+
+
+def apply_L(G, A):
+    """The observable-side generator applied to A, from its superoperator."""
+    return mc.apply_superop(G.L_super, A)
 
 
 def random_positive(rng, n, floor=1e-3):
@@ -152,8 +168,8 @@ def petz_renyi(rho, sigma, alpha: float) -> float:
     rho, sigma_dec = _density_pair(rho, sigma, strict=alpha > 1.0)
     w, U = np.linalg.eigh(rho)
     # rho's rounding-level negative eigenvalues, which the validation admits, count as 0
-    ra = mc.SpectralDecomposition(np.maximum(w, 0.0), U).power(alpha)
-    val = float(np.real(np.trace(ra @ sigma_dec.power(1.0 - alpha))))
+    ra = mc.SpectralDecomposition(w, U).reconstruct(np.power(np.maximum(w, 0.0), alpha))
+    val = float(np.real(np.trace(ra @ sigma_dec.reconstruct(np.power(sigma_dec.values, 1.0 - alpha)))))
     return float(np.log(val) / (alpha - 1.0))
 
 
@@ -164,7 +180,7 @@ def chi2_divergence(rho, sigma) -> float:
     """
     rho, sigma_dec = _density_pair(rho, sigma)
     delta = rho - mc.hermitize(np.asarray(sigma, dtype=complex))  # the validated sigma
-    si = sigma_dec.power(-0.5)
+    si = sigma_dec.reconstruct(sigma_dec.values**-0.5)
     return float(np.real(np.trace(delta @ si @ delta @ si)))
 
 
@@ -251,26 +267,21 @@ def metric_tensor_by_term(G, rho, alpha, nu1, nu2):
     for b, B in enumerate(basis):
         TB = -divergence([m.apply(g) for m, g in zip(mults, gradient(B))])
         for a in range(d):
-            T[a, b] = float(np.real(mc.hs_inner(basis[a], TB)))
+            T[a, b] = float(np.real(np.vdot(basis[a], TB)))
     T = 0.5 * (T + T.T)
     w, Q = np.linalg.eigh(T)
     cutoff = 1e-10 * max(abs(w[-1]), 1e-300)
     winv = np.where(np.abs(w) > cutoff, 1.0 / w, 0.0)
 
     def solve(nu):
-        coords = np.array([float(np.real(mc.hs_inner(B, nu))) for B in basis])
+        coords = np.array([float(np.real(np.vdot(B, nu))) for B in basis])
         x = Q @ (winv * (Q.T @ coords))
         return sum(c * B for c, B in zip(x, basis))
 
     g = 0.0
     for m, g1, g2 in zip(mults, gradient(solve(nu1)), gradient(solve(nu2))):
-        g += float(np.real(mc.hs_inner(g1, m.apply(g2))))
+        g += float(np.real(np.vdot(g1, m.apply(g2))))
     return g
-
-
-def _sandwich_pow(sigma, gamma, A):
-    P = matrix_power(sigma, gamma / 2.0)
-    return P @ A @ P
 
 
 def sandwiched_renyi_by_matrix_powers(rho, sigma, alpha):
@@ -283,7 +294,7 @@ def sandwiched_renyi_by_matrix_powers(rho, sigma, alpha):
         mask = w > 1e-14
         cross = np.real(np.trace(dec.reconstruct(w) @ matrix_log(sigma)))
         return float(np.sum(w[mask] * np.log(w[mask])) - cross)
-    rs = mc.hermitize(_sandwich_pow(sigma, (1.0 - alpha) / alpha, rho))
+    rs = mc.hermitize(sandwich_pow(sigma, (1.0 - alpha) / alpha, rho))
     w = np.maximum(mc.eig_hermitian(rs).values, 0.0)
     return float(np.log(np.sum(w**alpha)) / (alpha - 1.0))
 
@@ -294,10 +305,10 @@ def functional_derivative_by_matrix_powers(rho, sigma, alpha):
     if alpha == 1.0:
         return matrix_log(rho) - matrix_log(sigma)
     gamma = (1.0 - alpha) / alpha
-    dec = mc.eig_hermitian(mc.hermitize(_sandwich_pow(sigma, gamma, rho)))
+    dec = mc.eig_hermitian(mc.hermitize(sandwich_pow(sigma, gamma, rho)))
     Z = np.sum(dec.values**alpha)
     power = dec.reconstruct(dec.values ** (alpha - 1.0))
-    return mc.hermitize((alpha / (alpha - 1.0)) * _sandwich_pow(sigma, gamma, power) / Z)
+    return mc.hermitize((alpha / (alpha - 1.0)) * sandwich_pow(sigma, gamma, power) / Z)
 
 
 def norm_functional_by_state(rho, sigma, beta):
@@ -348,22 +359,22 @@ def log_of(dec: mc.SpectralDecomposition) -> np.ndarray:
 # that the log-Sobolev ratios read from the Fisher pairing.
 
 
-def power_op(sigma_dec: mc.SpectralDecomposition, beta: float, alpha: float, A) -> np.ndarray:
+def power_op(sigma, beta: float, alpha: float, A) -> np.ndarray:
     """Power operator: unweight by 1/beta after raising the 1/alpha-weighted
     modulus to the alpha/beta power."""
-    B = mc.hermitize(nco.sandwich_pow(sigma_dec, 1.0 / alpha, A))
+    B = mc.hermitize(sandwich_pow(sigma, 1.0 / alpha, A))
     dec = mc.SpectralDecomposition(*np.linalg.eigh(B))
     P = mc.hermitize(dec.reconstruct(np.abs(dec.values) ** (alpha / beta)))
-    return nco.sandwich_pow(sigma_dec, -1.0 / beta, P)
+    return sandwich_pow(sigma, -1.0 / beta, P)
 
 
-def ent_fun(sigma_dec: mc.SpectralDecomposition, alpha: float, X) -> float:
+def ent_fun(sigma, alpha: float, X) -> float:
     """Order-alpha entropy functional of a strictly positive X (>= 0)."""
-    B = mc.hermitize(nco.sandwich_pow(sigma_dec, 1.0 / alpha, X))
+    B = mc.hermitize(sandwich_pow(sigma, 1.0 / alpha, X))
     dec = nco._positive_spectrum(B, "weighted argument")
     w = dec.values**alpha
     Balpha = dec.reconstruct(w)
-    log_sigma = log_of(sigma_dec)
+    log_sigma = matrix_log(sigma)
     t1 = float(np.sum(w * np.log(w)))
     t2 = float(np.real(np.trace(Balpha @ log_sigma)))
     nrm = float(np.sum(w))
@@ -376,20 +387,20 @@ def dirichlet_form(G, alpha: float, X) -> float:
     The generic branch pairs the conjugate-power operator with -L(X) in the
     1/2-weighted inner product; alpha = 1 takes the logarithmic limit.
     """
-    sig = G.sigma_dec
-    minus_LX = -G.apply_L(X)
+    sig = G.sigma
+    minus_LX = -apply_L(G, X)
     if alpha == 1.0:
-        B = mc.hermitize(nco.sandwich_pow(sig, 1.0, X))
+        B = mc.hermitize(sandwich_pow(sig, 1.0, X))
         dec = mc.SpectralDecomposition(*np.linalg.eigh(B))
         if dec.values[0] < mc.POS_FLOOR:
             raise SingularityError(
                 f"weighted argument: smallest eigenvalue {dec.values[0]:.3e} below {mc.POS_FLOOR:.1e}"
             )
-        arg = log_of(dec) - log_of(sig)
-        return 0.25 * float(np.real(mc.weighted_inner(arg, minus_LX, sig, 0.5)))
+        arg = log_of(dec) - matrix_log(sig)
+        return 0.25 * float(np.real(weighted_inner(arg, minus_LX, sig, 0.5)))
     at = alpha / (alpha - 1.0)
     P = power_op(sig, at, alpha, X)
-    return (alpha * at / 4.0) * float(np.real(mc.weighted_inner(P, minus_LX, sig, 0.5)))
+    return (alpha * at / 4.0) * float(np.real(weighted_inner(P, minus_LX, sig, 0.5)))
 
 
 def lindblad_superop_by_term(terms):
@@ -597,7 +608,7 @@ def jump_term(V, omega: float, weight: float | None = None) -> JumpTerm:
     `JumpTerms.of`: without a weight V is kept and <V, V> recorded; an
     explicit weight scales V as a direction so that <V, V> = weight."""
     V = mc.as_matrix(V, "jump operator")
-    nrm2 = float(np.real(mc.hs_inner(V, V)))
+    nrm2 = float(np.real(np.trace(V.conj().T @ V)))
     if weight is None:
         weight = nrm2
     elif abs(weight - nrm2) > 1e-8 * max(1.0, weight):
@@ -631,3 +642,21 @@ def chain_rule_residual(V, X, omega: float) -> float:
     Xm = dec.reconstruct()
     rhs = np.exp(-omega / 2.0) * V @ Xm - np.exp(omega / 2.0) * Xm @ V
     return float(np.linalg.norm(lhs - rhs))
+
+
+# --- standard-basis entry points to the frame functions ---------------------------
+# Every package caller rotates a standard-basis state into sigma's frame once
+# and forms its sandwiched state there; these do the same for a test.
+
+
+def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> nco.SandwichedState:
+    return nco.frame_sandwiched_state(sigma_dec.to_frame(rho), sigma_dec, alpha)
+
+
+def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndarray:
+    return nco.frame_sandwiched_trace(sigma_dec.to_frame(rho), sigma_dec, alpha)
+
+
+def derivative(state: nco.SandwichedState) -> np.ndarray:
+    """The functional derivative in the standard basis, rotated back from the frame."""
+    return mc.hermitize(state.sigma_dec.from_frame(state.frame_derivative()))

@@ -14,6 +14,7 @@ from renyiflow.generator import (
 )
 
 from .oracles import (
+    apply_L,
     carlen_maas_by_composition,
     gns_residual_by_kron,
     kms_residual_by_kron,
@@ -53,7 +54,7 @@ class TestCounterexampleConstruction:
     def test_primitive_with_unital_generator(self, counterexample):
         assert counterexample.primitivity.primitive
         assert counterexample.primitivity.kernel_dim == 1
-        assert np.linalg.norm(counterexample.apply_L(np.eye(2))) <= 1e-12
+        assert np.linalg.norm(apply_L(counterexample, np.eye(2))) <= 1e-12
 
     def test_observable_side_is_the_composition(self, counterexample):
         # built from its state-space map, the generator matches Kt K - I

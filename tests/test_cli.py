@@ -11,12 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import renyiflow.cli as cli
 import renyiflow.matcore as mc
-import renyiflow.noncomm_ops as nco
 from renyiflow.cli import MAX_RANGE_ORDERS, main, parse_alphas
 from renyiflow.errors import DomainError, NonFiniteError, ValidationError
 from renyiflow.generator import JumpTerms, qubit_xz_generator, random_gns_generator
 
-from .oracles import jump_term, norm_functional_by_state
+from .oracles import jump_term, norm_functional_by_state, sandwiched_state, sandwiched_trace
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -167,7 +166,7 @@ class TestCommands:
                           "--alphas", "2", "--t-end", "0.1", "--dt", "0.1", "--out", "o.csv"], capsys)
         assert code == 0
         D0 = float((tmp_path / "o.csv").read_text().splitlines()[1].split(",")[2])
-        ref = nco.sandwiched_state(mc.require_density(rho), qubit_xz_generator().sigma_dec, 2.0).divergence()
+        ref = sandwiched_state(mc.require_density(rho), qubit_xz_generator().sigma_dec, 2.0).divergence()
         assert D0 == pytest.approx(ref, rel=1e-12)
 
     def test_gradflow_residuals_small(self, tmp_path, capsys):
@@ -221,8 +220,8 @@ class TestCommands:
         rho = mc.hermitize(0.7 * G.sigma + 0.3 * mc.random_density(np.random.default_rng(3), 2))
         orders = np.array([1.0000001, 2.0, 3.0])
         with pytest.raises(DomainError):
-            nco.sandwiched_state(rho, G.sigma_dec, orders)
-        F = np.log(nco.sandwiched_trace(rho, G.sigma_dec, orders)) / orders
+            sandwiched_state(rho, G.sigma_dec, orders)
+        F = np.log(sandwiched_trace(rho, G.sigma_dec, orders)) / orders
         ref = [norm_functional_by_state(rho, G.sigma, b) for b in orders]
         np.testing.assert_allclose(F, ref, rtol=1e-12, atol=1e-15)
 
@@ -298,7 +297,7 @@ class TestEntropyLadder:
         delta = 0.5
         for k in range(60):
             rho = mc.require_density((1.0 - delta) * G.sigma + delta * w, name="rho")
-            if nco.sandwiched_state(rho, G.sigma_dec, 1.0).divergence() <= 0.8 * eps:
+            if sandwiched_state(rho, G.sigma_dec, 1.0).divergence() <= 0.8 * eps:
                 return k, rho
             delta *= 0.7
         return None, None
@@ -322,7 +321,7 @@ class TestEntropyLadder:
         # every one of the 60 rungs checked and scored from one decomposition
         w = mc.random_density(np.random.default_rng(seed), G.n, floor=0.05)
         rungs = mc.hermitize((1.0 - cli._LADDER) * G.sigma + cli._LADDER * w)
-        state = nco.sandwiched_state(rungs, G.sigma_dec, 1.0)
+        state = sandwiched_state(rungs, G.sigma_dec, 1.0)
         for k, (rho, wmin, D) in enumerate(zip(rungs, state.dec.values[:, 0], state.divergence())):
             mc.check_density(rho, wmin, name="rho")
             if D <= 0.8 * eps:
@@ -488,6 +487,68 @@ class TestMalformedInputs:
         code, _, err = run(["dbcheck", "--generator", str(path)], capsys)
         assert code == 1
         assert json.loads(err)["detail"] == "sigma: rows must be equal-length lists of reals"
+
+    @pytest.mark.parametrize("cell, detail", [
+        (("sigma", 1, 3), "sigma: rows must be equal-length lists of reals"),
+        (("V", 1, 3), "term 1: V: rows must be equal-length lists of reals"),
+    ], ids=["sigma", "V"])
+    @pytest.mark.parametrize("value", [False, True])
+    @pytest.mark.parametrize("command", ["dbcheck", "validate"])
+    def test_boolean_cell_among_numbers(self, cell, detail, value, command, tmp_path, capsys):
+        # a true or false cell is refused, not read as 1 or 0 (false reads as the cell's own 0.0)
+        doc = generator_doc(qubit_xz_generator())
+        field, i, j = cell
+        rows = doc["sigma"] if field == "sigma" else doc["terms"][1]["V"]
+        rows[i][j] = value
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run([command, "--generator", str(path)], capsys)
+        assert code == 1
+        assert (json.loads(err)["detail"] if command == "dbcheck" else json.loads(out)["failures"][0]).endswith(detail)
+
+    @pytest.mark.parametrize("field", ["sigma", "V"])
+    @pytest.mark.parametrize("command", ["dbcheck", "validate"])
+    def test_generator_matrix_file_unreadable(self, field, command, tmp_path, capsys):
+        doc = generator_doc(qubit_xz_generator())
+        (tmp_path / "dir.csv").mkdir()
+        if field == "sigma":
+            doc["sigma"] = "dir.csv"
+        else:
+            doc["terms"][1]["V"] = "dir.csv"
+        path = tmp_path / "unreadable.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run([command, "--generator", str(path)], capsys)
+        assert code == 1
+        detail = json.loads(err)["detail"] if command == "dbcheck" else json.loads(out)["failures"][0]
+        assert detail == f"cannot read {tmp_path / 'dir.csv'}: Is a directory"
+
+    @pytest.mark.parametrize("content, reason", [(None, "Is a directory"), (b"matrix,rho0,2\n\xff\n", "utf-8")],
+                             ids=["directory", "not-utf8"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--t-end", "0.1", "--dt", "0.01"],
+        ["compare", "--alpha0", "2", "--alpha1", "3"],
+    ], ids=["simulate", "compare"])
+    def test_rho0_file_unreadable(self, content, reason, command, tmp_path, capsys):
+        path = tmp_path / "rho0.csv"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, _, err = run([command[0], "--generator", "builtin:qubit-xz", "--rho0", str(path), *command[1:]],
+                           capsys)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "validation"
+        assert doc["detail"].startswith(f"cannot read {path}: ") and reason in doc["detail"]
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_rho0_file_without_a_block(self, text, tmp_path, capsys):
+        path = tmp_path / "rho0.csv"
+        path.write_text(text)
+        code, _, err = run(["simulate", "--generator", "builtin:qubit-xz", "--rho0", str(path),
+                            "--t-end", "0.1", "--dt", "0.01"], capsys)
+        assert code == 1
+        assert json.loads(err)["detail"] == "empty matrix block"
 
     def test_rho0_non_numeric_cell(self, tmp_path, capsys):
         path = tmp_path / "rho0.csv"
@@ -856,6 +917,11 @@ class TestComparePinskerBound:
         assert json.loads(out)["passed"] is True
 
 
+def generator_object(path):
+    """The object a generator file decodes to, without its true/false flag."""
+    return cli._load_generator_json(path)[0]
+
+
 def decoded(read, path) -> str:
     """What a reader makes of a file: its object's repr (exact for every
     double, and telling an int from a float), or its error message."""
@@ -882,7 +948,7 @@ class TestGeneratorDecoder:
         for text in (json.dumps(values), "[" + ",".join("%.17g" % v for v in values) + "]"):
             doc = f'{{"label": "doubles", "values": {text}}}'
             path.write_text(doc)
-            assert decoded(cli._load_generator_json, path) == repr(json.loads(doc))
+            assert decoded(generator_object, path) == repr(json.loads(doc))
 
     @pytest.mark.parametrize("raw, stdlib_object", [
         (b'{"label": "x", "omega": NaN}', True),
@@ -902,7 +968,7 @@ class TestGeneratorDecoder:
         path = tmp_path / "fenced.json"
         path.write_bytes(raw)
         stdlib = decoded(cli._load_json, path)
-        assert decoded(cli._load_generator_json, path) == stdlib
+        assert decoded(generator_object, path) == stdlib
         assert stdlib.startswith("ValidationError: ") != stdlib_object
 
     def test_benchmark_layout_is_not_decoded_by_the_stdlib(self, monkeypatch, tmp_path):
@@ -910,6 +976,8 @@ class TestGeneratorDecoder:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(generator_doc(G)))
         monkeypatch.setattr(cli, "_load_json", lambda p: pytest.fail(f"stdlib decoded {p}"))
+        # nor are its cells checked one by one: its text holds no true or false
+        monkeypatch.setattr(cli, "_has_bool", lambda rows: pytest.fail("per-cell pass"))
         assert np.array_equal(cli.load_generator(str(path)).L_super, G.L_super)
 
 

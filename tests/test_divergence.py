@@ -227,7 +227,7 @@ class TestFunctionalDerivative:
             Dp = dv.sandwiched_renyi(rho + eps * nu, sigma, alpha).value
             Dm = dv.sandwiched_renyi(rho - eps * nu, sigma, alpha).value
             directional = (Dp - Dm) / (2.0 * eps)
-            assert mc.hs_inner(fd, nu).real == pytest.approx(directional, abs=1e-6)
+            assert np.vdot(fd, nu).real == pytest.approx(directional, abs=1e-6)
 
     def test_order_one_commuting(self):
         p = np.array([0.2, 0.3, 0.5])
@@ -255,7 +255,7 @@ class TestFisherInformation:
             rho = mc.random_density(rng, 3, floor=0.05)
             gi = si @ rho @ si
             fd2 = 2.0 * gi / np.trace(gi @ rho).real
-            closed = -np.real(mc.hs_inner(fd2, G.apply_Ldag(rho)))
+            closed = -np.real(np.vdot(fd2, G.apply_Ldag(rho)))
             assert dv.fisher_information(rho, 2.0, G) == pytest.approx(
                 closed, abs=1e-10 * max(1.0, abs(closed))
             )

@@ -20,12 +20,14 @@ from renyiflow.generator import (
 )
 
 from .oracles import (
+    apply_L,
     brute_force_commutant_dim,
     depolarizing_superops_by_probing,
     lindblad_superop_by_term,
     lindblad_superops_by_probing,
     modular_apply,
     nc_gradient,
+    weighted_inner,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -174,7 +176,7 @@ class TestGeneratorIdentities:
         assert np.linalg.norm(random_gen.apply_Ldag(random_gen.sigma)) <= 1e-10
 
     def test_unitality(self, random_gen):
-        assert np.linalg.norm(random_gen.apply_L(np.eye(3))) <= 1e-10
+        assert np.linalg.norm(apply_L(random_gen, np.eye(3))) <= 1e-10
 
     def test_hermiticity_preservation(self, random_gen, rng):
         for _ in range(20):
@@ -183,15 +185,15 @@ class TestGeneratorIdentities:
             assert np.linalg.norm(out - out.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(out))
 
     def test_weighted_selfadjointness_on_basis(self, random_gen):
-        sigma = random_gen.sigma_dec
+        sigma = random_gen.sigma
         n = 3
         worst = 0.0
         for a in range(n * n):
             for b in range(n * n):
                 Ea = mc.unvec(np.eye(n * n)[:, a], n)
                 Eb = mc.unvec(np.eye(n * n)[:, b], n)
-                lhs = mc.weighted_inner(random_gen.apply_L(Ea), Eb, sigma, 1.0)
-                rhs = mc.weighted_inner(Ea, random_gen.apply_L(Eb), sigma, 1.0)
+                lhs = weighted_inner(apply_L(random_gen, Ea), Eb, sigma, 1.0)
+                rhs = weighted_inner(Ea, apply_L(random_gen, Eb), sigma, 1.0)
                 worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-10 * np.linalg.norm(random_gen.L_super)
 
@@ -200,10 +202,10 @@ class TestGeneratorIdentities:
         for _ in range(20):
             A = mc.random_complex(rng, 3)
             lhs = sum(
-                mc.weighted_inner(g, g, random_gen.sigma_dec, 0.5).real
+                weighted_inner(g, g, random_gen.sigma, 0.5).real
                 for g in nc_gradient(random_gen, A)
             )
-            rhs = mc.weighted_inner(A, -random_gen.apply_L(A), random_gen.sigma_dec, 0.5).real
+            rhs = weighted_inner(A, -apply_L(random_gen, A), random_gen.sigma, 0.5).real
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_commutes_with_modular(self, random_gen):
@@ -275,7 +277,7 @@ class TestPrimitivity:
         assert not rep.primitive
         assert rep.kernel_dim == brute_force_commutant_dim([SZ], 2) == 2
         # the kernel contains the jump operator itself
-        overlaps = [abs(mc.hs_inner(SZ / np.sqrt(2.0), K)) for K in rep.kernel]
+        overlaps = [abs(np.vdot(SZ / np.sqrt(2.0), K)) for K in rep.kernel]
         assert max(overlaps) > 0.1
 
     def test_xz_pair_primitive(self, qubit_xz):
@@ -311,8 +313,8 @@ class TestSpectralGap:
         lo, hi = gap.spectrum[0], gap.spectrum[-1]
         for _ in range(200):
             A = mc.random_complex(rng, 2)
-            num = mc.weighted_inner(A, -qubit_xz.apply_L(A), qubit_xz.sigma_dec, 0.5).real
-            den = mc.weighted_inner(A, A, qubit_xz.sigma_dec, 0.5).real
+            num = weighted_inner(A, -apply_L(qubit_xz, A), qubit_xz.sigma, 0.5).real
+            den = weighted_inner(A, A, qubit_xz.sigma, 0.5).real
             assert lo - 1e-8 <= num / den <= hi + 1e-8
 
     def test_weight_scaling_doubles_gap(self, rng):
@@ -401,7 +403,7 @@ class TestJumpTermSemantics:
 
     def test_explicit_weight_rescales_direction(self):
         t = JumpTerms.of([SX / np.sqrt(2.0)], [0.0], [3.0])[0]
-        assert mc.hs_inner(t.V, t.V).real == pytest.approx(3.0, abs=1e-12)
+        assert np.vdot(t.V, t.V).real == pytest.approx(3.0, abs=1e-12)
 
     def test_terms_are_read_only_views_of_one_stack(self, qubit_xz):
         stack = qubit_xz.terms

@@ -1,6 +1,8 @@
 """Each module of the package uses only the public names of its other
 modules: a private name (`nco._x`) reached from another module couples the
-two, and a change inside its owner breaks the other without warning."""
+two, and a change inside its owner breaks the other without warning.  And
+each module reads every name it imports, so a deletion leaves no stale
+import behind (no linter is installed to catch one)."""
 
 import ast
 from pathlib import Path
@@ -31,3 +33,20 @@ def cross_module_private_uses(path: Path) -> list[str]:
 def test_no_module_uses_a_private_name_of_another():
     uses = [use for path in sorted(SRC.glob("*.py")) for use in cross_module_private_uses(path)]
     assert uses == []
+
+
+def unread_imports(path: Path) -> list[str]:
+    """Names a module imports (a `__future__` import aside) that nothing in it reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update(((a.asname or a.name).split(".")[0], node.lineno) for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}: {name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_every_import_is_read():
+    # `__init__` imports to re-export, so its names are read by the package's users
+    unread = [u for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py" for u in unread_imports(path)]
+    assert unread == []
