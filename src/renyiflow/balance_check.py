@@ -35,7 +35,7 @@ def check_kms(G: Generator) -> float:
     eigenbasis."""
     g = mc.vec(nco.weight_operator(G.sigma_dec, 2.0).kernel)
     resid = G.L_eig.conj().T * g / g[:, None] - G.L_eig
-    return float(np.linalg.norm(resid) / max(np.linalg.norm(G.L_super), 1e-300))
+    return float(np.linalg.norm(resid) / max(np.linalg.norm(G.L_eig), 1e-300))
 
 
 def srd_residual(G: Generator, alpha: float) -> float:

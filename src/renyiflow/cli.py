@@ -542,7 +542,8 @@ def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     """Run one command; its warnings join a failure's JSON document on stderr, or are emitted again.
-    An input too large for memory (a MemoryError) exits 1, naming the command."""
+    A negative --seed exits 1.  An input too large for memory (a MemoryError) exits 1, and a
+    linear-algebra routine that fails (a LinAlgError) exits 2, each naming the command."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -552,6 +553,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = _apply_config(args, argv)
+            if getattr(args, "seed", 0) < 0:
+                raise DomainError(f"--seed {args.seed} is negative")
             code = args.fn(args)
         except (ValidationError, StructuralError, DomainError) as exc:
             code, error = EXIT_VALIDATION, {"error": "validation", "detail": str(exc)}
@@ -560,6 +563,9 @@ def main(argv=None) -> int:
         except MemoryError as exc:
             code = EXIT_VALIDATION
             error = {"error": "validation", "command": args.command, "detail": f"out of memory: {exc}"}
+        except np.linalg.LinAlgError as exc:
+            code = EXIT_NUMERICAL
+            error = {"error": "numerical", "command": args.command, "detail": f"linear algebra: {exc}"}
     if error is None:
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)

@@ -128,8 +128,8 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
         raise DomainError(f"dt={dt} must be positive and finite")
     if not 0.0 <= t_end < np.inf:
         raise DomainError(f"t_end={t_end} must be non-negative and finite")
-    if store_every < 1:
-        raise DomainError(f"store_every={store_every} must be at least 1")
+    if not 1 <= store_every < 2**53:
+        raise DomainError(f"store_every={store_every} outside 1 .. 2**53 - 1")
     if t_end / dt >= 2.0**53:
         raise DomainError(f"t_end/dt={t_end / dt:.3g} steps: the step count must be below 2**53")
     # grid points store_every, 2 store_every, ... strictly before the last; rho0 alone at t_end = 0
@@ -350,7 +350,7 @@ def fisher2_bound_check(G: Generator, rho) -> InequalityCheck:
     state = nco.frame_sandwiched_state(X, G.sigma_dec, 2.0)
     I2, D2 = state.fisher(G.frame_drift(X)), state.divergence()
     bound = 2.0 * G.gap.value * (1.0 - np.exp(-D2))
-    return InequalityCheck(lhs=I2, rhs=float(bound), passed=I2 >= bound - FISHER2_SLACK)
+    return InequalityCheck(lhs=I2, rhs=float(bound), passed=bool(I2 >= bound - FISHER2_SLACK))
 
 
 # --- log-Sobolev constants -------------------------------------------------------

@@ -61,12 +61,15 @@ class JumpTerms:
         """The stack of m square operators, m finite frequencies and, if given,
         m weights (None for a term without one).  A term without a weight keeps
         its V and records <V, V>; with a positive finite one, V is a direction
-        scaled so that <V, V> = weight.  The first term at fault is named."""
+        scaled so that <V, V> = weight.  The first term at fault is named; a
+        <V, V> that overflows is a fault."""
         V = np.array(V, dtype=complex)
         if V.ndim != 3 or V.shape[1] != V.shape[2] or not V.size:
             raise ValidationError(f"jump operators: expected a nonempty (m, n, n) stack, got shape {V.shape}")
-        _raise_first((~np.isfinite(V).all(axis=(1, 2)), lambda j: f"term {j}: V has non-finite entries"))
-        nrm2 = np.real(np.trace(V.conj().swapaxes(-1, -2) @ V, axis1=1, axis2=2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm2 = np.real(np.trace(V.conj().swapaxes(-1, -2) @ V, axis1=1, axis2=2))
+        _raise_first((~np.isfinite(V).all(axis=(1, 2)), lambda j: f"term {j}: V has non-finite entries"),
+                     (~np.isfinite(nrm2), lambda j: f"term {j}: <V, V> is not finite"))
         omega = _term_reals(omega, len(V), "omega")
         if weight is None:
             weight = nrm2
@@ -156,45 +159,54 @@ def modular_commutator_residual(G: Generator) -> float:
     """Frobenius norm of [L, A -> sigma A sigma^-1] relative to L's; the
     modular kernel lam_k / lam_l scales the rows and columns of `G.L_eig`."""
     mod = mc.vec(G.sigma_dec.kernel(1.0, -1.0))
-    return float(np.linalg.norm(G.L_eig * (mod - mod[:, None])) / max(np.linalg.norm(G.L_super), 1e-30))
+    return float(np.linalg.norm(G.L_eig * (mod - mod[:, None])) / max(np.linalg.norm(G.L_eig), 1e-30))
 
 
 class Generator:
-    """A Lindblad generator in both pictures, with its stationary state.
+    """An immutable Lindblad generator with its stationary state.
 
-    Built from the observable-side superoperator `L_super`; the state-space
-    `Ldag_super` is its conjugate transpose, so the two are Hilbert-Schmidt
-    adjoints by construction.  Immutable after construction; superoperator
-    matrices use the package's column-stacking convention.  `terms` is
-    present only for generators built from validated jump operators.
-    sigma is required: it is validated (a full-rank n x n density matrix,
-    with L n^2 x n^2) and decomposed here, once, into the read-only
-    attributes `sigma` and `sigma_dec`, the decomposition every function of
-    sigma reads.
+    sigma (a full-rank n x n density matrix) is validated and decomposed
+    here, once, into the read-only `sigma` and `sigma_dec` that every
+    function of sigma reads.  L is held once, as the read-only `L_eig`: the
+    observable-side superoperator in the matrix units u_k u_l* of sigma's
+    eigenbasis U (index k + n l), where A -> sigma^a A sigma^b is the
+    diagonal of its kernel lam_k^a lam_l^b; its conjugate transpose is the
+    state-space generator.  It comes from exactly one of `terms` (validated
+    jump terms, whose Lindblad form is covariant, so it is assembled in the
+    frame) and `L` (n^2 x n^2 in the standard basis, rotated in once).  A
+    Frobenius norm of L that overflows, the scale of every check, raises.
     """
 
-    def __init__(
-        self,
-        sigma: np.ndarray,
-        L_super: np.ndarray,
-        terms: JumpTerms | None = None,
-        label: str = "",
-    ):
-        self.n = round(np.sqrt(np.shape(L_super)[0]))
-        self.L_super = np.asarray(L_super, dtype=complex)
-        self.Ldag_super = np.ascontiguousarray(self.L_super.conj().T)
+    def __init__(self, sigma, L: np.ndarray | None = None, terms: JumpTerms | None = None, label: str = ""):
+        if (L is None) == (terms is None):
+            raise ValidationError("a generator takes exactly one of L and terms")
         self.terms = terms
         self.label = label
         self.sigma_dec = mc.density_spectrum(sigma, strict=True, name="sigma")
         # the Hermitian part that density_spectrum validated and decomposed
         self.sigma = mc.hermitize(np.asarray(sigma, dtype=complex))
-        if self.L_super.shape != (self.n**2, self.n**2) or self.sigma.shape != (self.n, self.n):
-            raise ValidationError(f"L_super {self.L_super.shape}, sigma {self.sigma.shape}: want n^2 x n^2 and n x n")
-        for arr in (self.L_super, self.Ldag_super, self.sigma, self.sigma_dec.values, self.sigma_dec.vectors):
+        self.n = n = self.sigma.shape[0]
+        if terms is not None:
+            if terms.V.shape[1:] != (n, n):
+                raise ValidationError(f"term 0: V has shape {terms.V.shape[1:]}, sigma has shape ({n}, {n})")
+            self.L_eig = _lindblad_superop(self.jump_frame, terms.omega)
+        else:
+            L = np.asarray(L, dtype=complex)
+            if L.shape != (n * n, n * n):
+                raise ValidationError(f"L {L.shape}, sigma {self.sigma.shape}: want n^2 x n^2 and n x n")
+            # W* L W with W = kron(conj U, U), on L's indices [j, i, J, I] (row i + n j, column I + n J)
+            U = self.sigma_dec.vectors
+            self.L_eig = np.einsum("jl,ik,jiJI,JL,IK->lkLK", U, U.conj(), L.reshape((n,) * 4), U.conj(), U,
+                                   optimize=True).reshape(n * n, n * n)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm(self.L_eig)):
+                raise ValidationError(f"generator {label!r}: the Frobenius norm of L is not finite")
+        for arr in (self.L_eig, self.sigma, self.sigma_dec.values, self.sigma_dec.vectors):
             arr.setflags(write=False)
 
     def apply_Ldag(self, A) -> np.ndarray:
-        return mc.apply_superop(self.Ldag_super, A)
+        """The state-space generator applied to A, through sigma's frame."""
+        return self.sigma_dec.from_frame(self.frame_drift(self.sigma_dec.to_frame(A)))
 
     def _require_terms(self) -> JumpTerms:
         if self.terms is None:
@@ -229,17 +241,6 @@ class Generator:
     def gap(self) -> "SpectralGap":
         return spectral_gap(self)
 
-    @cached_property
-    def L_eig(self) -> np.ndarray:
-        """Read-only `L_super` in the matrix units u_k u_l* of sigma's eigenbasis
-        (index k + n l), W* L W with W = kron(conj(U), U), where a weighting
-        A -> sigma^a A sigma^b is the diagonal of its kernel lam_k^a lam_l^b."""
-        U = self.sigma_dec.vectors
-        W = np.kron(U.conj(), U)
-        out = W.conj().T @ self.L_super @ W
-        out.setflags(write=False)
-        return out
-
     def frame_drift(self, X) -> np.ndarray:
         """The drift U* L^dagger(rho) U of X = U* rho U in sigma's frame, one
         state or a (T, n, n) stack: vec(X) -> `L_eig`^H vec(X), as one product
@@ -250,8 +251,8 @@ class Generator:
     @cached_property
     def L_svd(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only descending singular values and right singular vectors (rows of vh) of
-        `L_super`: `check_primitive` reads the kernel, `trace_norm` the sum, `flow.suggested_dt` the largest."""
-        _, s, vh = np.linalg.svd(self.L_super)
+        `L_eig`: `check_primitive` reads the kernel, `trace_norm` the sum, `flow.suggested_dt` the largest."""
+        _, s, vh = np.linalg.svd(self.L_eig)
         for arr in (s, vh):
             arr.setflags(write=False)
         return s, vh
@@ -280,17 +281,16 @@ class Generator:
         return dec
 
 
-def _lindblad_superop(terms: JumpTerms) -> np.ndarray:
-    """Observable-side superoperator of the jump-term generator.
+def _lindblad_superop(V: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Observable-side superoperator of the jump terms (V_j, omega_j), in the basis of the stack V.
 
     L(A) = sum_j e^(-omega_j/2) (V_j*[A, V_j] + [V_j*, A] V_j) = 2 sum_j e^(-omega_j/2) V_j* A V_j - K A - A K
     with K = sum_j e^(-omega_j/2) V_j*V_j, under A -> X A Y = kron(Y.T, X):
     the sandwich terms in one stacked contraction, then K A = kron(I, K) and
     A K = kron(K.T, I) subtracted on their blocks.
     """
-    V = terms.V
     Vd = V.conj().swapaxes(-1, -2)
-    w = np.exp(-terms.omega / 2.0)
+    w = np.exp(-omega / 2.0)
     m, n = V.shape[:2]
     K = np.tensordot(w, Vd @ V, axes=1)
     # entry (p, q, r, s) is sum_j w_j V_j[q, p] V_j*[r, s], the (p n + r, q n + s) entry of the sum of kron
@@ -311,17 +311,14 @@ def build_gns(sigma, terms: JumpTerms, label: str = "gns") -> Generator:
     adjoint), stationarity of sigma, self-adjointness in the fully weighted
     inner product, and commutation with the modular conjugation.
     """
-    n = mc.as_matrix(sigma, "sigma").shape[0]
-    if terms.V.shape[1:] != (n, n):
-        raise ValidationError(f"term 0: V has shape {terms.V.shape[1:]}, sigma has shape ({n}, {n})")
-    G = Generator(sigma, _lindblad_superop(terms), terms=terms, label=label)
+    G = Generator(sigma, terms=terms, label=label)
     _validate_terms(G)
-    scale = max(np.linalg.norm(G.L_super), 1e-30)
-
-    unital = np.linalg.norm(G.L_super @ mc.vec(np.eye(n)))
+    n, scale = G.n, max(np.linalg.norm(G.L_eig), 1e-30)
+    # in sigma's frame I stays I and sigma is diag(lam)
+    unital = np.linalg.norm(G.L_eig @ mc.vec(np.eye(n)))
     if unital > TOL_STATIONARY * scale * n:
         raise ValidationError(f"generator not unital: ||L(I)|| = {unital:.3e}")
-    stat = np.linalg.norm(G.Ldag_super @ mc.vec(G.sigma))
+    stat = np.linalg.norm(G.L_eig.conj().T @ mc.vec(np.diag(G.sigma_dec.values)))
     if stat > TOL_STATIONARY * scale:
         raise ValidationError(f"sigma not stationary: ||Ldag(sigma)|| = {stat:.3e}")
     sa = gns_selfadjoint_residual(G)
@@ -373,11 +370,12 @@ def check_primitive(G: Generator) -> PrimitivityReport:
     Primitive iff the kernel is one-dimensional and spanned by the
     identity; singular values below 1e-9 of the largest count as zero.
     A unit kernel element K spans the identity iff |<I / sqrt(n), K>| =
-    |tr K| / sqrt(n) is 1.
+    |tr K| / sqrt(n) is 1.  The kernel is found in sigma's frame and
+    returned in the standard basis.
     """
     s, vh = G.L_svd
     null = s <= ZERO_MODE_RTOL * max(s[0], 1e-300)
-    kernel = [mc.unvec(v.conj(), G.n) for v in vh[null]]
+    kernel = list(G.sigma_dec.from_frame(mc.unvec(vh[null].conj().T, G.n)))
     primitive = len(kernel) == 1 and abs(np.trace(kernel[0])) / np.sqrt(G.n) >= 1.0 - 1e-8
     return PrimitivityReport(primitive=bool(primitive), kernel_dim=len(kernel), kernel=kernel)
 
@@ -421,8 +419,8 @@ def depolarizing_generator(gamma: float, sigma) -> Generator:
     sigma = mc.require_hermitian(sigma, name="sigma")
     n = sigma.shape[0]
     # L(A) = gamma (tr(sigma A) I - A), with tr(sigma A) = <vec sigma, vec A>
-    L_super = gamma * (np.outer(mc.vec(np.eye(n)), mc.vec(sigma).conj()) - np.eye(n * n))
-    return Generator(sigma, L_super, label="depolarizing")
+    L = gamma * (np.outer(mc.vec(np.eye(n)), mc.vec(sigma).conj()) - np.eye(n * n))
+    return Generator(sigma, L, label="depolarizing")
 
 
 def qubit_xz_generator() -> Generator:

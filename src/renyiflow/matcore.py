@@ -186,11 +186,6 @@ def superoperator_of_map(phi: Callable[[np.ndarray], np.ndarray], n: int) -> np.
     return S
 
 
-def apply_superop(S: np.ndarray, A: np.ndarray) -> np.ndarray:
-    n = round(np.sqrt(S.shape[0]))
-    return unvec(S @ vec(A), n)
-
-
 # --- random samplers (test and CLI plumbing) --------------------------------
 
 

@@ -75,9 +75,23 @@ def weighted_inner(A, B, sigma, s):
     return complex(np.trace(matrix_power(sigma, s) @ np.conj(A).T @ matrix_power(sigma, 1.0 - s) @ B))
 
 
+def L_super(G):
+    """The observable-side superoperator in the standard basis, W L_eig W*
+    with W = kron(conj(U), U) from sigma's eigenvectors U."""
+    U = G.sigma_dec.vectors
+    W = np.kron(U.conj(), U)
+    return W @ G.L_eig @ W.conj().T
+
+
+def apply_superop(S, A):
+    """The map of the n^2 x n^2 superoperator S applied to the n x n matrix A."""
+    n = round(np.sqrt(S.shape[0]))
+    return mc.unvec(S @ mc.vec(A), n)
+
+
 def apply_L(G, A):
     """The observable-side generator applied to A, from its superoperator."""
-    return mc.apply_superop(G.L_super, A)
+    return apply_superop(L_super(G), A)
 
 
 def random_positive(rng, n, floor=1e-3):
@@ -206,7 +220,7 @@ def propagate_by_expm(G, rho0, times):
     exponential of the state-space superoperator: no stepping and no
     projection between states."""
     v0 = mc.vec(np.asarray(rho0, dtype=complex))
-    return [mc.unvec(expm(t * G.Ldag_super) @ v0, G.n) for t in times]
+    return [mc.unvec(expm(t * L_super(G).conj().T) @ v0, G.n) for t in times]
 
 
 def lindblad_superops_by_probing(terms, n):
@@ -484,15 +498,16 @@ def _sigma_power(G, p):
 
 def gns_residual_by_kron(G):
     """||K - K*|| / ||K|| with K = (A -> A sigma) composed after L."""
-    K = _sandwich_superop(np.eye(G.n), G.sigma) @ G.L_super
+    K = _sandwich_superop(np.eye(G.n), G.sigma) @ L_super(G)
     return float(np.linalg.norm(K - K.conj().T) / np.linalg.norm(K))
 
 
 def kms_residual_by_kron(G):
     """Defect of conjugating Ldag by the half-power weighting onto L."""
     half, ihalf = _sigma_power(G, 0.5), _sigma_power(G, -0.5)
-    resid = _sandwich_superop(ihalf, ihalf) @ G.Ldag_super @ _sandwich_superop(half, half) - G.L_super
-    return float(np.linalg.norm(resid) / np.linalg.norm(G.L_super))
+    L = L_super(G)
+    resid = _sandwich_superop(ihalf, ihalf) @ L.conj().T @ _sandwich_superop(half, half) - L
+    return float(np.linalg.norm(resid) / np.linalg.norm(L))
 
 
 def srd_residual_by_kron(G, alpha):
@@ -504,20 +519,22 @@ def srd_residual_by_kron(G, alpha):
     W = np.kron(dec.vectors.conj(), dec.vectors)
     S_W = W @ np.diag(mc.vec(kernel)) @ W.conj().T
     S_Winv = W @ np.diag(mc.vec(1.0 / kernel)) @ W.conj().T
-    resid = S_W @ G.L_super @ S_Winv - G.Ldag_super
-    return mc.trace_norm(resid) / mc.trace_norm(G.L_super)
+    L = L_super(G)
+    resid = S_W @ L @ S_Winv - L.conj().T
+    return mc.trace_norm(resid) / mc.trace_norm(L)
 
 
 def modular_commutator_by_kron(G):
     """||[L, A -> sigma A sigma^-1]|| / ||L||."""
     mod = _sandwich_superop(_sigma_power(G, 1.0), _sigma_power(G, -1.0))
-    return float(np.linalg.norm(G.L_super @ mod - mod @ G.L_super) / np.linalg.norm(G.L_super))
+    L = L_super(G)
+    return float(np.linalg.norm(L @ mod - mod @ L) / np.linalg.norm(L))
 
 
 def symmetrized_generator_by_kron(G):
     """-L conjugated by A -> q A q, q = sigma^(1/4), in the standard basis."""
     q, qi = _sigma_power(G, 0.25), _sigma_power(G, -0.25)
-    return _sandwich_superop(q, q) @ (-G.L_super) @ _sandwich_superop(qi, qi)
+    return _sandwich_superop(q, q) @ (-L_super(G)) @ _sandwich_superop(qi, qi)
 
 
 def gap_direction_by_kron(G, cluster_rtol):

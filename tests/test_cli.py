@@ -650,6 +650,54 @@ class TestMalformedInputs:
         assert json.loads(err) == {"error": "validation", "command": argv[0],
                                    "detail": "out of memory: Unable to allocate 7.11 PiB"}
 
+    @pytest.mark.parametrize("argv, target", [
+        (["dbcheck", "--generator", "builtin:qubit-xz"], "balance_report"),
+        (["simulate", "--generator", "builtin:qubit-xz", "--t-end", "1", "--dt", "0.1"], "integrate"),
+    ], ids=["dbcheck", "simulate"])
+    def test_linear_algebra_failure_exits_numerical_naming_the_command(self, argv, target, monkeypatch, capsys):
+        def diverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli.bc if target == "balance_report" else cli.flow, target, diverged)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "numerical", "command": argv[0],
+                                   "detail": "linear algebra: SVD did not converge"}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--generator", "builtin:qubit-xz", "--rho0", "random", "--t-end", "0.1", "--dt", "0.01"],
+        ["gradflow", "--generator", "builtin:qubit-xz", "--samples", "1"],
+        ["constants", "--generator", "builtin:qubit-xz", "--starts", "1"],
+        ["compare", "--generator", "builtin:qubit-xz", "--alpha0", "2", "--alpha1", "3"],
+    ], ids=["simulate", "gradflow", "constants", "compare"])
+    @pytest.mark.parametrize("where", ["command-line", "config"])
+    def test_negative_seed(self, argv, where, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        code, out, err = run(argv + (["--seed", "-1"] if where == "command-line" else ["--config", str(cfg)]), capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "validation", "detail": "--seed -1 is negative"}
+
+    def test_store_every_beyond_the_step_count_bound(self, capsys):
+        code, out, err = run(["simulate", "--generator", "builtin:qubit-xz", "--t-end", "0.1", "--dt", "0.01",
+                              "--store-every", str(10**24)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["detail"] == f"store_every={10**24} outside 1 .. 2**53 - 1"
+
+    @pytest.mark.parametrize("scale, detail", [(1e200, "term 0: <V, V> is not finite"),
+                                               (1e140, "the Frobenius norm of L is not finite")],
+                             ids=["term-norm", "generator-norm"])
+    @pytest.mark.parametrize("command", ["dbcheck", "validate"])
+    def test_jump_operator_whose_norm_overflows(self, scale, detail, command, tmp_path, capsys):
+        # qubit-xz written to a file with its X term scaled: <V, V> = 2 scale^2, and ||L||_F above that
+        doc = generator_doc(qubit_xz_generator())
+        doc["terms"][0]["V"] = (scale * np.array(doc["terms"][0]["V"])).tolist()
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run([command, "--generator", str(path)], capsys)
+        assert code == 1
+        assert detail in (json.loads(err)["detail"] if command == "dbcheck" else json.loads(out)["failures"][0])
+
     @pytest.mark.parametrize("n", [17, 64])
     def test_generator_file_above_the_largest_dimension(self, n, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -978,7 +1026,7 @@ class TestGeneratorDecoder:
         monkeypatch.setattr(cli, "_load_json", lambda p: pytest.fail(f"stdlib decoded {p}"))
         # nor are its cells checked one by one: its text holds no true or false
         monkeypatch.setattr(cli, "_has_bool", lambda rows: pytest.fail("per-cell pass"))
-        assert np.array_equal(cli.load_generator(str(path)).L_super, G.L_super)
+        assert np.array_equal(cli.load_generator(str(path)).L_eig, G.L_eig)
 
 
 class TestGeneratorFile:
@@ -996,7 +1044,7 @@ class TestGeneratorFile:
         H = cli.load_generator(str(path))
         for a, b in zip(G.jump_stacks, H.jump_stacks):
             assert np.array_equal(a, b)
-        assert np.array_equal(G.L_super, H.L_super)
+        assert np.array_equal(G.L_eig, H.L_eig)
         assert np.array_equal(G.terms.omega, H.terms.omega)
 
     def test_operator_from_a_csv_path(self, tmp_path):
@@ -1008,7 +1056,7 @@ class TestGeneratorFile:
         path.write_text(json.dumps(doc))
         H = cli.load_generator(str(path))
         assert np.array_equal(H.jump_stacks[0], G.jump_stacks[0])
-        assert np.array_equal(H.L_super, G.L_super)
+        assert np.array_equal(H.L_eig, G.L_eig)
 
     def test_explicit_weight_rescales_as_the_per_term_oracle(self, tmp_path):
         G = qubit_xz_generator()

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from renyiflow.generator import (
 )
 
 from .oracles import (
+    L_super,
     apply_L,
     chi2_divergence,
     gap_direction_by_kron,
@@ -112,6 +116,11 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             flow.integrate(depol, depol.sigma, 1.0, 0.1, store_every=0)
 
+    @pytest.mark.parametrize("store_every", [2**53, 10**24])
+    def test_store_every_below_the_step_count_bound(self, depol, store_every):
+        with pytest.raises(DomainError, match=f"store_every={store_every} outside 1 .. 2\\*\\*53 - 1"):
+            flow.integrate(depol, depol.sigma, 1.0, 0.1, store_every=store_every)
+
     def test_sampling_grid(self, qubit_xz):
         # every store_every-th multiple of dt strictly before the last grid
         # point, then t_end itself
@@ -196,7 +205,7 @@ class TestBlockedPropagation:
         assert not hasattr(flow, "expm")
         sigma, sz = np.diag([0.3, 0.7]).astype(complex), np.diag([1.0, -1.0])
         ham = 0.8j * (np.kron(np.eye(2), sz) - np.kron(sz.T, np.eye(2)))
-        G = Generator(sigma, depolarizing_generator(1.0, sigma).L_super + ham)
+        G = Generator(sigma, L_super(depolarizing_generator(1.0, sigma)) + ham)
         with pytest.raises(ValidationError, match="not self-adjoint"):
             flow.integrate(G, sigma, 1.0, 0.1)
 
@@ -225,7 +234,7 @@ class TestBlockedPropagation:
     def test_suggested_dt_from_the_spectral_norm(self, rng):
         G = random_gns_generator(rng, 4, min_sigma_eig=0.15)
         nrm = float(G.L_svd[0][0])  # the largest singular value, of L and of Ldag
-        assert nrm == pytest.approx(np.linalg.norm(G.Ldag_super, 2), rel=1e-14)
+        assert nrm == pytest.approx(np.linalg.norm(L_super(G).conj().T, 2), rel=1e-14)
         assert flow.suggested_dt(G) == min(0.05, (120.0 * 1e-8) ** 0.25 / nrm**1.25, 1.5 / nrm)
 
 
@@ -666,6 +675,15 @@ class TestPoincare:
 
 
 class TestFisherTwoBound:
+    def test_checks_are_plain_records(self, rng):
+        # both checks write as JSON: their fields are Python floats and bools
+        G = random_gns_generator(rng, 3, min_sigma_eig=0.1)
+        rho = mc.random_density(rng, 3, floor=0.05)
+        A = mc.random_traceless_hermitian(rng, 3)
+        for check in (flow.fisher2_bound_check(G, rho), flow.poincare_check(G, A - np.trace(G.sigma @ A) * np.eye(3))):
+            assert type(check.passed) is bool
+            assert json.loads(json.dumps(dataclasses.asdict(check)))["passed"] is check.passed
+
     def test_at_stationary_state(self, qubit_xz):
         chk = flow.fisher2_bound_check(qubit_xz, qubit_xz.sigma)
         assert chk.passed

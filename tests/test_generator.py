@@ -20,8 +20,11 @@ from renyiflow.generator import (
 )
 
 from .oracles import (
+    L_super,
     apply_L,
+    apply_superop,
     brute_force_commutant_dim,
+    carlen_maas_by_composition,
     depolarizing_superops_by_probing,
     lindblad_superop_by_term,
     lindblad_superops_by_probing,
@@ -131,33 +134,94 @@ class TestBuildGns:
 
 
 def _closed_form_cases():
+    """Each generator with the standard-basis reference of its L and, where
+    one is written out, of its Ldag."""
+    def probed(G):
+        return lindblad_superops_by_probing(G.terms, G.n)
+
     rng = np.random.default_rng(5)
-    cases = [pytest.param(qubit_xz_generator(), None, id="qubit-xz")]
+    cases = [pytest.param(qubit_xz_generator(), probed, id="qubit-xz")]
     for n in (2, 3):
         sigma = mc.random_density(rng, n, floor=0.1)
-        cases.append(pytest.param(depolarizing_generator(0.7, sigma), (0.7, sigma), id=f"depolarizing-{n}"))
-    for n in (2, 3, 4, 8):
-        cases.append(pytest.param(random_gns_generator(rng, n, min_sigma_eig=0.15), None, id=f"random-{n}"))
+        cases.append(pytest.param(depolarizing_generator(0.7, sigma),
+                                  lambda G, s=sigma: depolarizing_superops_by_probing(0.7, s), id=f"depolarizing-{n}"))
+    for n in (2, 3, 4, 8, 5, 6, 7):
+        cases.append(pytest.param(random_gns_generator(rng, n, min_sigma_eig=0.15), probed, id=f"random-{n}"))
+    # probing 255 terms on 256 matrix units takes seconds: at n = 16 the per-term kron sum stands in
+    cases.append(pytest.param(random_gns_generator(rng, 16, min_sigma_eig=0.15),
+                              lambda G: (lindblad_superop_by_term(G.terms), None), id="random-16"))
+    cases.append(pytest.param(bc.carlen_maas_counterexample(), lambda G: (carlen_maas_by_composition(), None),
+                              id="carlen-maas"))
     return cases
 
 
 class TestClosedFormSuperoperators:
-    @pytest.mark.parametrize("G, depol", _closed_form_cases())
-    def test_matches_probed_maps(self, G, depol):
-        if depol is None:
-            L_ref, Ldag_ref = lindblad_superops_by_probing(G.terms, G.n)
-        else:
-            L_ref, Ldag_ref = depolarizing_superops_by_probing(*depol)
+    @pytest.mark.parametrize("G, refs", _closed_form_cases())
+    def test_matches_probed_maps(self, G, refs):
+        # L_eig is the reference rotated into sigma's frame: W* L W with W = kron(conj U, U)
+        L_ref, Ldag_ref = refs(G)
+        U = G.sigma_dec.vectors
+        W = np.kron(U.conj(), U)
         tol = 1e-13 * np.linalg.norm(L_ref)
-        assert np.linalg.norm(G.L_super - L_ref) <= tol
-        assert np.linalg.norm(G.Ldag_super - Ldag_ref) <= tol
-        assert np.array_equal(G.Ldag_super, G.L_super.conj().T)
+        assert np.linalg.norm(G.L_eig - W.conj().T @ L_ref @ W) <= tol
+        if Ldag_ref is not None:
+            assert np.linalg.norm(G.L_eig.conj().T - W.conj().T @ Ldag_ref @ W) <= tol
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_stacked_assembly_matches_per_term_kron(self, n):
         G = random_gns_generator(np.random.default_rng(7000 + n), n, min_sigma_eig=0.15)
         ref = lindblad_superop_by_term(G.terms)
-        assert np.linalg.norm(G.L_super - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(L_super(G) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+class TestOneSuperoperator:
+    """A generator holds L once, as `L_eig` in sigma's frame, built from
+    exactly one of its jump terms and its standard-basis superoperator."""
+
+    @pytest.mark.parametrize("make", [
+        qubit_xz_generator,
+        bc.carlen_maas_counterexample,
+        lambda: depolarizing_generator(0.7, np.diag([0.2, 0.3, 0.5])),
+        lambda: random_gns_generator(np.random.default_rng(3), 4),
+    ], ids=["qubit-xz", "carlen-maas", "depolarizing", "random-4"])
+    def test_holds_one_read_only_superoperator(self, make):
+        G = make()
+        assert not hasattr(G, "L_super") and not hasattr(G, "Ldag_super")
+        assert [k for k, v in vars(G).items() if np.shape(v) == (G.n**2, G.n**2)] == ["L_eig"]
+        assert not G.L_eig.flags.writeable
+
+    def test_apply_Ldag_is_the_state_space_superoperator(self, rng, counterexample):
+        for G in (random_gns_generator(rng, 4), counterexample):
+            Ldag = L_super(G).conj().T
+            for _ in range(5):
+                A = mc.random_complex(rng, G.n)
+                assert np.linalg.norm(G.apply_Ldag(A) - apply_superop(Ldag, A)) <= (
+                    1e-14 * np.linalg.norm(Ldag) * np.linalg.norm(A))
+
+    def test_exactly_one_source_of_L(self, qubit_xz):
+        for L, terms in ((L_super(qubit_xz), qubit_xz.terms), (None, None)):
+            with pytest.raises(ValidationError, match="exactly one of L and terms"):
+                Generator(qubit_xz.sigma, L, terms=terms)
+
+    def test_primitivity_kernel_is_in_the_standard_basis(self, cm_sigma):
+        # the one diagonal ladder of cm_sigma's eigenbasis: its commutant, the
+        # functions of cm_sigma, is L's kernel
+        ladder = eigen_jump_terms(mc.density_spectrum(cm_sigma, strict=True)).V[-1:]
+        G = build_gns(cm_sigma, JumpTerms.of(ladder, [0.0]))
+        rep = check_primitive(G)
+        assert rep.kernel_dim == 2 and not rep.primitive
+        for K in rep.kernel:
+            assert np.linalg.norm(apply_L(G, K)) <= 1e-12
+            assert np.linalg.norm(K @ cm_sigma - cm_sigma @ K) <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_gns(np.eye(2) / 2.0, JumpTerms.of([1e140 * SX, SZ], [0.0, 0.0])),
+        lambda: Generator(np.eye(2) / 2.0, np.full((4, 4), 1e300)),
+    ], ids=["jump-terms", "superoperator"])
+    def test_generator_whose_norm_overflows_is_refused(self, make):
+        # every structure check is relative to ||L||_F; an infinite one would pass them all
+        with pytest.raises(ValidationError, match="the Frobenius norm of L is not finite"):
+            make()
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +259,7 @@ class TestGeneratorIdentities:
                 lhs = weighted_inner(apply_L(random_gen, Ea), Eb, sigma, 1.0)
                 rhs = weighted_inner(Ea, apply_L(random_gen, Eb), sigma, 1.0)
                 worst = max(worst, abs(lhs - rhs))
-        assert worst <= 1e-10 * np.linalg.norm(random_gen.L_super)
+        assert worst <= 1e-10 * np.linalg.norm(random_gen.L_eig)
 
     def test_dirichlet_identity(self, random_gen, rng):
         # gradient energy equals the generator's quadratic form
@@ -212,8 +276,9 @@ class TestGeneratorIdentities:
         mod = mc.superoperator_of_map(
             lambda A: modular_apply(random_gen.sigma_dec, A), 3
         )
-        comm = random_gen.L_super @ mod - mod @ random_gen.L_super
-        assert np.linalg.norm(comm) <= 1e-8 * np.linalg.norm(random_gen.L_super)
+        L = L_super(random_gen)
+        comm = L @ mod - mod @ L
+        assert np.linalg.norm(comm) <= 1e-8 * np.linalg.norm(L)
 
 
 class TestEigenJumpTerms:
@@ -286,7 +351,7 @@ class TestPrimitivity:
 
     def test_one_svd_serves_primitivity_trace_norm_and_dt(self, rng, monkeypatch):
         G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
-        ref = mc.trace_norm(G.L_super)
+        ref = mc.trace_norm(L_super(G))
         calls, real = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
         rep, tn, _ = check_primitive(G), G.trace_norm, suggested_dt(G)
@@ -333,7 +398,7 @@ class TestSpectralGap:
         # the generator's spectrum is basis-independent, so the plain matrix
         # eigenvalues of -L must agree with the symmetrized computation
         G = random_gns_generator(rng, 3, min_sigma_eig=0.1)
-        direct = np.sort(np.linalg.eigvals(-G.L_super).real)
+        direct = np.sort(np.linalg.eigvals(-L_super(G)).real)
         assert np.max(np.abs(direct - spectral_gap(G).spectrum)) <= 1e-8 * direct[-1]
 
     def test_non_kms_generator_refused(self):
@@ -342,7 +407,7 @@ class TestSpectralGap:
         # Hermitian part would report a gap of 1
         sigma = np.diag([0.3, 0.7]).astype(complex)
         ham = 0.8j * (np.kron(np.eye(2), SZ) - np.kron(SZ.T, np.eye(2)))
-        G = Generator(sigma, depolarizing_generator(1.0, sigma).L_super + ham)
+        G = Generator(sigma, L_super(depolarizing_generator(1.0, sigma)) + ham)
         assert G.primitivity.primitive
         assert np.linalg.norm(G.apply_Ldag(sigma)) <= 1e-12
         with pytest.raises(ValidationError, match="not self-adjoint"):
@@ -386,7 +451,7 @@ class TestSigmaContext:
         """A generator needs sigma to be built at all, so every function of it
         meets a missing stationary state as one construction error."""
         with pytest.raises(StructuralError, match="sigma: expected a square matrix"):
-            call(Generator(None, depol.L_super, label="no-sigma"))
+            call(Generator(None, L_super(depol), label="no-sigma"))
 
     @pytest.mark.parametrize("sigma, L", [(np.eye(3) / 3.0, np.eye(4)), (np.eye(2) / 2.0, np.eye(5)),
                                           (np.eye(2) / 2.0, np.eye(4)[:, :3])],
@@ -421,8 +486,9 @@ class TestJumpTermSemantics:
         ([SX, 0.0 * SZ], [0.0, 0.0], [None, 2.0], "term 1: V = 0 cannot carry weight 2.0"),
         ([0.0 * SX, SZ, SX], [0.0, 0.0, 0.0], [None, 2.0, 0.0], "term 2: weight 0.0 is not positive"),
         ([], [], None, "expected a nonempty (m, n, n) stack"),
+        ([SX, 1e200 * SZ], [0.0, 0.0], None, "term 1: <V, V> is not finite"),
     ], ids=["nan-entry", "inf-omega", "text-omega", "short-omega", "negative-weight", "zero-direction",
-            "zero-weight", "empty"])
+            "zero-weight", "empty", "overflowing-norm"])
     def test_stack_rejects_the_first_bad_term(self, V, omega, weight, message):
         with pytest.raises((ValidationError, StructuralError), match=re.escape(message)):
             JumpTerms.of(V, omega, weight)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import renyiflow.matcore as mc
 from renyiflow.errors import SingularityError, StructuralError
 
-from .oracles import matrix_log, matrix_power, random_positive, weighted_inner
+from .oracles import apply_superop, matrix_log, matrix_power, random_positive, weighted_inner
 
 # eigenvalues of [[2,3],[3,5]]/7 from the characteristic polynomial:
 # tr = 1, det = 1/49  ->  (7 -+ 3 sqrt5)/14
@@ -230,7 +230,7 @@ class TestSuperoperators:
         S = mc.superoperator_of_map(lambda A: X @ A @ Y + A, 3)
         for _ in range(20):
             A = mc.random_complex(rng, 3)
-            assert np.linalg.norm(mc.apply_superop(S, A) - (X @ A @ Y + A)) <= 1e-12
+            assert np.linalg.norm(apply_superop(S, A) - (X @ A @ Y + A)) <= 1e-12
 
     def test_unvec_of_columns_is_the_stack(self, rng):
         mats = [mc.random_complex(rng, 3) for _ in range(4)]

@@ -15,6 +15,8 @@ from renyiflow.cli import main
 from renyiflow.errors import IntegrationError
 from renyiflow.generator import Generator, build_gns, depolarizing_generator, eigen_jump_terms, random_gns_generator
 
+from .oracles import L_super
+
 
 class TestDegenerateSigma:
     def test_partially_degenerate_eigen_terms(self):
@@ -108,7 +110,7 @@ class TestStepControl:
         # half-weighted inner product, so it has `G.spectrum`, but its mode
         # grows, rho(t) = I/2 + e^t (rho0 - I/2), and leaves the state space
         half = np.eye(2) / 2.0
-        return Generator(half, -depolarizing_generator(1.0, half).L_super)
+        return Generator(half, -L_super(depolarizing_generator(1.0, half)))
 
     def test_positivity_breach_raises(self):
         # from diag(3/4, 1/4) the exact flow leaves the state space after t = log 2
