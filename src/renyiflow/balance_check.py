@@ -41,10 +41,15 @@ def check_kms(G: Generator) -> float:
 def srd_residual(G: Generator, alpha: float) -> float:
     """Trace-norm defect of the order-alpha weighted self-adjointness,
     relative to the generator's own trace norm; the weight operator is its
-    kernel in sigma's eigenbasis."""
+    kernel w in sigma's eigenbasis.  The defect w o L / w - L^H has the
+    blocks of `G.blocks`: one SVD per block, and on a singleton, where the
+    weights cancel, |L_kk - conj(L_kk)|."""
+    B = G.blocks
     w = mc.vec(nco.weight_operator(G.sigma_dec, alpha).kernel)
-    resid = w[:, None] * G.L_eig / w - G.L_eig.conj().T
-    return float(mc.trace_norm(resid) / max(G.trace_norm, 1e-300))
+    tn = 2.0 * np.sum(np.abs(B.diag.imag))
+    for b, X in zip(B.index, B.block):
+        tn += np.linalg.svd(w[b][:, None] * X / w[b] - X.conj().T, compute_uv=False).sum()
+    return float(tn / max(G.trace_norm, 1e-300))
 
 
 def check_srd(G: Generator, alphas) -> dict[float, float]:

@@ -582,42 +582,6 @@ def comparison_constants(
 
 
 @dataclass(frozen=True)
-class EnvelopeConstants:
-    alpha: float
-    eps: float
-    K: float
-    Lambda: float
-    eta: float
-    T: float
-    C: float
-    tau: float
-
-
-def decay_envelope_constants(G: Generator, alpha: float, eps: float, rho0) -> EnvelopeConstants:
-    """Prefactor and onset time of the sharp-rate exponential envelope.
-
-    Uses order-2 inside the spectral-ratio factor; K is the guaranteed
-    lower bracket of the log-Sobolev constant.
-    """
-    if alpha <= 0.0:
-        raise DomainError(f"order alpha={alpha} must be positive")
-    lam = G.gap.value
-    w = G.sigma_dec.values
-    K = _guaranteed_lsi(lam, float(w[0]))
-    Lam, eta = _lambda_eta(2.0, eps, w, G.omegas)
-    T = max(0.0, np.log(alpha - 1.0) / (2.0 * K * eta)) if alpha > 1.0 else 0.0
-    X0 = G.sigma_dec.to_frame(_validated(G, rho0))
-    D2_0, Da_0, D1_0 = (nco.frame_sandwiched_state(X0, G.sigma_dec, a).divergence() for a in (2.0, alpha, 1.0))
-    heaviside = 1.0 if alpha > 2.0 else 0.0
-    C = (np.expm1(D2_0) / Da_0) * np.exp(heaviside * 2.0 * lam * T)
-    tau = 0.0 if alpha <= 2.0 else T + max(0.0, np.log(D1_0 / eps) / (2.0 * K))
-    return EnvelopeConstants(
-        alpha=float(alpha), eps=float(eps), K=float(K), Lambda=Lam, eta=eta,
-        T=float(T), C=float(C), tau=float(tau),
-    )
-
-
-@dataclass(frozen=True)
 class HyperTrace:
     times: np.ndarray
     beta: np.ndarray

@@ -5,7 +5,10 @@ enters through modular (Bohr-frequency) eigenvector conditions, decides
 primitivity, and computes the spectral gap of the symmetrized generator.
 Every sigma-weighting of L is an entrywise kernel
 (`SpectralDecomposition.kernel`) on `Generator.L_eig`, L written in the
-matrix units of sigma's eigenbasis.
+matrix units of sigma's eigenbasis.  Under GNS detailed balance L commutes
+with the modular operator A -> sigma A sigma^-1, diagonal in that frame, so
+`L_eig` is block-diagonal over the level sets of log lam_k - log lam_l
+(`Generator.blocks`), and its decompositions are taken block by block.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ TOL_STATIONARY = 1e-10
 TOL_SELFADJOINT = 1e-10
 TOL_COMMUTE = 1e-8
 ZERO_MODE_RTOL = 1e-9
+# the smallest n whose L is read block by block (`Generator.blocks`): below it the
+# partition costs more than the n^2 x n^2 decompositions it would split
+BLOCK_MIN_N = 4
 # range of the random weights of `random_gns_generator`'s jump terms
 GNS_WEIGHT_RANGE = (0.5, 1.5)
 
@@ -162,6 +168,38 @@ def modular_commutator_residual(G: Generator) -> float:
     return float(np.linalg.norm(G.L_eig * (mod - mod[:, None])) / max(np.linalg.norm(G.L_eig), 1e-30))
 
 
+@dataclass(frozen=True)
+class ModularBlocks:
+    """`L_eig` over a partition of sigma's frame units (index k + n l) on
+    which it is block-diagonal: the units alone in their set (`single`,
+    ascending) with L's diagonal entries there (`diag`), and each larger set
+    (`index`, ascending) with its block `L_eig[b][:, b]` (`block`).  One set
+    of every unit is the dense case."""
+
+    single: np.ndarray
+    diag: np.ndarray
+    index: tuple[np.ndarray, ...]
+    block: tuple[np.ndarray, ...]
+
+    def assemble(self, values: np.ndarray, parts, descending: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """One sorted set of the singletons' `values` and the blocks', with the
+        block-diagonal matrix of their vectors as columns: a singleton's unit
+        vector, and on each block's units the columns of its part (values, vectors)."""
+        if not self.single.size and len(parts) == 1:
+            # one set of every unit, in unit order: the dense decomposition as
+            # LAPACK laid it out, so later products keep their bits
+            return parts[0]
+        vals = np.concatenate([values, *(w for w, _ in parts)])
+        vectors = np.zeros((vals.size, vals.size), dtype=complex)
+        col = self.single.size
+        vectors[self.single, np.arange(col)] = 1.0
+        for b, (_, X) in zip(self.index, parts):
+            vectors[b, col:col + b.size] = X
+            col += b.size
+        order = np.argsort(-vals if descending else vals, kind="stable")
+        return vals[order], vectors[:, order]
+
+
 class Generator:
     """An immutable Lindblad generator with its stationary state.
 
@@ -249,10 +287,39 @@ class Generator:
         return (vecs @ self.L_eig.conj()).reshape(X.shape).swapaxes(-1, -2)
 
     @cached_property
+    def blocks(self) -> ModularBlocks:
+        """The level sets of the modular log-ratio log lam_k - log lam_l over
+        the units (k, l), grouped within TOL_COMMUTE, if L's Frobenius mass
+        between them is at rounding level (n^2 eps ||L||_F); otherwise (L
+        does not commute with the modular operator), and below BLOCK_MIN_N,
+        one set of every unit."""
+        n, L = self.n, self.L_eig
+        single, index = np.arange(0), (np.arange(n * n),)  # one set of every unit
+        if n >= BLOCK_MIN_N:
+            ll = np.log(self.sigma_dec.values)
+            r = (ll[:, None] - ll).ravel(order="F")
+            rs = np.sort(r)
+            # the lowest ratio of each set but the first; a unit's label counts those at or below its ratio
+            label = np.searchsorted(rs[1:][rs[1:] - rs[:-1] > TOL_COMMUTE], r, side="right")
+            off = L[label[:, None] != label]
+            if np.vdot(off, off).real <= (n * n * np.finfo(float).eps) ** 2 * np.vdot(L, L).real:
+                count = np.bincount(label)
+                single = np.nonzero(count[label] == 1)[0]
+                index = tuple(np.nonzero(label == g)[0] for g in np.nonzero(count > 1)[0])
+        out = ModularBlocks(single, L[single, single], index, tuple(L[b[:, None], b] for b in index))
+        for arr in (out.single, out.diag, *out.index, *out.block):
+            arr.setflags(write=False)
+        return out
+
+    @cached_property
     def L_svd(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only descending singular values and right singular vectors (rows of vh) of
-        `L_eig`: `check_primitive` reads the kernel, `trace_norm` the sum, `flow.suggested_dt` the largest."""
-        _, s, vh = np.linalg.svd(self.L_eig)
+        `L_eig`, one SVD per block of `blocks` (a singleton's value is |L_kk|, its vector
+        the unit): `check_primitive` reads the kernel, `trace_norm` the sum, `flow.suggested_dt` the largest."""
+        B = self.blocks
+        parts = [np.linalg.svd(X)[1:] for X in B.block]
+        s, V = B.assemble(np.abs(B.diag), [(w, vh.T) for w, vh in parts], descending=True)
+        vh = V.T
         for arr in (s, vh):
             arr.setflags(write=False)
         return s, vh
@@ -267,15 +334,19 @@ class Generator:
         """Eigensystem of -L conjugated by A -> q A q, q = sigma^(1/4), the
         kernel k = (lam_k lam_l)^(1/4) on `L_eig`; it takes the half-weighted
         inner product to the Hilbert-Schmidt one, so an eigenvector u pulls
-        back to the eigenvector U (unvec(u) / k) U* of -L.  A relative
-        asymmetry above TOL_SELFADJOINT raises."""
+        back to the eigenvector U (unvec(u) / k) U* of -L.  One `eigh` per
+        block of `blocks` (q cancels on a singleton, whose value is
+        -Re L_kk).  A relative asymmetry above TOL_SELFADJOINT raises."""
+        B, d = self.blocks, self.blocks.diag
         q = mc.vec(self.sigma_dec.kernel(0.25, 0.25))
-        S = q[:, None] * -self.L_eig / q
-        asym = np.linalg.norm(S - S.conj().T) / max(np.linalg.norm(S), 1e-300)
+        S = [q[b][:, None] * -X / q[b] for b, X in zip(B.index, B.block)]
+        asym2 = 4.0 * (d.imag @ d.imag) + sum(np.vdot(A, A).real for A in (X - X.conj().T for X in S))
+        size2 = np.vdot(d, d).real + sum(np.vdot(X, X).real for X in S)
+        asym = np.sqrt(asym2) / max(np.sqrt(size2), 1e-300)
         if asym > TOL_SELFADJOINT:
             raise ValidationError(
                 f"{self.label!r} not self-adjoint in the half-weighted inner product: {asym:.3e}")
-        dec = mc.SpectralDecomposition(*np.linalg.eigh(mc.hermitize(S)))
+        dec = mc.SpectralDecomposition(*B.assemble(-d.real, [np.linalg.eigh(mc.hermitize(X)) for X in S]))
         for arr in (dec.values, dec.vectors):
             arr.setflags(write=False)
         return dec

@@ -169,11 +169,6 @@ def density_spectrum(A, strict: bool = False, name: str = "state") -> SpectralDe
     return dec
 
 
-def trace_norm(A) -> float:
-    """Schatten-1 norm (sum of singular values)."""
-    return float(np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False).sum())
-
-
 def superoperator_of_map(phi: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
     """n^2 x n^2 matrix of a linear map on n x n matrices (column stacking)."""
     S = np.zeros((n * n, n * n), dtype=complex)

@@ -8,14 +8,19 @@ stacked or closed-form equivalents are kept here in their term-by-term
 form as references.
 """
 
+import functools
+from dataclasses import dataclass
+
 import mpmath
 import numpy as np
 from scipy.linalg import expm
 
+import renyiflow.cli as cli
+import renyiflow.flow as flow
 import renyiflow.matcore as mc
 import renyiflow.noncomm_ops as nco
 from renyiflow.errors import DomainError, SingularityError, StructuralError
-from renyiflow.generator import JumpTerm
+from renyiflow.generator import Generator, JumpTerm, build_gns, eigen_jump_terms, random_gns_generator
 
 
 # --- generic spectral calculus ------------------------------------------------
@@ -68,6 +73,11 @@ def sandwich_pow(sigma, gamma, A):
     """sigma^(gamma/2) A sigma^(gamma/2) from a fresh matrix power of sigma."""
     P = matrix_power(sigma, gamma / 2.0)
     return P @ A @ P
+
+
+def trace_norm(A) -> float:
+    """Schatten-1 norm (sum of singular values)."""
+    return float(np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False).sum())
 
 
 def weighted_inner(A, B, sigma, s):
@@ -521,7 +531,7 @@ def srd_residual_by_kron(G, alpha):
     S_Winv = W @ np.diag(mc.vec(1.0 / kernel)) @ W.conj().T
     L = L_super(G)
     resid = S_W @ L @ S_Winv - L.conj().T
-    return mc.trace_norm(resid) / mc.trace_norm(L)
+    return trace_norm(resid) / trace_norm(L)
 
 
 def modular_commutator_by_kron(G):
@@ -677,3 +687,114 @@ def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndar
 def derivative(state: nco.SandwichedState) -> np.ndarray:
     """The functional derivative in the standard basis, rotated back from the frame."""
     return mc.hermitize(state.sigma_dec.from_frame(state.frame_derivative()))
+
+
+# --- dense decompositions of L in sigma's frame ------------------------------------
+# `Generator` decomposes `L_eig` block by block over its modular partition
+# (`Generator.blocks`); these take the whole n^2 x n^2 matrix at once.
+
+
+@functools.cache
+def block_cases() -> tuple[tuple[str, object], ...]:
+    """(id, generator) pairs the blockwise readers are checked on: random GNS
+    generators at n = 2-16 (one population block and singletons), a thermal
+    ladder (sigma's eigenvalues in geometric progression, so the log-ratios
+    coincide and several sets are larger than one), a rotated-in GNS
+    generator, the builtins, and Carlen-Maas (not modular, one block)."""
+    cases = [(f"gns-{n}", random_gns_generator(np.random.default_rng(3200 + n), n, min_sigma_eig=0.15))
+             for n in (2, 3, 4, 5, 6, 8, 12, 16)]
+    sigma = np.diag(0.5 ** np.arange(4.0)).astype(complex) / np.sum(0.5 ** np.arange(4.0))
+    cases.append(("ladder-4", build_gns(sigma, eigen_jump_terms(mc.density_spectrum(sigma, strict=True)))))
+    G = cases[2][1]
+    cases.append(("rotated-gns-4", Generator(G.sigma, L_super(G), label="rotated")))
+    for spec in ("qubit-xz", "carlen-maas", "depolarizing?n=3", "depolarizing?sigma=0.2,0.3,0.5&gamma=0.7"):
+        cases.append((spec, cli.load_generator(f"builtin:{spec}")))
+    return tuple(cases)
+
+
+def modular_labels(G) -> np.ndarray:
+    """The set of each frame unit in `G.blocks`, as one label per unit."""
+    label = np.empty(G.n**2, dtype=int)
+    label[G.blocks.single] = np.arange(G.blocks.single.size)
+    for j, b in enumerate(G.blocks.index):
+        label[b] = G.blocks.single.size + j
+    return label
+
+
+def off_block_perturbed(G, size: float, seed: int = 0):
+    """G's L plus a random perturbation between the sets of `G.blocks`, of
+    Frobenius norm `size` ||L||_F, as a generator given in the standard basis."""
+    label = modular_labels(G)
+    P = np.where(label[:, None] != label, mc.random_complex(np.random.default_rng(seed), G.n**2), 0.0)
+    M = G.L_eig + size * np.linalg.norm(G.L_eig) / np.linalg.norm(P) * P
+    U = G.sigma_dec.vectors
+    W = np.kron(U.conj(), U)
+    return Generator(G.sigma, W @ M @ W.conj().T, label="off-block")
+
+
+def dense_singular_values(G) -> np.ndarray:
+    return np.linalg.svd(G.L_eig, compute_uv=False)
+
+
+def kernel_projector(kernel) -> np.ndarray:
+    """Projector onto the span of orthonormal n x n matrices, as n^2 x n^2."""
+    K = np.stack([mc.vec(A) for A in kernel], axis=1)
+    return K @ K.conj().T
+
+
+def dense_kernel_projector(G, rtol) -> np.ndarray:
+    """`kernel_projector` of the right singular vectors of `L_eig` whose
+    singular value is at most rtol times the largest, rotated to the standard basis."""
+    _, s, vh = np.linalg.svd(G.L_eig)
+    return kernel_projector(G.sigma_dec.from_frame(mc.unvec(vh[s <= rtol * s[0]].conj().T, G.n)))
+
+
+def dense_spectrum(G) -> np.ndarray:
+    """Eigenvalues of -L conjugated by the kernel (lam_k lam_l)^(1/4), in one `eigvalsh`."""
+    q = mc.vec(G.sigma_dec.kernel(0.25, 0.25))
+    return np.linalg.eigvalsh(mc.hermitize(q[:, None] * -G.L_eig / q))
+
+
+def dense_srd_residual(G, alpha) -> float:
+    """Trace norm of w o L / w - L^H over that of L, each from one SVD."""
+    w = mc.vec(nco.weight_operator(G.sigma_dec, alpha).kernel)
+    return trace_norm(w[:, None] * G.L_eig / w - G.L_eig.conj().T) / trace_norm(G.L_eig)
+
+
+# --- decay-envelope constants --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EnvelopeConstants:
+    alpha: float
+    eps: float
+    K: float
+    Lambda: float
+    eta: float
+    T: float
+    C: float
+    tau: float
+
+
+def decay_envelope_constants(G, alpha: float, eps: float, rho0) -> EnvelopeConstants:
+    """Prefactor C and onset time tau of the sharp-rate exponential envelope
+    C D_alpha(rho0) e^(-2 lambda t), t >= tau.
+
+    Uses order 2 inside the spectral-ratio factor; K is the guaranteed
+    lower bracket lambda / (1 - log sqrt(smin)) of the log-Sobolev constant.
+    """
+    if alpha <= 0.0:
+        raise DomainError(f"order alpha={alpha} must be positive")
+    lam = G.gap.value
+    K = lam / (1.0 - np.log(np.sqrt(G.sigma_dec.values[0])))
+    Lam, eta, _ = flow.comparison_constants(2.0, 2.0, eps, G.sigma_dec, G.omegas, K)
+    T = max(0.0, np.log(alpha - 1.0) / (2.0 * K * eta)) if alpha > 1.0 else 0.0
+    X0 = G.sigma_dec.to_frame(mc.require_density(rho0))
+    D2_0, Da_0, D1_0 = (nco.frame_sandwiched_state(X0, G.sigma_dec, a).divergence() for a in (2.0, alpha, 1.0))
+    heaviside = 1.0 if alpha > 2.0 else 0.0
+    C = (np.expm1(D2_0) / Da_0) * np.exp(heaviside * 2.0 * lam * T)
+    tau = 0.0 if alpha <= 2.0 else T + max(0.0, np.log(D1_0 / eps) / (2.0 * K))
+    return EnvelopeConstants(
+        alpha=float(alpha), eps=float(eps), K=float(K), Lambda=Lam, eta=eta,
+        T=float(T), C=float(C), tau=float(tau),
+    )

@@ -26,6 +26,7 @@ from renyiflow.generator import (
 
 from .oracles import (
     chain_rule_residual, matrix_power, mop_inverse_quadrature, mop_quadrature, random_positive, sandwich_pow,
+    trace_norm,
 )
 
 
@@ -224,7 +225,7 @@ def test_criterion_7_inequality_suites():
         rho = mc.random_density(rng, 2)
         sigma = mc.random_density(rng, 2, floor=0.05)
         D = dv.relative_entropy(rho, sigma)
-        if D < 0.5 * mc.trace_norm(rho - sigma) ** 2 - 1e-10:
+        if D < 0.5 * trace_norm(rho - sigma) ** 2 - 1e-10:
             pinsker_viol += 1
 
     fisher_viol = 0

