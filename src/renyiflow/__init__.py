@@ -5,6 +5,7 @@ from . import balance_check, cli, divergence, flow, generator, matcore, noncomm_
 from .errors import (
     DomainError,
     IntegrationError,
+    NonFiniteError,
     RenyiflowError,
     SingularityError,
     StructuralError,
@@ -25,6 +26,7 @@ __all__ = [
     "ValidationError",
     "DomainError",
     "IntegrationError",
+    "NonFiniteError",
 ]
 
 __version__ = "0.1.0"

@@ -45,8 +45,8 @@ BUILTIN_PARAMS = {"carlen-maas": (), "qubit-xz": (), "depolarizing": ("gamma", "
 # the deepest generator file orjson decodes: orjson 3.8 has no nesting limit and overflows the
 # C stack at about 100 000 levels, and the stdlib decodes every document up to this depth
 _ORJSON_DEPTH = 512
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))  # every byte but brackets and quotes
-_BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as int8
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"tf')))  # every byte but brackets, quotes, t and f
+_BRACKET_STEPS = bytes.maketrans(b"[{]}tf", b"\x01\x01\xff\xff\x00\x00")  # +1, -1 and 0 as int8
 _STRING = re.compile(rb'"[^"]*"')
 
 
@@ -228,8 +228,8 @@ def _jump_stack(rows: list, n: int, booleans: bool) -> np.ndarray:
 def _reals(rows, name: str, booleans: bool) -> np.ndarray:
     """A file's nested lists of numbers as one float array, converted in one
     step.  A text cell among numbers makes the whole array text, and a
-    true/false cell is refused too; numbers upcast one among them, so if the
-    file holds `booleans` (the text true or false) the cells are checked one by one."""
+    true/false cell is refused too; numbers upcast one among them, so the
+    cells are checked one by one if the file holds `booleans` (`_structure`)."""
     with contextlib.suppress(TypeError, ValueError):
         arr = np.asarray(rows)
         if arr.dtype.kind not in "Ub" and not (booleans and _has_bool(rows)):
@@ -259,18 +259,18 @@ def _load_json(path: str):
 
 def _load_generator_json(path: str) -> tuple[object, bool]:
     """A generator file decoded by orjson, to the stdlib's object, and
-    whether its bytes hold the text true or false.  Three kinds of document
-    go to `_load_json` instead: one orjson refuses (NaN and Infinity
-    literals, numbers out of range, lone surrogates, a BOM, text that is
-    not JSON), one nested deeper than `_ORJSON_DEPTH`, and one whose label
-    is not a string (orjson reads an integer beyond 64 bits as a float)."""
+    whether a true or false stands outside its strings.  Three kinds of
+    document go to `_load_json` instead: one orjson refuses (NaN and Infinity
+    literals, numbers out of range, lone surrogates, a BOM, text that is not
+    JSON), one nested deeper than `_ORJSON_DEPTH`, and one whose label is not
+    a string (orjson reads an integer beyond 64 bits as a float)."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
-    booleans = b"true" in raw or b"false" in raw
-    if _nesting_depth(raw) <= _ORJSON_DEPTH:
+    depth, booleans = _structure(raw)
+    if depth <= _ORJSON_DEPTH:
         with contextlib.suppress(orjson.JSONDecodeError):
             doc = orjson.loads(raw)
             if not isinstance(doc, dict) or isinstance(doc.get("label", ""), str):
@@ -278,15 +278,16 @@ def _load_generator_json(path: str) -> tuple[object, bool]:
     return _load_json(path), booleans
 
 
-def _nesting_depth(raw: bytes) -> int:
-    """The bracket depth of the JSON text raw, outside its strings: exact
-    for valid JSON.  Escaped backslashes and quotes go first, so that every
-    quote left opens or closes a string.  Text that is not JSON may read
-    shallower, but orjson refuses it before it builds any object."""
+def _structure(raw: bytes) -> tuple[int, bool]:
+    """The bracket depth of the JSON text raw outside its strings, and whether
+    a t or f stands there: in valid JSON only true, false and the stdlib's
+    Infinity put one there.  Escaped backslashes and quotes go first, so
+    that every quote left opens or closes a string.  Text that is not JSON
+    may read shallower, but orjson refuses it before it builds any object."""
     if b"\\" in raw:
         raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
-    brackets = _STRING.sub(b"", raw.translate(None, _NOT_STRUCTURE))
-    return int(np.frombuffer(brackets.translate(_BRACKET_STEPS), np.int8).cumsum().max(initial=0))
+    steps = _STRING.sub(b"", raw.translate(None, _NOT_STRUCTURE)).translate(_BRACKET_STEPS)
+    return int(np.frombuffer(steps, np.int8).cumsum().max(initial=0)), b"\x00" in steps
 
 
 def _load_matrix_field(value, base: str, name: str, booleans: bool) -> np.ndarray:

@@ -262,7 +262,7 @@ def gradient_flow_residual(G: Generator, rho, alpha: float) -> float:
 def _require_traceless_hermitian(nu, n: int, name: str) -> np.ndarray:
     nu = _require_dim(mc.require_hermitian(nu, name=name), n, name)
     if abs(np.trace(nu)) > 1e-10 * max(1.0, float(np.linalg.norm(nu))):
-        raise ValidationError(f"{name}: not traceless (tr = {np.trace(nu)!r})")
+        raise ValidationError(f"{name}: not traceless (tr = {complex(np.trace(nu))!r})")
     return nu
 
 

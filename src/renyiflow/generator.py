@@ -93,6 +93,7 @@ class JumpTerms:
 
 def _term_reals(values, m: int, what: str) -> np.ndarray:
     """(m,) floats, one per term; the first that is not a finite real raises (true and false are not reals)."""
+    values = [x.item() if isinstance(x, np.generic) else x for x in values]
     arr = np.array([x if isinstance(x, numbers.Real) and not isinstance(x, bool) else np.nan for x in values],
                    dtype=float)
     if arr.shape != (m,):
@@ -111,10 +112,9 @@ def _raise_first(*conditions) -> None:
 
 def _validate_terms(G: Generator) -> None:
     """Structure conditions (i)-(iv) on the stacked jump operators."""
-    V, Vd = G.jump_stacks
-    omega, weights = G.terms.omega, G.terms.weight
+    V, omega, weights = G.terms.V, G.terms.omega, G.terms.weight
     m = len(V)
-    X, Xd = V.reshape(m, -1), Vd.reshape(m, -1)
+    X, Xd = V.reshape(m, -1), V.conj().swapaxes(-1, -2).reshape(m, -1)
     norms = np.linalg.norm(X, axis=1)
     tr = np.abs(np.trace(V, axis1=1, axis2=2))
     res = np.linalg.norm((G.sigma_dec.kernel(1.0, -1.0) - np.exp(-omega)[:, None, None]) * G.jump_frame, axis=(1, 2))
@@ -186,8 +186,9 @@ class ModularBlocks:
         block-diagonal matrix of their vectors as columns: a singleton's unit
         vector, and on each block's units the columns of its part (values, vectors)."""
         if not self.single.size and len(parts) == 1:
-            # one set of every unit, in unit order: the dense decomposition as
-            # LAPACK laid it out, so later products keep their bits
+            # one set of every unit (n < BLOCK_MIN_N, or L not GNS): the dense part as it is,
+            # the same bits as the assembly below but about 20 us sooner, on the one-set
+            # generators that `comparison-flow` and `decay-trace` jobs build each time
             return parts[0]
         vals = np.concatenate([values, *(w for w, _ in parts)])
         vectors = np.zeros((vals.size, vals.size), dtype=complex)
@@ -254,14 +255,6 @@ class Generator:
     @property
     def omegas(self) -> np.ndarray:
         return self._require_terms().omega
-
-    @cached_property
-    def jump_stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (m, n, n) stacks of the V_j and of their adjoints V_j*, in term order."""
-        V = self._require_terms().V
-        Vd = np.ascontiguousarray(V.conj().swapaxes(-1, -2))
-        Vd.setflags(write=False)
-        return V, Vd
 
     @cached_property
     def jump_frame(self) -> np.ndarray:

@@ -86,7 +86,7 @@ def check_density(A, wmin: float, strict: bool = False, name: str = "state") -> 
             check_density(A[k], float(wmin[k]), strict, f"{name}[{k}]")
         return
     if abs(tr - 1.0) > TOL_TRACE:
-        raise StructuralError(f"{name}: trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+        raise StructuralError(f"{name}: trace {float(tr)!r} deviates from 1 beyond {TOL_TRACE:.1e}")
     if wmin < -TOL_PSD:
         raise StructuralError(f"{name}: negative eigenvalue {wmin:.3e} below -{TOL_PSD:.1e}")
     if strict and wmin < POS_FLOOR:

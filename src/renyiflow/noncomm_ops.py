@@ -58,7 +58,6 @@ class KernelOperator:
     (m, n, n) stack row by row.
     """
 
-    eigenvalues: np.ndarray
     basis: np.ndarray
     kernel: np.ndarray
 
@@ -69,7 +68,7 @@ class KernelOperator:
     def inverse(self) -> "KernelOperator":
         if np.any(np.abs(self.kernel) == 0.0):
             raise SingularityError("kernel operator has a zero entry; not invertible")
-        return KernelOperator(self.eigenvalues, self.basis, 1.0 / self.kernel)
+        return KernelOperator(self.basis, 1.0 / self.kernel)
 
 
 def _require_positive(values: np.ndarray, name: str) -> np.ndarray:
@@ -140,7 +139,7 @@ def log_mean_multiplier(X, omega: float = 0.0) -> KernelOperator:
     of omega.
     """
     dec = _positive_spectrum(X)
-    return KernelOperator(dec.values, dec.vectors, _log_mean_kernel(dec.values, omega))
+    return KernelOperator(dec.vectors, _log_mean_kernel(dec.values, omega))
 
 
 # --- the sandwiched state and the Renyi-order multiplication operator -------
@@ -281,11 +280,11 @@ class RenyiMultiplier:
     """
 
     state: SandwichedState
-    Q: np.ndarray  # U diag(1/p) W = s^-1 U W, with U sigma's eigenvectors
-    kernel_op: KernelOperator  # in sigma's frame: the eigenvectors W of rs'
+    Q: np.ndarray  # U diag(1/p) W = s^-1 U W, with U sigma's eigenvectors and W = state.dec.vectors
+    kernel: np.ndarray  # k, (n, n) or (m, n, n)
 
     def apply(self, A) -> np.ndarray:
-        B = self.kernel_op.kernel * (self.Q.conj().T @ np.asarray(A, dtype=complex) @ self.Q)
+        B = self.kernel * (self.Q.conj().T @ np.asarray(A, dtype=complex) @ self.Q)
         return (self.state.Z / self.state.alpha) * (self.Q @ B @ self.Q.conj().T)
 
     def _frame(self, V) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +292,7 @@ class RenyiMultiplier:
         Vt_j = Q* V_j Q^-* = W* (V_j / r) W and Vh_j = Q^-1 V_j Q = W* (V_j . r) W
         with r_kl = p_k / p_l, so that Q* [V_j, B] Q = Vt_j B' - B' Vh_j with
         B' = Q* B Q.  One GEMM per side over both stacks."""
-        W, p = self.kernel_op.basis, self.state.p
+        W, p = self.state.dec.vectors, self.state.p
         m, n = V.shape[:2]
         r = p[:, None] / p
         R = (np.concatenate((V / r, V * r)).reshape(2 * m * n, n) @ W).reshape(2 * m, n, n)
@@ -310,14 +309,14 @@ class RenyiMultiplier:
         [p, j, q] each product, the sums over j included, is one GEMM."""
         Vt, Vh = (X.swapaxes(0, 1) for X in self._frame(V))
         n, m = Vt.shape[:2]
-        state, W = self.state, self.kernel_op.basis
+        state, W = self.state, self.state.dec.vectors
         lam = state.positive_values()
         if state.alpha == 1.0:
             Dp = np.diag(np.log(lam)) - (W.conj().T * np.log(state.sigma_dec.values)) @ W
         else:
             Dp = np.diag(state.alpha / ((state.alpha - 1.0) * state.Z) * lam ** (state.alpha - 1.0))
         Y = (Vt.reshape(n * m, n) @ Dp).reshape(n, m, n) - (Dp @ Vh.reshape(n, m * n)).reshape(n, m, n)
-        Y = (Y * self.kernel_op.kernel.swapaxes(0, 1)).reshape(n, m * n)
+        Y = (Y * self.kernel.swapaxes(0, 1)).reshape(n, m * n)
         S = Y @ Vh.reshape(n, m * n).conj().T - Vt.reshape(n * m, n).conj().T @ Y.reshape(n * m, n)
         return (state.Z / state.alpha) * (self.Q @ S @ self.Q.conj().T)
 
@@ -328,7 +327,7 @@ class RenyiMultiplier:
         overflow at orders of a few hundred): the Vt-Vt and Vh-Vh parts are n
         weighted Gram matrices each, the cross part one product per row index."""
         Vt, Vh = self._frame(V)
-        k = self.kernel_op.kernel
+        k = self.kernel
         m, n = k.shape[0], k.shape[-1]
         eye = np.eye(n)
 
@@ -353,7 +352,7 @@ class RenyiMultiplier:
         c' = Q^-1 nu Q^-* = W* (p . U* nu U . p) W paired with B', and the null
         direction B' = Q* Q filled by a rank-one term, which tr nu = 0 makes exact."""
         H = self._flux_form(V)
-        W, p = self.kernel_op.basis, self.state.p
+        W, p = self.state.dec.vectors, self.state.p
         nus = self.state.sigma_dec.to_frame(np.array([nu1, nu2], dtype=complex))
         c = (W.conj().T @ (p[:, None] * nus * p) @ W).reshape(2, -1)
         d = np.diag(H).real ** -0.5
@@ -373,11 +372,10 @@ def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: flo
     (Z/2) times two-sided multiplication by sigma^(1/2).
     """
     state = frame_sandwiched_state(sigma_dec.to_frame(rho), sigma_dec, alpha)
-    alpha, lam = state.alpha, state.positive_values()
     return RenyiMultiplier(
         state=state,
         Q=sigma_dec.vectors @ (state.dec.vectors / state.p[:, None]),
-        kernel_op=KernelOperator(lam, state.dec.vectors, _renyi_kernel(lam, np.asarray(omega, dtype=float), alpha)),
+        kernel=_renyi_kernel(state.positive_values(), np.asarray(omega, dtype=float), state.alpha),
     )
 
 
@@ -409,7 +407,7 @@ def weight_operator(sigma_dec: mc.SpectralDecomposition, alpha: float) -> Kernel
     """
     if not alpha >= 0.0:
         raise DomainError(f"weight order alpha={alpha} must be >= 0")
-    return KernelOperator(sigma_dec.values, sigma_dec.vectors, _weight_kernel(sigma_dec.values, alpha))
+    return KernelOperator(sigma_dec.vectors, _weight_kernel(sigma_dec.values, alpha))
 
 
 # --- traceless Hermitian basis ------------------------------------------------

@@ -568,14 +568,14 @@ def gap_direction_by_kron(G, cluster_rtol):
 def nc_gradient(G, A) -> np.ndarray:
     """Noncommutative gradient: the (m, n, n) stack of commutators [V_j, A]."""
     A = np.asarray(A, dtype=complex)
-    V = G.jump_stacks[0]
+    V = G._require_terms().V
     return V @ A - A @ V
 
 
 def nc_divergence(G, fields) -> np.ndarray:
     """Noncommutative divergence: sum of [A_j, V_j*]; adjoint of -gradient."""
     fields = np.asarray(fields, dtype=complex)
-    Vd = G.jump_stacks[1]
+    Vd = G._require_terms().V.conj().swapaxes(-1, -2)
     if len(fields) != len(Vd):
         raise DomainError(f"vector field has {len(fields)} components, generator has {len(Vd)}")
     return np.sum(fields @ Vd - Vd @ fields, axis=0)

@@ -478,6 +478,11 @@ class TestMalformedInputs:
         assert doc["error"] == "validation"
         assert doc["detail"].startswith(f"{path}: not valid JSON (maximum recursion depth exceeded")
 
+    def test_sigma_trace_prints_the_number(self, capsys):
+        code, _, err = run(["dbcheck", "--generator", "builtin:depolarizing?sigma=0.5,0.6"], capsys)
+        assert code == 1
+        assert json.loads(err)["detail"] == "sigma: trace 1.1 deviates from 1 beyond 1.0e-10"
+
     def test_sigma_text_cell(self, tmp_path, capsys):
         # a number written as text is refused, not read as the number
         doc = generator_doc(qubit_xz_generator())
@@ -505,6 +510,19 @@ class TestMalformedInputs:
         code, out, err = run([command, "--generator", str(path)], capsys)
         assert code == 1
         assert (json.loads(err)["detail"] if command == "dbcheck" else json.loads(out)["failures"][0]).endswith(detail)
+
+    @pytest.mark.parametrize("field", ["sigma", "V"])
+    def test_true_cell_is_found_past_strings_that_hold_true(self, field, tmp_path, capsys):
+        # the label's escaped quotes and its own true and false leave the cell outside a string
+        doc = generator_doc(qubit_xz_generator())
+        doc["label"] = 'say "true" or \\"false\\"'
+        (doc["sigma"] if field == "sigma" else doc["terms"][1]["V"])[0][1] = True
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["dbcheck", "--generator", str(path)], capsys)
+        assert code == 1
+        detail = "sigma" if field == "sigma" else "term 1: V"
+        assert json.loads(err)["detail"].endswith(f"{detail}: rows must be equal-length lists of reals")
 
     @pytest.mark.parametrize("field", ["sigma", "V"])
     @pytest.mark.parametrize("command", ["dbcheck", "validate"])
@@ -1028,6 +1046,30 @@ class TestGeneratorDecoder:
         monkeypatch.setattr(cli, "_has_bool", lambda rows: pytest.fail("per-cell pass"))
         assert np.array_equal(cli.load_generator(str(path)).L_eig, G.L_eig)
 
+    def test_true_in_a_label_takes_no_per_cell_pass(self, monkeypatch, tmp_path):
+        G = qubit_xz_generator()
+        doc = generator_doc(G)
+        doc["label"] = 'true or "false"'
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "_has_bool", lambda rows: pytest.fail("per-cell pass"))
+        H = cli.load_generator(str(path))
+        assert H.label == doc["label"]
+        assert np.array_equal(H.L_eig, G.L_eig)
+
+    @pytest.mark.parametrize("raw, structure", [
+        (b'{"a": [[1, 2], [3]]}', (3, False)),
+        (b'{"a": [true]}', (2, True)),
+        (b'{"a": false}', (1, True)),
+        (b'{"true": "false", "b": null}', (1, False)),
+        (b'{"a": "\\"", "b": ["\\\\", "\\" true"]}', (2, False)),
+        (b'{"a": "\\\\", "b": [true]}', (2, True)),
+        (b'{"a": [Infinity]}', (2, True)),
+    ], ids=["numbers", "true-cell", "false-value", "strings", "escaped-quotes", "escaped-backslash", "infinity"])
+    def test_one_pass_reads_depth_and_literals_outside_strings(self, raw, structure):
+        assert json.loads(raw) is not None
+        assert cli._structure(raw) == structure
+
 
 class TestGeneratorFile:
     """The jump terms load as one stack, the same generator as in memory."""
@@ -1042,8 +1084,7 @@ class TestGeneratorFile:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(generator_doc(G)))
         H = cli.load_generator(str(path))
-        for a, b in zip(G.jump_stacks, H.jump_stacks):
-            assert np.array_equal(a, b)
+        assert np.array_equal(G.terms.V, H.terms.V)
         assert np.array_equal(G.L_eig, H.L_eig)
         assert np.array_equal(G.terms.omega, H.terms.omega)
 
@@ -1055,7 +1096,7 @@ class TestGeneratorFile:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(doc))
         H = cli.load_generator(str(path))
-        assert np.array_equal(H.jump_stacks[0], G.jump_stacks[0])
+        assert np.array_equal(H.terms.V, G.terms.V)
         assert np.array_equal(H.L_eig, G.L_eig)
 
     def test_explicit_weight_rescales_as_the_per_term_oracle(self, tmp_path):

@@ -482,8 +482,9 @@ class TestMetricTensor:
 
     def test_requires_traceless(self, qubit_xz, rng):
         rho = mc.random_density(rng, 2, floor=0.1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             flow.metric_tensor(qubit_xz, rho, 2.0, np.eye(2), np.eye(2))
+        assert str(exc.value) == "nu1: not traceless (tr = (2+0j))"  # the Python number, not its numpy repr
 
 
 class TestMultiplierFamily:

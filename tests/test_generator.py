@@ -488,13 +488,13 @@ class TestJumpTermSemantics:
     def test_terms_are_read_only_views_of_one_stack(self, qubit_xz):
         stack = qubit_xz.terms
         assert [np.shares_memory(t.V, stack.V) for t in stack] == [True, True]
-        assert qubit_xz.jump_stacks[0] is stack.V
         for arr in (stack.V, stack.omega, stack.weight):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("V, omega, weight, message", [
         ([SX, np.diag([np.nan, 1.0])], [0.0, 0.0], None, "term 1: V has non-finite entries"),
         ([SX, SZ], [0.0, np.inf], None, "term 1: omega inf is not a finite real"),
+        ([SX, SZ], np.array([0.0, np.inf]), None, "term 1: omega inf is not a finite real"),
         ([SX, SZ], [0.0, "x"], None, "term 1: omega 'x' is not a finite real"),
         ([SX, SZ], [0.0], None, "omega: expected 2 values"),
         ([SX, SZ], [0.0, 0.0], [None, -1.0], "term 1: weight -1.0 is not positive"),
@@ -502,8 +502,8 @@ class TestJumpTermSemantics:
         ([0.0 * SX, SZ, SX], [0.0, 0.0, 0.0], [None, 2.0, 0.0], "term 2: weight 0.0 is not positive"),
         ([], [], None, "expected a nonempty (m, n, n) stack"),
         ([SX, 1e200 * SZ], [0.0, 0.0], None, "term 1: <V, V> is not finite"),
-    ], ids=["nan-entry", "inf-omega", "text-omega", "short-omega", "negative-weight", "zero-direction",
-            "zero-weight", "empty", "overflowing-norm"])
+    ], ids=["nan-entry", "inf-omega", "inf-omega-array", "text-omega", "short-omega", "negative-weight",
+            "zero-direction", "zero-weight", "empty", "overflowing-norm"])
     def test_stack_rejects_the_first_bad_term(self, V, omega, weight, message):
         with pytest.raises((ValidationError, StructuralError), match=re.escape(message)):
             JumpTerms.of(V, omega, weight)

@@ -382,7 +382,7 @@ class TestScalarOrderPath:
             state.divergence(), state.frame_derivative(), sandwiched_state(rho, G.sigma_dec, a).entropy()
             sandwiched_trace(np.array([rho, G.sigma]), G.sigma_dec, np.array([a, 2.0]))
             M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, a)
-            M.flux(G.jump_frame), M.apply(G.jump_stacks[0]), M.metric(G.jump_frame, nu, nu)
+            M.flux(G.jump_frame), M.apply(G.terms.V), M.metric(G.jump_frame, nu, nu)
             dv.fisher_information(rho, a, G)
         flow.poincare_check(G, flow.gap_eigen_direction(G)), flow.generic_initial_state(G, r)
         flow.fisher2_bound_check(G, rho)
@@ -412,8 +412,8 @@ class TestRenyiKernel:
         rho = mc.random_density(r, n, floor=0.05)
         M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
         ref = self.two_kernel_quotient(M.state.positive_values(), G.omegas, alpha)
-        assert M.kernel_op.kernel.shape == ref.shape == (len(G.omegas), n, n)
-        assert np.max(np.abs(M.kernel_op.kernel / ref - 1.0)) <= 1e-12
+        assert M.kernel.shape == ref.shape == (len(G.omegas), n, n)
+        assert np.max(np.abs(M.kernel / ref - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 2.0, 3.0, 6.0])
     def test_degenerate_entries_are_the_power_of_the_mean(self, alpha):
@@ -488,7 +488,7 @@ class TestMultiplierStack:
         sigma_dec = mc.density_spectrum(sigma, strict=True)
         n = rho.shape[0]
         M = nco.renyi_multiplier(rho, sigma_dec, 0.3, 1.5)
-        assert M.kernel_op.kernel.shape == (n, n)
+        assert M.kernel.shape == (n, n)
         assert M.apply(stack[0]).shape == (n, n)
 
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 2.5, 6.0])
@@ -549,7 +549,7 @@ def similarity_pair(X, omega: float, s: float) -> nco.KernelOperator:
     loglam = np.log(dec.values)
     logb = omega + loglam[:, None] - loglam[None, :]
     kernel = np.exp(s * logb) + np.exp((1.0 - s) * logb)
-    return nco.KernelOperator(dec.values, dec.vectors, kernel)
+    return nco.KernelOperator(dec.vectors, kernel)
 
 
 def similarity_pair_bounds(X, omega: float) -> tuple[float, float]:

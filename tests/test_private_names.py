@@ -2,10 +2,15 @@
 modules: a private name (`nco._x`) reached from another module couples the
 two, and a change inside its owner breaks the other without warning.  And
 each module reads every name it imports, so a deletion leaves no stale
-import behind (no linter is installed to catch one)."""
+import behind (no linter is installed to catch one).  The package exports
+every error class it raises."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import renyiflow
+from renyiflow import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "renyiflow"
 
@@ -50,3 +55,11 @@ def test_every_import_is_read():
     # `__init__` imports to re-export, so its names are read by the package's users
     unread = [u for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py" for u in unread_imports(path)]
     assert unread == []
+
+
+def test_the_package_exports_every_error_class():
+    classes = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, errors.RenyiflowError)}
+    assert len(classes) == 7
+    assert classes <= set(renyiflow.__all__)
+    assert all(getattr(renyiflow, name) is getattr(errors, name) for name in classes)
