@@ -81,10 +81,10 @@ def _require_dim(A: np.ndarray, n: int, name: str) -> np.ndarray:
     return A
 
 
-def _validated(G: Generator, rho, strict: bool = False, name: str = "rho") -> np.ndarray:
-    """rho checked as a density matrix of the generator's size; `strict`
-    additionally demands full rank."""
-    return _require_dim(mc.require_density(rho, strict=strict, name=name), G.n, name)
+def _frame_state(G: Generator, rho, strict: bool = False, name: str = "rho") -> np.ndarray:
+    """U* rho U in sigma's frame, rho checked as a density matrix of the
+    generator's size; `strict` additionally demands full rank."""
+    return G.sigma_dec.to_frame(_require_dim(mc.require_density(rho, strict=strict, name=name), G.n, name))
 
 
 def _project(rho: np.ndarray) -> np.ndarray:
@@ -128,6 +128,8 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
         raise DomainError(f"dt={dt} must be positive and finite")
     if not 0.0 <= t_end < np.inf:
         raise DomainError(f"t_end={t_end} must be non-negative and finite")
+    if not isinstance(store_every, (int, np.integer)):
+        raise DomainError(f"store_every={store_every} is not an integer")
     if not 1 <= store_every < 2**53:
         raise DomainError(f"store_every={store_every} outside 1 .. 2**53 - 1")
     if t_end / dt >= 2.0**53:
@@ -137,14 +139,13 @@ def integrate(G: Generator, rho0, t_end: float, dt: float, store_every: int = 1)
     size = (n_full + 2) * G.n**2 * 16
     if size > MAX_STORED_BYTES:
         raise DomainError(f"{n_full + 2} states of {G.n} x {G.n} take {size:.3g} B, above budget {MAX_STORED_BYTES}")
-    rho0 = _validated(G, rho0, name="rho0")
+    X0 = _frame_state(G, rho0, name="rho0")
     times = np.array([0.0])
     if t_end > 0.0:
         times = np.concatenate(([0.0], np.arange(1, n_full + 1) * store_every * dt, [t_end]))
     spec = G.spectrum
     q = mc.vec(G.sigma_dec.kernel(0.25, 0.25))
     modes = mc.unvec(q[:, None] * spec.vectors, G.n)  # mode k in sigma's frame
-    X0 = G.sigma_dec.to_frame(rho0)
     c = spec.vectors.conj().T @ (mc.vec(X0) / q)
     xs = (np.exp(-np.outer(times, spec.values)) * c) @ modes.reshape(len(modes), -1)
     frame = np.ascontiguousarray(_project(xs.reshape(-1, G.n, G.n)))
@@ -248,12 +249,11 @@ def fit_decay_rate(times, values, tail_fraction: float = 0.3) -> DecayFit:
 
 def gradient_flow_residual(G: Generator, rho, alpha: float) -> float:
     """Relative defect between the metric-flux form of the flow and the
-    generator's drift; zero in exact arithmetic for detailed-balance
-    generators, contracted to stay below 1e-8 at any order."""
-    rho = _validated(G, rho, strict=True)
-    M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
-    flux = M.flux(G.jump_frame)
-    target = G.apply_Ldag(rho)
+    generator's drift, both in sigma's frame (a rotation keeps Frobenius norms);
+    zero in exact arithmetic for detailed-balance generators, below 1e-8 at any order."""
+    X = _frame_state(G, rho, strict=True)
+    flux = nco.renyi_multiplier(X, G.sigma_dec, G.omegas, alpha).flux(G.jump_frame)
+    target = G.frame_drift(X)
     den = float(np.linalg.norm(target))
     num = float(np.linalg.norm(flux - target))
     return num / den if den >= 1e-12 else num
@@ -273,11 +273,10 @@ def metric_tensor(G: Generator, rho, alpha: float, nu1, nu2) -> float:
     family's frame (`RenyiMultiplier.metric`), with no basis and no cutoff."""
     if not G.primitivity.primitive:
         raise ValidationError("metric tensor needs a primitive generator")
-    rho = _validated(G, rho, strict=True)
-    nu1 = _require_traceless_hermitian(nu1, G.n, "nu1")
-    nu2 = _require_traceless_hermitian(nu2, G.n, "nu2")
-    M = nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)
-    return M.metric(G.jump_frame, nu1, nu2)
+    X = _frame_state(G, rho, strict=True)
+    nus = np.array([_require_traceless_hermitian(nu1, G.n, "nu1"), _require_traceless_hermitian(nu2, G.n, "nu2")])
+    M = nco.renyi_multiplier(X, G.sigma_dec, G.omegas, alpha)
+    return M.metric(G.jump_frame, *G.sigma_dec.to_frame(nus))
 
 
 # --- inequality checks ----------------------------------------------------------
@@ -297,7 +296,7 @@ def poincare_check(G: Generator, A) -> InequalityCheck:
     out with a warning.  Equality holds on the gap eigenvector.  Both sides
     pair A' = U* A U through the half-weighting kernel in sigma's frame, -L as `G.L_eig`.
     """
-    A = mc.as_matrix(A, "A")
+    A = _require_dim(mc.as_matrix(A, "A"), G.n, "A")
     mean = complex(np.trace(G.sigma @ A))
     if abs(mean) > 1e-10 * max(1.0, float(np.linalg.norm(A))):
         warnings.warn(f"projecting out nonzero sigma-mean {mean!r}")
@@ -346,7 +345,7 @@ def generic_initial_state(G: Generator, rng: np.random.Generator) -> np.ndarray:
 def fisher2_bound_check(G: Generator, rho) -> InequalityCheck:
     """Uniform lower bound on the order-2 Fisher information by the gap;
     I2 and D2 are read from one sandwiched state."""
-    X = G.sigma_dec.to_frame(_validated(G, rho, strict=True))
+    X = _frame_state(G, rho, strict=True)
     state = nco.frame_sandwiched_state(X, G.sigma_dec, 2.0)
     I2, D2 = state.fisher(G.frame_drift(X)), state.divergence()
     bound = 2.0 * G.gap.value * (1.0 - np.exp(-D2))
@@ -412,11 +411,10 @@ def _lsi_objectives(G: Generator, denom_floor: float = 1e-8):
     # domain: K = I/2D, and kappa = E/Ent with the Dirichlet form
     # E = (alpha Z/4) I, which holds under the KMS symmetry the gap needs.
     # At order 1 kappa is K/2, so it is not descended on.
-    sig = G.sigma_dec
 
     def ratio(rho, alpha, kappa):
-        X = sig.to_frame(_validated(G, rho, strict=True))
-        state = nco.frame_sandwiched_state(X, sig, alpha)
+        X = _frame_state(G, rho, strict=True)
+        state = nco.frame_sandwiched_state(X, G.sigma_dec, alpha)
         den = state.entropy() if kappa else state.divergence()
         if den <= denom_floor:
             return np.inf
@@ -452,8 +450,8 @@ def lsi_constants(
     bound on the corresponding infimum.  kappa1 is K/2 exactly (the order-1
     entropy functional is D_1, and Z = 1), so it is reported as K_est / 2.
     """
-    if n_starts < 0:
-        raise DomainError(f"n_starts={n_starts} must be non-negative")
+    if n_starts < 0 or seed < 0:
+        raise DomainError(f"n_starts={n_starts} and seed={seed} must be non-negative")
     if not G.primitivity.primitive:
         raise ValidationError("log-Sobolev constants need a primitive generator")
     lam = G.gap.value

@@ -244,7 +244,8 @@ class Generator:
             arr.setflags(write=False)
 
     def apply_Ldag(self, A) -> np.ndarray:
-        """The state-space generator applied to A, through sigma's frame."""
+        """The state-space generator applied to a standard-basis A, through sigma's frame
+        (`frame_drift`); no function of the package calls it."""
         return self.sigma_dec.from_frame(self.frame_drift(self.sigma_dec.to_frame(A)))
 
     def _require_terms(self) -> JumpTerms:

@@ -7,10 +7,10 @@ from it (divergence, derivative, Fisher information, entropy), the
 Renyi-order multiplication operator built on it with its flux over a jump
 stack, and the detailed-balance weight kernel.  The sandwiched state is
 formed in exactly one function, `_sandwich`, entrywise in sigma's
-eigenbasis (sigma's frame), from a state given in that frame (a caller
-rotates a standard-basis state once with `SpectralDecomposition.to_frame`);
-`frame_sandwiched_state` decomposes it, and `frame_sandwiched_trace` reads
-its trace power from the spectrum values alone.
+eigenbasis (sigma's frame), from a state given in that frame, where the
+multiplier also acts (a caller rotates a standard-basis matrix once with
+`SpectralDecomposition.to_frame`); `frame_sandwiched_state` decomposes it,
+and `frame_sandwiched_trace` reads its trace power from the spectrum values.
 A scalar order (a Python or numpy scalar, or a 0-d array) is checked with
 float comparisons and carried as a float through the sandwiched state, its
 trace power and the derivative's scale, with the bits of the same order
@@ -266,7 +266,8 @@ def frame_sandwiched_trace(X, sigma_dec: mc.SpectralDecomposition, alpha) -> np.
 
 @dataclass(frozen=True)
 class RenyiMultiplier:
-    """Order-alpha multiplication operators attached to a state rho.
+    """Order-alpha multiplication operators attached to a state rho, held
+    in sigma's frame: every matrix they take or return is U* A U.
 
     apply() realizes the strictly positive map whose inverse carries the
     gradient of the order-alpha divergence onto jump-operator commutators;
@@ -276,11 +277,11 @@ class RenyiMultiplier:
     a scalar Z/alpha and a single entrywise kernel k in the basis Q,
     M(X) = (Z/alpha) Q (k . (Q* X Q)) Q*.  A family over m frequencies has
     an (m, n, n) kernel and acts on (m, n, n) stacks.  flux() and metric()
-    take the jump stack in sigma's frame (`Generator.jump_frame`).
+    take the jump stack as `Generator.jump_frame`.
     """
 
     state: SandwichedState
-    Q: np.ndarray  # U diag(1/p) W = s^-1 U W, with U sigma's eigenvectors and W = state.dec.vectors
+    Q: np.ndarray  # diag(1/p) W = U* s^-1 U W, with W = state.dec.vectors
     kernel: np.ndarray  # k, (n, n) or (m, n, n)
 
     def apply(self, A) -> np.ndarray:
@@ -288,7 +289,7 @@ class RenyiMultiplier:
         return (self.state.Z / self.state.alpha) * (self.Q @ B @ self.Q.conj().T)
 
     def _frame(self, V) -> tuple[np.ndarray, np.ndarray]:
-        """The (m, n, n) jump stack V (in sigma's frame) in Q's frame,
+        """The (m, n, n) jump stack V in Q's frame,
         Vt_j = Q* V_j Q^-* = W* (V_j / r) W and Vh_j = Q^-1 V_j Q = W* (V_j . r) W
         with r_kl = p_k / p_l, so that Q* [V_j, B] Q = Vt_j B' - B' Vh_j with
         B' = Q* B Q.  One GEMM per side over both stacks."""
@@ -349,20 +350,20 @@ class RenyiMultiplier:
     def metric(self, V, nu1, nu2) -> float:
         """<B1, nu2> for traceless nu1, nu2, where B -> sum_j [V_j*, M_j [V_j, B]]
         maps B1 to nu1: one solve with H (`_flux_form`) scaled by diag(H)^(-1/2),
-        c' = Q^-1 nu Q^-* = W* (p . U* nu U . p) W paired with B', and the null
+        c' = Q^-1 nu Q^-* = W* (p . nu . p) W paired with B', and the null
         direction B' = Q* Q filled by a rank-one term, which tr nu = 0 makes exact."""
         H = self._flux_form(V)
         W, p = self.state.dec.vectors, self.state.p
-        nus = self.state.sigma_dec.to_frame(np.array([nu1, nu2], dtype=complex))
-        c = (W.conj().T @ (p[:, None] * nus * p) @ W).reshape(2, -1)
+        c = (W.conj().T @ (p[:, None] * np.array([nu1, nu2]) * p) @ W).reshape(2, -1)
         d = np.diag(H).real ** -0.5
         z = (self.Q.conj().T @ self.Q).ravel() / d
         y = np.linalg.solve(d[:, None] * H * d + np.outer(z, z.conj()) / np.vdot(z, z).real, d * c[1])
         return float(np.real(np.vdot(c[0], d * y)) / (self.state.Z / self.state.alpha))
 
 
-def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: float) -> RenyiMultiplier:
-    """Build the order-alpha multiplication operator for strictly positive rho.
+def renyi_multiplier(X, sigma_dec: mc.SpectralDecomposition, omega, alpha: float) -> RenyiMultiplier:
+    """Build the order-alpha multiplication operator for strictly positive
+    rho, given as X = U* rho U in sigma's frame (`frame_sandwiched_state`).
 
     `sigma_dec` is the `mc.density_spectrum` that validated a full-rank
     sigma (a generator's `sigma_dec`).  `omega` is one Bohr
@@ -371,10 +372,10 @@ def renyi_multiplier(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha: flo
     it reduces to the twisted multiplier of rho itself; at alpha = 2 it is
     (Z/2) times two-sided multiplication by sigma^(1/2).
     """
-    state = frame_sandwiched_state(sigma_dec.to_frame(rho), sigma_dec, alpha)
+    state = frame_sandwiched_state(X, sigma_dec, alpha)
     return RenyiMultiplier(
         state=state,
-        Q=sigma_dec.vectors @ (state.dec.vectors / state.p[:, None]),
+        Q=state.dec.vectors / state.p[:, None],
         kernel=_renyi_kernel(state.positive_values(), np.asarray(omega, dtype=float), state.alpha),
     )
 

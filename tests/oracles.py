@@ -273,7 +273,7 @@ def metric_tensor_by_term(G, rho, alpha, nu1, nu2):
     """Transport metric pairing built term by term: one order-alpha
     multiplier per Bohr frequency, list-based jump commutators, and the
     flux operator's Gram matrix from d^2 Hilbert-Schmidt products."""
-    mults = [nco.renyi_multiplier(rho, G.sigma_dec, t.omega, alpha) for t in G.terms]
+    mults = [multiplier_of(rho, G.sigma_dec, t.omega, alpha) for t in G.terms]
 
     def gradient(A):
         return [t.V @ A - A @ t.V for t in G.terms]
@@ -289,7 +289,7 @@ def metric_tensor_by_term(G, rho, alpha, nu1, nu2):
     d = len(basis)
     T = np.zeros((d, d))
     for b, B in enumerate(basis):
-        TB = -divergence([m.apply(g) for m, g in zip(mults, gradient(B))])
+        TB = -divergence([apply_standard(m, g) for m, g in zip(mults, gradient(B))])
         for a in range(d):
             T[a, b] = float(np.real(np.vdot(basis[a], TB)))
     T = 0.5 * (T + T.T)
@@ -304,7 +304,7 @@ def metric_tensor_by_term(G, rho, alpha, nu1, nu2):
 
     g = 0.0
     for m, g1, g2 in zip(mults, gradient(solve(nu1)), gradient(solve(nu2))):
-        g += float(np.real(np.vdot(g1, m.apply(g2))))
+        g += float(np.real(np.vdot(g1, apply_standard(m, g2))))
     return g
 
 
@@ -682,6 +682,16 @@ def sandwiched_state(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> nco.San
 
 def sandwiched_trace(rho, sigma_dec: mc.SpectralDecomposition, alpha) -> np.ndarray:
     return nco.frame_sandwiched_trace(sigma_dec.to_frame(rho), sigma_dec, alpha)
+
+
+def multiplier_of(rho, sigma_dec: mc.SpectralDecomposition, omega, alpha) -> nco.RenyiMultiplier:
+    return nco.renyi_multiplier(sigma_dec.to_frame(rho), sigma_dec, omega, alpha)
+
+
+def apply_standard(M: nco.RenyiMultiplier, A) -> np.ndarray:
+    """M applied to a standard-basis matrix or stack: rotated into sigma's frame, where M acts, and back."""
+    dec = M.state.sigma_dec
+    return dec.from_frame(M.apply(dec.to_frame(np.asarray(A, dtype=complex))))
 
 
 def derivative(state: nco.SandwichedState) -> np.ndarray:

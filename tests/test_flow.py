@@ -26,6 +26,7 @@ from .oracles import (
     decay_envelope_constants,
     gap_direction_by_kron,
     metric_tensor_by_term,
+    multiplier_of,
     nc_gradient,
     norm_functional_by_state,
     norm_functional_in_frame,
@@ -123,11 +124,19 @@ class TestIntegrate:
         with pytest.raises(DomainError, match=f"store_every={store_every} outside 1 .. 2\\*\\*53 - 1"):
             flow.integrate(depol, depol.sigma, 1.0, 0.1, store_every=store_every)
 
+    @pytest.mark.parametrize("store_every", [1.5, 2.0, np.float64(3.0)])
+    def test_store_every_must_be_an_integer(self, qubit_xz, store_every):
+        # a fractional stride stored off-grid times (0.15, 0.3, ... at dt = 0.1)
+        with pytest.raises(DomainError, match="not an integer"):
+            flow.integrate(qubit_xz, qubit_xz.sigma, 1.0, 0.1, store_every=store_every)
+
     def test_sampling_grid(self, qubit_xz):
         # every store_every-th multiple of dt strictly before the last grid
         # point, then t_end itself
         traj = flow.integrate(qubit_xz, qubit_xz.sigma, 1.0, 0.03, store_every=4)
         assert traj.times.tolist() == [0.0] + [k * 0.03 for k in range(4, 33, 4)] + [1.0]
+        same = flow.integrate(qubit_xz, qubit_xz.sigma, 1.0, 0.03, store_every=np.int64(4))  # a numpy integer
+        assert same.times.tolist() == traj.times.tolist()
         traj = flow.integrate(qubit_xz, qubit_xz.sigma, 1.0, 0.03, store_every=10**9)
         assert traj.times.tolist() == [0.0, 1.0]
 
@@ -451,6 +460,15 @@ class TestGradientFlowIdentity:
     def test_stationary_state_absolute(self, qubit_xz):
         assert flow.gradient_flow_residual(qubit_xz, qubit_xz.sigma, 1.5) <= 1e-12
 
+    def test_target_is_the_frame_drift(self, monkeypatch):
+        # flux and drift are compared in sigma's frame: nothing rotates back
+        def forbidden(self, A):
+            raise AssertionError("gradient_flow_residual applied the standard-basis generator")
+
+        monkeypatch.setattr(Generator, "apply_Ldag", forbidden)
+        G = named_generator("gns-4")
+        assert flow.gradient_flow_residual(G, mc.random_density(np.random.default_rng(8), 4, floor=0.1), 2.5) <= 1e-8
+
 
 class TestMetricTensor:
     def test_positive_definite(self, qubit_xz, rng):
@@ -548,16 +566,42 @@ class TestMultiplierFamily:
         monkeypatch.setattr(nco.RenyiMultiplier, "apply", forbidden)
         assert flow.gradient_flow_residual(G, rho, 1.5) <= 1e-8
 
+    @pytest.mark.parametrize("which", ["residual", "metric"])
+    def test_rotates_rho_once(self, monkeypatch, which):
+        # rho enters sigma's frame once, and the family and the drift take that one rotated state
+        G = named_generator("gns-4")
+        r = np.random.default_rng(6)
+        rho, nu = mc.random_density(r, 4, floor=0.1), mc.random_traceless_hermitian(r, 4)
+        rotated, taken = [], []
+        to_frame, family, drift = mc.SpectralDecomposition.to_frame, nco.renyi_multiplier, Generator.frame_drift
+
+        def spy(self, A):
+            out = to_frame(self, A)
+            if np.shape(A) == (4, 4):
+                rotated.append(out)
+            return out
+
+        monkeypatch.setattr(mc.SpectralDecomposition, "to_frame", spy)
+        monkeypatch.setattr(nco, "renyi_multiplier", lambda X, *args: taken.append(X) or family(X, *args))
+        monkeypatch.setattr(Generator, "frame_drift", lambda self, X: taken.append(X) or drift(self, X))
+        if which == "residual":
+            flow.gradient_flow_residual(G, rho, 1.5)
+        else:
+            flow.metric_tensor(G, rho, 1.5, nu, nu)
+        assert len(rotated) == 1
+        assert len(taken) == (2 if which == "residual" else 1)
+        assert all(X is rotated[0] for X in taken)
+
     @pytest.mark.parametrize("alpha", [1.0, 2.5])
     def test_family_decomposes_sigma_and_the_sandwiched_state_once(self, eigensolves, alpha):
         G = named_generator("gns-4")
         rho = mc.random_density(np.random.default_rng(3), 4, floor=0.1)
 
         def sigma_then_family():
-            return nco.renyi_multiplier(rho, mc.density_spectrum(G.sigma, strict=True), G.omegas, alpha)
+            return multiplier_of(rho, mc.density_spectrum(G.sigma, strict=True), G.omegas, alpha)
 
         assert eigensolves(sigma_then_family) == 2
-        assert eigensolves(lambda: nco.renyi_multiplier(rho, G.sigma_dec, G.omegas, alpha)) == 1
+        assert eigensolves(lambda: multiplier_of(rho, G.sigma_dec, G.omegas, alpha)) == 1
 
 
 class TestPublicShapes:
@@ -672,6 +716,10 @@ class TestPoincare:
         chk = flow.poincare_check(qubit_xz, np.zeros((2, 2)))
         assert chk.passed and chk.lhs == 0.0 and chk.rhs == 0.0
 
+    def test_rejects_wrong_size(self, qubit_xz):
+        with pytest.raises(StructuralError, match=r"A: shape \(3, 3\) does not match"):
+            flow.poincare_check(qubit_xz, np.eye(3))
+
     def test_projection_warns(self, qubit_xz):
         with pytest.warns(UserWarning, match="projecting"):
             flow.poincare_check(qubit_xz, np.eye(2) + 0.1 * np.array([[1, 0], [0, -1.0]]))
@@ -740,6 +788,10 @@ class TestLsiConstants:
     def test_negative_start_count_rejected(self, qubit_xz):
         with pytest.raises(DomainError, match="n_starts"):
             flow.lsi_constants(qubit_xz, n_starts=-1)
+
+    def test_negative_seed_rejected(self, qubit_xz):
+        with pytest.raises(DomainError, match="seed=-1"):
+            flow.lsi_constants(qubit_xz, seed=-1)
 
     def test_programming_error_propagates(self, qubit_xz, monkeypatch):
         # only package and LAPACK errors are scored as +inf; anything else
